@@ -227,7 +227,7 @@ def suite_commutator():
     for alpha in (0.0, 1.0, 1.5, 2.0):
         lhs, _, _ = commutator_ladder(f1, alpha)
         xf = SampledSignal(g, g.x * f1.values)
-        direct = -1j * (_x_times_vals(g, fractional_momentum(f1, alpha).values)
+        direct = -1j * (g.x * fractional_momentum(f1, alpha).values
                         - fractional_momentum(xf, alpha).values)
         w = central_window(g.n)
         gap = float(np.max(np.abs(lhs.values[w] - direct[w])))
@@ -255,10 +255,6 @@ def suite_commutator():
         r.below(f"momentum symmetry across the pairing, order {alpha:g}",
                 abs(symmetry_residual(a, b, alpha)), 1e-10)
     return r.results
-
-
-def _x_times_vals(g, values):
-    return g.x * values
 
 
 def suite_uncertainty():

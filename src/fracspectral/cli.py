@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -114,6 +115,8 @@ def _parse_alphas(text):
             a = float(part)
         except ValueError as exc:
             raise CLIConfigError(f"--alpha: {part!r} is not a number") from exc
+        if not math.isfinite(a):
+            raise CLIConfigError(f"--alpha: order must be finite, got {part!r}")
         if a < 0:
             raise CLIConfigError(f"--alpha: order must be >= 0, got {a:g}")
         out.append(a)

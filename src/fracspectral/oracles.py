@@ -12,7 +12,6 @@ These are the ground-truth routes against which the FFT engine is judged:
 * eigenstate_signal: sampled eigenfunctions of the fractional momentum
   operator with their frequency pinned exactly onto the discrete grid.
 """
-import enum
 import math
 from dataclasses import dataclass
 
@@ -59,55 +58,6 @@ class Undefined:
 
 
 UNDEFINED = Undefined()
-
-
-class Family(enum.Enum):
-    GAUSSIAN = "gaussian"
-    X2_GAUSSIAN = "x2gaussian"
-    EXPONENTIAL = "exponential"
-    MONOMIAL = "monomial"
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """A function family with a closed-form fractional derivative.
-
-    admissible_alpha documents for which orders the closed form is defined;
-    the first three families admit every alpha >= 0, monomials of degree n
-    only alpha = 0 or alpha >= n.
-    """
-    family: Family
-    k: float = None          # growth rate, EXPONENTIAL only
-    degree: int = None       # MONOMIAL only
-    admissible_alpha: str = "all alpha >= 0"
-
-    @classmethod
-    def gaussian(cls):
-        return cls(Family.GAUSSIAN)
-
-    @classmethod
-    def x2_gaussian(cls):
-        return cls(Family.X2_GAUSSIAN)
-
-    @classmethod
-    def exponential(cls, k):
-        if k <= 0:
-            raise NonPositiveK(f"k must be > 0, got {k}")
-        return cls(Family.EXPONENTIAL, k=float(k))
-
-    @classmethod
-    def monomial(cls, degree):
-        return cls(Family.MONOMIAL, degree=int(degree),
-                   admissible_alpha=f"alpha = 0 or alpha >= {int(degree)}")
-
-    def derivative(self, alpha, x):
-        if self.family is Family.GAUSSIAN:
-            return gaussian_deriv(alpha, x)
-        if self.family is Family.X2_GAUSSIAN:
-            return x2gaussian_deriv(alpha, x)
-        if self.family is Family.EXPONENTIAL:
-            return exp_rule(self.k, alpha, x)
-        return monomial_deriv(self.degree, alpha, x)
 
 
 def gaussian_deriv(alpha, x):
@@ -200,9 +150,12 @@ def monomial_deriv(n, alpha, x):
 # feeds the error estimate.
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_NODES = np.concatenate([_GL15_NODES, _GL7_NODES])
 
 _QUAD_ABS_TOL = 1e-11
 _QUAD_MAX_DEPTH = 64
+# panels evaluated per integrand call; bounds the node array at 512 * 22
+_QUAD_BATCH = 512
 # if the summed panel estimates exceed this, the result cannot serve as an
 # oracle for 1e-8-level comparisons and we refuse to return it
 _QUAD_FAIL_EST = 1e-9
@@ -213,33 +166,50 @@ def _eval_integrand(f_hat, alpha, x, p):
 
 
 def _as_array(f_hat, p):
-    vals = f_hat(p)
-    arr = np.asarray(vals, dtype=complex)
-    if arr.shape != p.shape:
+    """f_hat at the nodes p; point by point if it does not map arrays."""
+    try:
+        arr = np.asarray(f_hat(p), dtype=complex)
+    except TypeError:
+        arr = None
+    if arr is None or arr.shape != p.shape:
         arr = np.array([complex(f_hat(pj)) for pj in p])
     return arr
 
 
 def _adaptive(f_hat, alpha, x, lo, hi, tol):
-    """Adaptive bisection on [lo, hi]; returns (value, error_estimate)."""
-    stack = [(lo, hi, 0)]
+    """Adaptive bisection of the panels [lo[k], hi[k]]; returns (value, error_estimate).
+
+    Pending panels are held as arrays.  Each step takes up to _QUAD_BATCH of
+    them and evaluates all their nodes in one integrand call; a panel whose
+    G15 and G7 values differ by at most tol, or that is _QUAD_MAX_DEPTH
+    bisections deep, is accepted, and the others are replaced by their halves.
+    """
+    depth = np.zeros(lo.size, dtype=int)
     total = 0.0 + 0.0j
     est = 0.0
-    while stack:
-        a, b, depth = stack.pop()
+    while lo.size:
+        rest = max(lo.size - _QUAD_BATCH, 0)
+        a, b, d = lo[rest:], hi[rest:], depth[rest:]
+        lo, hi, depth = lo[:rest], hi[:rest], depth[:rest]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        f15 = _eval_integrand(f_hat, alpha, x, mid + half * _GL15_NODES)
-        f7 = _eval_integrand(f_hat, alpha, x, mid + half * _GL7_NODES)
-        v15 = half * np.sum(_GL15_WEIGHTS * f15)
-        v7 = half * np.sum(_GL7_WEIGHTS * f7)
-        err = abs(v15 - v7)
-        if err <= tol or depth >= _QUAD_MAX_DEPTH:
-            total += v15
-            est += err
-        else:
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
+        p = (mid[:, None] + half[:, None] * _NODES).ravel()
+        f = _eval_integrand(f_hat, alpha, x, p).reshape(a.size, _NODES.size)
+        bad = ~np.isfinite(f)
+        if bad.any():
+            raise ToleranceNotReached(
+                f"integrand is not finite at p = {p.reshape(f.shape)[bad][0]:.6g}")
+        v15 = half * np.sum(_GL15_WEIGHTS * f[:, :_GL15_NODES.size], axis=1)
+        v7 = half * np.sum(_GL7_WEIGHTS * f[:, _GL15_NODES.size:], axis=1)
+        err = np.abs(v15 - v7)
+        done = (err <= tol) | (d >= _QUAD_MAX_DEPTH)
+        total += np.sum(v15[done])
+        est += np.sum(err[done])
+        split = ~done
+        a, mid, b, d = a[split], mid[split], b[split], d[split] + 1
+        lo = np.concatenate([lo, a, mid])
+        hi = np.concatenate([hi, mid, b])
+        depth = np.concatenate([depth, d, d])
     return total, est
 
 
@@ -251,23 +221,30 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     negligible beyond p_cutoff (for a Gaussian transform, 40 is ample).
     The integrand oscillates at frequency |x|, so initial panels are capped
     at a quarter period; the cusp/zero of the multiplier sits on the panel
-    boundary at p = 0.
+    boundary at p = 0.  Every panel is bisected until its 15- and 7-point
+    Gauss-Legendre values agree; the panels are evaluated in batches, many
+    per call of f_hat, which receives 1-d node arrays (a function that only
+    takes scalars is called point by point).
+
+    A non-finite alpha or x, or a p_cutoff that is not finite and positive,
+    raises ValueError; a non-finite integrand value, or an error estimate
+    above _QUAD_FAIL_EST, raises ToleranceNotReached.
     """
     alpha = float(alpha)
     x = float(x)
+    if not (math.isfinite(alpha) and math.isfinite(x)):
+        raise ValueError(f"alpha and x must be finite, got alpha={alpha}, x={x}")
+    if not (math.isfinite(p_cutoff) and p_cutoff > 0):
+        raise ValueError(f"p_cutoff must be finite and > 0, got {p_cutoff}")
     width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
     edges = [0.0]
     while edges[-1] < p_cutoff:
         edges.append(min(p_cutoff, edges[-1] + width))
-    n_panels = 2 * (len(edges) - 1)
-    tol = _QUAD_ABS_TOL / n_panels
-    total = 0.0 + 0.0j
-    est = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for a, b in ((lo, hi), (-hi, -lo)):
-            v, e = _adaptive(f_hat, alpha, x, a, b, tol)
-            total += v
-            est += e
+    edges = np.array(edges)
+    lo = np.concatenate([edges[:-1], -edges[1:]])
+    hi = np.concatenate([edges[1:], -edges[:-1]])
+    tol = _QUAD_ABS_TOL / lo.size
+    total, est = _adaptive(f_hat, alpha, x, lo, hi, tol)
     if est > _QUAD_FAIL_EST:
         raise ToleranceNotReached(f"estimated error {est:.3e} exceeds {_QUAD_FAIL_EST:.1e}")
     return total / _SQRT_2PI

@@ -272,6 +272,10 @@ def test_exit_codes_in_process(tmp_path, capsys):
         (["derive", "--alpha", "1",
           "--output", str(tmp_path / "no" / "dir.csv")], 3),
         (["uncertainty", "--alpha", "0.9"], 2),
+        (["derive", "--alpha", "nan"], 2),
+        (["derive", "--alpha", "inf"], 2),
+        (["derive", "--alpha", "0.5,-inf"], 2),
+        (["uncertainty", "--alpha", "nan"], 2),
     ]
     for argv, want in cases:
         assert main(argv) == want, argv
@@ -285,6 +289,8 @@ def test_config_errors_name_the_flag(capsys):
     assert "--domain" in capsys.readouterr().err
     assert main(["derive", "--alpha", "oops"]) == 2
     assert "--alpha" in capsys.readouterr().err
+    assert main(["derive", "--alpha", "nan"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_oracle_domain_cap_suggests_the_engine(capsys):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracspectral import oracles
 from fracspectral.grid import make_grid
 from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   NonPositiveK, ToleranceNotReached,
@@ -147,6 +148,63 @@ def test_quadrature_reports_failure():
     # remaining estimate
     with np.errstate(all="ignore"), pytest.raises(ToleranceNotReached):
         quadrature_reference(lambda p: np.abs(p - 1.0 / 3.0) ** -0.95, 0.5, 0.0)
+
+
+def test_quadrature_rejects_non_finite_order_and_position():
+    for alpha, x in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.inf),
+                     (0.5, -math.inf), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            quadrature_reference(F1_HAT, alpha, x)
+    for cutoff in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            quadrature_reference(F1_HAT, 0.5, 0.0, p_cutoff=cutoff)
+
+
+def test_quadrature_stops_at_the_first_non_finite_value():
+    calls = []
+
+    def f_hat(p):
+        calls.append(p.size)
+        return np.where(np.abs(p - 2.5) < 0.5, np.nan, F1_HAT(p))
+
+    with pytest.raises(ToleranceNotReached):
+        quadrature_reference(f_hat, 0.5, 0.0)
+    assert len(calls) == 1       # all root panels fit in one batch
+
+
+def test_quadrature_scalar_only_transform_matches_vectorised():
+    def scalar_only(p):
+        if np.ndim(p):
+            raise TypeError("scalar frequencies only")
+        return F1_HAT(p)
+
+    for a, x in ((0.5, 0.0), (1.5, 3.0)):
+        want = quadrature_reference(F1_HAT, a, x)
+        got = quadrature_reference(scalar_only, a, x)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_quadrature_batch_size_changes_only_the_summation_order(monkeypatch):
+    def counting(points):
+        def f_hat(p):
+            points.append(p.size)
+            return F1_HAT(p)
+        return f_hat
+
+    default_points, single_points = [], []
+    want = quadrature_reference(counting(default_points), 2.5, 3.0)
+    monkeypatch.setattr(oracles, "_QUAD_BATCH", 1)
+    got = quadrature_reference(counting(single_points), 2.5, 3.0)
+    assert abs(got - want) <= 1e-13
+    assert sum(single_points) == sum(default_points)
+    assert len(single_points) > len(default_points)
+
+
+def test_quadrature_far_from_the_origin():
+    # |x| = 20 caps the root panels at a quarter period: over 1000 of them
+    for a in (0.5, 2.5):
+        assert abs(quadrature_reference(F1_HAT, a, 20.0)
+                   - gaussian_deriv(a, 20.0)) < 1e-8
 
 
 # --- eigenstate construction ----------------------------------------------
