@@ -182,6 +182,10 @@ def _read_signal_csv(path):
         raise CLIConfigError(f"--input {path}: non-numeric row ({exc})") from exc
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 8:
         raise CLIConfigError(f"--input {path}: need rows of x,re,im (at least 8)")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise CLIConfigError(
+            f"--input {path}: non-finite value on line {int(finite.argmin()) + 2}")
     x = data[:, 0]
     n = len(x)
     if n & (n - 1):
@@ -250,6 +254,7 @@ def cmd_derive(config):
 
 
 def _figure_curves(fig_id, config):
+    grid = config.grid()        # validates --points/--domain on every route
     if fig_id == 4:
         scan = np.arange(601) / 100.0
         vals = np.array([uncertainty_bound(a, allow_below_one=True) for a in scan],
@@ -261,7 +266,6 @@ def _figure_curves(fig_id, config):
     if (config.engine or "oracle") == "oracle":
         xs = np.arange(-400, 401) / 100.0
         return [(a, xs, np.array([oracle(a, float(x)) for x in xs])) for a in alphas], "x"
-    grid = config.grid()
     signal = sample(builtin, grid)
     mask = np.abs(grid.x) <= 4.0
     curves = []

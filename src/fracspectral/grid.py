@@ -57,6 +57,8 @@ class Grid:
         x_min = float(x_min)
         x_max = float(x_max)
         n = int(n)
+        if not (np.isfinite(x_min) and np.isfinite(x_max)):
+            raise DegenerateInterval(f"need finite bounds, got ({x_min}, {x_max})")
         if not x_max > x_min:
             raise DegenerateInterval(f"need x_max > x_min, got ({x_min}, {x_max})")
         if n < 8 or n & (n - 1):

@@ -156,6 +156,11 @@ _QUAD_ABS_TOL = 1e-11
 _QUAD_MAX_DEPTH = 64
 # panels evaluated per integrand call; bounds the node array at 512 * 22
 _QUAD_BATCH = 512
+#: Most root panels quadrature_reference builds.  Root panels are a quarter
+#: period of e^{ipx} wide, so their count, 4 * p_cutoff * (|x| + 1/4) / pi,
+#: grows with |x|: 1,032 at x = 20.  The cap (0.14 s of work on a 2-vCPU VM) is
+#: reached near |x| = 1286 at the default p_cutoff of 40.
+QUAD_MAX_ROOT_PANELS = 2 ** 16
 # if the summed panel estimates exceed this, the result cannot serve as an
 # oracle for 1e-8-level comparisons and we refuse to return it
 _QUAD_FAIL_EST = 1e-9
@@ -226,7 +231,8 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     per call of f_hat, which receives 1-d node arrays (a function that only
     takes scalars is called point by point).
 
-    A non-finite alpha or x, or a p_cutoff that is not finite and positive,
+    A non-finite alpha or x, a p_cutoff that is not finite and positive, or
+    an |x| * p_cutoff that needs more than QUAD_MAX_ROOT_PANELS root panels
     raises ValueError; a non-finite integrand value, or an error estimate
     above _QUAD_FAIL_EST, raises ToleranceNotReached.
     """
@@ -237,6 +243,10 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     if not (math.isfinite(p_cutoff) and p_cutoff > 0):
         raise ValueError(f"p_cutoff must be finite and > 0, got {p_cutoff}")
     width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
+    panels = 2 * math.ceil(p_cutoff / width)
+    if panels > QUAD_MAX_ROOT_PANELS:
+        raise ValueError(f"x={x} with p_cutoff={p_cutoff} needs {panels} root panels, "
+                         f"more than {QUAD_MAX_ROOT_PANELS}")
     edges = [0.0]
     while edges[-1] < p_cutoff:
         edges.append(min(p_cutoff, edges[-1] + width))

@@ -13,6 +13,16 @@ momentum symbol divides that phase out:
 
 Both are 0 at the p = 0 bin for a > 0 (the limit of |p|^a), 1 for a = 0.
 
+The engine (fractional_derivative, fractional_momentum) applies (ip)^a
+with real-to-complex transforms: the real and the imaginary part of the
+samples are transformed on their own (the imaginary part only where it is
+non-zero), so D^a of a real signal is exactly real.  The Nyquist bin is
+split evenly between p = +-pi/dx, where the grid's frequency layout puts
+it at -pi/dx alone: D^1 of the on-grid cosine cos(pi x/dx) is 0, to
+roundoff, at the samples.  P_a is e^{-i*a*pi/2} D^a, which is exact since
+p^a = i^(-a) (ip)^a on every bin.  Coefficients below NOISE_FLOOR times
+the largest coefficient of either part are zeroed first.
+
 With this branch D^a is the left-sided (Liouville) derivative on the real
 line.  For non-integer a, D^a f has a one-sided tail to the right of f that
 falls off only like x^(-1-a)/Gamma(-a), and by Poisson summation a multiplier
@@ -285,11 +295,18 @@ def _fresh_images(signal, alpha, phase, decay_threshold):
 
 
 def _apply_multiplier(signal, alpha, kind, decay_threshold):
-    """ifft(fft(values) * symbol) with the wrap-around images handled.
+    """irfft(rfft(values) * (ip)^a), times e^{-i*pi*a/2} for P_a, with the images handled.
 
     forward's e^{-ip x_min} and inverse's e^{+ip x_min} cancel here, as do
-    their dx and sqrt(2 pi) factors.  Bins below the noise floor are zeroed
-    before the symbol is applied.
+    their dx and sqrt(2 pi) factors.  The real and the imaginary part of
+    the samples go through real transforms on their own (the imaginary one
+    only where it is non-zero), so a real signal costs one rfft and one
+    irfft and its derivative comes back exactly real.  Both use (ip)^a on
+    the bins p = k*dp, k = 0..n/2; irfft keeps the real part of the Nyquist
+    bin, which splits that bin evenly between +-pi/dx.  P_a is D^a times
+    e^{-i*pi*a/2}, since p^a = i^(-a) (ip)^a on every bin.  Bins of either
+    part below the noise floor, taken against the largest coefficient of
+    both, are zeroed before the symbol is applied.
     """
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
@@ -298,22 +315,43 @@ def _apply_multiplier(signal, alpha, kind, decay_threshold):
     g = signal.grid
     phase = 1.0 if kind is PowerKind.IP_POWER else cmath.exp(-0.5j * math.pi * alpha)
     source = signal.images
+    values = signal.values
     warning = None
     if source is not None:
         # back to the periodic value, which the symbol maps to the periodic result
-        coeffs = np.fft.fft(signal.values + source.values(g))
+        values = values + source.values(g)
         images = ImageCorrection(source.order + alpha, source.phase * phase, source.moments)
     else:
-        coeffs = np.fft.fft(signal.values)
         images = _fresh_images(signal, alpha, phase, decay_threshold)
         if images is None:
             warning = _decay_warning(signal, alpha, decay_threshold)
-    mag = np.abs(coeffs)
-    coeffs[mag < NOISE_FLOOR * mag.max()] = 0.0
-    del mag
-    coeffs *= AlphaPower(alpha, kind)(g.p)
-    out = np.fft.ifft(coeffs)
-    del coeffs
+    parts = [values.real, values.imag] if values.imag.any() else [values.real]
+    spectra = [np.fft.rfft(v) for v in parts]
+    del parts, values
+    mags = [np.abs(c) for c in spectra]
+    floor = NOISE_FLOOR * max(float(m.max()) for m in mags)
+    for c, m in zip(spectra, mags):
+        c[m < floor] = 0.0
+    del mags
+    # (ip)^a on the bins p = k*dp >= 0 is p^a e^{i*pi*a/2}
+    power = np.arange(g.n // 2 + 1, dtype=float)
+    power *= g.dp
+    power **= alpha
+    symbol = power * cmath.exp(0.5j * math.pi * alpha)
+    del power
+    for c in spectra:
+        c *= symbol
+    del symbol
+    # One complex buffer holds the result, and the phase and the images are
+    # applied in place: three 4 MiB temporaries per call at n = 2^18 left
+    # the heap in a state that depended on the order of earlier calls.
+    out = np.empty(g.n, dtype=complex)
+    out.real = np.fft.irfft(spectra[0], g.n)
+    out.imag = np.fft.irfft(spectra[1], g.n) if len(spectra) == 2 else 0.0
+    del spectra
+    if phase != 1.0:
+        # phase first: numpy rounds phase * out and out * phase differently
+        np.multiply(phase, out, out=out)
     if images is not None and not _has_images(images.order):
         images = None
     if images is not None:

@@ -253,6 +253,9 @@ def test_exit_codes_in_process(tmp_path, capsys):
     jagged = tmp_path / "jagged.csv"
     jagged.write_text("x,re,im\n" + "\n".join(
         f"{math.sqrt(i)},1,0" for i in range(16)) + "\n")
+    nan = tmp_path / "nan.csv"
+    nan.write_text("x,re,im\n" + "\n".join(
+        f"{i * 0.5},{'nan' if i == 5 else 1},0" for i in range(16)) + "\n")
     cases = [
         (["derive"], 2),                                     # --alpha missing
         (["derive", "--alpha", "abc"], 2),
@@ -276,6 +279,10 @@ def test_exit_codes_in_process(tmp_path, capsys):
         (["derive", "--alpha", "inf"], 2),
         (["derive", "--alpha", "0.5,-inf"], 2),
         (["uncertainty", "--alpha", "nan"], 2),
+        (["derive", "--domain", "0", "inf", "--alpha", "0.5"], 2),
+        (["derive", "--alpha", "1", "--input", str(nan)], 2),
+        (["figure", "1", "--points", "3"], 2),
+        (["figure", "4", "--domain", "1", "1"], 2),
     ]
     for argv, want in cases:
         assert main(argv) == want, argv
@@ -291,6 +298,11 @@ def test_config_errors_name_the_flag(capsys):
     assert "--alpha" in capsys.readouterr().err
     assert main(["derive", "--alpha", "nan"]) == 2
     assert "finite" in capsys.readouterr().err
+    assert main(["derive", "--alpha", "0.5", "--domain", "0", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "--domain" in err and "finite" in err
+    assert main(["figure", "1", "--points", "3"]) == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_oracle_domain_cap_suggests_the_engine(capsys):
@@ -307,3 +319,7 @@ def test_input_error_messages_are_specific(tmp_path, capsys):
     f.write_text("x,re,im\n" + "\n".join(f"{i * 0.5},1,0" for i in range(12)) + "\n")
     assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
     assert "power of two" in capsys.readouterr().err
+    f.write_text("x,re,im\n" + "\n".join(
+        f"{i * 0.5},{'nan' if i == 5 else 1},0" for i in range(16)) + "\n")
+    assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
+    assert "non-finite value on line 7" in capsys.readouterr().err

@@ -38,6 +38,9 @@ def test_grid_validation():
         make_grid(1.0, 1.0, 64)
     with pytest.raises(DegenerateInterval):
         make_grid(2.0, -2.0, 64)
+    for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf), (0.0, np.nan)):
+        with pytest.raises(DegenerateInterval):
+            make_grid(lo, hi, 64)
 
 
 def test_grid_equality_and_hash():

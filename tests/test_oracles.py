@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,14 @@ def test_quadrature_far_from_the_origin():
     for a in (0.5, 2.5):
         assert abs(quadrature_reference(F1_HAT, a, 20.0)
                    - gaussian_deriv(a, 20.0)) < 1e-8
+
+
+def test_quadrature_refuses_a_position_past_the_root_panel_cap():
+    # x = 1e8 would need ~5e9 quarter-period root panels
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="root panels"):
+        quadrature_reference(F1_HAT, 0.5, 1e8)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # --- eigenstate construction ----------------------------------------------

@@ -135,6 +135,61 @@ def test_decay_warning_for_wide_function():
     assert clean.warning is None
 
 
+# --- real transforms -------------------------------------------------------
+
+def test_real_signal_gives_an_exactly_real_derivative():
+    g = make_grid(-16.0, 16.0, 4096)
+    sig = sample(GAUSS, g)
+    for a in (0.3, 1.0, 2.5, 4.8):
+        d = fractional_derivative(sig, a)
+        assert np.all(d.values.imag == 0.0)
+        m = fractional_momentum(sig, a)
+        want = cmath.exp(-0.5j * math.pi * a) * d.values
+        assert np.max(np.abs(m.values - want)) <= 1e-15 * np.max(np.abs(d.values))
+
+
+def test_complex_signal_splits_into_real_and_imaginary_parts():
+    g = make_grid(-16.0, 16.0, 4096)
+    u = np.exp(-g.x ** 2)
+    v = g.x * np.exp(-g.x ** 2 / 2)
+    for a in (0.3, 1.7):
+        whole = fractional_derivative(SampledSignal(g, u + 1j * v), a).values
+        parts = (fractional_derivative(SampledSignal(g, u), a).values
+                 + 1j * fractional_derivative(SampledSignal(g, v), a).values)
+        assert np.max(np.abs(whole - parts)) < 1e-14
+
+
+def test_nyquist_cosine_splits_the_nyquist_bin():
+    # cos(pi x / dx) on the samples is (+-1)^j: its first derivative there is 0
+    g = make_grid(-4.0, 4.0, 16)
+    sig = SampledSignal(g, np.cos(np.pi * g.x / g.dx))
+    assert np.max(np.abs(fractional_derivative(sig, 1.0).values)) < 1e-14
+    d2 = fractional_derivative(sig, 2.0).values
+    np.testing.assert_allclose(d2, -(np.pi / g.dx) ** 2 * sig.values, rtol=0, atol=1e-13)
+
+
+def test_transform_count_per_part(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append(name)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    g = make_grid(-16.0, 16.0, 256)
+    real = sample(GAUSS, g)
+    fractional_derivative(real, 0.5)
+    assert sorted(calls) == ["irfft", "rfft"]
+    calls.clear()
+    fractional_momentum(SampledSignal(g, real.values * np.exp(1j * g.x)), 0.5)
+    assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"]
+
+
 # --- wrap-around images ----------------------------------------------------
 
 def _short_box_gaussian():
