@@ -28,13 +28,10 @@ from .specfun import (
     kummer_1f1_series,
 )
 from .spectral import (
-    AlphaPower,
-    GridTooLarge,
     ImageCorrection,
     MinusOneBranch,
     NegativeAlpha,
     Pairing,
-    PowerKind,
     duality_residual,
     forward,
     fractional_derivative,
@@ -85,8 +82,8 @@ __all__ = [
     "ArgumentOutOfRange", "BParameterPole", "PoleAtNonPositiveInteger",
     "SpecFunResult", "gamma", "hurwitz_zeta", "kummer_1f1",
     "kummer_1f1_detailed", "kummer_1f1_series",
-    "AlphaPower", "GridTooLarge", "ImageCorrection", "MinusOneBranch",
-    "NegativeAlpha", "Pairing", "PowerKind", "duality_residual", "forward",
+    "ImageCorrection", "MinusOneBranch", "NegativeAlpha", "Pairing",
+    "duality_residual", "forward",
     "fractional_derivative", "fractional_momentum", "inverse", "ip_power",
     "order_continuity_gap", "p_power", "pairing_continuity_gap",
     "product_rule",

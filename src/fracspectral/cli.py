@@ -349,17 +349,19 @@ def cmd_check(suite):
 
 # --- argument parsing ------------------------------------------------------
 
-def _add_shared(p):
-    p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
-                   help="grid interval (default -16 16)")
-    p.add_argument("--points", type=int, metavar="N",
-                   help="grid size, power of two (default 4096)")
-    p.add_argument("--alpha", metavar="A[,A...]",
-                   help="comma-separated derivative orders, each >= 0")
+def _add_shared(p, grid=True, alpha=True):
+    if grid:
+        p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
+                       help="grid interval (default -16 16)")
+        p.add_argument("--points", type=int, metavar="N",
+                       help="grid size, power of two (default 4096)")
+        p.add_argument("--engine", choices=("oracle", "spectral"),
+                       help="closed-form oracle (default for built-ins) or FFT engine")
+    if alpha:
+        p.add_argument("--alpha", metavar="A[,A...]",
+                       help="comma-separated derivative orders, each >= 0")
     p.add_argument("--output", metavar="FILE", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--engine", choices=("oracle", "spectral"),
-                   help="closed-form oracle (default for built-ins) or FFT engine")
 
 
 def build_parser():
@@ -378,10 +380,10 @@ def build_parser():
 
     p = sub.add_parser("figure", help="emit the data behind the standard figures")
     p.add_argument("id", type=int, choices=(1, 2, 3, 4), help="figure number")
-    _add_shared(p)
+    _add_shared(p, alpha=False)
 
     p = sub.add_parser("uncertainty", help="spread report on the Gaussian state")
-    _add_shared(p)
+    _add_shared(p, grid=False)
 
     p = sub.add_parser("check", help="run an invariant suite")
     p.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))

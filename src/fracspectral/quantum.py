@@ -15,12 +15,9 @@ import numpy as np
 
 from . import specfun
 from .grid import GridMismatch, SampledSignal, central_window, make_grid
-from .spectral import fractional_derivative, fractional_momentum, p_power
+from .spectral import DECAY_THRESHOLD, fractional_derivative, fractional_momentum, p_power
 
 _SQRT_PI = math.sqrt(math.pi)
-
-#: Decay level above which multiplication by x is considered unsafe.
-DECAY_LIMIT = 1e-10
 
 _NORM_TOL = 1e-10
 
@@ -96,9 +93,13 @@ def gaussian_state(grid):
     return StateVector(SampledSignal(grid, values))
 
 
+def _require_order(alpha):
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise AlphaInForbiddenRange(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def _require_commutator_alpha(alpha):
-    if alpha < 0:
-        raise AlphaInForbiddenRange(f"alpha must be >= 0, got {alpha}")
+    _require_order(alpha)
     if 0 < alpha < 1:
         raise AlphaInForbiddenRange(
             f"commutator identities are only defined for alpha = 0 or alpha >= 1; "
@@ -106,9 +107,9 @@ def _require_commutator_alpha(alpha):
 
 
 def _require_decay(signal):
-    if signal.boundary_decay > DECAY_LIMIT:
+    if signal.boundary_decay > DECAY_THRESHOLD:
         raise InsufficientDecay(
-            f"boundary decay {signal.boundary_decay:.3e} exceeds {DECAY_LIMIT:.1e}; "
+            f"boundary decay {signal.boundary_decay:.3e} exceeds {DECAY_THRESHOLD:.1e}; "
             f"multiplication by x would wrap around")
 
 
@@ -206,8 +207,7 @@ def uncertainty_bound(alpha, allow_below_one=False):
     evaluated when allow_below_one is set (curve reproduction).
     """
     alpha = float(alpha)
-    if alpha < 0:
-        raise AlphaInForbiddenRange(f"alpha must be >= 0, got {alpha}")
+    _require_order(alpha)
     if alpha < 1 and not allow_below_one:
         raise AlphaInForbiddenRange(
             f"the uncertainty bound requires alpha >= 1 (got {alpha}); "
@@ -228,6 +228,7 @@ def uncertainty_check(alpha, state):
     uncertainty_bound(alpha).
     """
     alpha = float(alpha)
+    _require_order(alpha)
     if alpha < 1:
         raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha}")
     if abs(state.norm - 1.0) > _NORM_TOL:

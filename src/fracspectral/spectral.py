@@ -28,7 +28,7 @@ line.  For non-integer a, D^a f has a one-sided tail to the right of f that
 falls off only like x^(-1-a)/Gamma(-a), and by Poisson summation a multiplier
 on a periodic grid returns the periodisation sum_m g(x + m*P) of g = D^a f,
 P = x_max - x_min.  When the signal decays at the box edge (boundary_decay
-below decay_threshold) the engine subtracts the images m >= 1 in closed form
+below DECAY_THRESHOLD) the engine subtracts the images m >= 1 in closed form
 from the moments of the signal (see ImageCorrection) and so returns the
 derivative on the line.  Signals that do not decay, such as on-grid plane
 waves, are treated as periodic and a non-integer order attaches a warning.
@@ -48,8 +48,9 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 #: Signals whose boundary_decay is below this count as decaying: a
 #: non-integer order then subtracts the wrap-around images.  Above it the
-#: result stays periodic and carries a wrap-around warning.
-DEFAULT_DECAY_THRESHOLD = 1e-10
+#: result stays periodic and carries a wrap-around warning.  The operator
+#: layer refuses multiplication by x above it.
+DECAY_THRESHOLD = 1e-10
 
 #: Transform coefficients below this fraction of the largest one are set to
 #: zero before a multiplier of positive order is applied.  At double
@@ -74,22 +75,9 @@ _IMAGE_TAYLOR = 12
 # Beyond this order Gamma(-a) underflows (and |p|^a overflows on any grid).
 _MAX_IMAGE_ORDER = 170.0
 
-# product_rule is a literal O(n^2) double sum; refuse grids where that cost
-# stops being a few tens of milliseconds.
-_PRODUCT_RULE_MAX_N = 512
-
 
 class NegativeAlpha(ValueError):
     pass
-
-
-class GridTooLarge(ValueError):
-    pass
-
-
-class PowerKind(enum.Enum):
-    IP_POWER = "ip_power"
-    P_POWER = "p_power"
 
 
 class Pairing(enum.Enum):
@@ -103,10 +91,14 @@ class MinusOneBranch(enum.Enum):
     E_MINUS_I_PI = "e_minus_i_pi"
 
 
+def _check_order(alpha):
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
+
+
 def ip_power(alpha, p):
     """Multiplier (ip)^a on an array of frequencies, branch as above."""
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_order(alpha)
     p = np.asarray(p, dtype=float)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
@@ -116,34 +108,12 @@ def ip_power(alpha, p):
 
 def p_power(alpha, p):
     """Momentum symbol p^a = (ip)^a / i^a; real on p > 0, e^{-i*a*pi} phase on p < 0."""
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_order(alpha)
     p = np.asarray(p, dtype=float)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
     phase = np.where(p < 0, np.exp(-1j * np.pi * alpha), 1.0 + 0.0j)
     return np.abs(p) ** alpha * phase
-
-
-@dataclass(frozen=True)
-class AlphaPower:
-    """A branch-resolved fractional power of the frequency variable.
-
-    kind selects between the derivative symbol (ip)^a and the momentum
-    symbol p^a.  Instances are callables over frequency arrays and satisfy
-    (ip)^a * (ip)^b = (ip)^(a+b) pointwise (same sign factor).
-    """
-    alpha: float
-    kind: PowerKind
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise NegativeAlpha(f"alpha must be >= 0, got {self.alpha}")
-
-    def __call__(self, p):
-        if self.kind is PowerKind.IP_POWER:
-            return ip_power(self.alpha, p)
-        return p_power(self.alpha, p)
 
 
 def forward(signal):
@@ -287,15 +257,15 @@ def _has_images(order):
     return order != int(order) and order <= _MAX_IMAGE_ORDER
 
 
-def _fresh_images(signal, alpha, phase, decay_threshold):
+def _fresh_images(signal, alpha, phase):
     """Image record for differentiating a plain signal, or None where none applies."""
-    if not (_has_images(alpha) and signal.boundary_decay < decay_threshold):
+    if not (_has_images(alpha) and signal.boundary_decay < DECAY_THRESHOLD):
         return None
     return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha))
 
 
-def _apply_multiplier(signal, alpha, kind, decay_threshold):
-    """irfft(rfft(values) * (ip)^a), times e^{-i*pi*a/2} for P_a, with the images handled.
+def _apply_multiplier(signal, alpha, phase):
+    """irfft(rfft(values) * (ip)^a) times phase, with the images handled.
 
     forward's e^{-ip x_min} and inverse's e^{+ip x_min} cancel here, as do
     their dx and sqrt(2 pi) factors.  The real and the imaginary part of
@@ -303,17 +273,15 @@ def _apply_multiplier(signal, alpha, kind, decay_threshold):
     only where it is non-zero), so a real signal costs one rfft and one
     irfft and its derivative comes back exactly real.  Both use (ip)^a on
     the bins p = k*dp, k = 0..n/2; irfft keeps the real part of the Nyquist
-    bin, which splits that bin evenly between +-pi/dx.  P_a is D^a times
-    e^{-i*pi*a/2}, since p^a = i^(-a) (ip)^a on every bin.  Bins of either
-    part below the noise floor, taken against the largest coefficient of
-    both, are zeroed before the symbol is applied.
+    bin, which splits that bin evenly between +-pi/dx.  The phase is 1 for
+    D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
+    bin.  Bins of either part below the noise floor, taken against the
+    largest coefficient of both, are zeroed before the symbol is applied.
     """
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_order(alpha)
     if alpha == 0:
         return signal
     g = signal.grid
-    phase = 1.0 if kind is PowerKind.IP_POWER else cmath.exp(-0.5j * math.pi * alpha)
     source = signal.images
     values = signal.values
     warning = None
@@ -322,9 +290,9 @@ def _apply_multiplier(signal, alpha, kind, decay_threshold):
         values = values + source.values(g)
         images = ImageCorrection(source.order + alpha, source.phase * phase, source.moments)
     else:
-        images = _fresh_images(signal, alpha, phase, decay_threshold)
+        images = _fresh_images(signal, alpha, phase)
         if images is None:
-            warning = _decay_warning(signal, alpha, decay_threshold)
+            warning = _decay_warning(signal, alpha)
     parts = [values.real, values.imag] if values.imag.any() else [values.real]
     spectra = [np.fft.rfft(v) for v in parts]
     del parts, values
@@ -359,37 +327,38 @@ def _apply_multiplier(signal, alpha, kind, decay_threshold):
     return SampledSignal(g, out, warning=warning, images=images)
 
 
-def _decay_warning(signal, alpha, threshold):
+def _decay_warning(signal, alpha):
     if alpha == int(alpha):
         return None
-    if signal.boundary_decay < threshold:
+    if signal.boundary_decay < DECAY_THRESHOLD:
         return None
     return (f"boundary decay {signal.boundary_decay:.3e} above threshold "
-            f"{threshold:.1e}; wrap-around may contaminate a non-integer order")
+            f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate a non-integer order")
 
 
-def fractional_derivative(signal, alpha, decay_threshold=DEFAULT_DECAY_THRESHOLD):
+def fractional_derivative(signal, alpha):
     """Derivative of real order alpha >= 0 via the (ip)^a multiplier.
 
     alpha = 0 returns the signal unchanged; integer alpha reproduces
     ordinary derivatives.  For non-integer alpha on a signal whose
-    boundary_decay is below decay_threshold the wrap-around images are
+    boundary_decay is below DECAY_THRESHOLD the wrap-around images are
     subtracted and the result is the derivative on the line; it records
     them in its `images` attribute (an ImageCorrection), and a further
     fractional_derivative or fractional_momentum of it carries the
-    correction on whatever its own decay.  On a signal that does not decay
+    correction on whatever its own decay.  The periodic value is
+    d.values + d.images.values(d.grid).  On a signal that does not decay
     the result is the periodic one and carries a warning string.
     """
-    return _apply_multiplier(signal, alpha, PowerKind.IP_POWER, decay_threshold)
+    return _apply_multiplier(signal, alpha, 1.0)
 
 
-def fractional_momentum(signal, alpha, decay_threshold=DEFAULT_DECAY_THRESHOLD):
+def fractional_momentum(signal, alpha):
     """Fractional momentum operator: the p^a multiplier; order 1 is -i d/dx.
 
     Images, warning and chaining as in fractional_derivative; the images
     of P_a carry the phase e^{-i*a*pi/2} of p^a = (ip)^a / i^a.
     """
-    return _apply_multiplier(signal, alpha, PowerKind.P_POWER, decay_threshold)
+    return _apply_multiplier(signal, alpha, cmath.exp(-0.5j * math.pi * alpha))
 
 
 def order_continuity_gap(signal, n, k):
@@ -453,39 +422,41 @@ def pairing_continuity_gap(psi, f, h, alpha, n):
 def product_rule(f, g, alpha):
     """Fractional derivative of a pointwise product via the double frequency sum.
 
-    Evaluates the literal double Riemann sum over both frequency grids,
+    Evaluates the double Riemann sum over both frequency grids,
 
-        D^a(fg)(x) = (i^a / 2pi) sum_s sum_q e^{i(s+q)x} ghat(s) fhat(q) (s+q)^a dq ds,
+        D^a(fg)(x) = (1/2pi) sum_s sum_q e^{i(s+q)x} ghat(s) fhat(q) (i(s+q))^a dq ds,
 
-    with (s+q)^a on the momentum branch so that i^a (s+q)^a recombines to
-    the derivative symbol at argument s+q.  The inner regrouping by u = s+q
-    is an exact rearrangement (a discrete convolution), not an
-    approximation; cost is still O(n^2), hence the n <= 512 limit.  The sum
-    is periodic in x like the engine, so where the product decays at the
-    box edge the same wrap-around images are subtracted, from the moments
-    of f*g, and the result matches fractional_derivative of the product.
+    by a route of its own, not the engine's multiplier.  Grouping the terms
+    by u = s+q is an exact rearrangement: the inner sums are the linear
+    convolution of the two spectra, taken through zero-padded FFTs of
+    length 2n, and the symbol is applied at each of the 2n-1 sums
+    u_m = (m-n)*dp, after the engine's noise floor.  Since dx*dp = 2pi/n,
+    e^{i j dx u_m} has period n in m, so the 2n-1 terms fold into n bins
+    and one inverse FFT gives every sample; the cost is O(n log n).  The
+    sum is periodic in x like the engine, so where the product decays at
+    the box edge the same wrap-around images are subtracted, from the
+    moments of f*g, and the result matches fractional_derivative of the
+    product.
     """
     if f.grid != g.grid:
         raise GridMismatch(f"{f.grid} vs {g.grid}")
-    if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    _check_order(alpha)
     grid = f.grid
     n = grid.n
-    if n > _PRODUCT_RULE_MAX_N:
-        raise GridTooLarge(f"product_rule is O(n^2); n={n} exceeds {_PRODUCT_RULE_MAX_N}")
-
-    fs = np.fft.fftshift(forward(f).coeffs)
-    gs = np.fft.fftshift(forward(g).coeffs)
-    # signed bin indices after the shift run k_min .. k_min + n - 1
-    k_min = -(n // 2)
-    conv = np.convolve(gs, fs)  # index m holds sum over s+q = (2*k_min + m)*dp
-    u = (2 * k_min + np.arange(conv.size)) * grid.dp
-    weighted = p_power(alpha, u) * conv
-    phases = np.exp(1j * np.outer(grid.x, u))
-    i_alpha = np.exp(1j * np.pi * alpha / 2)
-    values = (i_alpha / (2 * np.pi)) * (phases @ weighted) * grid.dp * grid.dp
-    images = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0,
-                           DEFAULT_DECAY_THRESHOLD)
+    fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
+    gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
+    # after the shift both spectra start at p = -(n/2)*dp, so index m of
+    # their convolution holds the sum over s+q = u_m
+    conv = np.fft.ifft(gs * fs)[:2 * n - 1]
+    # the FFT convolution leaves roundoff of the largest sum in every bin,
+    # which the symbol would amplify by |u|^a: the engine's floor applies
+    mag = np.abs(conv)
+    conv[mag < NOISE_FLOOR * mag.max()] = 0.0
+    u = (np.arange(2 * n - 1) - n) * grid.dp
+    terms = np.exp(1j * grid.x_min * u) * ip_power(alpha, u) * conv
+    terms[:n - 1] += terms[n:]
+    values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
+    images = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
     if images is not None:
         values -= images.values(grid)
     return SampledSignal(grid, values, images=images)

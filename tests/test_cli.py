@@ -283,6 +283,10 @@ def test_exit_codes_in_process(tmp_path, capsys):
         (["derive", "--alpha", "1", "--input", str(nan)], 2),
         (["figure", "1", "--points", "3"], 2),
         (["figure", "4", "--domain", "1", "1"], 2),
+        (["uncertainty", "--points", "3"], 2),
+        (["uncertainty", "--domain", "5", "1"], 2),
+        (["uncertainty", "--engine", "spectral"], 2),
+        (["figure", "1", "--alpha", "0.3"], 2),
     ]
     for argv, want in cases:
         assert main(argv) == want, argv

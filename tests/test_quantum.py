@@ -89,6 +89,11 @@ def test_commutator_rejects_order_between_zero_and_one():
             commutator_ladder(sig, a)
     with pytest.raises(AlphaInForbiddenRange):
         commutator_dx(sig, -1.0)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):
+            commutator_dx(sig, a)
+        with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):
+            commutator_ladder(sig, a)
 
 
 def test_commutator_requires_decay():
@@ -187,6 +192,9 @@ def test_uncertainty_bound_forbidden_range():
         uncertainty_bound(0.5)
     with pytest.raises(AlphaInForbiddenRange):
         uncertainty_bound(-1.0, allow_below_one=True)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):
+            uncertainty_bound(a, allow_below_one=True)
     assert uncertainty_bound(0.5, allow_below_one=True) > 0.0
 
 
@@ -219,6 +227,9 @@ def test_uncertainty_check_forbidden_and_unnormalized():
     state = gaussian_state(high_res_grid())
     with pytest.raises(AlphaInForbiddenRange):
         uncertainty_check(0.5, state)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):
+            uncertainty_check(a, state)
     g = make_grid(-16.0, 16.0, 4096)
     with pytest.raises(NotNormalized):
         uncertainty_check(1.0, StateVector(sample(GAUSS, g)))

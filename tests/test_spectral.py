@@ -6,8 +6,7 @@ import pytest
 
 from fracspectral.grid import GridMismatch, SampledSignal, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
-from fracspectral.spectral import (AlphaPower, GridTooLarge, MinusOneBranch,
-                                   NegativeAlpha, Pairing, PowerKind,
+from fracspectral.spectral import (MinusOneBranch, NegativeAlpha, Pairing,
                                    duality_residual, forward,
                                    fractional_derivative, fractional_momentum,
                                    inverse, ip_power, order_continuity_gap,
@@ -55,14 +54,13 @@ def test_negative_order_rejected():
         p_power(-1.0, g.p)
     with pytest.raises(NegativeAlpha):
         fractional_derivative(sig, -0.5)
-
-
-def test_alpha_power_is_callable_spec():
-    mult = AlphaPower(0.5, PowerKind.IP_POWER)
-    np.testing.assert_allclose(mult(np.array([1.0, -1.0])),
-                               ip_power(0.5, np.array([1.0, -1.0])))
-    mult = AlphaPower(2.0, PowerKind.P_POWER)
-    np.testing.assert_allclose(mult(np.array([3.0])), [9.0])
+    for a in (math.nan, math.inf, -math.inf):
+        for call in (lambda: ip_power(a, g.p), lambda: p_power(a, g.p),
+                     lambda: fractional_derivative(sig, a),
+                     lambda: fractional_momentum(sig, a),
+                     lambda: product_rule(sig, sig, a)):
+            with pytest.raises(NegativeAlpha, match="finite and >= 0"):
+                call()
 
 
 # --- transform pair --------------------------------------------------------
@@ -210,12 +208,12 @@ def test_engine_gives_the_line_derivative_on_a_short_box():
         assert np.max(np.abs(m.values[mask] - cmath.exp(-0.5j * math.pi * a) * ref)) < 1e-12, a
 
 
-def test_zero_threshold_keeps_the_periodic_result():
+def test_images_restore_the_periodic_result():
     g, sig, mask = _short_box_gaussian()
-    periodic = fractional_derivative(sig, 0.5, decay_threshold=0.0)
-    assert periodic.images is None and "decay" in periodic.warning
+    d = fractional_derivative(sig, 0.5)
+    periodic = d.values + d.images.values(g)
     ref = np.array([gaussian_deriv(0.5, float(x)) for x in g.x[mask]])
-    assert np.max(np.abs(periodic.values[mask] - ref)) > 1e-2
+    assert np.max(np.abs(periodic[mask] - ref)) > 1e-2
 
 
 def test_chained_result_carries_order_and_phase():
@@ -349,11 +347,40 @@ def test_product_rule_with_constant_factor():
     assert np.max(np.abs(got.values[w] - ref.values[w])) < 1e-6
 
 
+def _dense_product_rule(f, h, alpha):
+    """The literal double sum over both frequency grids, O(n^3) here.
+
+    (i^a / 2pi) sum_s sum_q e^{i(s+q)x} hhat(s) fhat(q) (s+q)^a dp^2, with
+    (s+q)^a on the momentum branch.
+    """
+    g = f.grid
+    u = g.p[:, None] + g.p[None, :]                       # s + q
+    weights = forward(h).coeffs[:, None] * forward(f).coeffs[None, :] * p_power(alpha, u)
+    sums = np.einsum("jsq,sq->j", np.exp(1j * g.x[:, None, None] * u), weights)
+    return cmath.exp(0.5j * math.pi * alpha) / (2 * np.pi) * sums * g.dp * g.dp
+
+
+def test_product_rule_matches_the_dense_double_sum():
+    g = make_grid(-16.0, 16.0, 64)
+    f = sample(GAUSS, g)
+    h = sample(X2GAUSS, g)
+    for a in (0.5, 1.5, 2.5):
+        got = product_rule(f, h, a)
+        periodic = got.values + got.images.values(g)
+        ref = _dense_product_rule(f, h, a)
+        assert np.max(np.abs(periodic - ref)) <= 1e-12 * np.max(np.abs(ref)), a
+
+
 def test_product_rule_guards():
-    big = make_grid(-16.0, 16.0, 1024)
-    f = sample(GAUSS, big)
-    with pytest.raises(GridTooLarge):
-        product_rule(f, f, 0.5)
+    for n in (1024, 4096):
+        big = make_grid(-16.0, 16.0, n)
+        f = sample(GAUSS, big)
+        h = sample(X2GAUSS, big)
+        fh = sample(lambda x: GAUSS(x) * X2GAUSS(x), big)
+        for a in (0.5, 2.5):
+            got = product_rule(f, h, a).values
+            direct = fractional_derivative(fh, a).values
+            assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct)), (n, a)
     g = make_grid(-16.0, 16.0, 256)
     f = sample(GAUSS, g)
     h = sample(GAUSS, make_grid(-8.0, 8.0, 256))
