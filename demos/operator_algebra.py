@@ -32,13 +32,12 @@ d = fractional_momentum(cos_sig, 2.0)
 err = np.max(np.abs(d.values - 4.0 * cos_sig.values))
 print(f"  a=2 cosine eigenstate, eigenvalue 4: {err:.2e}")
 
-# --- commutators on the default operator grid (the engine subtracts the
-# wrap-around images of these decaying states, so a box as short as
-# (-20, 20) would hold the identities too)
-wide = high_res_grid()
-f = sample(lambda x: np.exp(-x * x), wide)
+# --- commutators on the default operator grid, (-20, 20) with n = 8192:
+# the engine subtracts the wrap-around images of these decaying states, so
+# the identities hold on a box this short
+f = sample(lambda x: np.exp(-x * x), high_res_grid())
 print()
-print("commutator identities on the wide grid, sup-gap over the center:")
+print("commutator identities on the operator grid, sup-gap over the center:")
 for a in (0.0, 1.0, 1.5, 2.5):
     _, _, gap = commutator_dx(f, a)
     print(f"  [D^a, x] = a D^(a-1)    a={a:<4g}: {gap:.2e}")

@@ -19,6 +19,7 @@ from .grid import (
 from .specfun import (
     ArgumentOutOfRange,
     BParameterPole,
+    OrderTooLarge,
     PoleAtNonPositiveInteger,
     SpecFunResult,
     gamma,
@@ -26,6 +27,7 @@ from .specfun import (
     kummer_1f1,
     kummer_1f1_detailed,
     kummer_1f1_series,
+    zeta_negative,
 )
 from .spectral import (
     ImageCorrection,
@@ -79,9 +81,9 @@ __all__ = [
     "CSV_HEADER", "DegenerateInterval", "EvaluationFailure", "Grid",
     "GridMismatch", "NonPowerOfTwo", "SampledSignal", "Spectrum",
     "central_window", "make_grid", "sample",
-    "ArgumentOutOfRange", "BParameterPole", "PoleAtNonPositiveInteger",
-    "SpecFunResult", "gamma", "hurwitz_zeta", "kummer_1f1",
-    "kummer_1f1_detailed", "kummer_1f1_series",
+    "ArgumentOutOfRange", "BParameterPole", "OrderTooLarge",
+    "PoleAtNonPositiveInteger", "SpecFunResult", "gamma", "hurwitz_zeta",
+    "kummer_1f1", "kummer_1f1_detailed", "kummer_1f1_series", "zeta_negative",
     "ImageCorrection", "MinusOneBranch", "NegativeAlpha", "Pairing",
     "duality_residual", "forward",
     "fractional_derivative", "fractional_momentum", "inverse", "ip_power",

@@ -13,7 +13,8 @@ always uses the FFT path.  All numbers are emitted with 9 significant
 digits, lowercase exponent, so identical configurations produce
 byte-identical files.
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
+whose values overflow double precision included), 3 I/O error.
 """
 import argparse
 import csv
@@ -30,7 +31,7 @@ from . import checks
 from .grid import (DegenerateInterval, NonPowerOfTwo, SampledSignal, make_grid, sample)
 from .oracles import gaussian_deriv, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
-from .specfun import ArgumentOutOfRange
+from .specfun import ArgumentOutOfRange, OrderTooLarge
 from .spectral import fractional_derivative
 
 EXIT_OK = 0
@@ -405,7 +406,7 @@ def main(argv=None):
         if args.command == "figure":
             return cmd_figure(args.id, config)
         return cmd_uncertainty(config)
-    except CLIConfigError as exc:
+    except (CLIConfigError, OrderTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -8,6 +8,7 @@ through the engine; nothing is algebraically pre-simplified.
 Orders strictly between 0 and 1 are rejected for the commutators: with
 the p^a branch in use, a*P_{a-1} only makes sense for a = 0 or a >= 1.
 """
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -15,9 +16,17 @@ import numpy as np
 
 from . import specfun
 from .grid import GridMismatch, SampledSignal, central_window, make_grid
-from .spectral import DECAY_THRESHOLD, fractional_derivative, fractional_momentum, p_power
+from .specfun import OrderTooLarge
+from .spectral import (DECAY_THRESHOLD, NOISE_FLOOR, SQRT_2PI,
+                       fractional_derivative, fractional_momentum,
+                       require_finite_power)
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
+# For the Gaussian state on (-20, 20) the first term left out (j = 10; odd
+# j vanish for an even density) is at most about 1e-15 of a sum.
+_NAVOT_TERMS = 9
 
 _NORM_TOL = 1e-10
 
@@ -25,17 +34,16 @@ _high_res = None
 
 
 def high_res_grid():
-    """Default high-resolution grid for operator-identity numerics.
+    """Default grid of the operator checks and the uncertainty report: (-20, 20), n = 8192.
 
-    Wide domain, moderate dx.  The engine subtracts the wrap-around images
-    of decaying states, so the commutator identities no longer need this
-    width (they hold to 1e-12 on (-20, 20) with n = 8192); the grid stays
-    the default of the operator checks and the uncertainty report.  Built
-    once and cached.
+    The engine subtracts the wrap-around images of decaying states, so the
+    commutator identities hold to 1e-12 on this box, and uncertainty_check
+    removes the error of the kink of |p|^b at p = 0 from its momentum
+    sums, so they need no finer dp.  Built once and cached.
     """
     global _high_res
     if _high_res is None:
-        _high_res = make_grid(-32768.0, 32768.0, 2 ** 18)
+        _high_res = make_grid(-20.0, 20.0, 8192)
     return _high_res
 
 
@@ -155,30 +163,16 @@ def commutator_ladder(f, alpha):
     _require_commutator_alpha(alpha)
     _require_decay(f)
     g = f.grid
-    # built term by term into two buffers: at n = 2^18 each array is 4 MiB
     pf = fractional_momentum(f, alpha)
     ppf = fractional_momentum(pf, alpha).values
-    pf = pf.values
     xf = _x_times(f)
     pxf = fractional_momentum(xf, alpha).values
-    xf = xf.values
-    lhs_vals = np.multiply(pf, -1j)                    # sqrt(2) B f = x f - i P_a f
-    lhs_vals += xf
-    lhs_vals *= g.x
-    term = np.multiply(ppf, -1j)                       # sqrt(2) P_a B f
-    term += pxf
-    term *= 1j
-    lhs_vals += term                                   # 2 A(B f)
-    np.multiply(pf, 1j, out=term)                      # sqrt(2) A f
-    term += xf
-    term *= g.x
-    lhs_vals -= term
-    np.multiply(ppf, 1j, out=term)                     # sqrt(2) P_a A f
-    term += pxf
-    term *= 1j
-    lhs_vals += term                                   # 2 A(B f) - 2 B(A f)
-    lhs_vals /= 2
-    del pf, ppf, xf, pxf, term
+    b_f = xf.values - 1j * pf.values                   # sqrt(2) B f
+    a_f = xf.values + 1j * pf.values                   # sqrt(2) A f
+    pb_f = pxf - 1j * ppf                              # sqrt(2) P_a B f
+    pa_f = pxf + 1j * ppf                              # sqrt(2) P_a A f
+    # 2 A(B f) - 2 B(A f), with sqrt(2) A = x + i P_a and sqrt(2) B = x - i P_a
+    lhs_vals = ((g.x * b_f + 1j * pb_f) - (g.x * a_f - 1j * pa_f)) / 2
     if alpha == 0:
         rhs_vals = np.zeros(g.n, dtype=complex)
     else:
@@ -204,7 +198,8 @@ def uncertainty_bound(alpha, allow_below_one=False):
 
     Zero at alpha = 0 (continuous limit) and at even integers, where the
     cosine vanishes.  Orders below 1 carry no operator meaning and are only
-    evaluated when allow_below_one is set (curve reproduction).
+    evaluated when allow_below_one is set (curve reproduction).  Raises
+    OrderTooLarge where Gamma(a/2) overflows.
     """
     alpha = float(alpha)
     _require_order(alpha)
@@ -214,8 +209,60 @@ def uncertainty_bound(alpha, allow_below_one=False):
             f"pass allow_below_one=True for curve reproduction only")
     if alpha == 0:
         return 0.0
+    gamma = specfun.gamma(alpha / 2)       # OrderTooLarge before 2^(a/2) can overflow
     return (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
-            * specfun.gamma(alpha / 2) * abs(math.cos((alpha - 1) * math.pi / 2)))
+            * gamma * abs(math.cos((alpha - 1) * math.pi / 2)))
+
+
+def _density_taylor(signal, centre):
+    """Taylor coefficients c_0..c_(_NAVOT_TERMS-1) of |phi_hat(p)|^2 at p = 0.
+
+    phi_hat(p) = e^{-ip c} sum_j a_j p^j with a_j = (-i)^j m_j / (j! sqrt(2 pi))
+    and m_j = sum (x - c)^j f dx the moments about c; the phase drops out of
+    |phi_hat|^2 = sum_k c_k p^k, c_k = sum_{i+l=k} conj(a_i) a_l.
+    """
+    g = signal.grid
+    t = g.x - centre
+    a = np.empty(_NAVOT_TERMS, dtype=complex)
+    term = signal.values * g.dx
+    for j in range(_NAVOT_TERMS):
+        a[j] = (-1j) ** j * np.sum(term) / (math.factorial(j) * SQRT_2PI)
+        term = term * t
+    return np.array([np.sum(np.conj(a[:k + 1]) * a[k::-1]).real
+                     for k in range(_NAVOT_TERMS)])
+
+
+def _momentum_moment(density, b, signed, taylor, dp):
+    """Integral of s(p) G(p) dp, G = |phi_hat|^2, from its Riemann sum on the frequency grid.
+
+    density has the rows dp G(+k dp) and dp G(-k dp), k = 0, 1, 2, ...,
+    with G(0) counted in the first row only.  s(p) = |p|^b, or the momentum symbol p^b of p_power (phase e^{-i pi b}
+    on p < 0) when signed.  The two sides are summed alike, so a signed
+    odd power of an even density cancels to the phase's roundoff.  Unless
+    s is smooth at p = 0 (b an even integer, or a signed integer power),
+    the kink there leaves an error of order dp^(1+b) in the sum.  Navot's
+    extension of Euler-Maclaurin to an algebraic singularity (J. Math.
+    Phys. 40, 1961) gives it on each side of p = 0 exactly:
+
+        dp sum_{k>=1} (k dp)^b G(+-k dp) - int_0^inf p^b G(+-p) dp
+            = sum_j zeta(-b-j) (+-1)^j c_j dp^(b+j+1),
+
+    where c_j are the Taylor coefficients of G at 0.  Terms stop once
+    Gamma(1+b+j) overflows; they are far below the roundoff of the sum there.
+    """
+    power = (np.arange(density.shape[1]) * dp) ** b         # 0^0 = 1
+    plus, minus = np.sum(density * power, axis=1)
+    phase = complex(np.exp(-1j * np.pi * b)) if signed else 1.0
+    total = plus + phase * minus
+    if b == int(b) and (signed or b % 2 == 0):
+        return total
+    for j, c in enumerate(taylor):
+        both = c * (1 + phase * (-1) ** j)
+        try:
+            total -= specfun.zeta_negative(b + j) * dp ** (b + j + 1) * both
+        except OrderTooLarge:
+            break
+    return total
 
 
 def uncertainty_check(alpha, state):
@@ -224,8 +271,12 @@ def uncertainty_check(alpha, state):
     Position moments go through multiplication by x; momentum moments are
     diagonal quadratic forms, so they are summed directly in the frequency
     domain against |phi_hat|^2 rather than round-tripped through the
-    engine.  For the Gaussian state the resulting bound reproduces
-    uncertainty_bound(alpha).
+    engine, with the error of the kink of |p|^b at p = 0 removed (see
+    _momentum_moment).  Bins below spectral.NOISE_FLOOR times the largest
+    coefficient hold FFT roundoff, which |p|^b would amplify; they are
+    left out.  For the Gaussian state the resulting bound reproduces
+    uncertainty_bound(alpha).  Raises OrderTooLarge where a momentum moment
+    overflows.
     """
     alpha = float(alpha)
     _require_order(alpha)
@@ -242,12 +293,25 @@ def uncertainty_check(alpha, state):
     delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
 
     # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
-    weight = np.abs(np.fft.fft(state.signal.values)) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
-    mean_p = complex(np.sum(p_power(alpha, g.p) * weight))
-    mean_pp = float(np.sum(np.abs(g.p) ** (2 * alpha) * weight))
-    delta_p = math.sqrt(max(mean_pp - abs(mean_p) ** 2, 0.0))
+    mag = np.abs(np.fft.fft(state.signal.values))
+    weight = mag ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
+    weight[mag < NOISE_FLOOR * mag.max()] = 0.0
+    half = g.n // 2
+    density = np.zeros((2, half + 1))
+    density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
+    density[1, 1:] = weight[:half - 1:-1]          # p = -dp .. -(n/2) dp
+    kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
+    require_finite_power(2 * alpha, (kept - 1) * g.dp)
+    density = density[:, :kept]
+    taylor = _density_taylor(state.signal, mean_x)
 
-    mean_lower = complex(np.sum(p_power(alpha - 1, g.p) * weight))
+    mean_p = _momentum_moment(density, alpha, True, taylor, g.dp)
+    mean_pp = _momentum_moment(density, 2 * alpha, False, taylor, g.dp)
+    mean_lower = _momentum_moment(density, alpha - 1, True, taylor, g.dp)
+    if not (cmath.isfinite(mean_p) and math.isfinite(mean_pp) and cmath.isfinite(mean_lower)):
+        raise OrderTooLarge(f"order {alpha:g} is too large: a momentum moment "
+                            f"overflows double precision")
+    delta_p = math.sqrt(max(mean_pp - abs(mean_p) ** 2, 0.0))
     rhs_bound = alpha * abs(mean_lower) / 2
 
     product = delta_x * delta_p

@@ -1,5 +1,6 @@
-"""Self-contained special functions: Gamma, the confluent hypergeometric 1F1
-and the Hurwitz zeta function.
+"""Self-contained special functions: Gamma, the confluent hypergeometric 1F1,
+the Hurwitz zeta function and the Riemann zeta function at negative
+arguments.
 
 All are implemented from scratch (fixed Lanczos coefficients, plain power
 series, Euler-Maclaurin summation) so the closed forms and the image
@@ -22,6 +23,10 @@ class BParameterPole(ValueError):
 
 class ArgumentOutOfRange(ValueError):
     pass
+
+
+class OrderTooLarge(ValueError):
+    """A value at this order (or argument) overflows double precision."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,12 @@ def gamma(x):
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        power = t ** (z + 0.5)
+    except OverflowError:
+        raise OrderTooLarge(f"gamma({x:g}) overflows double precision: "
+                            f"the order or argument is too large") from None
+    return _SQRT_2PI * power * math.exp(-t) * acc
 
 
 def _series(a, b, z):
@@ -179,3 +189,32 @@ def hurwitz_zeta(s, q):
     bernoulli = np.sum(np.reshape(_ZETA_TAIL, column) * rising * w ** -even, axis=0)
     total = direct + w ** -s * (w / (s - 1.0) + 0.5 + bernoulli / w)
     return float(total) if total.ndim == 0 else total
+
+
+def zeta_negative(t):
+    """Riemann zeta at a non-positive argument: zeta(-t) for real t >= 0.
+
+    The functional equation (DLMF 25.4.1) gives
+
+        zeta(-t) = -2 (2 pi)^(-1-t) sin(pi t/2) Gamma(1+t) zeta(1+t),
+
+    with zeta(1+t) = hurwitz_zeta(1+t, 1).  The sine is taken about the
+    nearest integer m, sin(pi t/2) = sin(pi m/2) cos(pi d/2) +
+    cos(pi m/2) sin(pi d/2) with d = t - m exact, so the trivial zeros at
+    even t > 0 are exact and the value keeps its relative accuracy next to
+    them; zeta(0) = -1/2 is the limit t -> 0.  Raises OrderTooLarge where
+    Gamma(1+t) overflows (t above about 141).
+    """
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0):
+        raise ArgumentOutOfRange(f"zeta_negative needs finite t >= 0, got {t}")
+    if t == 0.0:
+        return -0.5
+    m = round(t)
+    d = t - m
+    sin_m, cos_m = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[m % 4]
+    sine = sin_m * math.cos(0.5 * math.pi * d) + cos_m * math.sin(0.5 * math.pi * d)
+    if sine == 0.0:
+        return 0.0
+    return (-2.0 * (2.0 * math.pi) ** (-1.0 - t) * sine
+            * gamma(1.0 + t) * hurwitz_zeta(1.0 + t, 1.0))

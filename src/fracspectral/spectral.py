@@ -37,12 +37,14 @@ import cmath
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
 from .grid import GridMismatch, SampledSignal, Spectrum, central_window
+from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -74,6 +76,7 @@ _IMAGE_BLOCKS = 128
 _IMAGE_TAYLOR = 12
 # Beyond this order Gamma(-a) underflows (and |p|^a overflows on any grid).
 _MAX_IMAGE_ORDER = 170.0
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class NegativeAlpha(ValueError):
@@ -94,6 +97,13 @@ class MinusOneBranch(enum.Enum):
 def _check_order(alpha):
     if not (math.isfinite(alpha) and alpha >= 0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def require_finite_power(alpha, p_max):
+    """Raise OrderTooLarge where p_max^alpha overflows double precision."""
+    if alpha * math.log(max(p_max, 1.0)) > _LOG_DBL_MAX:
+        raise OrderTooLarge(f"|p|^{alpha:g} overflows double precision at "
+                            f"|p| = {p_max:.6g}: the order is too large for this grid")
 
 
 def ip_power(alpha, p):
@@ -277,11 +287,13 @@ def _apply_multiplier(signal, alpha, phase):
     D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
     bin.  Bins of either part below the noise floor, taken against the
     largest coefficient of both, are zeroed before the symbol is applied.
+    Raises OrderTooLarge where the symbol overflows at the Nyquist bin.
     """
     _check_order(alpha)
     if alpha == 0:
         return signal
     g = signal.grid
+    require_finite_power(alpha, (g.n // 2) * g.dp)
     source = signal.images
     values = signal.values
     warning = None
@@ -311,8 +323,8 @@ def _apply_multiplier(signal, alpha, phase):
         c *= symbol
     del symbol
     # One complex buffer holds the result, and the phase and the images are
-    # applied in place: three 4 MiB temporaries per call at n = 2^18 left
-    # the heap in a state that depended on the order of earlier calls.
+    # applied in place: on large grids, n-point temporaries left the heap
+    # in a state that depended on the order of earlier calls.
     out = np.empty(g.n, dtype=complex)
     out.real = np.fft.irfft(spectra[0], g.n)
     out.imag = np.fft.irfft(spectra[1], g.n) if len(spectra) == 2 else 0.0
@@ -443,6 +455,7 @@ def product_rule(f, g, alpha):
     _check_order(alpha)
     grid = f.grid
     n = grid.n
+    require_finite_power(alpha, n * grid.dp)
     fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
     gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
     # after the shift both spectra start at p = -(n/2)*dp, so index m of

@@ -287,10 +287,22 @@ def test_exit_codes_in_process(tmp_path, capsys):
         (["uncertainty", "--domain", "5", "1"], 2),
         (["uncertainty", "--engine", "spectral"], 2),
         (["figure", "1", "--alpha", "0.3"], 2),
+        (["uncertainty", "--alpha", "400"], 2),               # order too large
+        (["derive", "--alpha", "400"], 2),
+        (["derive", "--alpha", "400", "--engine", "spectral", "--points", "8",
+          "--domain", "-1", "1"], 2),
     ]
     for argv, want in cases:
         assert main(argv) == want, argv
     capsys.readouterr()
+
+
+def test_order_too_large_prints_one_line(capsys):
+    for argv in (["uncertainty", "--alpha", "400"], ["derive", "--alpha", "400"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_config_errors_name_the_flag(capsys):

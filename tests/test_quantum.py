@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import mpmath
+
 from fracspectral.grid import GridMismatch, make_grid, sample
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
-                                  NotNormalized, StateVector, UncertaintyReport,
+                                  NotNormalized, OrderTooLarge, StateVector,
+                                  UncertaintyReport,
                                   commutator_dx, commutator_ladder, expectation,
                                   gaussian_state, high_res_grid,
                                   symmetry_residual, uncertainty_bound,
@@ -32,8 +35,8 @@ def test_gaussian_state_is_normalized():
 def test_high_res_grid_is_cached():
     g = high_res_grid()
     assert g is high_res_grid()
-    assert g.n == 2 ** 18
-    assert g.x_min == -32768.0
+    assert g.n == 8192
+    assert g.x_min == -20.0
 
 
 def test_state_vector_records_norm():
@@ -63,8 +66,8 @@ def test_commutator_dx_order_zero_vanishes():
 
 
 def test_commutator_dx_high_resolution_fractional():
-    # on a domain wide enough to hold the slowly decaying tail, the
-    # identity holds at fractional orders too
+    # the engine subtracts the wrap-around images of the slowly decaying
+    # tail, so the identity holds at fractional orders too
     sig = sample(GAUSS, high_res_grid())
     for a in (1.5, 2.5):
         _, _, gap = commutator_dx(sig, a)
@@ -76,8 +79,8 @@ def test_commutator_dx_documented_example_order_2p5():
     _, _, gap = commutator_dx(sig, 2.5)
     assert gap < 1e-6, (
         f"gap {gap:.2e} on (-20,20), n=8192: the wrap-around images of the "
-        "x-weighted tail contribute ~6e-4 at this domain size; the identity "
-        "is recovered on the wide grid (see the high-resolution test)")
+        "x-weighted tail contribute ~6e-4 at this domain size unless the "
+        "engine subtracts them")
 
 
 def test_commutator_rejects_order_between_zero_and_one():
@@ -221,6 +224,35 @@ def test_uncertainty_check_even_order_trivial_bound():
     report = uncertainty_check(2.0, state)
     assert report.rhs_bound < 1e-10
     assert report.satisfied
+
+
+def test_uncertainty_check_matches_closed_form_moments():
+    # P ~ N(0, 1) on the Gaussian state, so E|P|^b = 2^(b/2) Gamma((b+1)/2) / sqrt(pi)
+    state = gaussian_state(high_res_grid())
+
+    def moment(b):
+        return 2 ** (b / 2) * mpmath.gamma((b + 1) / 2) / mpmath.sqrt(mpmath.pi)
+
+    for order, tol in ((1.02, 1e-13), (1.25, 1e-13), (1.5, 1e-13), (2.5, 1e-13),
+                       (3.7, 1e-13), (5.5, 1e-13), (10.5, 1e-13), (20.5, 1e-10)):
+        report = uncertainty_check(order, state)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(order)
+            delta_p = mpmath.sqrt(moment(2 * a) - (moment(a) * mpmath.cos(mpmath.pi * a / 2)) ** 2)
+            bound = a / 2 * moment(a - 1) * abs(mpmath.cos(mpmath.pi * (a - 1) / 2))
+            assert abs(report.delta_p_alpha - delta_p) / delta_p < tol, order
+            assert abs(report.rhs_bound - bound) / bound < tol, order
+
+
+def test_order_too_large_is_typed():
+    state = gaussian_state(high_res_grid())
+    for a in (150.0, 400.0):
+        with pytest.raises(OrderTooLarge):
+            uncertainty_check(a, state)
+    with pytest.raises(OrderTooLarge):
+        uncertainty_bound(400.0)
+    report = uncertainty_check(140.0, state)     # below the overflow the report is finite
+    assert math.isfinite(report.delta_p_alpha) and report.satisfied
 
 
 def test_uncertainty_check_forbidden_and_unnormalized():

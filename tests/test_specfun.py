@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.special
 
+import mpmath
+
 from fracspectral.specfun import (ArgumentOutOfRange, BParameterPole,
-                                  PoleAtNonPositiveInteger, SpecFunResult,
-                                  gamma, hurwitz_zeta, kummer_1f1,
-                                  kummer_1f1_detailed, kummer_1f1_series)
+                                  OrderTooLarge, PoleAtNonPositiveInteger,
+                                  SpecFunResult, gamma, hurwitz_zeta, kummer_1f1,
+                                  kummer_1f1_detailed, kummer_1f1_series,
+                                  zeta_negative)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -45,6 +48,13 @@ def test_gamma_reflection_negative_axis():
 def test_gamma_poles():
     for x in (0.0, -1.0, -2.0, -17.0):
         with pytest.raises(PoleAtNonPositiveInteger):
+            gamma(x)
+
+
+def test_gamma_overflow_is_typed():
+    assert math.isfinite(gamma(141.0))
+    for x in (200.5, 1e6):
+        with pytest.raises(OrderTooLarge):
             gamma(x)
 
 
@@ -147,3 +157,29 @@ def test_hurwitz_zeta_domain():
         hurwitz_zeta(1.0, 1.0)
     with pytest.raises(ArgumentOutOfRange):
         hurwitz_zeta(2.0, np.array([0.5, 0.0]))
+
+
+# --- zeta at negative arguments --------------------------------------------
+
+def test_zeta_negative_against_mpmath():
+    worst = 0.0
+    # 2 + 1e-7: next to a trivial zero the sine keeps its relative accuracy
+    for t in np.append(np.linspace(0.0, 40.0, 801), 2.0 + 1e-7):
+        got = zeta_negative(float(t))
+        with mpmath.workdps(30):
+            ref = mpmath.zeta(-mpmath.mpf(float(t)))
+            if ref == 0:
+                assert got == 0.0, t             # trivial zeros at even t > 0
+            else:
+                worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst < 1e-13
+    assert zeta_negative(0.0) == -0.5
+    assert zeta_negative(1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
+
+
+def test_zeta_negative_domain():
+    for t in (-0.5, math.nan, math.inf):
+        with pytest.raises(ArgumentOutOfRange):
+            zeta_negative(t)
+    with pytest.raises(OrderTooLarge):
+        zeta_negative(301.0)

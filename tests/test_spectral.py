@@ -6,6 +6,7 @@ import pytest
 
 from fracspectral.grid import GridMismatch, SampledSignal, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
+from fracspectral.specfun import OrderTooLarge
 from fracspectral.spectral import (MinusOneBranch, NegativeAlpha, Pairing,
                                    duality_residual, forward,
                                    fractional_derivative, fractional_momentum,
@@ -61,6 +62,19 @@ def test_negative_order_rejected():
                      lambda: product_rule(sig, sig, a)):
             with pytest.raises(NegativeAlpha, match="finite and >= 0"):
                 call()
+
+
+def test_order_too_large_is_typed():
+    # on (-1, 1) with n = 8, |p|^a overflows at the Nyquist bin (4 pi) above
+    # order 280.4 and at the largest sum of product_rule (8 pi) above 220.1
+    sig = sample(GAUSS, make_grid(-1.0, 1.0, 8))
+    for op in (fractional_derivative, fractional_momentum):
+        assert np.all(np.isfinite(op(sig, 280.0).values))
+        with pytest.raises(OrderTooLarge):
+            op(sig, 281.0)
+    assert np.all(np.isfinite(product_rule(sig, sig, 220.0).values))
+    with pytest.raises(OrderTooLarge):
+        product_rule(sig, sig, 221.0)
 
 
 # --- transform pair --------------------------------------------------------
