@@ -27,7 +27,6 @@ from .specfun import (
     kummer_1f1,
     kummer_1f1_detailed,
     kummer_1f1_series,
-    zeta_negative,
 )
 from .spectral import (
     ImageCorrection,
@@ -83,7 +82,7 @@ __all__ = [
     "central_window", "make_grid", "sample",
     "ArgumentOutOfRange", "BParameterPole", "OrderTooLarge",
     "PoleAtNonPositiveInteger", "SpecFunResult", "gamma", "hurwitz_zeta",
-    "kummer_1f1", "kummer_1f1_detailed", "kummer_1f1_series", "zeta_negative",
+    "kummer_1f1", "kummer_1f1_detailed", "kummer_1f1_series",
     "ImageCorrection", "MinusOneBranch", "NegativeAlpha", "Pairing",
     "duality_residual", "forward",
     "fractional_derivative", "fractional_momentum", "inverse", "ip_power",
