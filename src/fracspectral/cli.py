@@ -9,9 +9,11 @@ check        run a named invariant suite (or `all`)
 
 Built-in functions default to the closed-form oracle route (no grid
 artifacts); `--engine spectral` switches to the FFT path.  File input
-always uses the FFT path.  All numbers are emitted with 9 significant
-digits, lowercase exponent, so identical configurations produce
-byte-identical files.
+always uses the FFT path.  Every FFT route goes through _engine_curves,
+which prints the engine's wrap-around warning on stderr; every closed-form
+route goes through _closed_form_curves.  All numbers are emitted with 9
+significant digits, lowercase exponent, so identical configurations
+produce byte-identical files.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
 whose values overflow double precision included), 3 I/O error.
@@ -22,13 +24,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import checks
-from .grid import (DegenerateInterval, NonPowerOfTwo, SampledSignal, make_grid, sample)
+from .grid import (CSV_HEADER, DegenerateInterval, NonPowerOfTwo, SampledSignal, make_grid,
+                   sample)
 from .oracles import gaussian_deriv, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
 from .specfun import ArgumentOutOfRange, OrderTooLarge
@@ -44,10 +45,11 @@ _BUILTINS = {
     "x2gaussian": (lambda x: x * x * np.exp(-x * x), x2gaussian_deriv),
 }
 
-_FIGURE_ALPHAS = {
-    1: (0.0, 1.0 / 50, 1.0 / 10, 0.5),
-    2: (4.5, 4.8, 5.0, 5.2, 5.5),
-    3: (0.0, 1.0 / 50, 1.0 / 10, 0.5),
+#: figure id -> (built-in function, orders); figure 4 is the bound scan
+_FIGURES = {
+    1: ("gaussian", (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
+    2: ("gaussian", (4.5, 4.8, 5.0, 5.2, 5.5)),
+    3: ("x2gaussian", (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
 }
 
 
@@ -67,45 +69,13 @@ def _round9(v):
     return float(fmt9(v))
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the data-producing commands."""
-    domain: tuple = (-16.0, 16.0)
-    n: int = 4096
-    alphas: Optional[list] = None
-    function: str = "gaussian"
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    fmt: str = "csv"
-    engine: Optional[str] = None   # None: oracle for built-ins, spectral for files
-
-    def grid(self):
-        try:
-            return make_grid(self.domain[0], self.domain[1], self.n)
-        except NonPowerOfTwo as exc:
-            raise CLIConfigError(f"--points: {exc}") from exc
-        except DegenerateInterval as exc:
-            raise CLIConfigError(f"--domain: {exc}") from exc
-
-
-def _config_from_args(args):
-    cfg = RunConfig()
-    if getattr(args, "domain", None) is not None:
-        cfg.domain = (args.domain[0], args.domain[1])
-    if getattr(args, "points", None) is not None:
-        cfg.n = args.points
-    if getattr(args, "alpha", None) is not None:
-        cfg.alphas = _parse_alphas(args.alpha)
-    if getattr(args, "function", None) is not None:
-        cfg.function = args.function
-    cfg.input_path = getattr(args, "input", None)
-    cfg.output_path = getattr(args, "output", None)
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
-    cfg.engine = getattr(args, "engine", None)
-    if cfg.input_path is not None and getattr(args, "function", None) is not None:
-        raise CLIConfigError("--function and --input are mutually exclusive")
-    return cfg
+def _grid(args):
+    try:
+        return make_grid(args.domain[0], args.domain[1], args.points)
+    except NonPowerOfTwo as exc:
+        raise CLIConfigError(f"--points: {exc}") from exc
+    except DegenerateInterval as exc:
+        raise CLIConfigError(f"--domain: {exc}") from exc
 
 
 def _parse_alphas(text):
@@ -128,24 +98,17 @@ def _parse_alphas(text):
 
 # --- output helpers --------------------------------------------------------
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _emit(path, text):
-    handle, close = _open_out(path)
-    try:
-        handle.write(text)
-    finally:
-        if close:
-            handle.close()
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _signal_csv(x, values):
     buf = io.StringIO()
-    buf.write("x,re,im\n")
+    buf.write(f"{CSV_HEADER}\n")
     for xj, vj in zip(x, values):
         buf.write(f"{fmt9(xj)},{fmt9(vj.real)},{fmt9(vj.imag)}\n")
     return buf.getvalue()
@@ -175,14 +138,14 @@ def _per_alpha_path(path, alpha):
 def _read_signal_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "re", "im"]:
-        raise CLIConfigError(f"--input {path}: expected header 'x,re,im'")
+    if not rows or [c.strip() for c in rows[0]] != CSV_HEADER.split(","):
+        raise CLIConfigError(f"--input {path}: expected header '{CSV_HEADER}'")
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise CLIConfigError(f"--input {path}: non-numeric row ({exc})") from exc
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 8:
-        raise CLIConfigError(f"--input {path}: need rows of x,re,im (at least 8)")
+        raise CLIConfigError(f"--input {path}: need rows of {CSV_HEADER} (at least 8)")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise CLIConfigError(
@@ -201,106 +164,103 @@ def _read_signal_csv(path):
     return SampledSignal(grid, data[:, 1] + 1j * data[:, 2])
 
 
-# --- commands --------------------------------------------------------------
+# --- the two routes ---------------------------------------------------------
 
-def cmd_derive(config):
-    if config.alphas is None:
-        raise CLIConfigError("--alpha is required for derive")
-    if config.input_path is not None:
-        if config.engine == "oracle":
-            raise CLIConfigError("--engine oracle has no closed form for --input data")
-        signal = _read_signal_csv(config.input_path)
-        curves = []
-        for a in config.alphas:
-            d = fractional_derivative(signal, a)
-            if d.warning:
-                print(f"warning: {d.warning}", file=sys.stderr)
-            curves.append((a, signal.grid.x, d.values))
-    else:
-        if config.function not in _BUILTINS:
-            raise CLIConfigError(f"--function: unknown function {config.function!r}")
-        builtin, oracle = _BUILTINS[config.function]
-        grid = config.grid()
-        engine = config.engine or "oracle"
-        curves = []
-        if engine == "oracle":
-            try:
-                for a in config.alphas:
-                    vals = np.array([oracle(a, float(xj)) for xj in grid.x])
-                    curves.append((a, grid.x, vals))
-            except ArgumentOutOfRange as exc:
-                raise CLIConfigError(
-                    f"--domain: closed-form route limited to |x| <= 20 ({exc}); "
-                    f"use --engine spectral or a narrower domain") from exc
-        else:
-            signal = sample(builtin, grid)
-            for a in config.alphas:
-                d = fractional_derivative(signal, a)
-                if d.warning:
-                    print(f"warning: {d.warning}", file=sys.stderr)
-                curves.append((a, grid.x, d.values))
+def _engine_curves(signal, alphas, window=slice(None)):
+    """(order, x, D^a values) per order through the FFT engine, cut to window.
 
-    if config.fmt == "json":
-        _emit(config.output_path, _curves_json(curves))
-        return EXIT_OK
-    if len(curves) == 1:
-        _emit(config.output_path, _signal_csv(curves[0][1], curves[0][2]))
-        return EXIT_OK
-    if config.output_path is None:
-        raise CLIConfigError("--output is required for multiple orders in csv format "
-                             "(one file per order)")
-    for a, x, vals in curves:
-        _emit(_per_alpha_path(config.output_path, a), _signal_csv(x, vals))
-    return EXIT_OK
-
-
-def _figure_curves(fig_id, config):
-    grid = config.grid()        # validates --points/--domain on every route
-    if fig_id == 4:
-        scan = np.arange(601) / 100.0
-        vals = np.array([uncertainty_bound(a, allow_below_one=True) for a in scan],
-                        dtype=complex)
-        return [(None, scan, vals)], "alpha"
-    oracle = gaussian_deriv if fig_id in (1, 2) else x2gaussian_deriv
-    builtin = _BUILTINS["gaussian" if fig_id in (1, 2) else "x2gaussian"][0]
-    alphas = _FIGURE_ALPHAS[fig_id]
-    if (config.engine or "oracle") == "oracle":
-        xs = np.arange(-400, 401) / 100.0
-        return [(a, xs, np.array([oracle(a, float(x)) for x in xs])) for a in alphas], "x"
-    signal = sample(builtin, grid)
-    mask = np.abs(grid.x) <= 4.0
+    Prints the engine's wrap-around warning, if any, on stderr.
+    """
     curves = []
     for a in alphas:
         d = fractional_derivative(signal, a)
-        curves.append((a, grid.x[mask], d.values[mask]))
-    return curves, "x"
+        if d.warning:
+            print(f"warning: {d.warning}", file=sys.stderr)
+        curves.append((a, signal.grid.x[window], d.values[window]))
+    return curves
 
 
-def cmd_figure(fig_id, config):
-    curves, abscissa = _figure_curves(fig_id, config)
-    if config.fmt == "json":
-        _emit(config.output_path, _curves_json(curves))
+def _closed_form_curves(oracle, alphas, xs):
+    """(order, x, D^a values) per order from the closed form, point by point."""
+    try:
+        return [(a, xs, np.array([oracle(a, float(x)) for x in xs])) for a in alphas]
+    except ArgumentOutOfRange as exc:
+        raise CLIConfigError(
+            f"--domain: closed-form route limited to |x| <= 20 ({exc}); "
+            f"use --engine spectral or a narrower domain") from exc
+
+
+# --- commands --------------------------------------------------------------
+
+def cmd_derive(args):
+    alphas = None if args.alpha is None else _parse_alphas(args.alpha)
+    if args.input is not None and args.function is not None:
+        raise CLIConfigError("--function and --input are mutually exclusive")
+    if alphas is None:
+        raise CLIConfigError("--alpha is required for derive")
+    if args.input is not None:
+        if args.engine == "oracle":
+            raise CLIConfigError("--engine oracle has no closed form for --input data")
+        curves = _engine_curves(_read_signal_csv(args.input), alphas)
+    else:
+        builtin, oracle = _BUILTINS[args.function or "gaussian"]
+        grid = _grid(args)
+        if args.engine == "spectral":
+            curves = _engine_curves(sample(builtin, grid), alphas)
+        else:
+            curves = _closed_form_curves(oracle, alphas, grid.x)
+
+    if args.format == "json":
+        _emit(args.output, _curves_json(curves))
+        return EXIT_OK
+    if len(curves) == 1:
+        _emit(args.output, _signal_csv(curves[0][1], curves[0][2]))
+        return EXIT_OK
+    if args.output is None:
+        raise CLIConfigError("--output is required for multiple orders in csv format "
+                             "(one file per order)")
+    for a, x, vals in curves:
+        _emit(_per_alpha_path(args.output, a), _signal_csv(x, vals))
+    return EXIT_OK
+
+
+def cmd_figure(args):
+    grid = _grid(args)          # validates --points/--domain on every route
+    if args.id == 4:
+        scan = np.arange(601) / 100.0
+        vals = np.array([uncertainty_bound(a, allow_below_one=True) for a in scan],
+                        dtype=complex)
+        curves = [(None, scan, vals)]
+    else:
+        name, alphas = _FIGURES[args.id]
+        builtin, oracle = _BUILTINS[name]
+        if args.engine == "spectral":
+            curves = _engine_curves(sample(builtin, grid), alphas, np.abs(grid.x) <= 4.0)
+        else:
+            curves = _closed_form_curves(oracle, alphas, np.arange(-400, 401) / 100.0)
+    if args.format == "json":
+        _emit(args.output, _curves_json(curves))
         return EXIT_OK
     buf = io.StringIO()
-    if fig_id == 4:
+    if args.id == 4:
         buf.write("alpha,bound\n")
         _, scan, vals = curves[0]
         for a, v in zip(scan, vals):
             buf.write(f"{fmt9(a)},{fmt9(v.real)}\n")
     else:
         labels = ",".join(f"alpha={fmt9(a)}" for a, _, _ in curves)
-        buf.write(f"{abscissa},{labels}\n")
+        buf.write(f"x,{labels}\n")
         xs = curves[0][1]
         cols = [vals for _, _, vals in curves]
         for j, xj in enumerate(xs):
             row = ",".join(fmt9(col[j].real) for col in cols)
             buf.write(f"{fmt9(xj)},{row}\n")
-    _emit(config.output_path, buf.getvalue())
+    _emit(args.output, buf.getvalue())
     return EXIT_OK
 
 
-def cmd_uncertainty(config):
-    alphas = config.alphas or [1.0, 1.5, 2.0, 3.0]
+def cmd_uncertainty(args):
+    alphas = _parse_alphas(args.alpha)
     for a in alphas:
         if a < 1:
             raise CLIConfigError(
@@ -308,7 +268,7 @@ def cmd_uncertainty(config):
                 f"(orders below 1 carry no operator meaning)")
     state = gaussian_state(high_res_grid())
     reports = [uncertainty_check(a, state) for a in alphas]
-    if config.fmt == "json":
+    if args.format == "json":
         payload = [{
             "alpha": _round9(r.alpha),
             "delta_x": _round9(r.delta_x),
@@ -317,7 +277,7 @@ def cmd_uncertainty(config):
             "rhs_bound": _round9(r.rhs_bound),
             "satisfied": r.satisfied,
         } for r in reports]
-        _emit(config.output_path, json.dumps(payload, indent=2) + "\n")
+        _emit(args.output, json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
     buf = io.StringIO()
     buf.write("alpha,delta_x,delta_p_alpha,product,rhs_bound,satisfied\n")
@@ -325,12 +285,12 @@ def cmd_uncertainty(config):
         buf.write(f"{fmt9(r.alpha)},{fmt9(r.delta_x)},{fmt9(r.delta_p_alpha)},"
                   f"{fmt9(r.product)},{fmt9(r.rhs_bound)},"
                   f"{'true' if r.satisfied else 'false'}\n")
-    _emit(config.output_path, buf.getvalue())
+    _emit(args.output, buf.getvalue())
     return EXIT_OK
 
 
-def cmd_check(suite):
-    results = checks.run_suite(suite)
+def cmd_check(args):
+    results = checks.run_suite(args.suite)
     failed = 0
     asserted = 0
     for res in results:
@@ -353,8 +313,8 @@ def cmd_check(suite):
 def _add_shared(p, grid=True, alpha=True):
     if grid:
         p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
-                       help="grid interval (default -16 16)")
-        p.add_argument("--points", type=int, metavar="N",
+                       default=(-16.0, 16.0), help="grid interval (default -16 16)")
+        p.add_argument("--points", type=int, metavar="N", default=4096,
                        help="grid size, power of two (default 4096)")
         p.add_argument("--engine", choices=("oracle", "spectral"),
                        help="closed-form oracle (default for built-ins) or FFT engine")
@@ -362,7 +322,8 @@ def _add_shared(p, grid=True, alpha=True):
         p.add_argument("--alpha", metavar="A[,A...]",
                        help="comma-separated derivative orders, each >= 0")
     p.add_argument("--output", metavar="FILE", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
 
 
 def build_parser():
@@ -373,20 +334,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("derive", help="compute fractional derivatives")
+    p.set_defaults(run=cmd_derive)
     _add_shared(p)
     p.add_argument("--function", choices=sorted(_BUILTINS),
                    help="built-in function (default gaussian)")
     p.add_argument("--input", metavar="FILE",
-                   help="CSV signal (x,re,im) to differentiate instead of a built-in")
+                   help=f"CSV signal ({CSV_HEADER}) to differentiate instead of a built-in")
 
     p = sub.add_parser("figure", help="emit the data behind the standard figures")
+    p.set_defaults(run=cmd_figure)
     p.add_argument("id", type=int, choices=(1, 2, 3, 4), help="figure number")
     _add_shared(p, alpha=False)
 
     p = sub.add_parser("uncertainty", help="spread report on the Gaussian state")
+    p.set_defaults(run=cmd_uncertainty)
     _add_shared(p, grid=False)
+    p.set_defaults(alpha="1,1.5,2,3")
 
     p = sub.add_parser("check", help="run an invariant suite")
+    p.set_defaults(run=cmd_check)
     p.add_argument("suite", choices=checks.SUITE_NAMES + ("all",))
     return parser
 
@@ -398,14 +364,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        if args.command == "check":
-            return cmd_check(args.suite)
-        config = _config_from_args(args)
-        if args.command == "derive":
-            return cmd_derive(config)
-        if args.command == "figure":
-            return cmd_figure(args.id, config)
-        return cmd_uncertainty(config)
+        return args.run(args)
     except (CLIConfigError, OrderTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,7 +3,8 @@
 These are the ground-truth routes against which the FFT engine is judged:
 
 * gaussian_deriv / x2gaussian_deriv: analytic formulas in terms of Gamma
-  and 1F1, evaluated exactly as written (no algebraic simplification).
+  and 1F1, evaluated exactly as written (no algebraic simplification);
+  an order whose value overflows double precision raises OrderTooLarge.
 * exp_rule / monomial_deriv: rule objects for functions that are not
   square-integrable; they never touch the FFT path, which would silently
   periodize them.
@@ -12,6 +13,7 @@ These are the ground-truth routes against which the FFT engine is judged:
 * eigenstate_signal: sampled eigenfunctions of the fractional momentum
   operator with their frequency pinned exactly onto the discrete grid.
 """
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal
-from .spectral import ip_power
+from .spectral import ip_power, require_order
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -71,8 +73,7 @@ def gaussian_deriv(alpha, x):
     """
     alpha = float(alpha)
     x = float(x)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    require_order(alpha)
     z = -x * x
     t1 = (math.cos(alpha * np.pi / 2)
           * specfun.gamma((1 + alpha) / 2)
@@ -83,7 +84,7 @@ def gaussian_deriv(alpha, x):
         t2 = (alpha * x * math.sin(alpha * np.pi / 2)
               * specfun.gamma(alpha / 2)
               * specfun.kummer_1f1(1 + alpha / 2, 1.5, z))
-    return complex(2.0 ** alpha / _SQRT_PI * (t1 - t2))
+    return _finite("gaussian_deriv", alpha, 2.0 ** alpha / _SQRT_PI * (t1 - t2))
 
 
 def x2gaussian_deriv(alpha, x):
@@ -95,11 +96,10 @@ def x2gaussian_deriv(alpha, x):
     """
     alpha = float(alpha)
     x = float(x)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    require_order(alpha)
     z = -x * x
-    i_a = np.exp(1j * alpha * np.pi / 2)      # i^a
-    mi_a = np.exp(-1j * alpha * np.pi / 2)    # (-i)^a
+    i_a = cmath.exp(1j * alpha * np.pi / 2)      # i^a
+    mi_a = cmath.exp(-1j * alpha * np.pi / 2)    # (-i)^a
     g1 = (specfun.kummer_1f1((1 + alpha) / 2, 0.5, z)
           - (1 + alpha) * specfun.kummer_1f1((3 + alpha) / 2, 0.5, z))
     g2 = (specfun.kummer_1f1((2 + alpha) / 2, 1.5, z)
@@ -107,7 +107,19 @@ def x2gaussian_deriv(alpha, x):
     val = 2.0 ** (alpha - 2) / _SQRT_PI * (
         (i_a + mi_a) * specfun.gamma((1 + alpha) / 2) * g1
         - 2j * (mi_a - i_a) * x * specfun.gamma(1 + alpha / 2) * g2)
-    return complex(val)
+    return _finite("x2gaussian_deriv", alpha, val)
+
+
+def _finite(name, alpha, value):
+    """The closed-form value, or OrderTooLarge where it overflowed to inf or nan.
+
+    The closed forms run on Python floats and complexes, which overflow to
+    inf without a warning.
+    """
+    if not cmath.isfinite(value):
+        raise specfun.OrderTooLarge(f"{name} at order {alpha:g} overflows double "
+                                    f"precision: the order is too large")
+    return complex(value)
 
 
 def exp_rule(k, alpha, x):
@@ -115,8 +127,7 @@ def exp_rule(k, alpha, x):
     k = float(k)
     if k <= 0:
         raise NonPositiveK(f"exponential rule requires k > 0, got {k}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    require_order(alpha)
     return k ** alpha * math.exp(k * x)
 
 
@@ -131,6 +142,7 @@ def monomial_deriv(n, alpha, x):
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     alpha = float(alpha)
+    require_order(alpha)
     if alpha == 0:
         return float(x) ** n
     if alpha > n:
@@ -264,17 +276,20 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
 
 @dataclass(frozen=True)
 class EigenstateSpec:
-    """Order, eigenvalue, and normalization of a momentum eigenfunction.
+    """Order and eigenvalue of a momentum eigenfunction.
 
     The implied plane-wave frequency q solves q^alpha = eigenvalue; for
     order 2 the eigenfunction is the cosine combination and the eigenvalue
-    must be >= 0.
+    must be >= 0.  The order must be finite and > 0: P_0 is the identity,
+    which implies no frequency.
     """
     alpha: float
     eigenvalue: float
-    normalization: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        require_order(self.alpha)
+        if self.alpha == 0:
+            raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
         if self.alpha == 2 and self.eigenvalue < 0:
             raise ValueError("order-2 eigenvalue must be >= 0")
 
@@ -310,11 +325,11 @@ def eigenstate_signal(spec, grid):
         if q == 0:
             raise ValueError("order-2 eigenstate needs eigenvalue > 0")
         _check_on_grid(q, grid)
-        values = spec.normalization * np.cos(q * grid.x) / q
+        values = np.cos(q * grid.x) / q
         return SampledSignal(grid, values)
     q = _implied_frequency(spec)
     _check_on_grid(q, grid)
-    values = spec.normalization * np.exp(1j * q * grid.x)
+    values = np.exp(1j * q * grid.x)
     return SampledSignal(grid, values)
 
 

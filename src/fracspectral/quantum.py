@@ -9,7 +9,7 @@ Orders strictly between 0 and 1 are rejected for the commutators: with
 the p^a branch in use, a*P_{a-1} only makes sense for a = 0 or a >= 1.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +63,7 @@ class UncertaintyReport:
     """Position/momentum spreads for one order, against the analytic bound.
 
     delta_p_alpha uses the modulus-squared symbol for the second moment
-    (<|p^a|^2>), which keeps the spread real; the convention field records
-    that choice.
+    (<|p^a|^2>), which keeps the spread real.
     """
     alpha: float
     delta_x: float
@@ -72,7 +71,6 @@ class UncertaintyReport:
     product: float
     rhs_bound: float
     satisfied: bool
-    convention: str = field(default="modulus-squared momentum symbol", compare=False)
 
     def __post_init__(self):
         for name in ("delta_x", "delta_p_alpha", "product", "rhs_bound"):

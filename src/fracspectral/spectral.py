@@ -94,7 +94,8 @@ class MinusOneBranch(enum.Enum):
     E_MINUS_I_PI = "e_minus_i_pi"
 
 
-def _check_order(alpha):
+def require_order(alpha):
+    """Raise NegativeAlpha unless the order is finite and >= 0."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
 
@@ -108,7 +109,7 @@ def require_finite_power(alpha, p_max):
 
 def ip_power(alpha, p):
     """Multiplier (ip)^a on an array of frequencies, branch as above."""
-    _check_order(alpha)
+    require_order(alpha)
     p = np.asarray(p, dtype=float)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
@@ -118,7 +119,7 @@ def ip_power(alpha, p):
 
 def p_power(alpha, p):
     """Momentum symbol p^a = (ip)^a / i^a; real on p > 0, e^{-i*a*pi} phase on p < 0."""
-    _check_order(alpha)
+    require_order(alpha)
     p = np.asarray(p, dtype=float)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
@@ -289,7 +290,7 @@ def _apply_multiplier(signal, alpha, phase):
     largest coefficient of both, are zeroed before the symbol is applied.
     Raises OrderTooLarge where the symbol overflows at the Nyquist bin.
     """
-    _check_order(alpha)
+    require_order(alpha)
     if alpha == 0:
         return signal
     g = signal.grid
@@ -452,7 +453,7 @@ def product_rule(f, g, alpha):
     """
     if f.grid != g.grid:
         raise GridMismatch(f"{f.grid} vs {g.grid}")
-    _check_order(alpha)
+    require_order(alpha)
     grid = f.grid
     n = grid.n
     require_finite_power(alpha, n * grid.dp)

@@ -3,22 +3,28 @@ import pytest
 from fracspectral.checks import CheckResult, SUITE_NAMES, run_suite
 
 
+@pytest.fixture(scope="session")
+def suite_results():
+    """The rows of every suite, each suite run once per test session."""
+    return {name: run_suite(name) for name in SUITE_NAMES}
+
+
 def test_suite_names():
     assert SUITE_NAMES == ("integer", "closedform", "commutator",
                            "uncertainty", "convergence", "duality")
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
-def test_each_suite_passes(name):
-    results = run_suite(name)
+def test_each_suite_passes(name, suite_results):
+    results = suite_results[name]
     assert results
     failed = [r for r in results if r.passed is False]
     assert not failed, [(r.name, r.measured, r.tolerance) for r in failed]
 
 
-def test_all_concatenates_every_suite():
+def test_all_concatenates_every_suite(suite_results):
     total = run_suite("all")
-    assert len(total) == sum(len(run_suite(n)) for n in SUITE_NAMES)
+    assert len(total) == sum(len(suite_results[n]) for n in SUITE_NAMES)
 
 
 def test_unknown_suite_raises():
@@ -26,8 +32,8 @@ def test_unknown_suite_raises():
         run_suite("nope")
 
 
-def test_result_rows_are_well_formed():
-    for r in run_suite("duality"):
+def test_result_rows_are_well_formed(suite_results):
+    for r in suite_results["duality"]:
         assert isinstance(r, CheckResult)
         assert r.name
         assert r.passed in (True, False, None)
@@ -35,7 +41,7 @@ def test_result_rows_are_well_formed():
             assert r.tolerance is None       # diagnostic rows carry no bar
 
 
-def test_results_are_frozen():
-    row = run_suite("duality")[0]
+def test_results_are_frozen(suite_results):
+    row = suite_results["duality"][0]
     with pytest.raises(AttributeError):
         row.passed = False

@@ -11,9 +11,11 @@ import pytest
 from fracspectral.cli import fmt9, main
 
 
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "fracspectral", *args],
-                          capture_output=True, timeout=120)
+def run_cli(capsys, *args):
+    """main(args) in process; returns (exit code, stdout, stderr)."""
+    rc = main(list(args))
+    out, err = capsys.readouterr()
+    return rc, out, err
 
 
 # --- number formatting -----------------------------------------------------
@@ -37,8 +39,11 @@ def test_fmt9_is_idempotent():
 # --- derive ----------------------------------------------------------------
 
 def test_derive_csv_to_stdout():
-    proc = run_cli("derive", "--function", "gaussian", "--alpha", "0",
-                   "--domain", "-8", "8", "--points", "16")
+    # the one CLI test that runs `python -m fracspectral` in a subprocess
+    proc = subprocess.run([sys.executable, "-m", "fracspectral", "derive",
+                           "--function", "gaussian", "--alpha", "0",
+                           "--domain", "-8", "8", "--points", "16"],
+                          capture_output=True, timeout=120)
     assert proc.returncode == 0
     lines = proc.stdout.decode().splitlines()
     assert lines[0] == "x,re,im"
@@ -49,66 +54,66 @@ def test_derive_csv_to_stdout():
     assert row[2] == "0"
 
 
-def test_derive_is_deterministic(tmp_path):
+def test_derive_is_deterministic(tmp_path, capsys):
     args = ("derive", "--function", "gaussian", "--alpha", "0.5",
             "--domain", "-8", "8", "--points", "64")
-    a = run_cli(*args, "--output", str(tmp_path / "a.csv"))
-    b = run_cli(*args, "--output", str(tmp_path / "b.csv"))
-    assert a.returncode == b.returncode == 0
+    a = run_cli(capsys, *args, "--output", str(tmp_path / "a.csv"))
+    b = run_cli(capsys, *args, "--output", str(tmp_path / "b.csv"))
+    assert a[0] == b[0] == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert b"\r" not in (tmp_path / "a.csv").read_bytes()
 
 
-def test_derive_round_trips_through_file_input(tmp_path):
+def test_derive_round_trips_through_file_input(tmp_path, capsys):
     src = tmp_path / "src.csv"
     out = tmp_path / "back.csv"
-    assert run_cli("derive", "--function", "gaussian", "--alpha", "0.5",
+    assert run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5",
                    "--domain", "-8", "8", "--points", "64",
-                   "--output", str(src)).returncode == 0
+                   "--output", str(src))[0] == 0
     # order 0 through the file route is the identity on the samples
-    assert run_cli("derive", "--input", str(src), "--alpha", "0",
-                   "--output", str(out)).returncode == 0
+    assert run_cli(capsys, "derive", "--input", str(src), "--alpha", "0",
+                   "--output", str(out))[0] == 0
     assert src.read_bytes() == out.read_bytes()
 
 
-def test_derive_file_input_uses_the_engine(tmp_path):
+def test_derive_file_input_uses_the_engine(tmp_path, capsys):
     src = tmp_path / "sig.csv"
     rows = ["x,re,im"]
     x = -8.0 + 0.25 * np.arange(64)
     for xj in x:
         rows.append(f"{fmt9(xj)},{fmt9(math.exp(-xj * xj))},0")
     src.write_text("\n".join(rows) + "\n")
-    proc = run_cli("derive", "--input", str(src), "--alpha", "1",
-                   "--format", "json")
-    assert proc.returncode == 0
-    curve = json.loads(proc.stdout.decode())[0]
+    rc, out, _ = run_cli(capsys, "derive", "--input", str(src), "--alpha", "1",
+                         "--format", "json")
+    assert rc == 0
+    curve = json.loads(out)[0]
     j = curve["x"].index(1.0)
     assert curve["re"][j] == pytest.approx(-2 * math.exp(-1.0), abs=1e-6)
 
 
-def test_derive_multiple_orders_one_file_each(tmp_path):
+def test_derive_multiple_orders_one_file_each(tmp_path, capsys):
     out = tmp_path / "d.csv"
-    proc = run_cli("derive", "--function", "gaussian", "--alpha", "0.5,1",
-                   "--domain", "-8", "8", "--points", "32",
-                   "--output", str(out))
-    assert proc.returncode == 0
+    rc, _, _ = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",
+                       "--domain", "-8", "8", "--points", "32",
+                       "--output", str(out))
+    assert rc == 0
     assert (tmp_path / "d_alpha0.5.csv").exists()
     assert (tmp_path / "d_alpha1.csv").exists()
     assert not out.exists()
 
 
-def test_derive_multiple_orders_csv_needs_output_file():
-    proc = run_cli("derive", "--function", "gaussian", "--alpha", "0.5,1",
-                   "--domain", "-8", "8", "--points", "32")
-    assert proc.returncode == 2
-    assert b"--output" in proc.stderr
+def test_derive_multiple_orders_csv_needs_output_file(capsys):
+    rc, _, err = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",
+                         "--domain", "-8", "8", "--points", "32")
+    assert rc == 2
+    assert "--output" in err
 
 
-def test_derive_json_schema():
-    proc = run_cli("derive", "--function", "gaussian", "--alpha", "0.5,1",
-                   "--domain", "-8", "8", "--points", "32", "--format", "json")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout.decode())
+def test_derive_json_schema(capsys):
+    rc, out, _ = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",
+                         "--domain", "-8", "8", "--points", "32", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
     assert [c["alpha"] for c in payload] == [0.5, 1.0]
     for curve in payload:
         assert len(curve["x"]) == len(curve["re"]) == len(curve["im"]) == 32
@@ -117,15 +122,15 @@ def test_derive_json_schema():
                 assert v == float(f"{v:.9g}")     # stored at 9 digits
 
 
-def test_derive_spectral_engine_close_to_oracle():
+def test_derive_spectral_engine_close_to_oracle(capsys):
     # wide domain so both the wrap-around and the zero-bin deficit stay
     # below the comparison tolerance
     from fracspectral import gaussian_deriv
-    eng = run_cli("derive", "--function", "gaussian", "--alpha", "0.5",
-                  "--domain", "-128", "128", "--points", "8192",
-                  "--format", "json", "--engine", "spectral")
-    assert eng.returncode == 0
-    curve = json.loads(eng.stdout.decode())[0]
+    rc, out, _ = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5",
+                         "--domain", "-128", "128", "--points", "8192",
+                         "--format", "json", "--engine", "spectral")
+    assert rc == 0
+    curve = json.loads(out)[0]
     x = np.array(curve["x"])
     re = np.array(curve["re"])
     mask = np.abs(x) <= 2.0
@@ -135,10 +140,10 @@ def test_derive_spectral_engine_close_to_oracle():
 
 # --- figures ---------------------------------------------------------------
 
-def test_figure1_csv_layout():
-    proc = run_cli("figure", "1")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode().splitlines()
+def test_figure1_csv_layout(capsys):
+    rc, out, _ = run_cli(capsys, "figure", "1")
+    assert rc == 0
+    lines = out.splitlines()
     assert lines[0] == "x,alpha=0,alpha=0.02,alpha=0.1,alpha=0.5"
     assert len(lines) == 802                # 801 sample points
     mid = lines[1 + 400].split(",")
@@ -147,23 +152,23 @@ def test_figure1_csv_layout():
     assert float(mid[4]) == pytest.approx(0.6913673390362934, rel=1e-8)
 
 
-def test_figure2_alpha_set():
-    proc = run_cli("figure", "2")
-    header = proc.stdout.decode().splitlines()[0]
+def test_figure2_alpha_set(capsys):
+    _, out, _ = run_cli(capsys, "figure", "2")
+    header = out.splitlines()[0]
     assert header == "x,alpha=4.5,alpha=4.8,alpha=5,alpha=5.2,alpha=5.5"
 
 
-def test_figure3_uses_the_x2_gaussian():
-    proc = run_cli("figure", "3")
-    lines = proc.stdout.decode().splitlines()
+def test_figure3_uses_the_x2_gaussian(capsys):
+    _, out, _ = run_cli(capsys, "figure", "3")
+    lines = out.splitlines()
     mid = lines[1 + 400].split(",")
     assert mid[0] == "0"
     assert float(mid[1]) == 0.0             # x^2 e^{-x^2} vanishes at 0
 
 
-def test_figure4_bound_scan():
-    proc = run_cli("figure", "4")
-    lines = proc.stdout.decode().splitlines()
+def test_figure4_bound_scan(capsys):
+    _, out, _ = run_cli(capsys, "figure", "4")
+    lines = out.splitlines()
     assert lines[0] == "alpha,bound"
     assert len(lines) == 602
     table = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
@@ -175,71 +180,81 @@ def test_figure4_bound_scan():
     assert table["3"] == pytest.approx(1.5, abs=1e-9)
 
 
-def test_figure4_json_has_null_alpha():
-    proc = run_cli("figure", "4", "--format", "json")
-    payload = json.loads(proc.stdout.decode())
+def test_figure4_json_has_null_alpha(capsys):
+    _, out, _ = run_cli(capsys, "figure", "4", "--format", "json")
+    payload = json.loads(out)
     assert len(payload) == 1
     assert payload[0]["alpha"] is None
     assert len(payload[0]["x"]) == 601      # the order scan
     assert payload[0]["x"][0] == 0.0 and payload[0]["x"][-1] == 6.0
 
 
-def test_figure_spectral_engine_restricted_to_window():
-    proc = run_cli("figure", "1", "--engine", "spectral",
-                   "--domain", "-32", "32", "--points", "2048")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode().splitlines()
+def test_figure_spectral_engine_restricted_to_window(capsys):
+    rc, out, _ = run_cli(capsys, "figure", "1", "--engine", "spectral",
+                         "--domain", "-32", "32", "--points", "2048")
+    assert rc == 0
+    lines = out.splitlines()
     xs = [float(r.split(",")[0]) for r in lines[1:]]
     assert min(xs) >= -4.0 and max(xs) <= 4.0
 
 
-def test_figure_is_deterministic(tmp_path):
-    a = run_cli("figure", "2", "--output", str(tmp_path / "a.csv"))
-    b = run_cli("figure", "2", "--output", str(tmp_path / "b.csv"))
-    assert a.returncode == b.returncode == 0
+def test_figure_spectral_engine_warns_like_derive(capsys):
+    grid = ("--engine", "spectral", "--domain", "-2", "2", "--points", "64")
+    rc, _, derive_err = run_cli(capsys, "derive", "--alpha", "0.5", *grid)
+    assert rc == 0
+    assert derive_err.startswith("warning: ") and derive_err.count("\n") == 1
+    rc, _, figure_err = run_cli(capsys, "figure", "1", *grid)
+    assert rc == 0
+    # one line per non-integer order (0.02, 0.1, 0.5); order 0 does not warn
+    assert figure_err.splitlines() == [derive_err.rstrip("\n")] * 3
+
+
+def test_figure_is_deterministic(tmp_path, capsys):
+    a = run_cli(capsys, "figure", "2", "--output", str(tmp_path / "a.csv"))
+    b = run_cli(capsys, "figure", "2", "--output", str(tmp_path / "b.csv"))
+    assert a[0] == b[0] == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 # --- uncertainty -----------------------------------------------------------
 
-def test_uncertainty_default_table():
-    proc = run_cli("uncertainty")
-    assert proc.returncode == 0
-    lines = proc.stdout.decode().splitlines()
+def test_uncertainty_default_table(capsys):
+    rc, out, _ = run_cli(capsys, "uncertainty")
+    assert rc == 0
+    lines = out.splitlines()
     assert lines[0] == "alpha,delta_x,delta_p_alpha,product,rhs_bound,satisfied"
     assert lines[1] == "1,0.5,1,0.5,0.5,true"
     assert [r.split(",")[0] for r in lines[1:]] == ["1", "1.5", "2", "3"]
     assert all(r.endswith("true") for r in lines[1:])
 
 
-def test_uncertainty_json():
-    proc = run_cli("uncertainty", "--alpha", "3", "--format", "json")
-    payload = json.loads(proc.stdout.decode())
+def test_uncertainty_json(capsys):
+    _, out, _ = run_cli(capsys, "uncertainty", "--alpha", "3", "--format", "json")
+    payload = json.loads(out)
     assert payload[0]["alpha"] == 3.0
     assert payload[0]["rhs_bound"] == pytest.approx(1.5, abs=1e-9)
     assert payload[0]["satisfied"] is True
 
 
-def test_uncertainty_rejects_small_orders():
-    proc = run_cli("uncertainty", "--alpha", "0.5")
-    assert proc.returncode == 2
-    assert b"--alpha" in proc.stderr
+def test_uncertainty_rejects_small_orders(capsys):
+    rc, _, err = run_cli(capsys, "uncertainty", "--alpha", "0.5")
+    assert rc == 2
+    assert "--alpha" in err
 
 
 # --- check -----------------------------------------------------------------
 
-def test_check_suite_reports_and_exits_zero():
-    proc = run_cli("check", "integer")
-    assert proc.returncode == 0
-    out = proc.stdout.decode()
+def test_check_suite_reports_and_exits_zero(capsys):
+    rc, out, _ = run_cli(capsys, "check", "integer")
+    assert rc == 0
     assert "PASS " in out
     assert "FAIL " not in out
     assert re.search(r"^\d+/\d+ assertions passed$", out.splitlines()[-1])
 
 
-def test_check_unknown_suite_is_a_usage_error():
-    proc = run_cli("check", "nope")
-    assert proc.returncode == 2
+def test_check_unknown_suite_is_a_usage_error(capsys):
+    rc, _, _ = run_cli(capsys, "check", "nope")
+    assert rc == 2
 
 
 # --- config and I/O errors -------------------------------------------------
@@ -291,6 +306,9 @@ def test_exit_codes_in_process(tmp_path, capsys):
         (["derive", "--alpha", "400"], 2),
         (["derive", "--alpha", "400", "--engine", "spectral", "--points", "8",
           "--domain", "-1", "1"], 2),
+        (["derive", "--alpha", "270", "--points", "8", "--domain", "-1", "1"], 2),
+        (["derive", "--function", "x2gaussian", "--alpha", "270", "--points", "8",
+          "--domain", "-1", "1"], 2),
     ]
     for argv, want in cases:
         assert main(argv) == want, argv
@@ -298,7 +316,8 @@ def test_exit_codes_in_process(tmp_path, capsys):
 
 
 def test_order_too_large_prints_one_line(capsys):
-    for argv in (["uncertainty", "--alpha", "400"], ["derive", "--alpha", "400"]):
+    for argv in (["uncertainty", "--alpha", "400"], ["derive", "--alpha", "400"],
+                 ["derive", "--alpha", "270", "--points", "8", "--domain", "-1", "1"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   eigenstate_signal, exp_rule, gaussian_deriv,
                                   monomial_deriv, quadrature_reference,
                                   x2gaussian_deriv)
-from fracspectral.specfun import ArgumentOutOfRange
+from fracspectral.specfun import ArgumentOutOfRange, OrderTooLarge
+from fracspectral.spectral import NegativeAlpha
 
 F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
 
@@ -71,6 +73,17 @@ def test_gaussian_deriv_negative_order_rejected():
         gaussian_deriv(-0.5, 0.0)
 
 
+@pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
+def test_closed_form_overflow_raises_order_too_large(closed_form):
+    # 2^a Gamma((1+a)/2) leaves double precision near a = 270, well before
+    # Gamma itself overflows (near a = 283)
+    assert math.isfinite(closed_form(260.0, 0.5).real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy overflow warning escapes
+        with pytest.raises(OrderTooLarge):
+            closed_form(270.0, 0.5)
+
+
 # --- x^2 Gaussian closed form ---------------------------------------------
 
 def test_x2gaussian_integer_orders():
@@ -105,6 +118,11 @@ def test_exp_rule_rejects_nonpositive_k():
             exp_rule(k, 0.5, 0.0)
 
 
+def test_exp_rule_rejects_non_finite_order():
+    with pytest.raises(NegativeAlpha):
+        exp_rule(1.0, math.nan, 0.0)
+
+
 def test_monomial_defined_cases():
     assert monomial_deriv(0, 0.0, 5.0) == 1.0
     assert monomial_deriv(0, 0.7, 5.0) == 0.0
@@ -115,6 +133,11 @@ def test_monomial_defined_cases():
     assert monomial_deriv(2, 2.0, 3.0) == 2.0
     assert monomial_deriv(2, 3.0, 3.0) == 0.0
     assert monomial_deriv(4, 4.0, 1.0) == 24.0
+
+
+def test_monomial_rejects_negative_order():
+    with pytest.raises(NegativeAlpha):
+        monomial_deriv(2, -1.0, 2.0)
 
 
 def test_monomial_undefined_cases():
@@ -253,3 +276,15 @@ def test_eigenstate_negative_eigenvalue_rules():
         EigenstateSpec(2.0, -4.0)
     with pytest.raises(ValueError):
         eigenstate_signal(EigenstateSpec(0.5, -1.0), g)
+
+
+def test_eigenstate_rejects_order_zero():
+    # P_0 is the identity: no frequency to pin
+    with pytest.raises(ValueError, match="order 0"):
+        EigenstateSpec(0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -1.0])
+def test_eigenstate_rejects_bad_order(alpha):
+    with pytest.raises(NegativeAlpha):
+        EigenstateSpec(alpha, 1.0)
