@@ -30,6 +30,6 @@ print()
 print("bound as a function of the order (zeros at the even integers):")
 scan = np.arange(0, 61) / 10.0
 for a in scan:
-    b = uncertainty_bound(float(a), allow_below_one=True)
+    b = uncertainty_bound(float(a))
     bar = "#" * int(round(8 * b))
     print(f"  a={a:3.1f} {b:8.4f}  {bar}")

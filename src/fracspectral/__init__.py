@@ -21,14 +21,13 @@ from .specfun import (
     BParameterPole,
     OrderTooLarge,
     PoleAtNonPositiveInteger,
-    SpecFunResult,
     gamma,
     hurwitz_zeta,
     kummer_1f1,
-    kummer_1f1_detailed,
     kummer_1f1_series,
 )
 from .spectral import (
+    AlphaInForbiddenRange,
     ImageCorrection,
     MinusOneBranch,
     NegativeAlpha,
@@ -58,7 +57,6 @@ from .oracles import (
     x2gaussian_deriv,
 )
 from .quantum import (
-    AlphaInForbiddenRange,
     InsufficientDecay,
     NotNormalized,
     StateVector,
@@ -81,9 +79,9 @@ __all__ = [
     "GridMismatch", "NonPowerOfTwo", "SampledSignal", "Spectrum",
     "central_window", "make_grid", "sample",
     "ArgumentOutOfRange", "BParameterPole", "OrderTooLarge",
-    "PoleAtNonPositiveInteger", "SpecFunResult", "gamma", "hurwitz_zeta",
-    "kummer_1f1", "kummer_1f1_detailed", "kummer_1f1_series",
-    "ImageCorrection", "MinusOneBranch", "NegativeAlpha", "Pairing",
+    "PoleAtNonPositiveInteger", "gamma", "hurwitz_zeta",
+    "kummer_1f1", "kummer_1f1_series",
+    "AlphaInForbiddenRange", "ImageCorrection", "MinusOneBranch", "NegativeAlpha", "Pairing",
     "duality_residual", "forward",
     "fractional_derivative", "fractional_momentum", "inverse", "ip_power",
     "order_continuity_gap", "p_power", "pairing_continuity_gap",
@@ -91,7 +89,7 @@ __all__ = [
     "UNDEFINED", "EigenstateSpec", "FrequencyOffGrid", "NonPositiveK",
     "ToleranceNotReached", "eigenstate_signal", "exp_rule", "gaussian_deriv",
     "monomial_deriv", "quadrature_reference", "x2gaussian_deriv",
-    "AlphaInForbiddenRange", "InsufficientDecay", "NotNormalized",
+    "InsufficientDecay", "NotNormalized",
     "StateVector", "UncertaintyReport", "commutator_dx", "commutator_ladder",
     "expectation", "gaussian_state", "high_res_grid", "symmetry_residual",
     "uncertainty_bound", "uncertainty_check",

@@ -20,13 +20,14 @@ from typing import Optional
 import numpy as np
 
 from . import oracles, specfun
-from .grid import SampledSignal, central_window, make_grid, sample
+from .grid import SampledSignal, central_gap, central_window, make_grid, sample
 from .quantum import (commutator_dx, commutator_ladder, expectation, gaussian_state,
                       high_res_grid, symmetry_residual, uncertainty_bound,
-                      uncertainty_check, AlphaInForbiddenRange)
-from .spectral import (MinusOneBranch, Pairing, SQRT_2PI, duality_residual, forward,
-                       fractional_derivative, fractional_momentum, inverse,
-                       order_continuity_gap, pairing_continuity_gap, product_rule)
+                      uncertainty_check)
+from .spectral import (AlphaInForbiddenRange, MinusOneBranch, Pairing, SQRT_2PI,
+                       duality_residual, forward, fractional_derivative,
+                       fractional_momentum, inverse, order_continuity_gap,
+                       pairing_continuity_gap, product_rule)
 
 SUITE_NAMES = ("integer", "closedform", "commutator", "uncertainty",
                "convergence", "duality")
@@ -111,15 +112,14 @@ def suite_integer():
 
     g256 = make_grid(-16.0, 16.0, 256)
     f1 = sample(_gaussian, g256)
-    w = central_window(256)
     leib = product_rule(f1, f1, 1.0)
     ref = -4 * g256.x * np.exp(-2 * g256.x ** 2)
     r.below("product rule, order 1, gaussian*gaussian (central half)",
-            float(np.max(np.abs(leib.values[w] - ref[w]))), 1e-6)
+            central_gap(leib.values, ref), 1e-6)
     one = SampledSignal(g256, np.ones(256))
     prod2 = product_rule(f1, one, 2.0)
     r.below("product rule, order 2, against constant-1 factor (central half)",
-            float(np.max(np.abs(prod2.values[w] - _gaussian_ordinary(2, g256.x)[w]))), 1e-6)
+            central_gap(prod2.values, _gaussian_ordinary(2, g256.x)), 1e-6)
     return r.results
 
 
@@ -229,17 +229,15 @@ def suite_commutator():
         xf = SampledSignal(g, g.x * f1.values)
         direct = -1j * (g.x * fractional_momentum(f1, alpha).values
                         - fractional_momentum(xf, alpha).values)
-        w = central_window(g.n)
-        gap = float(np.max(np.abs(lhs.values[w] - direct[w])))
-        r.below(f"ladder commutator equals -i[x, P] route, order {alpha:g}", gap, 1e-9)
+        r.below(f"ladder commutator equals -i[x, P] route, order {alpha:g}",
+                central_gap(lhs.values, direct), 1e-9)
 
     _, _, gap = commutator_ladder(f2, 3.0)
     r.below("ladder commutator identity, order 3, x2-gaussian", gap, 1e-6)
 
-    _, rhs, gap = commutator_ladder(f1, 1.0)
-    w = central_window(g.n)
+    _, rhs, _ = commutator_ladder(f1, 1.0)
     r.below("ladder commutator at order 1 returns the state itself",
-            float(np.max(np.abs(rhs.values[w] - f1.values[w]))), 1e-12)
+            central_gap(rhs.values, f1.values), 1e-12)
 
     for fn in (commutator_dx, commutator_ladder):
         try:
@@ -279,7 +277,7 @@ def suite_uncertainty():
                 measured=rep.product)
 
     scan = np.arange(601) / 100.0
-    vals = np.array([uncertainty_bound(a, allow_below_one=True) for a in scan])
+    vals = np.array([uncertainty_bound(a) for a in scan])
     zeros = scan[np.abs(vals) < 1e-12]
     r.holds("bound curve vanishes exactly at even orders",
             set(np.round(zeros, 2)) == {0.0, 2.0, 4.0, 6.0},

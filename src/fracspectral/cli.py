@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,7 +32,7 @@ from .grid import (CSV_HEADER, DegenerateInterval, NonPowerOfTwo, SampledSignal,
 from .oracles import gaussian_deriv, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
 from .specfun import ArgumentOutOfRange, OrderTooLarge
-from .spectral import fractional_derivative
+from .spectral import NegativeAlpha, fractional_derivative, require_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,10 +85,10 @@ def _parse_alphas(text):
             a = float(part)
         except ValueError as exc:
             raise CLIConfigError(f"--alpha: {part!r} is not a number") from exc
-        if not math.isfinite(a):
-            raise CLIConfigError(f"--alpha: order must be finite, got {part!r}")
-        if a < 0:
-            raise CLIConfigError(f"--alpha: order must be >= 0, got {a:g}")
+        try:
+            require_order(a)
+        except NegativeAlpha as exc:
+            raise CLIConfigError(f"--alpha: {exc}") from exc
         out.append(a)
     if not out:
         raise CLIConfigError("--alpha: empty list")
@@ -228,8 +227,7 @@ def cmd_figure(args):
     grid = _grid(args)          # validates --points/--domain on every route
     if args.id == 4:
         scan = np.arange(601) / 100.0
-        vals = np.array([uncertainty_bound(a, allow_below_one=True) for a in scan],
-                        dtype=complex)
+        vals = np.array([uncertainty_bound(a) for a in scan], dtype=complex)
         curves = [(None, scan, vals)]
     else:
         name, alphas = _FIGURES[args.id]

@@ -101,6 +101,12 @@ def central_window(n):
     return slice(q, 3 * q)
 
 
+def central_gap(u, v):
+    """Sup |u - v| over the central half (central_window) of two sample arrays."""
+    w = central_window(len(u))
+    return float(np.max(np.abs(u[w] - v[w])))
+
+
 def _boundary_decay(values, n):
     m = max(1, int(round(0.5 * _BOUNDARY_FRACTION * n)))
     return float(max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:]))))

@@ -243,15 +243,17 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     per call of f_hat, which receives 1-d node arrays (a function that only
     takes scalars is called point by point).
 
-    A non-finite alpha or x, a p_cutoff that is not finite and positive, or
-    an |x| * p_cutoff that needs more than QUAD_MAX_ROOT_PANELS root panels
-    raises ValueError; a non-finite integrand value, or an error estimate
-    above _QUAD_FAIL_EST, raises ToleranceNotReached.
+    An order that require_order rejects raises NegativeAlpha; a non-finite
+    x, a p_cutoff that is not finite and positive, or an |x| * p_cutoff
+    that needs more than QUAD_MAX_ROOT_PANELS root panels raises
+    ValueError; a non-finite integrand value, or an error estimate above
+    _QUAD_FAIL_EST, raises ToleranceNotReached.
     """
     alpha = float(alpha)
     x = float(x)
-    if not (math.isfinite(alpha) and math.isfinite(x)):
-        raise ValueError(f"alpha and x must be finite, got alpha={alpha}, x={x}")
+    require_order(alpha)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if not (math.isfinite(p_cutoff) and p_cutoff > 0):
         raise ValueError(f"p_cutoff must be finite and > 0, got {p_cutoff}")
     width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
@@ -281,7 +283,7 @@ class EigenstateSpec:
     The implied plane-wave frequency q solves q^alpha = eigenvalue; for
     order 2 the eigenfunction is the cosine combination and the eigenvalue
     must be >= 0.  The order must be finite and > 0: P_0 is the identity,
-    which implies no frequency.
+    which implies no frequency.  The eigenvalue must be finite.
     """
     alpha: float
     eigenvalue: float
@@ -290,6 +292,8 @@ class EigenstateSpec:
         require_order(self.alpha)
         if self.alpha == 0:
             raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
+        if not math.isfinite(self.eigenvalue):
+            raise ValueError(f"eigenvalue must be finite, got {self.eigenvalue}")
         if self.alpha == 2 and self.eigenvalue < 0:
             raise ValueError("order-2 eigenvalue must be >= 0")
 

@@ -8,17 +8,18 @@ through the engine; nothing is algebraically pre-simplified.
 Orders strictly between 0 and 1 are rejected for the commutators: with
 the p^a branch in use, a*P_{a-1} only makes sense for a = 0 or a >= 1.
 """
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .grid import GridMismatch, SampledSignal, central_window, make_grid
+from .grid import GridMismatch, SampledSignal, central_gap, make_grid
 from .specfun import OrderTooLarge
-from .spectral import (DECAY_THRESHOLD, NOISE_FLOOR, SQRT_2PI,
-                       fractional_derivative, fractional_momentum,
-                       require_finite_power)
+from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
+                       fractional_derivative, fractional_momentum, inner,
+                       require_finite_power, require_order, zero_noise)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -29,9 +30,8 @@ _NAVOT_TERMS = 9
 
 _NORM_TOL = 1e-10
 
-_high_res = None
 
-
+@functools.cache
 def high_res_grid():
     """Default grid of the operator checks and the uncertainty report: (-20, 20), n = 8192.
 
@@ -40,14 +40,7 @@ def high_res_grid():
     removes the error of the kink of |p|^b at p = 0 from its momentum
     sums, so they need no finer dp.  Built once and cached.
     """
-    global _high_res
-    if _high_res is None:
-        _high_res = make_grid(-20.0, 20.0, 8192)
-    return _high_res
-
-
-class AlphaInForbiddenRange(ValueError):
-    pass
+    return make_grid(-20.0, 20.0, 8192)
 
 
 class InsufficientDecay(ValueError):
@@ -98,13 +91,8 @@ def gaussian_state(grid):
     return StateVector(SampledSignal(grid, values))
 
 
-def _require_order(alpha):
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise AlphaInForbiddenRange(f"alpha must be finite and >= 0, got {alpha}")
-
-
 def _require_commutator_alpha(alpha):
-    _require_order(alpha)
+    require_order(alpha)
     if 0 < alpha < 1:
         raise AlphaInForbiddenRange(
             f"commutator identities are only defined for alpha = 0 or alpha >= 1; "
@@ -122,11 +110,6 @@ def _x_times(signal):
     return SampledSignal(signal.grid, signal.grid.x * signal.values)
 
 
-def _central_gap(u, v, n):
-    w = central_window(n)
-    return float(np.max(np.abs(u[w] - v[w])))
-
-
 def commutator_dx(f, alpha):
     """Both sides of [D^a, x] f = a D^{a-1} f, evaluated independently.
 
@@ -142,7 +125,7 @@ def commutator_dx(f, alpha):
         rhs_vals = np.zeros(g.n, dtype=complex)
     else:
         rhs_vals = alpha * fractional_derivative(f, alpha - 1).values
-    gap = _central_gap(lhs_vals, rhs_vals, g.n)
+    gap = central_gap(lhs_vals, rhs_vals)
     return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), gap
 
 
@@ -174,7 +157,7 @@ def commutator_ladder(f, alpha):
         rhs_vals = np.zeros(g.n, dtype=complex)
     else:
         rhs_vals = alpha * fractional_momentum(f, alpha - 1).values
-    gap = _central_gap(lhs_vals, rhs_vals, g.n)
+    gap = central_gap(lhs_vals, rhs_vals)
     return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), gap
 
 
@@ -184,26 +167,23 @@ def expectation(op_result, state):
         raise NotNormalized(f"state norm {state.norm!r} is not 1 within {_NORM_TOL:.1e}")
     if op_result.grid != state.signal.grid:
         raise GridMismatch(f"{op_result.grid} vs {state.signal.grid}")
-    g = state.signal.grid
-    return complex(np.sum(np.conj(state.signal.values) * op_result.values) * g.dx)
+    return inner(state.signal.values, op_result.values, state.signal.grid.dx,
+                 Pairing.SESQUILINEAR)
 
 
-def uncertainty_bound(alpha, allow_below_one=False):
+def uncertainty_bound(alpha):
     """Analytic lower bound for delta_x * delta_P_a on the Gaussian state.
 
         alpha * 2^{(alpha-3)/2} / sqrt(pi) * Gamma(alpha/2) * |cos((alpha-1) pi/2)|
 
     Zero at alpha = 0 (continuous limit) and at even integers, where the
-    cosine vanishes.  Orders below 1 carry no operator meaning and are only
-    evaluated when allow_below_one is set (curve reproduction).  Raises
-    OrderTooLarge where Gamma(a/2) overflows.
+    cosine vanishes.  Any order that require_order accepts is evaluated,
+    so the curve can be drawn from 0; only orders >= 1 carry an operator
+    meaning (see uncertainty_check).  Raises OrderTooLarge where Gamma(a/2)
+    overflows.
     """
     alpha = float(alpha)
-    _require_order(alpha)
-    if alpha < 1 and not allow_below_one:
-        raise AlphaInForbiddenRange(
-            f"the uncertainty bound requires alpha >= 1 (got {alpha}); "
-            f"pass allow_below_one=True for curve reproduction only")
+    require_order(alpha)
     if alpha == 0:
         return 0.0
     gamma = specfun.gamma(alpha / 2)       # OrderTooLarge before 2^(a/2) can overflow
@@ -269,14 +249,13 @@ def uncertainty_check(alpha, state):
     diagonal quadratic forms, so they are summed directly in the frequency
     domain against |phi_hat|^2 rather than round-tripped through the
     engine, with the error of the kink of |p|^b at p = 0 removed (see
-    _momentum_moment).  Bins below spectral.NOISE_FLOOR times the largest
-    coefficient hold FFT roundoff, which |p|^b would amplify; they are
-    left out.  For the Gaussian state the resulting bound reproduces
-    uncertainty_bound(alpha).  Raises OrderTooLarge where |p|^(2a) overflows
-    on the kept bins.
+    _momentum_moment).  Bins that spectral.zero_noise zeroes hold FFT
+    roundoff, which |p|^b would amplify; they are left out.  For the
+    Gaussian state the resulting bound reproduces uncertainty_bound(alpha).
+    Raises OrderTooLarge where |p|^(2a) overflows on the kept bins.
     """
     alpha = float(alpha)
-    _require_order(alpha)
+    require_order(alpha)
     if alpha < 1:
         raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha}")
     if abs(state.norm - 1.0) > _NORM_TOL:
@@ -290,9 +269,9 @@ def uncertainty_check(alpha, state):
     delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
 
     # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
-    mag = np.abs(np.fft.fft(state.signal.values))
-    weight = mag ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
-    weight[mag < NOISE_FLOOR * mag.max()] = 0.0
+    coeffs = np.fft.fft(state.signal.values)
+    zero_noise(coeffs)
+    weight = np.abs(coeffs) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
     half = g.n // 2
     density = np.zeros((2, half + 1))
     density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
@@ -332,6 +311,5 @@ def symmetry_residual(f, g, alpha):
     dx = f.grid.dx
     pg = fractional_momentum(g, alpha)
     pf = fractional_momentum(f, alpha)
-    left = complex(np.sum(np.conj(pg.values) * f.values) * dx)
-    right = complex(np.sum(np.conj(g.values) * pf.values) * dx)
-    return left - right
+    return (inner(pg.values, f.values, dx, Pairing.SESQUILINEAR)
+            - inner(g.values, pf.values, dx, Pairing.SESQUILINEAR))

@@ -8,7 +8,6 @@ correction they feed are bit-stable across platforms and auditable, with no
 dependency beyond numpy.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +28,6 @@ class OrderTooLarge(ValueError):
     """A value at this order (or argument) overflows double precision."""
 
 
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Value plus a heuristic error estimate and the series length used."""
-    value: float
-    est_error: float
-    terms_used: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite series value {self.value}")
-        if not self.est_error >= 0 or self.terms_used < 0:
-            raise ValueError("est_error and terms_used must be >= 0")
-
-
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error below
 # 1e-13 on the positive real axis, comfortably inside the 1e-12 contract.
 _LANCZOS_G = 7.0
@@ -61,8 +46,8 @@ _LANCZOS_COEFFS = (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # 1F1 power-series stopping rule: next term below this relative size, or a
-# hard cap of 500 terms (exhaustion is reported through est_error, not an
-# exception -- the admissible parameter range converges well before that).
+# hard cap of 500 terms (the admissible parameter range converges well
+# before that).
 _SERIES_RTOL = 1e-17
 _SERIES_MAX_TERMS = 500
 
@@ -108,42 +93,42 @@ def gamma(x):
 
 
 def _series(a, b, z):
-    """Plain 1F1 power series; returns (sum, terms_used, last_term)."""
+    """Plain 1F1 power series."""
     term = 1.0
     total = 1.0
     for j in range(_SERIES_MAX_TERMS):
         term *= (a + j) * z / ((b + j) * (j + 1))
         total += term
         if abs(term) < _SERIES_RTOL * abs(total):
-            return total, j + 1, abs(term)
-    return total, _SERIES_MAX_TERMS, abs(term)
+            break
+    return total
 
 
-def kummer_1f1_detailed(a, b, z):
-    """1F1(a; b; z) with error estimate and term count.
+def kummer_1f1(a, b, z):
+    """1F1(a; b; z) to relative error < 1e-10 on the admissible range.
 
     Negative arguments are routed through the Kummer transformation
     1F1(a,b,z) = e^z 1F1(b-a, b, -z) so the series that actually runs has a
-    positive argument and no catastrophic cancellation.
+    positive argument and no catastrophic cancellation.  A non-finite
+    argument raises ArgumentOutOfRange; a series that overflows raises
+    OrderTooLarge.
     """
     a = float(a)
     b = float(b)
     z = float(z)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise ArgumentOutOfRange(f"1F1 needs finite arguments, got a={a}, b={b}, z={z}")
     if b <= 0.0 and b == math.floor(b):
         raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
     if abs(z) > MAX_ABS_Z:
         raise ArgumentOutOfRange(f"|z| = {abs(z)} exceeds {MAX_ABS_Z}")
     if z < 0.0:
-        total, used, last = _series(b - a, b, -z)
-        scale = math.exp(z)
-        return SpecFunResult(scale * total, scale * last, used)
-    total, used, last = _series(a, b, z)
-    return SpecFunResult(total, last, used)
-
-
-def kummer_1f1(a, b, z):
-    """1F1(a; b; z) to relative error < 1e-10 on the admissible range."""
-    return kummer_1f1_detailed(a, b, z).value
+        value = math.exp(z) * _series(b - a, b, -z)
+    else:
+        value = _series(a, b, z)
+    if not math.isfinite(value):
+        raise OrderTooLarge(f"1F1({a:g}; {b:g}; {z:g}) overflows double precision")
+    return value
 
 
 def kummer_1f1_series(a, b, z):
@@ -160,8 +145,7 @@ def kummer_1f1_series(a, b, z):
         raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
     if abs(z) > 4.0:
         raise ArgumentOutOfRange(f"direct series limited to |z| <= 4, got {abs(z)}")
-    total, _, _ = _series(a, b, z)
-    return total
+    return _series(a, b, z)
 
 
 def hurwitz_zeta(s, q):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import GridMismatch, SampledSignal, Spectrum, central_window
+from .grid import GridMismatch, SampledSignal, Spectrum, central_gap
 from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -55,10 +55,10 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 DECAY_THRESHOLD = 1e-10
 
 #: Transform coefficients below this fraction of the largest one are set to
-#: zero before a multiplier of positive order is applied.  At double
-#: precision such bins hold FFT roundoff rather than signal, and a high order
-#: would amplify them by p_max^a (about 5e16 at order 5.2 with n = 2^15 on
-#: (-32, 32)).
+#: zero by zero_noise before a multiplier of positive order is applied.  At
+#: double precision such bins hold FFT roundoff rather than signal, and a
+#: high order would amplify them by p_max^a (about 5e16 at order 5.2 with
+#: n = 2^15 on (-32, 32)).
 NOISE_FLOOR = 1e-15
 
 # Image correction.  Moments are taken over the samples above
@@ -79,8 +79,12 @@ _MAX_IMAGE_ORDER = 170.0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
-class NegativeAlpha(ValueError):
-    pass
+class AlphaInForbiddenRange(ValueError):
+    """An order outside the range an operation is defined for."""
+
+
+class NegativeAlpha(AlphaInForbiddenRange):
+    """An order that is not finite and >= 0; see require_order."""
 
 
 class Pairing(enum.Enum):
@@ -98,6 +102,14 @@ def require_order(alpha):
     """Raise NegativeAlpha unless the order is finite and >= 0."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def zero_noise(*coeffs):
+    """Zero, in place, every bin below NOISE_FLOOR times the largest |c| of all the arrays."""
+    mags = [np.abs(c) for c in coeffs]
+    floor = NOISE_FLOOR * max(float(m.max()) for m in mags)
+    for c, m in zip(coeffs, mags):
+        c[m < floor] = 0.0
 
 
 def require_finite_power(alpha, p_max):
@@ -269,10 +281,20 @@ def _has_images(order):
 
 
 def _fresh_images(signal, alpha, phase):
-    """Image record for differentiating a plain signal, or None where none applies."""
-    if not (_has_images(alpha) and signal.boundary_decay < DECAY_THRESHOLD):
-        return None
-    return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha))
+    """(images, warning) for differentiating a plain signal: the one decay decision.
+
+    A signal that decays at the box edge gets an image record where the
+    order leaves a tail.  One that does not stays periodic, and a
+    non-integer order gets a warning that names it.
+    """
+    if signal.boundary_decay < DECAY_THRESHOLD:
+        if not _has_images(alpha):
+            return None, None
+        return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha)), None
+    if alpha == int(alpha):
+        return None, None
+    return None, (f"boundary decay {signal.boundary_decay:.3e} above threshold "
+                  f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
 
 
 def _apply_multiplier(signal, alpha, phase):
@@ -297,23 +319,17 @@ def _apply_multiplier(signal, alpha, phase):
     require_finite_power(alpha, (g.n // 2) * g.dp)
     source = signal.images
     values = signal.values
-    warning = None
     if source is not None:
         # back to the periodic value, which the symbol maps to the periodic result
         values = values + source.values(g)
         images = ImageCorrection(source.order + alpha, source.phase * phase, source.moments)
+        warning = None
     else:
-        images = _fresh_images(signal, alpha, phase)
-        if images is None:
-            warning = _decay_warning(signal, alpha)
+        images, warning = _fresh_images(signal, alpha, phase)
     parts = [values.real, values.imag] if values.imag.any() else [values.real]
     spectra = [np.fft.rfft(v) for v in parts]
     del parts, values
-    mags = [np.abs(c) for c in spectra]
-    floor = NOISE_FLOOR * max(float(m.max()) for m in mags)
-    for c, m in zip(spectra, mags):
-        c[m < floor] = 0.0
-    del mags
+    zero_noise(*spectra)
     # (ip)^a on the bins p = k*dp >= 0 is p^a e^{i*pi*a/2}
     power = np.arange(g.n // 2 + 1, dtype=float)
     power *= g.dp
@@ -338,15 +354,6 @@ def _apply_multiplier(signal, alpha, phase):
     if images is not None:
         out -= images.values(g)
     return SampledSignal(g, out, warning=warning, images=images)
-
-
-def _decay_warning(signal, alpha):
-    if alpha == int(alpha):
-        return None
-    if signal.boundary_decay < DECAY_THRESHOLD:
-        return None
-    return (f"boundary decay {signal.boundary_decay:.3e} above threshold "
-            f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate a non-integer order")
 
 
 def fractional_derivative(signal, alpha):
@@ -387,11 +394,11 @@ def order_continuity_gap(signal, n, k):
         raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     d_frac = fractional_derivative(signal, n + 1.0 / k)
     d_int = fractional_derivative(signal, float(n))
-    w = central_window(signal.grid.n)
-    return float(np.max(np.abs(d_frac.values[w] - d_int.values[w])))
+    return central_gap(d_frac.values, d_int.values)
 
 
-def _inner(u, v, dx, pairing):
+def inner(u, v, dx, pairing):
+    """The discrete pairing sum u_j v_j dx; SESQUILINEAR conjugates u."""
     if pairing is Pairing.SESQUILINEAR:
         return complex(np.sum(np.conj(u) * v) * dx)
     return complex(np.sum(u * v) * dx)
@@ -415,7 +422,8 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     else:
         phase = np.exp(-1j * np.pi * alpha)
     dx = f.grid.dx
-    return _inner(df.values, g.values, dx, pairing) - phase * _inner(f.values, dg.values, dx, pairing)
+    return (inner(df.values, g.values, dx, pairing)
+            - phase * inner(f.values, dg.values, dx, pairing))
 
 
 def pairing_continuity_gap(psi, f, h, alpha, n):
@@ -427,8 +435,9 @@ def pairing_continuity_gap(psi, f, h, alpha, n):
     if psi.grid != f.grid or f.grid != h.grid:
         raise GridMismatch("psi, f, h must share a grid")
     f_n = SampledSignal(f.grid, f.values + h.values / n)
-    a = _inner(psi.values, fractional_derivative(f_n, alpha).values, f.grid.dx, Pairing.SESQUILINEAR)
-    b = _inner(psi.values, fractional_derivative(f, alpha).values, f.grid.dx, Pairing.SESQUILINEAR)
+    dx = f.grid.dx
+    a = inner(psi.values, fractional_derivative(f_n, alpha).values, dx, Pairing.SESQUILINEAR)
+    b = inner(psi.values, fractional_derivative(f, alpha).values, dx, Pairing.SESQUILINEAR)
     return abs(a - b)
 
 
@@ -464,13 +473,12 @@ def product_rule(f, g, alpha):
     conv = np.fft.ifft(gs * fs)[:2 * n - 1]
     # the FFT convolution leaves roundoff of the largest sum in every bin,
     # which the symbol would amplify by |u|^a: the engine's floor applies
-    mag = np.abs(conv)
-    conv[mag < NOISE_FLOOR * mag.max()] = 0.0
+    zero_noise(conv)
     u = (np.arange(2 * n - 1) - n) * grid.dp
     terms = np.exp(1j * grid.x_min * u) * ip_power(alpha, u) * conv
     terms[:n - 1] += terms[n:]
     values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
-    images = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
+    images, _ = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
     if images is not None:
         values -= images.values(grid)
     return SampledSignal(grid, values, images=images)

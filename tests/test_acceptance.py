@@ -152,7 +152,7 @@ def test_criterion_06_uncertainty_bound():
         report = fs.uncertainty_check(a, state)
         rels[a] = abs(report.rhs_bound - fs.uncertainty_bound(a)) / fs.uncertainty_bound(a)
     scan = np.arange(601) / 100.0
-    curve = np.array([fs.uncertainty_bound(a, allow_below_one=True) for a in scan])
+    curve = np.array([fs.uncertainty_bound(a) for a in scan])
     zeros = set(scan[np.abs(curve) < 1e-12].tolist())
     ok = (max(errs) < 1e-12 and max(rels.values()) < 1e-6
           and zeros == {0.0, 2.0, 4.0, 6.0})

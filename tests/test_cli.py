@@ -205,8 +205,12 @@ def test_figure_spectral_engine_warns_like_derive(capsys):
     assert derive_err.startswith("warning: ") and derive_err.count("\n") == 1
     rc, _, figure_err = run_cli(capsys, "figure", "1", *grid)
     assert rc == 0
-    # one line per non-integer order (0.02, 0.1, 0.5); order 0 does not warn
-    assert figure_err.splitlines() == [derive_err.rstrip("\n")] * 3
+    # one line per non-integer order (0.02, 0.1, 0.5), each naming its order;
+    # order 0 does not warn
+    lines = figure_err.splitlines()
+    assert len(lines) == len(set(lines)) == 3
+    assert [line.rpartition(" ")[2] for line in lines] == ["0.02", "0.1", "0.5"]
+    assert lines[2] == derive_err.rstrip("\n")
 
 
 def test_figure_is_deterministic(tmp_path, capsys):

@@ -284,6 +284,14 @@ def test_eigenstate_rejects_order_zero():
         EigenstateSpec(0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("eigenvalue", [math.nan, math.inf, -math.inf])
+def test_eigenstate_rejects_non_finite_eigenvalue(alpha, eigenvalue):
+    g = make_grid(-4 * math.pi, 4 * math.pi, 1024)
+    with pytest.raises(ValueError, match="eigenvalue must be finite"):
+        eigenstate_signal(EigenstateSpec(alpha, eigenvalue), g)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, -1.0])
 def test_eigenstate_rejects_bad_order(alpha):
     with pytest.raises(NegativeAlpha):

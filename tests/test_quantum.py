@@ -187,18 +187,16 @@ def test_uncertainty_bound_pinned_values():
     assert abs(uncertainty_bound(1.0) - 0.5) < 1e-12
     assert abs(uncertainty_bound(2.0)) < 1e-12
     assert abs(uncertainty_bound(3.0) - 1.5) < 1e-12
-    assert uncertainty_bound(0.0, allow_below_one=True) == 0.0
+    assert uncertainty_bound(0.0) == 0.0
 
 
 def test_uncertainty_bound_forbidden_range():
     with pytest.raises(AlphaInForbiddenRange):
-        uncertainty_bound(0.5)
-    with pytest.raises(AlphaInForbiddenRange):
-        uncertainty_bound(-1.0, allow_below_one=True)
+        uncertainty_bound(-1.0)
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):
-            uncertainty_bound(a, allow_below_one=True)
-    assert uncertainty_bound(0.5, allow_below_one=True) > 0.0
+            uncertainty_bound(a)
+    assert uncertainty_bound(0.5) > 0.0
 
 
 def test_uncertainty_check_order_one_sits_on_the_bound():

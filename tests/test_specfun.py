@@ -8,8 +8,7 @@ import mpmath
 
 from fracspectral.specfun import (ArgumentOutOfRange, BParameterPole,
                                   OrderTooLarge, PoleAtNonPositiveInteger,
-                                  SpecFunResult, gamma, hurwitz_zeta, kummer_1f1,
-                                  kummer_1f1_detailed, kummer_1f1_series,
+                                  gamma, hurwitz_zeta, kummer_1f1, kummer_1f1_series,
                                   zeta_negative)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -97,14 +96,6 @@ def test_kummer_negative_argument_uses_stable_route():
     assert kummer_1f1(0.25, 0.5, -225.0) == pytest.approx(ref, rel=1e-10)
 
 
-def test_kummer_detailed_result():
-    res = kummer_1f1_detailed(0.25, 0.5, -4.0)
-    assert isinstance(res, SpecFunResult)
-    assert res.terms_used > 1
-    assert res.est_error >= 0.0
-    assert abs(res.value - scipy.special.hyp1f1(0.25, 0.5, -4.0)) < 1e-12
-
-
 def test_kummer_b_pole():
     for b in (0.0, -1.0, -3.0):
         with pytest.raises(BParameterPole):
@@ -128,11 +119,14 @@ def test_series_variant_small_arguments_only():
         kummer_1f1_series(0.5, 1.5, 8.0)
 
 
-def test_result_dataclass_validation():
-    with pytest.raises(ValueError):
-        SpecFunResult(value=1.0, est_error=-1e-3, terms_used=4)
-    with pytest.raises(ValueError):
-        SpecFunResult(value=math.nan, est_error=0.0, terms_used=4)
+def test_kummer_non_finite_argument_and_overflow_are_typed():
+    for a, b, z in ((math.nan, 0.5, 1.0), (0.5, math.inf, 1.0), (0.5, 0.5, math.nan),
+                    (0.5, 0.5, -math.inf)):
+        with pytest.raises(ArgumentOutOfRange, match="finite"):
+            kummer_1f1(a, b, z)
+    for a, z in ((1e300, 1.0), (1e300, -1.0)):
+        with pytest.raises(OrderTooLarge, match="overflows"):
+            kummer_1f1(a, 0.5, z)
 
 
 # --- Hurwitz zeta ----------------------------------------------------------
