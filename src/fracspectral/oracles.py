@@ -84,7 +84,8 @@ def gaussian_deriv(alpha, x):
         t2 = (alpha * x * math.sin(alpha * np.pi / 2)
               * specfun.gamma(alpha / 2)
               * specfun.kummer_1f1(1 + alpha / 2, 1.5, z))
-    return _finite("gaussian_deriv", alpha, 2.0 ** alpha / _SQRT_PI * (t1 - t2))
+    return complex(specfun.require_finite(2.0 ** alpha / _SQRT_PI * (t1 - t2),
+                                          specfun.ORDER_OVERFLOW, "gaussian_deriv", alpha))
 
 
 def x2gaussian_deriv(alpha, x):
@@ -104,22 +105,12 @@ def x2gaussian_deriv(alpha, x):
           - (1 + alpha) * specfun.kummer_1f1((3 + alpha) / 2, 0.5, z))
     g2 = (specfun.kummer_1f1((2 + alpha) / 2, 1.5, z)
           - (2 + alpha) * specfun.kummer_1f1((4 + alpha) / 2, 1.5, z))
-    val = 2.0 ** (alpha - 2) / _SQRT_PI * (
-        (i_a + mi_a) * specfun.gamma((1 + alpha) / 2) * g1
-        - 2j * (mi_a - i_a) * x * specfun.gamma(1 + alpha / 2) * g2)
-    return _finite("x2gaussian_deriv", alpha, val)
-
-
-def _finite(name, alpha, value):
-    """The closed-form value, or OrderTooLarge where it overflowed to inf or nan.
-
-    The closed forms run on Python floats and complexes, which overflow to
-    inf without a warning.
-    """
-    if not cmath.isfinite(value):
-        raise specfun.OrderTooLarge(f"{name} at order {alpha:g} overflows double "
-                                    f"precision: the order is too large")
-    return complex(value)
+    # Gamma before the power, as in gaussian_deriv: 2.0 ** a raises
+    # OverflowError past a = 1024, Gamma OrderTooLarge past a = 342
+    terms = ((i_a + mi_a) * specfun.gamma((1 + alpha) / 2) * g1
+             - 2j * (mi_a - i_a) * x * specfun.gamma(1 + alpha / 2) * g2)
+    return complex(specfun.require_finite(2.0 ** (alpha - 2) / _SQRT_PI * terms,
+                                          specfun.ORDER_OVERFLOW, "x2gaussian_deriv", alpha))
 
 
 def exp_rule(k, alpha, x):

@@ -179,16 +179,16 @@ def uncertainty_bound(alpha):
     Zero at alpha = 0 (continuous limit) and at even integers, where the
     cosine vanishes.  Any order that require_order accepts is evaluated,
     so the curve can be drawn from 0; only orders >= 1 carry an operator
-    meaning (see uncertainty_check).  Raises OrderTooLarge where Gamma(a/2)
-    overflows.
+    meaning (see uncertainty_check).  Raises OrderTooLarge where the bound
+    overflows double precision (from order about 305).
     """
     alpha = float(alpha)
     require_order(alpha)
     if alpha == 0:
         return 0.0
-    gamma = specfun.gamma(alpha / 2)       # OrderTooLarge before 2^(a/2) can overflow
-    return (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
-            * gamma * abs(math.cos((alpha - 1) * math.pi / 2)))
+    bound = (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
+             * specfun.gamma(alpha / 2) * abs(math.cos((alpha - 1) * math.pi / 2)))
+    return specfun.require_finite(bound, specfun.ORDER_OVERFLOW, "uncertainty_bound", alpha)
 
 
 def _density_taylor(signal, centre):

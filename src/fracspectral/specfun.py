@@ -1,12 +1,14 @@
-"""Self-contained special functions: Gamma, the confluent hypergeometric 1F1,
+"""Special functions: Gamma, the confluent hypergeometric 1F1,
 the Hurwitz zeta function and the Riemann zeta function at negative
 arguments.
 
-All are implemented from scratch (fixed Lanczos coefficients, plain power
-series, Euler-Maclaurin summation) so the closed forms and the image
-correction they feed are bit-stable across platforms and auditable, with no
-dependency beyond numpy.
+Gamma is the standard library's gamma function behind typed errors; 1F1 and the
+zeta functions are implemented here (plain power series, Euler-Maclaurin
+summation), so the closed forms and the image correction they feed are
+auditable and need nothing beyond numpy and the standard library.  A value
+that overflows double precision raises OrderTooLarge (see require_finite).
 """
+import cmath
 import math
 
 import numpy as np
@@ -27,23 +29,6 @@ class ArgumentOutOfRange(ValueError):
 class OrderTooLarge(ValueError):
     """A value at this order (or argument) overflows double precision."""
 
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below
-# 1e-13 on the positive real axis, comfortably inside the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # 1F1 power-series stopping rule: next term below this relative size, or a
 # hard cap of 500 terms (the admissible parameter range converges well
@@ -67,29 +52,39 @@ _ZETA_TAIL = tuple(num / (den * math.factorial(2 * k))
                    for k, (num, den) in enumerate(_BERNOULLI_EVEN, start=1))
 
 
-def gamma(x):
-    """Gamma function for real x, poles at non-positive integers.
+#: Message of require_finite for a function of an order: name, order.
+ORDER_OVERFLOW = "{} at order {:g} overflows double precision: the order is too large"
 
-    Relative error < 1e-12 for x in (0, 30]; x < 0.5 goes through the
-    reflection formula (covering the whole negative axis).
+
+def require_finite(value, message, *args):
+    """The value, or OrderTooLarge(message.format(*args)) where it is inf or nan.
+
+    Python floats and complexes overflow to inf without a warning; the
+    closed forms, 1F1 and the uncertainty bound return through here.  The
+    message is formatted only when it is raised.
+    """
+    if not cmath.isfinite(value):
+        raise OrderTooLarge(message.format(*args))
+    return value
+
+
+def gamma(x):
+    """Gamma function for real x: the standard library's, with typed errors.
+
+    Raises PoleAtNonPositiveInteger at 0, -1, -2, ..., ArgumentOutOfRange
+    for a non-finite x and OrderTooLarge where Gamma overflows double
+    precision (x above about 171.62, or x within about 1e-308 of 0).
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ArgumentOutOfRange(f"gamma needs a finite argument, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleAtNonPositiveInteger(f"gamma pole at x={x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
     try:
-        power = t ** (z + 0.5)
+        return math.gamma(x)
     except OverflowError:
         raise OrderTooLarge(f"gamma({x:g}) overflows double precision: "
                             f"the order or argument is too large") from None
-    return _SQRT_2PI * power * math.exp(-t) * acc
 
 
 def _series(a, b, z):
@@ -104,6 +99,21 @@ def _series(a, b, z):
     return total
 
 
+def _kummer_args(a, b, z):
+    """(a, b, z) as floats; a non-finite argument or a pole at b is rejected."""
+    a = float(a)
+    b = float(b)
+    z = float(z)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise ArgumentOutOfRange(f"1F1 needs finite arguments, got a={a}, b={b}, z={z}")
+    if b <= 0.0 and b == math.floor(b):
+        raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
+    return a, b, z
+
+
+_KUMMER_OVERFLOW = "1F1({:g}; {:g}; {:g}) overflows double precision"
+
+
 def kummer_1f1(a, b, z):
     """1F1(a; b; z) to relative error < 1e-10 on the admissible range.
 
@@ -113,22 +123,14 @@ def kummer_1f1(a, b, z):
     argument raises ArgumentOutOfRange; a series that overflows raises
     OrderTooLarge.
     """
-    a = float(a)
-    b = float(b)
-    z = float(z)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise ArgumentOutOfRange(f"1F1 needs finite arguments, got a={a}, b={b}, z={z}")
-    if b <= 0.0 and b == math.floor(b):
-        raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
+    a, b, z = _kummer_args(a, b, z)
     if abs(z) > MAX_ABS_Z:
         raise ArgumentOutOfRange(f"|z| = {abs(z)} exceeds {MAX_ABS_Z}")
     if z < 0.0:
         value = math.exp(z) * _series(b - a, b, -z)
     else:
         value = _series(a, b, z)
-    if not math.isfinite(value):
-        raise OrderTooLarge(f"1F1({a:g}; {b:g}; {z:g}) overflows double precision")
-    return value
+    return require_finite(value, _KUMMER_OVERFLOW, a, b, z)
 
 
 def kummer_1f1_series(a, b, z):
@@ -136,16 +138,13 @@ def kummer_1f1_series(a, b, z):
 
     Only sensible for small |z| (alternating cancellation grows with |z|);
     restricted to |z| <= 4.  Exists as an independent route for
-    consistency checks against the transformed evaluation.
+    consistency checks against the transformed evaluation.  Errors as in
+    kummer_1f1.
     """
-    a = float(a)
-    b = float(b)
-    z = float(z)
-    if b <= 0.0 and b == math.floor(b):
-        raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
+    a, b, z = _kummer_args(a, b, z)
     if abs(z) > 4.0:
         raise ArgumentOutOfRange(f"direct series limited to |z| <= 4, got {abs(z)}")
-    return _series(a, b, z)
+    return require_finite(_series(a, b, z), _KUMMER_OVERFLOW, a, b, z)
 
 
 def hurwitz_zeta(s, q):
@@ -187,7 +186,7 @@ def zeta_negative(t):
     cos(pi m/2) sin(pi d/2) with d = t - m exact, so the trivial zeros at
     even t > 0 are exact and the value keeps its relative accuracy next to
     them; zeta(0) = -1/2 is the limit t -> 0.  Raises OrderTooLarge where
-    Gamma(1+t) overflows (t above about 141).
+    Gamma(1+t) overflows (t above about 170.6).
     """
     t = float(t)
     if not (math.isfinite(t) and t >= 0):

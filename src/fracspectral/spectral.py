@@ -190,7 +190,7 @@ class ImageCorrection:
     def values(self, grid):
         """The image sum on the grid's sample points."""
         period = grid.x_max - grid.x_min
-        scale = self.phase * period ** (-1.0 - self.order) / math.gamma(-self.order)
+        scale = self.phase * period ** (-1.0 - self.order) / specfun.gamma(-self.order)
         return _image_sum(grid.n, self.order, scale * self.moments)
 
 
@@ -251,7 +251,7 @@ def _moments(values, grid, order):
     period = grid.x_max - grid.x_min
     t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
     pairs = values[lo:hi].view(float).reshape(-1, 2)
-    scale = period ** (-1.0 - order) / abs(math.gamma(-order))
+    scale = period ** (-1.0 - order) / abs(specfun.gamma(-order))
     limit = _MOMENT_TOL * top
     powers = np.empty((_MOMENT_CHUNK, hi - lo))
     powers[0] = grid.dx
@@ -458,7 +458,7 @@ def product_rule(f, g, alpha):
     sum is periodic in x like the engine, so where the product decays at
     the box edge the same wrap-around images are subtracted, from the
     moments of f*g, and the result matches fractional_derivative of the
-    product.
+    product, its wrap-around warning included.
     """
     if f.grid != g.grid:
         raise GridMismatch(f"{f.grid} vs {g.grid}")
@@ -478,7 +478,7 @@ def product_rule(f, g, alpha):
     terms = np.exp(1j * grid.x_min * u) * ip_power(alpha, u) * conv
     terms[:n - 1] += terms[n:]
     values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
-    images, _ = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
+    images, warning = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
     if images is not None:
         values -= images.values(grid)
-    return SampledSignal(grid, values, images=images)
+    return SampledSignal(grid, values, warning=warning, images=images)

@@ -76,7 +76,7 @@ def test_gaussian_deriv_negative_order_rejected():
 @pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
 def test_closed_form_overflow_raises_order_too_large(closed_form):
     # 2^a Gamma((1+a)/2) leaves double precision near a = 270, well before
-    # Gamma itself overflows (near a = 283)
+    # Gamma itself overflows (near a = 342)
     assert math.isfinite(closed_form(260.0, 0.5).real)
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no numpy overflow warning escapes

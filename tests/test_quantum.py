@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import mpmath
 
 from fracspectral.grid import GridMismatch, make_grid, sample
+from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   NotNormalized, OrderTooLarge, StateVector,
                                   UncertaintyReport,
@@ -13,6 +16,7 @@ from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   gaussian_state, high_res_grid,
                                   symmetry_residual, uncertainty_bound,
                                   uncertainty_check)
+from fracspectral.specfun import zeta_negative
 from fracspectral.spectral import fractional_momentum
 
 GAUSS = lambda x: np.exp(-x * x)
@@ -251,6 +255,30 @@ def test_order_too_large_is_typed():
         uncertainty_bound(400.0)
     report = uncertainty_check(140.0, state)     # below the overflow the report is finite
     assert math.isfinite(report.delta_p_alpha) and report.satisfied
+
+
+def test_every_order_is_finite_or_order_too_large():
+    # the shared Gamma and overflow guard: nothing returns inf or nan on the
+    # way up to and past double precision
+    def finite_or_too_large(value_at):
+        try:
+            value = value_at()
+        except OrderTooLarge:
+            return True
+        return cmath.isfinite(value)
+
+    orders = list(np.arange(0.0, 400.5, 0.5)) + [284.6, 141.3]
+    for a in map(float, orders):
+        for name, value_at in (("uncertainty_bound", lambda: uncertainty_bound(a)),
+                               ("gaussian_deriv", lambda: gaussian_deriv(a, 0.5)),
+                               ("x2gaussian_deriv", lambda: x2gaussian_deriv(a, 0.5)),
+                               ("zeta_negative", lambda: zeta_negative(a / 2))):
+            assert finite_or_too_large(value_at), (name, a)
+    state = gaussian_state(high_res_grid())
+    for a in (133.25, 134.25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert finite_or_too_large(lambda: uncertainty_check(a, state).product), a
 
 
 def test_uncertainty_check_forbidden_and_unnormalized():

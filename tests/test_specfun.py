@@ -24,11 +24,15 @@ def test_gamma_pinned_values():
     assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
-def test_gamma_against_stdlib_on_positive_axis():
-    xs = np.linspace(0.05, 30.0, 400)
-    worst = max(abs(gamma(float(x)) - math.gamma(float(x))) / math.gamma(float(x))
-                for x in xs)
-    assert worst < 1e-12
+def test_gamma_against_mpmath_on_positive_axis():
+    # the whole range where Gamma is finite, up to just below its overflow
+    xs = np.concatenate([np.linspace(0.01, 171.6, 500), [142.3, 150.0, 171.5]])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in map(float, xs):
+            ref = mpmath.gamma(mpmath.mpf(x))
+            worst = max(worst, float(abs((mpmath.mpf(gamma(x)) - ref) / ref)))
+    assert worst <= 2e-15
 
 
 def test_gamma_recurrence():
@@ -41,7 +45,7 @@ def test_gamma_reflection_negative_axis():
     assert gamma(-0.5) == pytest.approx(-2 * SQRT_PI, rel=1e-12)
     assert gamma(-1.5) == pytest.approx(4 * SQRT_PI / 3, rel=1e-12)
     for x in (-0.3, -2.7, -7.1):
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-11)
+        assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-11)
 
 
 def test_gamma_poles():
@@ -50,9 +54,16 @@ def test_gamma_poles():
             gamma(x)
 
 
+def test_gamma_non_finite_argument_is_typed():
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArgumentOutOfRange, match="finite"):
+            gamma(x)
+
+
 def test_gamma_overflow_is_typed():
     assert math.isfinite(gamma(141.0))
-    for x in (200.5, 1e6):
+    assert math.isfinite(gamma(171.5))
+    for x in (171.7, 200.5, 1e6):
         with pytest.raises(OrderTooLarge):
             gamma(x)
 
@@ -124,9 +135,13 @@ def test_kummer_non_finite_argument_and_overflow_are_typed():
                     (0.5, 0.5, -math.inf)):
         with pytest.raises(ArgumentOutOfRange, match="finite"):
             kummer_1f1(a, b, z)
+        with pytest.raises(ArgumentOutOfRange, match="finite"):
+            kummer_1f1_series(a, b, z)
     for a, z in ((1e300, 1.0), (1e300, -1.0)):
         with pytest.raises(OrderTooLarge, match="overflows"):
             kummer_1f1(a, 0.5, z)
+        with pytest.raises(OrderTooLarge, match="overflows"):
+            kummer_1f1_series(a, 0.5, z)
 
 
 # --- Hurwitz zeta ----------------------------------------------------------

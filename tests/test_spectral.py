@@ -385,6 +385,17 @@ def test_product_rule_matches_the_dense_double_sum():
         assert np.max(np.abs(periodic - ref)) <= 1e-12 * np.max(np.abs(ref)), a
 
 
+def test_product_rule_warns_like_the_engine():
+    small = make_grid(-2.0, 2.0, 64)
+    f = sample(GAUSS, small)
+    got = product_rule(f, f, 0.5)
+    ref = fractional_derivative(SampledSignal(small, f.values * f.values), 0.5)
+    assert ref.warning is not None
+    assert got.warning == ref.warning
+    f = sample(GAUSS, make_grid(-16.0, 16.0, 4096))
+    assert product_rule(f, f, 0.5).warning is None
+
+
 def test_product_rule_guards():
     for n in (1024, 4096):
         big = make_grid(-16.0, 16.0, n)
