@@ -1,7 +1,7 @@
 """Three independent routes to the same fractional derivative.
 
 closed   analytic reduction of the inversion integral (gamma + 1F1)
-quad     adaptive Gauss-Legendre integration of the multiplier integral
+quad     adaptive Gauss-Kronrod integration of the multiplier integral
 engine   FFT on a sampled grid
 
 The first two agree to near machine precision.  On its periodic grid the

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from .grid import (CSV_HEADER, DegenerateInterval, NonPowerOfTwo, SampledSignal,
                    sample)
 from .oracles import gaussian_deriv, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
-from .specfun import ArgumentOutOfRange, OrderTooLarge
+from .specfun import MAX_ABS_Z, ArgumentOutOfRange, OrderTooLarge
 from .spectral import NegativeAlpha, fractional_derivative, require_order
 
 EXIT_OK = 0
@@ -185,7 +186,7 @@ def _closed_form_curves(oracle, alphas, xs):
         return [(a, xs, np.array([oracle(a, float(x)) for x in xs])) for a in alphas]
     except ArgumentOutOfRange as exc:
         raise CLIConfigError(
-            f"--domain: closed-form route limited to |x| <= 20 ({exc}); "
+            f"--domain: closed-form route limited to |x| <= {math.sqrt(MAX_ABS_Z):g} ({exc}); "
             f"use --engine spectral or a narrower domain") from exc
 
 

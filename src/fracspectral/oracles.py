@@ -114,12 +114,29 @@ def x2gaussian_deriv(alpha, x):
 
 
 def exp_rule(k, alpha, x):
-    """Fractional derivative of e^{kx} for k > 0: k^a e^{kx}."""
+    """Fractional derivative of e^{kx} for k > 0: k^a e^{kx}.
+
+    A non-finite k or x, or one where e^{kx} overflows double precision,
+    raises ArgumentOutOfRange; a k^a, or a product, that overflows raises
+    OrderTooLarge.
+    """
     k = float(k)
+    x = float(x)
+    _require_finite("k", k)
     if k <= 0:
         raise NonPositiveK(f"exponential rule requires k > 0, got {k}")
     require_order(alpha)
-    return k ** alpha * math.exp(k * x)
+    _require_finite("x", x)
+    try:
+        scale = k ** alpha
+    except OverflowError:
+        raise specfun.OrderTooLarge(specfun.ORDER_OVERFLOW.format("exp_rule", alpha)) from None
+    try:
+        growth = math.exp(k * x)
+    except OverflowError:
+        raise specfun.ArgumentOutOfRange(
+            f"e^(kx) overflows double precision at k = {k:g}, x = {x:g}") from None
+    return specfun.require_finite(scale * growth, specfun.ORDER_OVERFLOW, "exp_rule", alpha)
 
 
 def monomial_deriv(n, alpha, x):
@@ -127,43 +144,67 @@ def monomial_deriv(n, alpha, x):
 
     Integer orders up to n give the usual falling-factorial derivatives;
     any order above n gives 0; non-integer orders below n have no assigned
-    value and return the UNDEFINED singleton (not an exception).
+    value and return the UNDEFINED singleton (not an exception).  A
+    non-finite x, or one whose power overflows double precision, raises
+    ArgumentOutOfRange; a coefficient, or a product, that overflows raises
+    OrderTooLarge.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     alpha = float(alpha)
+    x = float(x)
     require_order(alpha)
-    if alpha == 0:
-        return float(x) ** n
+    _require_finite("x", x)
     if alpha > n:
         return 0.0
-    if alpha == math.floor(alpha):
-        m = int(alpha)  # 1 <= m <= n here
-        coeff = 1.0
-        for i in range(m):
-            coeff *= n - i
-        return coeff * float(x) ** (n - m)
-    return UNDEFINED
+    if alpha != math.floor(alpha):
+        return UNDEFINED
+    m = int(alpha)  # 0 <= m <= n here
+    coeff = 1.0
+    for i in range(m):
+        coeff *= n - i
+    try:
+        power = x ** (n - m)
+    except OverflowError:
+        raise specfun.ArgumentOutOfRange(
+            f"x^{n - m} overflows double precision at x = {x:g}") from None
+    return specfun.require_finite(coeff * power, specfun.ORDER_OVERFLOW, "monomial_deriv", alpha)
+
+
+def _require_finite(name, value):
+    if not math.isfinite(value):
+        raise specfun.ArgumentOutOfRange(f"{name} must be finite, got {value}")
 
 
 # --- direct quadrature of the inverse-transform integral -------------------
 
-# Gauss-Legendre pair: the 15-point value is kept, the 7-point one only
-# feeds the error estimate.
-_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_NODES = np.concatenate([_GL15_NODES, _GL7_NODES])
+# Gauss-Kronrod 15-point rule on [-1, 1] (Piessens et al., QUADPACK qk15).
+# The tables list the nonnegative half from the end point in; mirrored, the
+# nodes increase, and every other one from the second on is a 7-point Gauss
+# node.  So the G7 value reuses the integrand values of the K15 one, and
+# |K15 - G7| is the error estimate of the kept K15 value.
+_KRONROD_HALF = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+                          0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+                          0.20778495500789848, 0.0])
+_K15_HALF = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                      0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                      0.20443294007529889, 0.20948214108472782])
+_G7_HALF = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                     0.4179591836734694])
+_NODES = np.concatenate([-_KRONROD_HALF, _KRONROD_HALF[-2::-1]])
+_K15_WEIGHTS = np.concatenate([_K15_HALF, _K15_HALF[-2::-1]])
+_G7_WEIGHTS = np.concatenate([_G7_HALF, _G7_HALF[-2::-1]])
 
 _QUAD_ABS_TOL = 1e-11
-_QUAD_MAX_DEPTH = 64
-# panels evaluated per integrand call; bounds the node array at 512 * 22
+# panels evaluated per integrand call; bounds the node array at 512 * 15
 _QUAD_BATCH = 512
-#: Most root panels quadrature_reference builds.  Root panels are a quarter
-#: period of e^{ipx} wide, so their count, 4 * p_cutoff * (|x| + 1/4) / pi,
-#: grows with |x|: 1,032 at x = 20.  The cap (0.14 s of work on a 2-vCPU VM) is
-#: reached near |x| = 1286 at the default p_cutoff of 40.
-QUAD_MAX_ROOT_PANELS = 2 ** 16
+# integrand evaluations one call may spend, root panels included.  The root
+# panels alone exceed it past |x| of about 1372 at the default p_cutoff of 40;
+# where large integrand values put the absolute tolerance out of reach (orders
+# 16 and up for e^{-x^2}), the bisection spends it in about 0.1 s on a 2-vCPU
+# Xeon VM
+_QUAD_MAX_EVALS = 2 ** 20
 # if the summed panel estimates exceed this, the result cannot serve as an
 # oracle for 1e-8-level comparisons and we refuse to return it
 _QUAD_FAIL_EST = 1e-9
@@ -189,16 +230,22 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
 
     Pending panels are held as arrays.  Each step takes up to _QUAD_BATCH of
     them and evaluates all their nodes in one integrand call; a panel whose
-    G15 and G7 values differ by at most tol, or that is _QUAD_MAX_DEPTH
-    bisections deep, is accepted, and the others are replaced by their halves.
+    K15 and G7 values differ by at most tol is accepted, and the others are
+    replaced by their halves.  A step that would take the integrand
+    evaluations past _QUAD_MAX_EVALS raises ToleranceNotReached instead.
     """
-    depth = np.zeros(lo.size, dtype=int)
     total = 0.0 + 0.0j
     est = 0.0
+    evals = 0
     while lo.size:
         rest = max(lo.size - _QUAD_BATCH, 0)
-        a, b, d = lo[rest:], hi[rest:], depth[rest:]
-        lo, hi, depth = lo[:rest], hi[:rest], depth[:rest]
+        a, b = lo[rest:], hi[rest:]
+        lo, hi = lo[:rest], hi[:rest]
+        evals += a.size * _NODES.size
+        if evals > _QUAD_MAX_EVALS:
+            raise ToleranceNotReached(
+                f"no convergence within {_QUAD_MAX_EVALS} integrand evaluations "
+                f"({lo.size + a.size} panels pending)")
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         p = (mid[:, None] + half[:, None] * _NODES).ravel()
@@ -207,17 +254,16 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
         if bad.any():
             raise ToleranceNotReached(
                 f"integrand is not finite at p = {p.reshape(f.shape)[bad][0]:.6g}")
-        v15 = half * np.sum(_GL15_WEIGHTS * f[:, :_GL15_NODES.size], axis=1)
-        v7 = half * np.sum(_GL7_WEIGHTS * f[:, _GL15_NODES.size:], axis=1)
-        err = np.abs(v15 - v7)
-        done = (err <= tol) | (d >= _QUAD_MAX_DEPTH)
-        total += np.sum(v15[done])
+        k15 = half * np.sum(_K15_WEIGHTS * f, axis=1)
+        g7 = half * np.sum(_G7_WEIGHTS * f[:, 1::2], axis=1)
+        err = np.abs(k15 - g7)
+        done = err <= tol
+        total += np.sum(k15[done])
         est += np.sum(err[done])
         split = ~done
-        a, mid, b, d = a[split], mid[split], b[split], d[split] + 1
+        a, mid, b = a[split], mid[split], b[split]
         lo = np.concatenate([lo, a, mid])
         hi = np.concatenate([hi, mid, b])
-        depth = np.concatenate([depth, d, d])
     return total, est
 
 
@@ -229,33 +275,33 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     negligible beyond p_cutoff (for a Gaussian transform, 40 is ample).
     The integrand oscillates at frequency |x|, so initial panels are capped
     at a quarter period; the cusp/zero of the multiplier sits on the panel
-    boundary at p = 0.  Every panel is bisected until its 15- and 7-point
-    Gauss-Legendre values agree; the panels are evaluated in batches, many
-    per call of f_hat, which receives 1-d node arrays (a function that only
-    takes scalars is called point by point).
+    boundary at p = 0.  Every panel is bisected until its 15-point Kronrod
+    and nested 7-point Gauss values agree; the panels are evaluated in
+    batches, many per call of f_hat, which receives 1-d node arrays (a
+    function that only takes scalars is called point by point).  One call
+    evaluates the integrand at most _QUAD_MAX_EVALS times.
 
     An order that require_order rejects raises NegativeAlpha; a non-finite
-    x, a p_cutoff that is not finite and positive, or an |x| * p_cutoff
-    that needs more than QUAD_MAX_ROOT_PANELS root panels raises
-    ValueError; a non-finite integrand value, or an error estimate above
-    _QUAD_FAIL_EST, raises ToleranceNotReached.
+    x raises ArgumentOutOfRange; a p_cutoff that is not finite and positive,
+    or an |x| * p_cutoff whose root panels alone need more than
+    _QUAD_MAX_EVALS evaluations, raises ValueError; a non-finite integrand
+    value, a spent evaluation budget, or an error estimate above
+    _QUAD_FAIL_EST raises ToleranceNotReached.
     """
     alpha = float(alpha)
     x = float(x)
     require_order(alpha)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    _require_finite("x", x)
     if not (math.isfinite(p_cutoff) and p_cutoff > 0):
         raise ValueError(f"p_cutoff must be finite and > 0, got {p_cutoff}")
     width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
-    panels = 2 * math.ceil(p_cutoff / width)
-    if panels > QUAD_MAX_ROOT_PANELS:
+    m = math.ceil(p_cutoff / width)
+    panels = 2 * m
+    if panels * _NODES.size > _QUAD_MAX_EVALS:
         raise ValueError(f"x={x} with p_cutoff={p_cutoff} needs {panels} root panels, "
-                         f"more than {QUAD_MAX_ROOT_PANELS}")
-    edges = [0.0]
-    while edges[-1] < p_cutoff:
-        edges.append(min(p_cutoff, edges[-1] + width))
-    edges = np.array(edges)
+                         f"whose {panels * _NODES.size} integrand evaluations exceed "
+                         f"{_QUAD_MAX_EVALS}")
+    edges = np.minimum(width * np.arange(m + 1), p_cutoff)
     lo = np.concatenate([edges[:-1], -edges[1:]])
     hi = np.concatenate([edges[1:], -edges[:-1]])
     tol = _QUAD_ABS_TOL / lo.size

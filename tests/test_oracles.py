@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 import time
 import warnings
 
@@ -123,6 +125,27 @@ def test_exp_rule_rejects_non_finite_order():
         exp_rule(1.0, math.nan, 0.0)
 
 
+def test_rules_raise_typed_errors():
+    with pytest.raises(OrderTooLarge):
+        exp_rule(1e10, 400, 1.0)                # k^a overflows
+    with pytest.raises(ArgumentOutOfRange):
+        exp_rule(2.0, 0.5, 1000.0)              # e^{kx} overflows
+    with pytest.raises(ArgumentOutOfRange):
+        monomial_deriv(3, 1.0, 1e200)           # x^2 overflows
+    # two finite factors whose product overflows
+    with pytest.raises(OrderTooLarge):
+        exp_rule(1e100, 3.0, 1e-98)             # 1e300 * e^100
+    with pytest.raises(OrderTooLarge):
+        monomial_deriv(200, 2.0, 35.0)          # 39800 * 35^198
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ArgumentOutOfRange):
+            exp_rule(1.0, 0.5, x)
+        with pytest.raises(ArgumentOutOfRange):
+            exp_rule(abs(x), 0.5, 1.0)
+        with pytest.raises(ArgumentOutOfRange):
+            monomial_deriv(2, 1.0, x)
+
+
 def test_monomial_defined_cases():
     assert monomial_deriv(0, 0.0, 5.0) == 1.0
     assert monomial_deriv(0, 0.7, 5.0) == 0.0
@@ -167,9 +190,22 @@ def test_quadrature_cutoff_is_honored():
     assert abs(full - chopped) > 1e-3
 
 
+def test_kronrod_table():
+    nodes, k15, g7 = oracles._NODES, oracles._K15_WEIGHTS, oracles._G7_WEIGHTS
+    assert nodes.size == k15.size == 15
+    for k in range(23):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(k15 * nodes ** k) - want) <= 1e-14 * 2.0 / (k + 1)
+    gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(nodes[1::2], gauss_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(g7, gauss_weights, rtol=0, atol=1e-15)
+    assert abs(np.sum(k15) - 2.0) <= 1e-15
+    assert abs(np.sum(g7) - 2.0) <= 1e-15
+
+
 def test_quadrature_reports_failure():
-    # strong interior singularity: bisection hits max depth with a large
-    # remaining estimate
+    # strong interior singularity: bisection toward it lands a node on it,
+    # where the integrand is not finite
     with np.errstate(all="ignore"), pytest.raises(ToleranceNotReached):
         quadrature_reference(lambda p: np.abs(p - 1.0 / 3.0) ** -0.95, 0.5, 0.0)
 
@@ -229,6 +265,37 @@ def test_quadrature_far_from_the_origin():
     for a in (0.5, 2.5):
         assert abs(quadrature_reference(F1_HAT, a, 20.0)
                    - gaussian_deriv(a, 20.0)) < 1e-8
+
+
+def test_quadrature_returns_or_raises_at_high_orders():
+    # at these orders |p|^a f_hat(p) is too large for the absolute tolerance;
+    # the evaluation budget must stop the bisection, so the calls run in a
+    # child process that a timeout can end
+    script = """
+import math, time
+import numpy as np
+from fracspectral.oracles import ToleranceNotReached, gaussian_deriv, quadrature_reference
+f_hat = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
+for a in (18, 20, 30, 60, 100):
+    t0 = time.perf_counter()
+    try:
+        want = gaussian_deriv(a, 0.5)
+        ok = abs(quadrature_reference(f_hat, a, 0.5) - want) <= 1e-12 * abs(want)
+    except ToleranceNotReached:
+        ok = True
+    print(a, ok, time.perf_counter() - t0, flush=True)
+"""
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=30)
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"quadrature still running after 30 s; finished: {exc.stdout!r}")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [int(a) for a, _, _ in rows] == [18, 20, 30, 60, 100]
+    for a, ok, seconds in rows:
+        assert ok == "True", a
+        assert float(seconds) < 1.0, (a, seconds)
 
 
 def test_quadrature_refuses_a_position_past_the_root_panel_cap():
