@@ -182,8 +182,7 @@ def uncertainty_bound(alpha):
     meaning (see uncertainty_check).  Raises OrderTooLarge where the bound
     overflows double precision (from order about 305).
     """
-    alpha = float(alpha)
-    require_order(alpha)
+    alpha = require_order(alpha)
     if alpha == 0:
         return 0.0
     bound = (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
@@ -254,8 +253,7 @@ def uncertainty_check(alpha, state):
     Gaussian state the resulting bound reproduces uncertainty_bound(alpha).
     Raises OrderTooLarge where |p|^(2a) overflows on the kept bins.
     """
-    alpha = float(alpha)
-    require_order(alpha)
+    alpha = require_order(alpha)
     if alpha < 1:
         raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha}")
     if abs(state.norm - 1.0) > _NORM_TOL:

@@ -99,9 +99,21 @@ class MinusOneBranch(enum.Enum):
 
 
 def require_order(alpha):
-    """Raise NegativeAlpha unless the order is finite and >= 0."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
+    """The order as a float: NegativeAlpha unless it is finite and >= 0.
+
+    An int past the float range raises OrderTooLarge, or NegativeAlpha if
+    it is negative.
+    """
+    try:
+        value = float(alpha)
+    except OverflowError:
+        if alpha < 0:
+            raise NegativeAlpha("alpha must be finite and >= 0, got a negative int "
+                                "past the float range") from None
+        raise OrderTooLarge("the order is past the float range: the order is too large") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise NegativeAlpha(f"alpha must be finite and >= 0, got {value}")
+    return value
 
 
 def zero_noise(*coeffs):
@@ -378,6 +390,7 @@ def fractional_momentum(signal, alpha):
     Images, warning and chaining as in fractional_derivative; the images
     of P_a carry the phase e^{-i*a*pi/2} of p^a = (ip)^a / i^a.
     """
+    alpha = require_order(alpha)
     return _apply_multiplier(signal, alpha, cmath.exp(-0.5j * math.pi * alpha))
 
 

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from fracspectral import oracles
-from fracspectral.grid import make_grid
+from fracspectral.grid import make_grid, sample
 from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   NonPositiveK, ToleranceNotReached,
                                   eigenstate_signal, exp_rule, gaussian_deriv,
                                   monomial_deriv, quadrature_reference,
                                   x2gaussian_deriv)
 from fracspectral.specfun import ArgumentOutOfRange, OrderTooLarge
-from fracspectral.spectral import NegativeAlpha
+from fracspectral.quantum import uncertainty_bound
+from fracspectral.spectral import NegativeAlpha, fractional_derivative
 
 F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
 
@@ -146,6 +147,27 @@ def test_rules_raise_typed_errors():
             monomial_deriv(2, 1.0, x)
 
 
+def test_ints_past_float_range_raise_typed_errors():
+    huge = 10 ** 400                            # float(huge) raises OverflowError
+    sig = sample(lambda x: np.exp(-x * x), make_grid(-8.0, 8.0, 64))
+    for call in (lambda: monomial_deriv(huge, 1.0, 2.0),   # falling factorial
+                 lambda: monomial_deriv(huge, 1.0, 0.5),
+                 lambda: gaussian_deriv(huge, 0.5),
+                 lambda: quadrature_reference(F1_HAT, huge, 0.5),
+                 lambda: exp_rule(2.0, huge, 1.0),
+                 lambda: fractional_derivative(sig, huge),
+                 lambda: uncertainty_bound(huge)):
+        with pytest.raises(OrderTooLarge):
+            call()
+    for call in (lambda: gaussian_deriv(0.5, huge),
+                 lambda: quadrature_reference(F1_HAT, 0.5, huge),
+                 lambda: exp_rule(huge, 0.5, 1.0)):
+        with pytest.raises(ArgumentOutOfRange):
+            call()
+    with pytest.raises(NegativeAlpha):
+        fractional_derivative(sig, -huge)
+
+
 def test_monomial_defined_cases():
     assert monomial_deriv(0, 0.0, 5.0) == 1.0
     assert monomial_deriv(0, 0.7, 5.0) == 0.0
@@ -258,6 +280,22 @@ def test_quadrature_batch_size_changes_only_the_summation_order(monkeypatch):
     assert abs(got - want) <= 1e-13
     assert sum(single_points) == sum(default_points)
     assert len(single_points) > len(default_points)
+
+
+def test_quadrature_resolves_the_corner_at_p0_in_a_few_batches():
+    # (ip)^a is not smooth at p = 0; bisection alone reaches that corner one
+    # batch per level (19 to 31 calls of f_hat at these orders), the dyadic
+    # corner panels in a few
+    for a in (0.02, 0.1, 0.5, 0.734):
+        calls = []
+
+        def f_hat(p):
+            calls.append(p.size)
+            return F1_HAT(p)
+
+        got = quadrature_reference(f_hat, a, 0.3)
+        assert len(calls) <= 4, (a, len(calls))
+        assert abs(got - gaussian_deriv(a, 0.3)) <= 1e-13
 
 
 def test_quadrature_far_from_the_origin():
