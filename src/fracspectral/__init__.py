@@ -1,7 +1,7 @@
 """Fractional derivatives as Fourier multipliers, with closed-form
 oracles, a fractional momentum operator algebra, and invariant suites.
 
-Layering: grid -> spectral/specfun -> oracles -> quantum -> checks -> cli.
+Layering: specfun -> grid -> spectral -> oracles -> quantum -> checks -> cli.
 """
 from .grid import (
     CSV_HEADER,
@@ -59,7 +59,6 @@ from .oracles import (
 from .quantum import (
     InsufficientDecay,
     NotNormalized,
-    StateVector,
     UncertaintyReport,
     commutator_dx,
     commutator_ladder,
@@ -90,7 +89,7 @@ __all__ = [
     "ToleranceNotReached", "eigenstate_signal", "exp_rule", "gaussian_deriv",
     "monomial_deriv", "quadrature_reference", "x2gaussian_deriv",
     "InsufficientDecay", "NotNormalized",
-    "StateVector", "UncertaintyReport", "commutator_dx", "commutator_ladder",
+    "UncertaintyReport", "commutator_dx", "commutator_ladder",
     "expectation", "gaussian_state", "high_res_grid", "symmetry_residual",
     "uncertainty_bound", "uncertainty_check",
     "CheckResult", "SUITE_NAMES", "run_suite",

@@ -286,11 +286,11 @@ def suite_uncertainty():
     low = float(np.max(vals[(scan >= 2.5) & (scan <= 3.5)]))
     r.holds("bound maxima grow with the order", high > low, measured=high - low)
 
-    xphi = SampledSignal(state.signal.grid, state.signal.grid.x * state.signal.values)
+    xphi = SampledSignal(state.grid, state.grid.x * state.values)
     r.below("Gaussian position mean", abs(expectation(xphi, state)), 1e-12)
     r.below("identity-operator expectation",
-            abs(expectation(state.signal, state) - 1.0), 1e-10)
-    p1 = fractional_momentum(state.signal, 1.0)
+            abs(expectation(state, state) - 1.0), 1e-10)
+    p1 = fractional_momentum(state, 1.0)
     r.below("Gaussian momentum mean", abs(expectation(p1, state)), 1e-10)
     return r.results
 

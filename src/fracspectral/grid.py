@@ -7,6 +7,8 @@ negative side, so the frequency set is symmetric except for that one bin.
 """
 import numpy as np
 
+from .specfun import require_count
+
 
 class NonPowerOfTwo(ValueError):
     pass
@@ -54,9 +56,11 @@ class Grid:
     __slots__ = ("x_min", "x_max", "n", "dx", "dp", "x", "p")
 
     def __init__(self, x_min, x_max, n):
-        x_min = float(x_min)
-        x_max = float(x_max)
-        n = int(n)
+        try:
+            x_min, x_max = float(x_min), float(x_max)
+        except OverflowError:
+            raise DegenerateInterval("need finite bounds, got one past the float range") from None
+        n = require_count("n", n, NonPowerOfTwo)
         if not (np.isfinite(x_min) and np.isfinite(x_max)):
             raise DegenerateInterval(f"need finite bounds, got ({x_min}, {x_max})")
         if not x_max > x_min:
@@ -97,7 +101,7 @@ def central_window(n):
     where identities that multiply by x are compared, since x grows towards
     the box edge.
     """
-    q = n // 4
+    q = require_count("n", n) // 4
     return slice(q, 3 * q)
 
 

@@ -72,7 +72,7 @@ def gaussian_deriv(alpha, x):
     pole, and the surviving term is e^{-x^2} itself.
     """
     alpha = require_order(alpha)
-    x = _require_finite("x", x)
+    x = specfun.require_real("x", x)
     z = -x * x
     t1 = (math.cos(alpha * np.pi / 2)
           * specfun.gamma((1 + alpha) / 2)
@@ -95,7 +95,7 @@ def x2gaussian_deriv(alpha, x):
     carries the odd-in-x part).  Real-valued for real alpha, x.
     """
     alpha = require_order(alpha)
-    x = _require_finite("x", x)
+    x = specfun.require_real("x", x)
     z = -x * x
     i_a = cmath.exp(1j * alpha * np.pi / 2)      # i^a
     mi_a = cmath.exp(-1j * alpha * np.pi / 2)    # (-i)^a
@@ -118,11 +118,11 @@ def exp_rule(k, alpha, x):
     raises ArgumentOutOfRange; a k^a, or a product, that overflows raises
     OrderTooLarge.
     """
-    k = _require_finite("k", k)
+    k = specfun.require_real("k", k)
     if k <= 0:
         raise NonPositiveK(f"exponential rule requires k > 0, got {k}")
     alpha = require_order(alpha)
-    x = _require_finite("x", x)
+    x = specfun.require_real("x", x)
     try:
         scale = k ** alpha
     except OverflowError:
@@ -140,16 +140,16 @@ def monomial_deriv(n, alpha, x):
 
     Integer orders up to n give the usual falling-factorial derivatives;
     any order above n gives 0; non-integer orders below n have no assigned
-    value and return the UNDEFINED singleton (not an exception).  A
-    non-finite x, or one whose power overflows double precision, raises
-    ArgumentOutOfRange; a coefficient, or a product, that overflows raises
-    OrderTooLarge.
+    value and return the UNDEFINED singleton (not an exception).  A degree
+    that is not a whole number >= 0, a non-finite x, or an x whose power
+    overflows raises ArgumentOutOfRange; a coefficient, or a product, that
+    overflows raises OrderTooLarge.
     """
-    n = int(n)
+    n = specfun.require_count("degree", n)
     if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+        raise specfun.ArgumentOutOfRange(f"degree must be >= 0, got {n}")
     alpha = require_order(alpha)
-    x = _require_finite("x", x)
+    x = specfun.require_real("x", x)
     if alpha > n:
         return 0.0
     if alpha != math.floor(alpha):
@@ -163,22 +163,14 @@ def monomial_deriv(n, alpha, x):
         raise specfun.OrderTooLarge(
             specfun.ORDER_OVERFLOW.format("monomial_deriv", alpha)) from None
     try:
-        power = x ** (n - m)
+        power = abs(x) ** (n - m)
     except OverflowError:
-        raise specfun.ArgumentOutOfRange(
-            f"x^{n - m} overflows double precision at x = {x:g}") from None
+        if abs(x) > 1:
+            raise specfun.ArgumentOutOfRange(f"x^(degree - {m}) overflows at x = {x:g}") from None
+        power = float(abs(x) == 1)
+    if (n - m) % 2:                 # the int's parity: a float exponent loses it past 2^53
+        power = math.copysign(power, x)
     return specfun.require_finite(coeff * power, specfun.ORDER_OVERFLOW, "monomial_deriv", alpha)
-
-
-def _require_finite(name, value):
-    """The value as a float; ArgumentOutOfRange unless it is finite."""
-    try:
-        value = float(value)
-    except OverflowError:
-        raise specfun.ArgumentOutOfRange(f"{name} is past the float range") from None
-    if not math.isfinite(value):
-        raise specfun.ArgumentOutOfRange(f"{name} must be finite, got {value}")
-    return value
 
 
 # --- direct quadrature of the inverse-transform integral -------------------
@@ -302,25 +294,22 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     point by point).  One call evaluates the integrand at most
     _QUAD_MAX_EVALS times.
 
-    An order that require_order rejects raises NegativeAlpha, or
-    OrderTooLarge for an int past the float range; an x that is not finite
-    or is past the float range raises ArgumentOutOfRange; a p_cutoff that
-    is not finite and positive, or an |x| * p_cutoff whose root panels
-    alone need more than _QUAD_MAX_EVALS evaluations, raises ValueError;
-    a non-finite integrand value, a spent evaluation budget, or an error
-    estimate above _QUAD_FAIL_EST raises ToleranceNotReached.
+    Errors: the order's as in require_order; ArgumentOutOfRange for an x
+    or p_cutoff that require_real rejects, a p_cutoff <= 0, or root panels
+    past _QUAD_MAX_EVALS; ToleranceNotReached for a non-finite integrand
+    value, a spent budget, or an error estimate above _QUAD_FAIL_EST.
     """
     alpha = require_order(alpha)
-    x = _require_finite("x", x)
-    if not (math.isfinite(p_cutoff) and p_cutoff > 0):
-        raise ValueError(f"p_cutoff must be finite and > 0, got {p_cutoff}")
+    x = specfun.require_real("x", x)
+    p_cutoff = specfun.require_real("p_cutoff", p_cutoff)
+    if p_cutoff <= 0:
+        raise specfun.ArgumentOutOfRange(f"p_cutoff must be > 0, got {p_cutoff}")
     width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
     m = math.ceil(p_cutoff / width)
     panels = 2 * m
     if panels * _NODES.size > _QUAD_MAX_EVALS:
-        raise ValueError(f"x={x} with p_cutoff={p_cutoff} needs {panels} root panels, "
-                         f"whose {panels * _NODES.size} integrand evaluations exceed "
-                         f"{_QUAD_MAX_EVALS}")
+        raise specfun.ArgumentOutOfRange(f"x={x} with p_cutoff={p_cutoff} needs {panels} root "
+                                         f"panels, past {_QUAD_MAX_EVALS} integrand evaluations")
     edges = np.minimum(width * np.arange(m + 1), p_cutoff)
     lo = np.concatenate([edges[:-1], -edges[1:]])
     hi = np.concatenate([edges[1:], -edges[:-1]])
@@ -339,8 +328,9 @@ class EigenstateSpec:
 
     The implied plane-wave frequency q solves q^alpha = eigenvalue; for
     order 2 the eigenfunction is the cosine combination and the eigenvalue
-    must be >= 0.  The order must be finite and > 0: P_0 is the identity,
-    which implies no frequency.  The eigenvalue must be finite.
+    must be > 0.  The order must be finite and > 0: P_0 is the identity,
+    which implies no frequency.  The eigenvalue must be finite, else
+    ArgumentOutOfRange.
     """
     alpha: float
     eigenvalue: float
@@ -349,10 +339,8 @@ class EigenstateSpec:
         require_order(self.alpha)
         if self.alpha == 0:
             raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
-        if not math.isfinite(self.eigenvalue):
-            raise ValueError(f"eigenvalue must be finite, got {self.eigenvalue}")
-        if self.alpha == 2 and self.eigenvalue < 0:
-            raise ValueError("order-2 eigenvalue must be >= 0")
+        if specfun.require_real("eigenvalue", self.eigenvalue) <= 0 and self.alpha == 2:
+            raise specfun.ArgumentOutOfRange("order-2 eigenvalue must be > 0")
 
 
 _ONGRID_RTOL = 1e-9
@@ -369,7 +357,7 @@ def _implied_frequency(spec):
     if abs(r - round(r)) < 1e-12 and int(round(r)) % 2 == 1:
         return math.copysign(abs(e) ** round(r), e)
     if e < 0:
-        raise ValueError(f"eigenvalue must be >= 0 for order {alpha}")
+        raise specfun.ArgumentOutOfRange(f"eigenvalue must be >= 0 for order {alpha}")
     return e ** r
 
 
@@ -383,8 +371,6 @@ def eigenstate_signal(spec, grid):
     """
     if spec.alpha == 2:
         q = math.sqrt(spec.eigenvalue)
-        if q == 0:
-            raise ValueError("order-2 eigenstate needs eigenvalue > 0")
         _check_on_grid(q, grid)
         values = np.cos(q * grid.x) / q
         return SampledSignal(grid, values)

@@ -67,47 +67,36 @@ class UncertaintyReport:
 
     def __post_init__(self):
         for name in ("delta_x", "delta_p_alpha", "product", "rhs_bound"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-
-class StateVector:
-    """A sampled wavefunction with its discrete L2 norm."""
-
-    __slots__ = ("signal", "norm")
-
-    def __init__(self, signal):
-        self.signal = signal
-        self.norm = float(np.sqrt(np.sum(np.abs(signal.values) ** 2) * signal.grid.dx))
-
-    def __repr__(self):
-        return f"StateVector(n={self.signal.grid.n}, norm={self.norm:.12f})"
+            specfun.require_real(name, getattr(self, name), least=0.0)
 
 
 def gaussian_state(grid):
-    """The normalized Gaussian state (2/pi)^{1/4} e^{-x^2} on the given grid."""
+    """The normalized Gaussian state (2/pi)^{1/4} e^{-x^2}: a SampledSignal on the grid."""
     values = (2.0 / np.pi) ** 0.25 * np.exp(-grid.x ** 2)
-    return StateVector(SampledSignal(grid, values))
+    return SampledSignal(grid, values)
 
 
-def _require_commutator_alpha(alpha):
+def _require_normalized(state):
+    """The one normalisation gate: NotNormalized unless the discrete L2 norm is 1."""
+    norm = float(np.sqrt(np.sum(np.abs(state.values) ** 2) * state.grid.dx))
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise NotNormalized(f"state norm {norm!r} is not 1 within {_NORM_TOL:.1e}")
+
+
+def _require_commutator_input(f, alpha):
     require_order(alpha)
     if 0 < alpha < 1:
         raise AlphaInForbiddenRange(
             f"commutator identities are only defined for alpha = 0 or alpha >= 1; "
             f"got {alpha} (the order-lowering term has no meaning below order 1)")
+    _require_decay(f)
 
 
 def _require_decay(signal):
-    if signal.boundary_decay > DECAY_THRESHOLD:
+    if not signal.boundary_decay < DECAY_THRESHOLD:     # the engine's test, negated
         raise InsufficientDecay(
-            f"boundary decay {signal.boundary_decay:.3e} exceeds {DECAY_THRESHOLD:.1e}; "
+            f"boundary decay {signal.boundary_decay:.3e} is not below {DECAY_THRESHOLD:.1e}; "
             f"multiplication by x would wrap around")
-
-
-def _x_times(signal):
-    return SampledSignal(signal.grid, signal.grid.x * signal.values)
 
 
 def commutator_dx(f, alpha):
@@ -116,10 +105,9 @@ def commutator_dx(f, alpha):
     Returns (lhs, rhs, gap): lhs = D^a(x f) - x D^a f, rhs = a D^{a-1} f,
     gap = sup |lhs - rhs| over the central half.
     """
-    _require_commutator_alpha(alpha)
-    _require_decay(f)
+    _require_commutator_input(f, alpha)
     g = f.grid
-    xf = _x_times(f)
+    xf = SampledSignal(g, g.x * f.values)
     lhs_vals = fractional_derivative(xf, alpha).values - g.x * fractional_derivative(f, alpha).values
     if alpha == 0:
         rhs_vals = np.zeros(g.n, dtype=complex)
@@ -140,12 +128,11 @@ def commutator_ladder(f, alpha):
     wrap-around images.  Both composed sides reuse P_a f, P_a(x f) and
     P_a(P_a f).  Same return shape as commutator_dx.
     """
-    _require_commutator_alpha(alpha)
-    _require_decay(f)
+    _require_commutator_input(f, alpha)
     g = f.grid
     pf = fractional_momentum(f, alpha)
     ppf = fractional_momentum(pf, alpha).values
-    xf = _x_times(f)
+    xf = SampledSignal(g, g.x * f.values)
     pxf = fractional_momentum(xf, alpha).values
     b_f = xf.values - 1j * pf.values                   # sqrt(2) B f
     a_f = xf.values + 1j * pf.values                   # sqrt(2) A f
@@ -162,13 +149,11 @@ def commutator_ladder(f, alpha):
 
 
 def expectation(op_result, state):
-    """Discrete <state, op_result> = sum conj(state_j) (op result)_j dx."""
-    if abs(state.norm - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"state norm {state.norm!r} is not 1 within {_NORM_TOL:.1e}")
-    if op_result.grid != state.signal.grid:
-        raise GridMismatch(f"{op_result.grid} vs {state.signal.grid}")
-    return inner(state.signal.values, op_result.values, state.signal.grid.dx,
-                 Pairing.SESQUILINEAR)
+    """Discrete <state, op_result> = sum conj(state_j) (op result)_j dx; unit-norm state."""
+    _require_normalized(state)
+    if op_result.grid != state.grid:
+        raise GridMismatch(f"{op_result.grid} vs {state.grid}")
+    return inner(state.values, op_result.values, state.grid.dx, Pairing.SESQUILINEAR)
 
 
 def uncertainty_bound(alpha):
@@ -251,23 +236,22 @@ def uncertainty_check(alpha, state):
     _momentum_moment).  Bins that spectral.zero_noise zeroes hold FFT
     roundoff, which |p|^b would amplify; they are left out.  For the
     Gaussian state the resulting bound reproduces uncertainty_bound(alpha).
-    Raises OrderTooLarge where |p|^(2a) overflows on the kept bins.
+    The state is a unit-norm SampledSignal.  Raises OrderTooLarge where
+    |p|^(2a) overflows on the kept bins.
     """
     alpha = require_order(alpha)
     if alpha < 1:
         raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha}")
-    if abs(state.norm - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"state norm {state.norm!r} is not 1 within {_NORM_TOL:.1e}")
-    _require_decay(state.signal)
-    g = state.signal.grid
+    _require_normalized(state)
+    _require_decay(state)
+    g = state.grid
 
-    mean_x = expectation(_x_times(state.signal), state).real
-    xxf = SampledSignal(g, g.x ** 2 * state.signal.values)
-    mean_xx = expectation(xxf, state).real
+    mean_x = inner(state.values, g.x * state.values, g.dx, Pairing.SESQUILINEAR).real
+    mean_xx = inner(state.values, g.x ** 2 * state.values, g.dx, Pairing.SESQUILINEAR).real
     delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
 
     # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
-    coeffs = np.fft.fft(state.signal.values)
+    coeffs = np.fft.fft(state.values)
     zero_noise(coeffs)
     weight = np.abs(coeffs) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
     half = g.n // 2
@@ -277,7 +261,7 @@ def uncertainty_check(alpha, state):
     kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
     require_finite_power(2 * alpha, (kept - 1) * g.dp)
     density = density[:, :kept]
-    taylor = _density_taylor(state.signal, mean_x)
+    taylor = _density_taylor(state, mean_x)
 
     mean_p = _momentum_moment(density, alpha, True, taylor, g.dp)
     mean_pp = _momentum_moment(density, 2 * alpha, False, taylor, g.dp)

@@ -10,6 +10,7 @@ that overflows double precision raises OrderTooLarge (see require_finite).
 """
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -68,6 +69,41 @@ def require_finite(value, message, *args):
     return value
 
 
+def require_real(name, value, error=ArgumentOutOfRange, least=-math.inf):
+    """The one finite-real gate: value as a float >= least, else error (pure Python)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        raise error(f"{name} is past the float range") from None
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if value < least:
+        raise error(f"{name} must be >= {least:g}, got {value}")
+    return value
+
+
+def require_count(name, value, error=ArgumentOutOfRange):
+    """The value as an int of any size, or error: a float must be finite and whole."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        value = require_real(name, value, error)
+    if not value.is_integer():
+        raise error(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
+def require_reals(name, values, above=-math.inf):
+    """The values as a float array: ArgumentOutOfRange unless all are finite and > above."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ArgumentOutOfRange(f"{name} is past the float range") from None
+    if not ((values > above) & (values < math.inf)).all():
+        raise ArgumentOutOfRange(f"{name} must be finite and > {above:g}, got {values}")
+    return values
+
+
 def gamma(x):
     """Gamma function for real x: the standard library's, with typed errors.
 
@@ -75,9 +111,7 @@ def gamma(x):
     for a non-finite x and OrderTooLarge where Gamma overflows double
     precision (x above about 171.62, or x within about 1e-308 of 0).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ArgumentOutOfRange(f"gamma needs a finite argument, got {x}")
+    x = require_real("gamma argument", x)
     if x <= 0.0 and x == math.floor(x):
         raise PoleAtNonPositiveInteger(f"gamma pole at x={x}")
     try:
@@ -101,11 +135,9 @@ def _series(a, b, z):
 
 def _kummer_args(a, b, z):
     """(a, b, z) as floats; a non-finite argument or a pole at b is rejected."""
-    a = float(a)
-    b = float(b)
-    z = float(z)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise ArgumentOutOfRange(f"1F1 needs finite arguments, got a={a}, b={b}, z={z}")
+    a = require_real("1F1 parameter a", a)
+    b = require_real("1F1 parameter b", b)
+    z = require_real("1F1 argument z", z)
     if b <= 0.0 and b == math.floor(b):
         raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
     return a, b, z
@@ -150,18 +182,14 @@ def kummer_1f1_series(a, b, z):
 def hurwitz_zeta(s, q):
     """Hurwitz zeta function zeta(s, q) = sum_{k>=0} (q + k)^(-s).
 
-    Defined here for s > 1 and q > 0; s and q broadcast against each other
+    Defined here for finite s > 1 and q > 0; s and q broadcast against each other
     like numpy arrays, and a pair of scalars gives a float.  Euler-Maclaurin
     summation with a fixed number of direct terms and Bernoulli corrections
     (see _ZETA_DIRECT), accurate to a few ulp for s up to 40 on the q range
     0.5 .. 1.5 that the engine's image correction uses.
     """
-    s = np.asarray(s, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not np.all(s > 1.0):
-        raise ArgumentOutOfRange(f"hurwitz_zeta needs s > 1, got {s}")
-    if not np.all(q > 0.0):
-        raise ArgumentOutOfRange(f"hurwitz_zeta needs q > 0, got {q}")
+    s = require_reals("hurwitz_zeta s", s, above=1.0)
+    q = require_reals("hurwitz_zeta q", q, above=0.0)
     column = (-1,) + (1,) * max(s.ndim, q.ndim)    # a leading axis to sum over
     direct = np.sum((q + np.arange(_ZETA_DIRECT).reshape(column)) ** -s, axis=0)
     w = q + _ZETA_DIRECT
@@ -188,9 +216,7 @@ def zeta_negative(t):
     them; zeta(0) = -1/2 is the limit t -> 0.  Raises OrderTooLarge where
     Gamma(1+t) overflows (t above about 170.6).
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0):
-        raise ArgumentOutOfRange(f"zeta_negative needs finite t >= 0, got {t}")
+    t = require_real("zeta_negative t", t, least=0.0)
     if t == 0.0:
         return -0.5
     m = round(t)

@@ -134,7 +134,7 @@ def require_finite_power(alpha, p_max):
 def ip_power(alpha, p):
     """Multiplier (ip)^a on an array of frequencies, branch as above."""
     require_order(alpha)
-    p = np.asarray(p, dtype=float)
+    p = specfun.require_reals("p", p)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
     half_turn = cmath.exp(0.5j * np.pi * alpha)
@@ -144,7 +144,7 @@ def ip_power(alpha, p):
 def p_power(alpha, p):
     """Momentum symbol p^a = (ip)^a / i^a; real on p > 0, e^{-i*a*pi} phase on p < 0."""
     require_order(alpha)
-    p = np.asarray(p, dtype=float)
+    p = specfun.require_reals("p", p)
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
     phase = np.where(p < 0, np.exp(-1j * np.pi * alpha), 1.0 + 0.0j)
@@ -403,10 +403,10 @@ def order_continuity_gap(signal, n, k):
     periodic result it stalls at n = 0: there the images sum to about
     -mu_0/P, the mean that the p = 0 bin deletes for every order above 0.)
     """
-    if n < 0 or k < 1:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    n = require_order(n)
+    k = specfun.require_real("k", k, least=1.0)
     d_frac = fractional_derivative(signal, n + 1.0 / k)
-    d_int = fractional_derivative(signal, float(n))
+    d_int = fractional_derivative(signal, n)
     return central_gap(d_frac.values, d_int.values)
 
 
@@ -447,6 +447,7 @@ def pairing_continuity_gap(psi, f, h, alpha, n):
     """
     if psi.grid != f.grid or f.grid != h.grid:
         raise GridMismatch("psi, f, h must share a grid")
+    n = specfun.require_real("n", n, least=1.0)
     f_n = SampledSignal(f.grid, f.values + h.values / n)
     dx = f.grid.dx
     a = inner(psi.values, fractional_derivative(f_n, alpha).values, dx, Pairing.SESQUILINEAR)

@@ -10,7 +10,7 @@ import mpmath
 from fracspectral.grid import GridMismatch, make_grid, sample
 from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
-                                  NotNormalized, OrderTooLarge, StateVector,
+                                  NotNormalized, OrderTooLarge,
                                   UncertaintyReport,
                                   commutator_dx, commutator_ladder, expectation,
                                   gaussian_state, high_res_grid,
@@ -29,11 +29,17 @@ def _gap_grid():
 
 # --- states ----------------------------------------------------------------
 
+def _norm(signal):
+    return math.sqrt(np.sum(np.abs(signal.values) ** 2) * signal.grid.dx)
+
+
 def test_gaussian_state_is_normalized():
-    state = gaussian_state(make_grid(-16.0, 16.0, 4096))
-    assert state.norm == pytest.approx(1.0, abs=1e-12)
-    peak = np.max(np.abs(state.signal.values))
+    g = make_grid(-16.0, 16.0, 4096)
+    state = gaussian_state(g)
+    assert _norm(state) == pytest.approx(1.0, abs=1e-12)
+    peak = np.max(np.abs(state.values))
     assert peak == pytest.approx((2.0 / math.pi) ** 0.25, rel=1e-12)
+    assert _norm(sample(GAUSS, g)) == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-12)
 
 
 def test_high_res_grid_is_cached():
@@ -41,13 +47,6 @@ def test_high_res_grid_is_cached():
     assert g is high_res_grid()
     assert g.n == 8192
     assert g.x_min == -20.0
-
-
-def test_state_vector_records_norm():
-    g = make_grid(-16.0, 16.0, 4096)
-    sig = sample(GAUSS, g)
-    state = StateVector(sig)
-    assert state.norm == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-12)
 
 
 # --- x-commutator ----------------------------------------------------------
@@ -161,7 +160,7 @@ def test_ladder_agrees_with_commutator_dx_route():
 def test_expectation_examples():
     g = make_grid(-16.0, 16.0, 4096)
     state = gaussian_state(g)
-    phi = state.signal
+    phi = state
     from fracspectral.grid import SampledSignal
     x_phi = SampledSignal(g, g.x * phi.values)
     assert abs(expectation(x_phi, state)) < 1e-12
@@ -174,7 +173,7 @@ def test_expectation_requires_normalized_state():
     g = make_grid(-16.0, 16.0, 4096)
     raw = sample(GAUSS, g)
     with pytest.raises(NotNormalized):
-        expectation(raw, StateVector(raw))
+        expectation(raw, raw)
 
 
 def test_expectation_requires_same_grid():
@@ -290,7 +289,7 @@ def test_uncertainty_check_forbidden_and_unnormalized():
             uncertainty_check(a, state)
     g = make_grid(-16.0, 16.0, 4096)
     with pytest.raises(NotNormalized):
-        uncertainty_check(1.0, StateVector(sample(GAUSS, g)))
+        uncertainty_check(1.0, sample(GAUSS, g))
 
 
 def test_uncertainty_report_validation():
