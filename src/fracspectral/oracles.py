@@ -9,7 +9,8 @@ These are the ground-truth routes against which the FFT engine is judged:
   square-integrable; they never touch the FFT path, which would silently
   periodize them.
 * quadrature_reference: direct adaptive integration of the defining
-  inverse-transform integral, sharing no code with the fast transform.
+  inverse-transform integral, sharing with the fast transform only the
+  guarded |p|^a of spectral (through ip_power).
 * eigenstate_signal: sampled eigenfunctions of the fractional momentum
   operator with their frequency pinned exactly onto the discrete grid.
 """
@@ -281,9 +282,10 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
 def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     """Direct adaptive integration of (1/sqrt(2pi)) int e^{ipx} (ip)^a f_hat(p) dp.
 
-    Completely independent of the FFT engine; this is the reference all
-    derived comparison values come from.  The caller guarantees f_hat is
-    negligible beyond p_cutoff (for a Gaussian transform, 40 is ample).
+    Independent of the FFT engine but for its |p|^a, through ip_power; this
+    is the reference all derived comparison values come from.  The caller
+    guarantees f_hat is negligible beyond p_cutoff (for a Gaussian
+    transform, 40 is ample).
     The integrand oscillates at frequency |x|, so initial panels are capped
     at a quarter period; the cusp/zero of the multiplier sits on the panel
     boundary at p = 0.  Every panel is refined until its 15-point Kronrod
@@ -294,7 +296,9 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     point by point).  One call evaluates the integrand at most
     _QUAD_MAX_EVALS times.
 
-    Errors: the order's as in require_order; ArgumentOutOfRange for an x
+    Errors: the order's as in require_order, and OrderTooLarge where
+    ip_power's |p|^a overflows at a node (at the default p_cutoff, from
+    order about 193 on, before f_hat is called); ArgumentOutOfRange for an x
     or p_cutoff that require_real rejects, a p_cutoff <= 0, or root panels
     past _QUAD_MAX_EVALS; ToleranceNotReached for a non-finite integrand
     value, a spent budget, or an error estimate above _QUAD_FAIL_EST.
@@ -347,18 +351,25 @@ _ONGRID_RTOL = 1e-9
 
 
 def _implied_frequency(spec):
-    """Solve q^alpha = E for the plane-wave frequency q."""
+    """Solve q^alpha = E for the plane-wave frequency q.
+
+    A q past the float range lies past any Nyquist bin: FrequencyOffGrid.
+    """
     alpha, e = spec.alpha, spec.eigenvalue
     if alpha == 1:
         return e
     r = 1.0 / alpha
-    # reciprocal odd integer orders (1/3, 1/5, ...) invert via an odd power
-    # and so accept negative eigenvalues
-    if abs(r - round(r)) < 1e-12 and int(round(r)) % 2 == 1:
-        return math.copysign(abs(e) ** round(r), e)
-    if e < 0:
-        raise specfun.ArgumentOutOfRange(f"eigenvalue must be >= 0 for order {alpha}")
-    return e ** r
+    try:
+        # reciprocal odd integer orders (1/3, 1/5, ...) invert via an odd power
+        # and so accept negative eigenvalues
+        if abs(r - round(r)) < 1e-12 and int(round(r)) % 2 == 1:
+            return math.copysign(abs(e) ** round(r), e)
+        if e < 0:
+            raise specfun.ArgumentOutOfRange(f"eigenvalue must be >= 0 for order {alpha}")
+        return e ** r
+    except OverflowError:
+        raise FrequencyOffGrid(f"the frequency of eigenvalue {e:g} at order {alpha:g} "
+                               f"overflows double precision, past any Nyquist bin") from None
 
 
 def eigenstate_signal(spec, grid):

@@ -18,8 +18,8 @@ from . import specfun
 from .grid import GridMismatch, SampledSignal, central_gap, make_grid
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
-                       fractional_derivative, fractional_momentum, inner,
-                       require_finite_power, require_order, zero_noise)
+                       _abs_power, fractional_derivative, fractional_momentum, inner,
+                       require_order, zero_noise)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -170,8 +170,11 @@ def uncertainty_bound(alpha):
     alpha = require_order(alpha)
     if alpha == 0:
         return 0.0
-    bound = (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
-             * specfun.gamma(alpha / 2) * abs(math.cos((alpha - 1) * math.pi / 2)))
+    try:
+        bound = (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
+                 * specfun.gamma(alpha / 2) * abs(math.cos((alpha - 1) * math.pi / 2)))
+    except OverflowError:           # the float power, past order about 2051
+        bound = math.inf
     return specfun.require_finite(bound, specfun.ORDER_OVERFLOW, "uncertainty_bound", alpha)
 
 
@@ -211,7 +214,7 @@ def _momentum_moment(density, b, signed, taylor, dp):
     where c_j are the Taylor coefficients of G at 0.  Terms stop once
     Gamma(1+b+j) overflows; they are far below the roundoff of the sum there.
     """
-    power = (np.arange(density.shape[1]) * dp) ** b         # 0^0 = 1
+    power = _abs_power(b, np.arange(density.shape[1]) * dp)     # 0^0 = 1
     plus, minus = np.sum(density * power, axis=1)
     phase = complex(np.exp(-1j * np.pi * b)) if signed else 1.0
     total = plus + phase * minus
@@ -259,12 +262,12 @@ def uncertainty_check(alpha, state):
     density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
     density[1, 1:] = weight[:half - 1:-1]          # p = -dp .. -(n/2) dp
     kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
-    require_finite_power(2 * alpha, (kept - 1) * g.dp)
     density = density[:, :kept]
     taylor = _density_taylor(state, mean_x)
 
-    mean_p = _momentum_moment(density, alpha, True, taylor, g.dp)
+    # |p|^(2a) first: where any power overflows, its OrderTooLarge names 2a
     mean_pp = _momentum_moment(density, 2 * alpha, False, taylor, g.dp)
+    mean_p = _momentum_moment(density, alpha, True, taylor, g.dp)
     mean_lower = _momentum_moment(density, alpha - 1, True, taylor, g.dp)
     delta_p = math.sqrt(max(mean_pp - abs(mean_p) ** 2, 0.0))
     rhs_bound = alpha * abs(mean_lower) / 2

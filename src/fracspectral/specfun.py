@@ -51,6 +51,11 @@ _BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
 # B_2k / (2k)!, k = 1 .. 8, each correctly rounded (integer true division)
 _ZETA_TAIL = tuple(num / (den * math.factorial(2 * k))
                    for k, (num, den) in enumerate(_BERNOULLI_EVEN, start=1))
+# The tail is scaled by w^(-s) with w = q + _ZETA_DIRECT > 8, and 8^(-s)
+# underflows to 0 from s of about 358.4 on.  Its Bernoulli corrections are
+# formed with s capped here, so their rising factorials stay finite where
+# they are multiplied by that 0; below the cap s is used as it is.
+_ZETA_TAIL_MAX_S = 400.0
 
 
 #: Message of require_finite for a function of an order: name, order.
@@ -186,15 +191,23 @@ def hurwitz_zeta(s, q):
     like numpy arrays, and a pair of scalars gives a float.  Euler-Maclaurin
     summation with a fixed number of direct terms and Bernoulli corrections
     (see _ZETA_DIRECT), accurate to a few ulp for s up to 40 on the q range
-    0.5 .. 1.5 that the engine's image correction uses.
+    0.5 .. 1.5 that the engine's image correction uses.  Raises
+    OrderTooLarge where a term q^(-s) overflows double precision (q < 1
+    only).
     """
     s = require_reals("hurwitz_zeta s", s, above=1.0)
     q = require_reals("hurwitz_zeta q", q, above=0.0)
     column = (-1,) + (1,) * max(s.ndim, q.ndim)    # a leading axis to sum over
-    direct = np.sum((q + np.arange(_ZETA_DIRECT).reshape(column)) ** -s, axis=0)
+    try:
+        with np.errstate(over="raise"):
+            direct = np.sum((q + np.arange(_ZETA_DIRECT).reshape(column)) ** -s, axis=0)
+    except FloatingPointError:
+        raise OrderTooLarge(f"hurwitz_zeta overflows double precision at s up to "
+                            f"{s.max():g}, q down to {q.min():g}: the order is too large") from None
     w = q + _ZETA_DIRECT
     # sum_i B_2i/(2i)! (s)_(2i-1) w^(-s-2i+1) = w^(-s-1) sum_i c_i(s) w^(-2i+2)
-    rising = np.cumprod(s + np.arange(2 * len(_ZETA_TAIL) - 1).reshape(column),
+    capped = np.minimum(s, _ZETA_TAIL_MAX_S)
+    rising = np.cumprod(capped + np.arange(2 * len(_ZETA_TAIL) - 1).reshape(column),
                         axis=0)[::2]                               # (s)_1, (s)_3, ...
     even = np.arange(0.0, 2 * len(_ZETA_TAIL), 2.0).reshape(column)
     bernoulli = np.sum(np.reshape(_ZETA_TAIL, column) * rising * w ** -even, axis=0)

@@ -124,11 +124,15 @@ def zero_noise(*coeffs):
         c[m < floor] = 0.0
 
 
-def require_finite_power(alpha, p_max):
-    """Raise OrderTooLarge where p_max^alpha overflows double precision."""
+def _abs_power(alpha, p):
+    """|p|^alpha on a float array; OrderTooLarge, before the power, where its largest overflows."""
+    modulus = np.abs(p)
+    p_max = float(np.max(modulus, initial=0.0))
     if alpha * math.log(max(p_max, 1.0)) > _LOG_DBL_MAX:
         raise OrderTooLarge(f"|p|^{alpha:g} overflows double precision at "
                             f"|p| = {p_max:.6g}: the order is too large for this grid")
+    modulus **= alpha
+    return modulus
 
 
 def ip_power(alpha, p):
@@ -138,7 +142,7 @@ def ip_power(alpha, p):
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
     half_turn = cmath.exp(0.5j * np.pi * alpha)
-    return np.abs(p) ** alpha * np.where(p < 0, half_turn.conjugate(), half_turn)
+    return _abs_power(alpha, p) * np.where(p < 0, half_turn.conjugate(), half_turn)
 
 
 def p_power(alpha, p):
@@ -148,7 +152,7 @@ def p_power(alpha, p):
     if alpha == 0:
         return np.ones_like(p, dtype=complex)
     phase = np.where(p < 0, np.exp(-1j * np.pi * alpha), 1.0 + 0.0j)
-    return np.abs(p) ** alpha * phase
+    return _abs_power(alpha, p) * phase
 
 
 def forward(signal):
@@ -322,13 +326,15 @@ def _apply_multiplier(signal, alpha, phase):
     D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
     bin.  Bins of either part below the noise floor, taken against the
     largest coefficient of both, are zeroed before the symbol is applied.
-    Raises OrderTooLarge where the symbol overflows at the Nyquist bin.
+    Raises OrderTooLarge, before any transform, where |p|^a overflows at the Nyquist bin.
     """
     require_order(alpha)
     if alpha == 0:
         return signal
     g = signal.grid
-    require_finite_power(alpha, (g.n // 2) * g.dp)
+    # (ip)^a on the bins p = k*dp >= 0 is p^a e^{i*pi*a/2}
+    half_turn = cmath.exp(0.5j * math.pi * alpha)
+    symbol = _abs_power(alpha, np.arange(g.n // 2 + 1) * g.dp) * half_turn
     source = signal.images
     values = signal.values
     if source is not None:
@@ -342,12 +348,6 @@ def _apply_multiplier(signal, alpha, phase):
     spectra = [np.fft.rfft(v) for v in parts]
     del parts, values
     zero_noise(*spectra)
-    # (ip)^a on the bins p = k*dp >= 0 is p^a e^{i*pi*a/2}
-    power = np.arange(g.n // 2 + 1, dtype=float)
-    power *= g.dp
-    power **= alpha
-    symbol = power * cmath.exp(0.5j * math.pi * alpha)
-    del power
     for c in spectra:
         c *= symbol
     del symbol
@@ -476,10 +476,10 @@ def product_rule(f, g, alpha):
     """
     if f.grid != g.grid:
         raise GridMismatch(f"{f.grid} vs {g.grid}")
-    require_order(alpha)
     grid = f.grid
     n = grid.n
-    require_finite_power(alpha, n * grid.dp)
+    u = (np.arange(2 * n - 1) - n) * grid.dp
+    symbol = ip_power(alpha, u)
     fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
     gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
     # after the shift both spectra start at p = -(n/2)*dp, so index m of
@@ -488,8 +488,7 @@ def product_rule(f, g, alpha):
     # the FFT convolution leaves roundoff of the largest sum in every bin,
     # which the symbol would amplify by |u|^a: the engine's floor applies
     zero_noise(conv)
-    u = (np.arange(2 * n - 1) - n) * grid.dp
-    terms = np.exp(1j * grid.x_min * u) * ip_power(alpha, u) * conv
+    terms = np.exp(1j * grid.x_min * u) * symbol * conv
     terms[:n - 1] += terms[n:]
     values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
     images, warning = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)

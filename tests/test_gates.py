@@ -18,6 +18,9 @@ X2GAUSS = lambda x: x * x * np.exp(-x * x)
 F_HAT = lambda p: np.exp(-p * p / 4) / math.sqrt(2)
 
 BAD_NUMBERS = (10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf)
+# finite, but large enough that a power, a product or a frequency built from
+# them overflows double precision
+LARGE_NUMBERS = (300.0, 1e300, -1e300)
 
 
 def _numbers(result):
@@ -47,6 +50,7 @@ def _scan_table():
     h = fs.sample(X2GAUSS, g)
     state = fs.gaussian_state(g)
     p = np.array([-2.0, 0.0, 1.5])
+    eigenstate = lambda alpha, e: fs.eigenstate_signal(fs.EigenstateSpec(alpha, e), g)
     sesq, plus = fs.Pairing.SESQUILINEAR, fs.MinusOneBranch.E_PLUS_I_PI
     return [
         ("make_grid", fs.make_grid, (-8.0, 8.0, 256), (0, 1, 2)),
@@ -70,6 +74,8 @@ def _scan_table():
         ("monomial_deriv", fs.monomial_deriv, (3, 1.0, 2.0), (0, 1, 2)),
         ("quadrature_reference", fs.quadrature_reference, (F_HAT, 0.5, 0.3, 40.0), (1, 2, 3)),
         ("EigenstateSpec", fs.EigenstateSpec, (1.0, 2.0), (0, 1)),
+        # order 0.5: q = E^2 lands on bin 4
+        ("eigenstate_signal", eigenstate, (0.5, math.sqrt(4 * g.dp)), (0, 1)),
         ("commutator_dx", fs.commutator_dx, (f, 1.5), (1,)),
         ("commutator_ladder", fs.commutator_ladder, (f, 1.5), (1,)),
         ("symmetry_residual", fs.symmetry_residual, (f, h, 0.5), (2,)),
@@ -94,16 +100,20 @@ def _outcome(function, args):
     return None
 
 
-def test_public_functions_reject_bad_numbers():
+def _scan(numbers, finite):
+    """The cases of the scan table, with each number in each slot, that break the rule.
+
+    A finite number may return; a non-finite float must raise.
+    """
     cases = []
     for name, function, valid, slots in _scan_table():
         assert _outcome(function, valid) is None, name
         for slot in slots:
-            for bad in BAD_NUMBERS:
+            for bad in numbers:
                 args = list(valid)
                 args[slot] = bad
                 why = _outcome(function, args)
-                if why is None and isinstance(bad, float):
+                if why is None and not finite and isinstance(bad, float):
                     try:
                         function(*args)
                     except Exception:
@@ -112,6 +122,16 @@ def test_public_functions_reject_bad_numbers():
                 if why is not None:
                     shown = bad if isinstance(bad, float) else f"{'-' if bad < 0 else ''}10**400"
                     cases.append(f"{name} slot {slot} = {shown}: {why}")
+    return cases
+
+
+def test_public_functions_reject_bad_numbers():
+    cases = _scan(BAD_NUMBERS, finite=False)
+    assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
+
+
+def test_public_functions_survive_large_finite_numbers():
+    cases = _scan(LARGE_NUMBERS, finite=True)
     assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
 
 

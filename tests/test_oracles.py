@@ -336,6 +336,21 @@ for a in (18, 20, 30, 60, 100):
         assert float(seconds) < 1.0, (a, seconds)
 
 
+def test_quadrature_raises_at_once_where_the_symbol_overflows():
+    # 40^193 overflows double precision, so from order 193 on the default
+    # p_cutoff the integrand's symbol raises before f_hat is called
+    calls = []
+
+    def f_hat(p):
+        calls.append(p.size)
+        return F1_HAT(p)
+
+    for a in (193.0, 200.0, 300.0):
+        with pytest.raises(OrderTooLarge, match="overflows"):
+            quadrature_reference(f_hat, a, 0.5)
+    assert calls == []
+
+
 def test_quadrature_refuses_a_position_past_the_root_panel_cap():
     # x = 1e8 would need ~5e9 quarter-period root panels
     t0 = time.perf_counter()
@@ -371,6 +386,10 @@ def test_eigenstate_off_grid_frequency_rejected():
     with pytest.raises(FrequencyOffGrid):
         # beyond the Nyquist bin
         eigenstate_signal(EigenstateSpec(1.0, 1e6), g)
+    for alpha in (0.5, 1.0 / 3.0):
+        # q = E^2 or E^3 is past the float range, so past any Nyquist bin
+        with pytest.raises(FrequencyOffGrid, match="past any Nyquist bin"):
+            eigenstate_signal(EigenstateSpec(alpha, 1e300), g)
 
 
 def test_eigenstate_negative_eigenvalue_rules():

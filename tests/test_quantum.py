@@ -254,6 +254,13 @@ def test_order_too_large_is_typed():
         uncertainty_bound(400.0)
     report = uncertainty_check(140.0, state)     # below the overflow the report is finite
     assert math.isfinite(report.delta_p_alpha) and report.satisfied
+    # the report's largest power is |p|^(2a), and the error names it
+    with pytest.raises(OrderTooLarge, match=r"\|p\|\^800 overflows"):
+        uncertainty_check(400.0, state)
+    # past order about 2051 the float power 2^((a-3)/2) overflows before Gamma
+    for a in (2060.0, 1e300):
+        with pytest.raises(OrderTooLarge, match="uncertainty_bound"):
+            uncertainty_bound(a)
 
 
 def test_every_order_is_finite_or_order_too_large():

@@ -161,6 +161,22 @@ def test_hurwitz_zeta_pinned_values():
     assert isinstance(hurwitz_zeta(3.0, 2.0), float)
 
 
+def test_hurwitz_zeta_at_large_s():
+    # past the first term every (q + k)^(-s) underflows
+    assert hurwitz_zeta(1e21, 1.0) == 1.0
+    assert hurwitz_zeta(1e21, 2.0) == 0.0
+    assert hurwitz_zeta(1e300, 1.0) == 1.0
+    for s, q in ((2000.0, 0.5), (1e300, 0.5)):
+        with pytest.raises(OrderTooLarge, match="overflows"):
+            hurwitz_zeta(s, q)
+    # on both sides of the cap on the tail's s the values hold
+    for s in (100.0, 225.0, 399.0, 401.0):
+        for q in (0.5, 1.0, 1.5):
+            with mpmath.workdps(30):
+                ref = mpmath.zeta(s, q)
+                assert float(abs((hurwitz_zeta(s, q) - ref) / ref)) < 1e-15, (s, q)
+
+
 def test_hurwitz_zeta_domain():
     with pytest.raises(ArgumentOutOfRange):
         hurwitz_zeta(1.0, 1.0)

@@ -75,6 +75,13 @@ def test_order_too_large_is_typed():
     assert np.all(np.isfinite(product_rule(sig, sig, 220.0).values))
     with pytest.raises(OrderTooLarge):
         product_rule(sig, sig, 221.0)
+    # the symbols form |p|^a through the same guard: 1e5^300 raises
+    # OrderTooLarge, not numpy's overflow warning
+    for symbol in (ip_power, p_power):
+        with pytest.raises(OrderTooLarge, match=r"\|p\|\^300 overflows"):
+            symbol(300.0, np.array([-1.0, 1e5]))
+        assert symbol(0.5, np.array([])).shape == (0,)
+        assert np.all(np.isfinite(symbol(280.0, np.array([-4 * math.pi, 4 * math.pi]))))
 
 
 # --- transform pair --------------------------------------------------------
