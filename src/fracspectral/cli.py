@@ -135,22 +135,25 @@ def _per_alpha_path(path, alpha):
 def _read_signal_csv(path):
     """The signal in a CSV file: the header x,re,im, then rows on a uniform grid."""
     with open(path) as fh:
-        if [c.strip().strip('"') for c in fh.readline().split(",")] != CSV_HEADER.split(","):
-            raise CLIConfigError(f"--input {path}: expected header '{CSV_HEADER}'")
-        try:
-            with warnings.catch_warnings():
-                # a file of the header alone: its (0, 1) shape is rejected below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError as exc:
-            raise CLIConfigError(f"--input {path}: each row must hold three numbers "
-                                 f"{CSV_HEADER} ({exc})") from exc
+        header, *lines = fh.readlines() or [""]
+    if [c.strip().strip('"') for c in header.split(",")] != CSV_HEADER.split(","):
+        raise CLIConfigError(f"--input {path}: expected header '{CSV_HEADER}'")
+    try:
+        with warnings.catch_warnings():
+            # a file of the header alone: its (0, 1) shape is rejected below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except ValueError as exc:
+        raise CLIConfigError(f"--input {path}: each row must hold three numbers "
+                             f"{CSV_HEADER} ({exc})") from exc
     if data.shape[1] != 3:
         raise CLIConfigError(f"--input {path}: need rows of {CSV_HEADER} (at least 8)")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
+        # loadtxt skips blank lines, so data row i sits on the i-th non-blank file line
+        rows = [number for number, line in enumerate(lines, start=2) if line.strip()]
         raise CLIConfigError(
-            f"--input {path}: non-finite value on line {int(finite.argmin()) + 2}")
+            f"--input {path}: non-finite value on line {rows[int(finite.argmin())]}")
     x = data[:, 0]
     n = len(x)
     x0 = float(x[0])

@@ -5,9 +5,12 @@ right endpoint excluded (periodic identification).  The matching frequency
 grid follows the standard FFT layout with the Nyquist bin assigned to the
 negative side, so the frequency set is symmetric except for that one bin.
 """
+import contextlib
+import math
+
 import numpy as np
 
-from .specfun import require_count
+from .specfun import require_count, require_real
 
 
 class NonPowerOfTwo(ValueError):
@@ -56,13 +59,9 @@ class Grid:
     __slots__ = ("x_min", "x_max", "n", "dx", "dp", "x", "p")
 
     def __init__(self, x_min, x_max, n):
-        try:
-            x_min, x_max = float(x_min), float(x_max)
-        except OverflowError:
-            raise DegenerateInterval("need finite bounds, got one past the float range") from None
+        x_min = require_real("x_min", x_min, DegenerateInterval)
+        x_max = require_real("x_max", x_max, DegenerateInterval)
         n = require_count("n", n, NonPowerOfTwo)
-        if not (np.isfinite(x_min) and np.isfinite(x_max)):
-            raise DegenerateInterval(f"need finite bounds, got ({x_min}, {x_max})")
         if not x_max > x_min:
             raise DegenerateInterval(f"need x_max > x_min, got ({x_min}, {x_max})")
         if n < 8 or n & (n - 1):
@@ -70,9 +69,18 @@ class Grid:
         self.x_min = x_min
         self.x_max = x_max
         self.n = n
+        # a width past the float range gives dx = inf and dp = 0; one too
+        # narrow for n samples gives dx = 0, or a dp = 2 pi/(n dx) of inf
         self.dx = (x_max - x_min) / n
-        self.dp = 2 * np.pi / (n * self.dx)
+        self.dp = 2 * np.pi / (n * self.dx) if self.dx else math.inf
+        if not 0 < self.dp < math.inf:
+            raise DegenerateInterval(f"({x_min}, {x_max}) with n = {n} has spacing "
+                                     f"dx = {self.dx!r} and dp = {self.dp!r}: "
+                                     f"need both finite and > 0")
         self.x = _readonly(x_min + self.dx * np.arange(n))
+        if not (self.x[1:] > self.x[:-1]).all():
+            raise DegenerateInterval(f"({x_min}, {x_max}) is too narrow for n = {n}: "
+                                     f"its samples do not increase in double precision")
         self.p = _readonly(2 * np.pi * np.fft.fftfreq(n, self.dx))
 
     def __eq__(self, other):
@@ -116,6 +124,24 @@ def _boundary_decay(values, n):
     return float(max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:]))))
 
 
+def _own_samples(values, points, name, axis):
+    """values as their own read-only complex copy, one finite value per point (x or p).
+
+    The one gate of sampled data: ValueError for the wrong shape, else
+    EvaluationFailure, naming the point, for a value that is not a finite double.
+    """
+    try:
+        values = np.array(values, dtype=complex)
+    except OverflowError:
+        raise EvaluationFailure(f"{name} hold an int past the float range") from None
+    if values.shape != points.shape:
+        raise ValueError(f"{name} shape {values.shape} != {points.shape}")
+    if not np.isfinite(values.view(float)).all():
+        raise EvaluationFailure(f"non-finite value at {axis}="
+                                f"{points[np.argmin(np.isfinite(values))]!r}")
+    return _readonly(values)
+
+
 class SampledSignal:
     """Complex samples on a Grid, with boundary-decay metadata.
 
@@ -132,12 +158,9 @@ class SampledSignal:
     __slots__ = ("grid", "values", "boundary_decay", "warning", "images")
 
     def __init__(self, grid, values, warning=None, images=None):
-        values = np.array(values, dtype=complex)
-        if values.shape != (grid.n,):
-            raise ValueError(f"values shape {values.shape} != ({grid.n},)")
         self.grid = grid
-        self.values = _readonly(values)
-        self.boundary_decay = _boundary_decay(values, grid.n)
+        self.values = _own_samples(values, grid.x, "values", "x")
+        self.boundary_decay = _boundary_decay(self.values, grid.n)
         self.warning = warning
         self.images = images
 
@@ -152,14 +175,36 @@ class Spectrum:
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid, coeffs):
-        coeffs = np.array(coeffs, dtype=complex)
-        if coeffs.shape != (grid.n,):
-            raise ValueError(f"coeffs shape {coeffs.shape} != ({grid.n},)")
         self.grid = grid
-        self.coeffs = _readonly(coeffs)
+        self.coeffs = _own_samples(coeffs, grid.p, "coeffs", "p")
 
     def __repr__(self):
         return f"Spectrum(n={self.grid.n})"
+
+
+def require_same_grid(*signals):
+    """The grid all the signals share, else GridMismatch naming two that differ."""
+    for other in signals:
+        if other.grid != signals[0].grid:
+            raise GridMismatch(f"{signals[0].grid} vs {other.grid}")
+    return signals[0].grid
+
+
+def _evaluate(f, points, axis):
+    """f at the points: one call on the array where f maps it to one of its shape,
+    else one call per point, with EvaluationFailure naming the point of a failing call.
+    """
+    with contextlib.suppress(Exception):
+        values = np.asarray(f(points), dtype=complex)
+        if values.shape == points.shape:
+            return values
+    values = np.empty(points.shape, dtype=complex)
+    for j, point in enumerate(points):
+        try:
+            values[j] = complex(f(point))
+        except Exception as exc:
+            raise EvaluationFailure(f"evaluation failed at {axis}={point!r}: {exc}") from exc
+    return values
 
 
 def sample(f, grid):
@@ -168,21 +213,4 @@ def sample(f, grid):
     Raises EvaluationFailure naming the offending x if f fails or returns
     a non-finite value there.
     """
-    try:
-        values = np.asarray(f(grid.x), dtype=complex)
-        if values.shape != (grid.n,):
-            raise TypeError("not vectorized")
-    except EvaluationFailure:
-        raise
-    except Exception:
-        values = np.empty(grid.n, dtype=complex)
-        for j, xj in enumerate(grid.x):
-            try:
-                values[j] = complex(f(xj))
-            except Exception as exc:
-                raise EvaluationFailure(f"evaluation failed at x={xj!r}: {exc}") from exc
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise EvaluationFailure(f"non-finite value at x={grid.x[j]!r}")
-    return SampledSignal(grid, values)
+    return SampledSignal(grid, _evaluate(f, grid.x, "x"))

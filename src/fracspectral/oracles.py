@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import SampledSignal
+from .grid import SampledSignal, _evaluate
 from .spectral import ip_power, require_order
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -213,21 +213,6 @@ _CORNER_CUTS = np.append(2.0 ** -np.arange(_CORNER_LEVELS + 1), 0.0)
 _QUAD_FAIL_EST = 1e-9
 
 
-def _eval_integrand(f_hat, alpha, x, p):
-    return np.exp(1j * p * x) * ip_power(alpha, p) * _as_array(f_hat, p)
-
-
-def _as_array(f_hat, p):
-    """f_hat at the nodes p; point by point if it does not map arrays."""
-    try:
-        arr = np.asarray(f_hat(p), dtype=complex)
-    except TypeError:
-        arr = None
-    if arr is None or arr.shape != p.shape:
-        arr = np.array([complex(f_hat(pj)) for pj in p])
-    return arr
-
-
 def _adaptive(f_hat, alpha, x, lo, hi, tol):
     """Adaptive refinement of the panels [lo[k], hi[k]]; returns (value, error_estimate).
 
@@ -256,7 +241,8 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         p = (mid[:, None] + half[:, None] * _NODES).ravel()
-        f = _eval_integrand(f_hat, alpha, x, p).reshape(a.size, _NODES.size)
+        f = np.exp(1j * p * x) * ip_power(alpha, p) * _evaluate(f_hat, p, "p")
+        f = f.reshape(a.size, _NODES.size)
         bad = ~np.isfinite(f)
         if bad.any():
             raise ToleranceNotReached(
@@ -293,7 +279,8 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     ending at p = 0 is split dyadically toward it (see _adaptive).  The
     panels are evaluated in batches, many per call of f_hat, which
     receives 1-d node arrays (a function that only takes scalars is called
-    point by point).  One call evaluates the integrand at most
+    point by point, and EvaluationFailure names the p where such a call
+    fails).  One call evaluates the integrand at most
     _QUAD_MAX_EVALS times.
 
     Errors: the order's as in require_order, and OrderTooLarge where
@@ -334,7 +321,9 @@ class EigenstateSpec:
     order 2 the eigenfunction is the cosine combination and the eigenvalue
     must be > 0.  The order must be finite and > 0: P_0 is the identity,
     which implies no frequency.  The eigenvalue must be finite, else
-    ArgumentOutOfRange.
+    ArgumentOutOfRange, and may be negative only at odd integer orders:
+    the symbol p^a = |p|^a e^{-i*a*pi} of a q < 0 is real and negative
+    only there.
     """
     alpha: float
     eigenvalue: float
@@ -343,42 +332,45 @@ class EigenstateSpec:
         require_order(self.alpha)
         if self.alpha == 0:
             raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
-        if specfun.require_real("eigenvalue", self.eigenvalue) <= 0 and self.alpha == 2:
+        eigenvalue = specfun.require_real("eigenvalue", self.eigenvalue)
+        if eigenvalue <= 0 and self.alpha == 2:
             raise specfun.ArgumentOutOfRange("order-2 eigenvalue must be > 0")
+        if eigenvalue < 0 and self.alpha % 2 != 1:
+            raise specfun.ArgumentOutOfRange(f"eigenvalue must be >= 0 for order {self.alpha}: "
+                                             f"only odd integer orders have negative ones")
 
 
 _ONGRID_RTOL = 1e-9
 
 
 def _implied_frequency(spec):
-    """Solve q^alpha = E for the plane-wave frequency q.
+    """Solve q^alpha = E for the plane-wave frequency q; q = -|E|^(1/alpha) for E < 0.
 
     A q past the float range lies past any Nyquist bin: FrequencyOffGrid.
     """
     alpha, e = spec.alpha, spec.eigenvalue
     if alpha == 1:
         return e
-    r = 1.0 / alpha
     try:
-        # reciprocal odd integer orders (1/3, 1/5, ...) invert via an odd power
-        # and so accept negative eigenvalues
-        if abs(r - round(r)) < 1e-12 and int(round(r)) % 2 == 1:
-            return math.copysign(abs(e) ** round(r), e)
-        if e < 0:
-            raise specfun.ArgumentOutOfRange(f"eigenvalue must be >= 0 for order {alpha}")
-        return e ** r
+        q = abs(e) ** (1.0 / alpha)     # 1/alpha is inf at a subnormal order
     except OverflowError:
+        q = math.inf
+    if q == math.inf:
         raise FrequencyOffGrid(f"the frequency of eigenvalue {e:g} at order {alpha:g} "
-                               f"overflows double precision, past any Nyquist bin") from None
+                               f"overflows double precision, past any Nyquist bin")
+    return -q if e < 0 else q
 
 
 def eigenstate_signal(spec, grid):
     """Sample the eigenfunction of the order-alpha momentum operator.
 
-    Plane wave e^{iqx} with q^alpha = E (orders 1 and fractional), or
-    cos(sqrt(E) x)/sqrt(E) for order 2.  The frequency must land exactly on
-    the discrete frequency set, else FrequencyOffGrid: only then is the
-    operator literally diagonal on the sample vector.
+    Plane wave e^{iqx} with q^alpha = E (every order but 2), or
+    cos(sqrt(E) x)/sqrt(E) for order 2.  The engine's P_a is diagonal on
+    the sample vector exactly where the frequency lands on a bin k*dp of
+    the grid: for a plane wave with |k| < n/2, since the engine splits the
+    Nyquist bin k = n/2 between +-pi/dx, and for the cosine with
+    |k| <= n/2, since it has both signs.  Anything else raises
+    FrequencyOffGrid.
     """
     if spec.alpha == 2:
         q = math.sqrt(spec.eigenvalue)
@@ -386,15 +378,19 @@ def eigenstate_signal(spec, grid):
         values = np.cos(q * grid.x) / q
         return SampledSignal(grid, values)
     q = _implied_frequency(spec)
-    _check_on_grid(q, grid)
+    if abs(_check_on_grid(q, grid)) == grid.n // 2:
+        raise FrequencyOffGrid(f"plane wave of frequency {q} at the Nyquist bin of {grid}, "
+                               f"which the engine splits between +-pi/dx")
     values = np.exp(1j * q * grid.x)
     return SampledSignal(grid, values)
 
 
 def _check_on_grid(q, grid):
+    """The bin k = q/dp, a whole number with |k| <= n/2, else FrequencyOffGrid."""
     k = q / grid.dp
     if abs(k - round(k)) > _ONGRID_RTOL * max(1.0, abs(k)):
         raise FrequencyOffGrid(
             f"frequency {q} is {k:.6f} grid bins (dp={grid.dp:.6g}); not on the grid")
     if abs(round(k)) > grid.n // 2:
         raise FrequencyOffGrid(f"frequency {q} beyond the Nyquist bin for {grid}")
+    return round(k)

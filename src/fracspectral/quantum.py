@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import GridMismatch, SampledSignal, central_gap, make_grid
+from .grid import SampledSignal, central_gap, make_grid, require_same_grid
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
                        _abs_power, fractional_derivative, fractional_momentum, inner,
@@ -151,9 +151,8 @@ def commutator_ladder(f, alpha):
 def expectation(op_result, state):
     """Discrete <state, op_result> = sum conj(state_j) (op result)_j dx; unit-norm state."""
     _require_normalized(state)
-    if op_result.grid != state.grid:
-        raise GridMismatch(f"{op_result.grid} vs {state.grid}")
-    return inner(state.values, op_result.values, state.grid.dx, Pairing.SESQUILINEAR)
+    dx = require_same_grid(op_result, state).dx
+    return inner(state.values, op_result.values, dx, Pairing.SESQUILINEAR)
 
 
 def uncertainty_bound(alpha):
@@ -291,9 +290,7 @@ def symmetry_residual(f, g, alpha):
     e^{-i a pi} makes the symbol non-real and the residual is reported as a
     diagnostic.
     """
-    if f.grid != g.grid:
-        raise GridMismatch(f"{f.grid} vs {g.grid}")
-    dx = f.grid.dx
+    dx = require_same_grid(f, g).dx
     pg = fractional_momentum(g, alpha)
     pf = fractional_momentum(f, alpha)
     return (inner(pg.values, f.values, dx, Pairing.SESQUILINEAR)

@@ -61,6 +61,8 @@ _ZETA_TAIL = tuple(num / (den * math.factorial(2 * k))
 # formed with s capped here, so their rising factorials stay finite where
 # they are multiplied by that 0; below the cap s is used as it is.
 _ZETA_TAIL_MAX_S = 400.0
+# the smallest normal double: a w^(-s) below it has lost digits or is 0
+_TINY = float(np.finfo(float).tiny)
 
 
 #: Message of require_finite for a function of an order: name, order.
@@ -198,10 +200,12 @@ def hurwitz_zeta(s, q):
     like numpy arrays, and a pair of scalars gives a float.  Euler-Maclaurin
     summation with a fixed number of direct terms and Bernoulli corrections
     (see _ZETA_DIRECT), accurate to a few ulp for s up to 40 on the q range
-    0.5 .. 1.5 that the engine's image correction uses.  Raises
-    OrderTooLarge where a term overflows double precision: a direct term
-    q^(-s) (large s with q < 1), or the tail's w/(s-1) (large q with s
-    near 1).
+    0.5 .. 1.5 that the engine's image correction uses.  Where the tail's
+    factor w^(-s) underflows (q of about 1e154 and up at s = 2), the tail
+    is formed from w^(1-s) instead, so zeta(2, 1e300) is 1e-300, not 0.
+    Raises OrderTooLarge where a term overflows double precision: a direct
+    term q^(-s) (large s with q < 1), or the tail's w/(s-1) (large q with
+    s near 1).
     """
     s = require_reals("hurwitz_zeta s", s, above=1.0)
     q = require_reals("hurwitz_zeta q", q, above=0.0)
@@ -216,7 +220,15 @@ def hurwitz_zeta(s, q):
     try:
         with np.errstate(over="raise"):
             direct = np.sum((q + np.arange(_ZETA_DIRECT).reshape(column)) ** -s, axis=0)
-            total = direct + w ** -s * (w / (s - 1.0) + 0.5 + bernoulli / w)
+            scale = w ** -s
+            tail = scale * (w / (s - 1.0) + 0.5 + bernoulli / w)
+            # where w^(-s) underflows (large q), w^(1-s) keeps the digits
+            # that w / (s - 1) would have scaled back up
+            low = scale < _TINY
+            if low.any():
+                rest = 1.0 / (s - 1.0) + (0.5 + bernoulli / w) / w
+                tail = np.where(low, w ** (1.0 - s) * rest, tail)
+            total = direct + tail
     except FloatingPointError:
         raise OrderTooLarge(f"hurwitz_zeta overflows double precision for s in "
                             f"[{s.min():.12g}, {s.max():.12g}], q in [{q.min():g}, {q.max():g}]: "

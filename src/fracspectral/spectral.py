@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import GridMismatch, SampledSignal, Spectrum, central_gap
+from .grid import SampledSignal, Spectrum, central_gap, require_same_grid
 from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -431,15 +431,13 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     no branch/pairing combination vanishes -- callers treat the four
     combinations as a diagnostic table.
     """
-    if f.grid != g.grid:
-        raise GridMismatch(f"{f.grid} vs {g.grid}")
+    dx = require_same_grid(f, g).dx
     df = fractional_derivative(f, alpha)
     dg = fractional_derivative(g, alpha)
     if minus_one_branch is MinusOneBranch.E_PLUS_I_PI:
         phase = np.exp(1j * np.pi * alpha)
     else:
         phase = np.exp(-1j * np.pi * alpha)
-    dx = f.grid.dx
     return (inner(df.values, g.values, dx, pairing)
             - phase * inner(f.values, dg.values, dx, pairing))
 
@@ -450,11 +448,10 @@ def pairing_continuity_gap(psi, f, h, alpha, n):
     Linearity makes this exactly |<psi, D^a h>| / n, so it must scale as
     1/n -- the discrete face of sequential continuity of the dual pairing.
     """
-    if psi.grid != f.grid or f.grid != h.grid:
-        raise GridMismatch("psi, f, h must share a grid")
+    grid = require_same_grid(psi, f, h)
     n = specfun.require_real("n", n, least=1.0)
-    f_n = SampledSignal(f.grid, f.values + h.values / n)
-    dx = f.grid.dx
+    f_n = SampledSignal(grid, f.values + h.values / n)
+    dx = grid.dx
     a = inner(psi.values, fractional_derivative(f_n, alpha).values, dx, Pairing.SESQUILINEAR)
     b = inner(psi.values, fractional_derivative(f, alpha).values, dx, Pairing.SESQUILINEAR)
     return abs(a - b)
@@ -479,9 +476,7 @@ def product_rule(f, g, alpha):
     moments of f*g, and the result matches fractional_derivative of the
     product, its wrap-around warning included.
     """
-    if f.grid != g.grid:
-        raise GridMismatch(f"{f.grid} vs {g.grid}")
-    grid = f.grid
+    grid = require_same_grid(f, g)
     n = grid.n
     u = (np.arange(2 * n - 1) - n) * grid.dp
     symbol = ip_power(alpha, u)

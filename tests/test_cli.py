@@ -108,6 +108,18 @@ def test_file_input_edge_cases_with_warnings_as_errors(tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1, text
 
 
+def test_file_input_names_the_file_line_of_a_non_finite_row(tmp_path, capsys):
+    rows = [f"{fmt9(x)},{fmt9(math.exp(-x * x))},0" for x in -8.0 + 0.25 * np.arange(64)]
+    # file lines: 1 header, 2-4 rows, 5 blank, 6-7 rows, 8 nan; the data row
+    # count put it on line 7
+    rows[5] = "-6.75,nan,0"
+    f = tmp_path / "nan.csv"
+    f.write_text("\n".join(["x,re,im", *rows[:3], "", *rows[3:]]) + "\n")
+    rc, out, err = run_cli(capsys, "derive", "--input", str(f), "--alpha", "0.5")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --input {f}: non-finite value on line 8\n"
+
+
 def test_derive_file_input_uses_the_engine(tmp_path, capsys):
     src = tmp_path / "sig.csv"
     rows = ["x,re,im"]

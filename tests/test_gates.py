@@ -33,6 +33,8 @@ def _numbers(result):
             yield from _numbers(item)
     elif isinstance(result, fs.SampledSignal):
         yield from result.values
+    elif isinstance(result, fs.Spectrum):
+        yield from result.coeffs
     elif isinstance(result, fs.Grid):
         yield from (result.dx, *result.x)
     elif isinstance(result, np.ndarray):
@@ -54,9 +56,14 @@ def _scan_table():
     state = fs.gaussian_state(g)
     p = np.array([-2.0, 0.0, 1.5])
     eigenstate = lambda alpha, e: fs.eigenstate_signal(fs.EigenstateSpec(alpha, e), g)
+    # one sample (or coefficient) set to the number under test
+    signal = lambda v: fs.SampledSignal(g, [*f.values[:7], v, *f.values[8:]])
+    spectrum = lambda v: fs.Spectrum(g, [*f.values[:7], v, *f.values[8:]])
     sesq, plus = fs.Pairing.SESQUILINEAR, fs.MinusOneBranch.E_PLUS_I_PI
     return [
         ("make_grid", fs.make_grid, (-8.0, 8.0, 256), (0, 1, 2)),
+        ("SampledSignal", signal, (0.5,), (0,)),
+        ("Spectrum", spectrum, (0.5,), (0,)),
         ("central_window", fs.central_window, (256,), (0,)),
         ("gamma", fs.gamma, (2.5,), (0,)),
         ("hurwitz_zeta", fs.hurwitz_zeta, (2.0, 1.0), (0, 1)),
@@ -141,6 +148,20 @@ def test_public_functions_survive_large_finite_numbers():
 def test_public_functions_survive_tiny_finite_numbers():
     cases = _scan(TINY_NUMBERS, finite=True)
     assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
+
+
+# bounds and sizes that are each finite, but whose width, spacing dx or
+# frequency spacing dp = 2 pi/(n dx) is not finite and > 0, or whose samples
+# round to the same double
+DEGENERATE_GRIDS = ((-1.7e308, 1.7e308, 8), (0.0, 1e-310, 8), (0.0, 5e-324, 8),
+                    (1.0, 1.0 + 2.2e-16, 8))
+
+
+@pytest.mark.parametrize("bounds", DEGENERATE_GRIDS)
+def test_degenerate_grids_are_typed(bounds):
+    assert _outcome(fs.make_grid, bounds) is None
+    with pytest.raises(fs.DegenerateInterval):
+        fs.make_grid(*bounds)
 
 
 def test_counts_must_be_whole():

@@ -5,8 +5,8 @@ import pytest
 
 from fracspectral import grid as gridmod
 from fracspectral.grid import (DegenerateInterval, EvaluationFailure, Grid,
-                               NonPowerOfTwo, SampledSignal, Spectrum,
-                               central_window, make_grid, sample)
+                               GridMismatch, NonPowerOfTwo, SampledSignal, Spectrum,
+                               central_window, make_grid, require_same_grid, sample)
 
 
 def test_grid_arrays():
@@ -58,6 +58,12 @@ def test_arrays_are_frozen():
     s = sample(lambda x: np.exp(-x * x), g)
     with pytest.raises(ValueError):
         s.values[0] = 0.0
+    # each object holds its own copy
+    values = np.exp(-g.x ** 2)
+    s, sp = SampledSignal(g, values), Spectrum(g, values)
+    values[0] = 7.0
+    assert s.values[0] != 7.0 and sp.coeffs[0] != 7.0
+    assert not sp.coeffs.flags.writeable
 
 
 def test_central_window():
@@ -101,6 +107,30 @@ def test_sample_rejects_non_finite():
     g = make_grid(-4.0, 4.0, 64)
     with np.errstate(divide="ignore"), pytest.raises(EvaluationFailure):
         sample(lambda x: 1.0 / (x - g.x[5]), g)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_hand_built_samples_must_be_finite(bad):
+    # sample's check is the constructors' own, so hand-built data meets it
+    # too: one nan sample used to give a non-finite D^0.5 with no warning
+    g = make_grid(-8.0, 8.0, 64)
+    values = np.exp(-g.x ** 2).astype(complex)
+    values[9] = bad
+    with pytest.raises(EvaluationFailure, match="non-finite value at x=") as err:
+        SampledSignal(g, values)
+    assert str(g.x[9]) in str(err.value)
+    with pytest.raises(EvaluationFailure, match="non-finite value at p=") as err:
+        Spectrum(g, values)
+    assert str(g.p[9]) in str(err.value)
+
+
+def test_require_same_grid_names_both_grids():
+    a = make_grid(-4.0, 4.0, 64)
+    f = sample(lambda x: np.exp(-x * x), a)
+    h = sample(lambda x: np.exp(-x * x), make_grid(-4.0, 4.0, 128))
+    assert require_same_grid(f, f, Spectrum(a, f.values)) is a
+    with pytest.raises(GridMismatch, match=r"Grid\(-4.0, 4.0, n=64\) vs Grid\(-4.0, 4.0, n=128\)"):
+        require_same_grid(f, f, h)
 
 
 def test_boundary_decay_frozen_value():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fracspectral import oracles
-from fracspectral.grid import make_grid, sample
+from fracspectral.grid import EvaluationFailure, make_grid, sample
 from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   NonPositiveK, ToleranceNotReached,
                                   eigenstate_signal, exp_rule, gaussian_deriv,
@@ -18,7 +18,7 @@ from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   x2gaussian_deriv)
 from fracspectral.specfun import ArgumentOutOfRange, OrderTooLarge
 from fracspectral.quantum import uncertainty_bound
-from fracspectral.spectral import NegativeAlpha, fractional_derivative
+from fracspectral.spectral import NegativeAlpha, fractional_derivative, fractional_momentum
 
 F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
 
@@ -280,6 +280,18 @@ def test_quadrature_scalar_only_transform_matches_vectorised():
         assert abs(got - want) <= 1e-15 * abs(want)
 
 
+def test_quadrature_names_the_frequency_where_f_hat_fails():
+    def scalar_only(p):
+        if np.ndim(p):
+            raise TypeError("scalar frequencies only")
+        if p > 30.0:
+            raise ZeroDivisionError("boom")
+        return F1_HAT(p)
+
+    with pytest.raises(EvaluationFailure, match=r"evaluation failed at p=.*boom"):
+        quadrature_reference(scalar_only, 0.5, 0.0)
+
+
 def test_quadrature_batch_size_changes_only_the_summation_order(monkeypatch):
     def counting(points):
         def f_hat(p):
@@ -375,6 +387,14 @@ def test_quadrature_refuses_a_position_past_the_root_panel_cap():
 
 # --- eigenstate construction ----------------------------------------------
 
+def _eigen_error(spec, grid):
+    """Sup |P_a f - E f| / sup |f| on the state's samples, as the closedform suite has it."""
+    f = eigenstate_signal(spec, grid)
+    pf = fractional_momentum(f, spec.alpha)
+    return float(np.max(np.abs(pf.values - spec.eigenvalue * f.values))
+                 / np.max(np.abs(f.values)))
+
+
 def test_eigenstate_plane_wave():
     g = make_grid(-4 * math.pi, 4 * math.pi, 1024)
     sig = eigenstate_signal(EigenstateSpec(1.0, 2.0), g)
@@ -404,6 +424,14 @@ def test_eigenstate_off_grid_frequency_rejected():
         # q = E^2 or E^3 is past the float range, so past any Nyquist bin
         with pytest.raises(FrequencyOffGrid, match="past any Nyquist bin"):
             eigenstate_signal(EigenstateSpec(alpha, 1e300), g)
+    # a plane wave at the Nyquist bin q = 128, which the engine splits
+    # between +-pi/dx: P_a of it missed by 1.0 (order 1) and 0.71 (order 0.5)
+    for alpha, eigenvalue in ((1.0, 128.0), (1.0, -128.0), (0.5, math.sqrt(128.0))):
+        with pytest.raises(FrequencyOffGrid, match="at the Nyquist bin"):
+            eigenstate_signal(EigenstateSpec(alpha, eigenvalue), g)
+    assert _eigen_error(EigenstateSpec(1.0, 127.75), g) < 1e-10
+    # the order-2 cosine has both signs, so it is an eigenstate there
+    assert _eigen_error(EigenstateSpec(2.0, 128.0 ** 2), g) < 1e-10
 
 
 def test_eigenstate_negative_eigenvalue_rules():
@@ -414,6 +442,13 @@ def test_eigenstate_negative_eigenvalue_rules():
         EigenstateSpec(2.0, -4.0)
     with pytest.raises(ValueError):
         eigenstate_signal(EigenstateSpec(0.5, -1.0), g)
+    # only odd integer orders: e^{-ix} was accepted at orders 1/3 and 1/5,
+    # but P_a of it is e^{-i*a*pi} times it, a sup error of 1.73 and 1.90
+    for alpha in (1.0 / 3.0, 1.0 / 5.0, 2.5, 4.0):
+        with pytest.raises(ArgumentOutOfRange, match="odd integer orders"):
+            EigenstateSpec(alpha, -1.0)
+    for alpha, eigenvalue in ((1.0, -2.0), (3.0, -8.0), (5.0, -1.0), (1.0 / 3.0, 1.0)):
+        assert _eigen_error(EigenstateSpec(alpha, eigenvalue), g) < 1e-10, alpha
 
 
 def test_eigenstate_rejects_order_zero():

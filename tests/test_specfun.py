@@ -199,10 +199,15 @@ def test_hurwitz_zeta_at_large_q():
         hurwitz_zeta(1.0000000001, 1e300)
     with pytest.raises(OrderTooLarge, match="overflows"):
         hurwitz_zeta(np.array([2.0, 1.5]), 1e308)
-    for s, q in ((2.0, 1e150), (1.0000000001, 1e6), (3.0, 1e100)):
+    # from (2, 1e154) on, w^(-s) underflows: these returned 0.0
+    cases = ((2.0, 1e150), (1.0000000001, 1e6), (3.0, 1e100),
+             (2.0, 1e300), (2.0, 1e200), (3.0, 1e150), (2.0, 1e154), (1.5, 1e250))
+    in_one_call = hurwitz_zeta(np.array(cases)[:, 0], np.array(cases)[:, 1])
+    for (s, q), got in zip(cases, in_one_call):
         with mpmath.workdps(30):
             ref = mpmath.zeta(s, q)
-            assert float(abs((hurwitz_zeta(s, q) - ref) / ref)) < 1e-14, (s, q)
+            for value in (hurwitz_zeta(s, q), got):
+                assert float(abs((value - ref) / ref)) < 1e-14, (s, q)
 
 
 def test_hurwitz_zeta_domain():

@@ -343,6 +343,15 @@ def test_duality_requires_matching_grids():
                          MinusOneBranch.E_PLUS_I_PI)
 
 
+def test_pairing_continuity_gap_requires_matching_grids():
+    f = sample(GAUSS, make_grid(-16.0, 16.0, 1024))
+    h = sample(X2GAUSS, make_grid(-16.0, 16.0, 512))
+    for psi, ff, hh in ((h, f, f), (f, h, f), (f, f, h)):
+        with pytest.raises(GridMismatch, match=r"n=1024\) vs Grid\(-16.0, 16.0, n=512|"
+                                               r"n=512\) vs Grid\(-16.0, 16.0, n=1024"):
+            pairing_continuity_gap(psi, ff, hh, 0.5, 10)
+
+
 def test_pairing_continuity_gap_scales_like_1_over_n():
     g = make_grid(-16.0, 16.0, 4096)
     psi = sample(GAUSS, g)
