@@ -11,7 +11,8 @@ Built-in functions default to the closed-form oracle route (no grid
 artifacts); `--engine spectral` switches to the FFT path.  File input
 always uses the FFT path.  Every FFT route goes through _engine_curves,
 which prints the engine's wrap-around warning on stderr; every closed-form
-route goes through _closed_form_curves.  One formatter, fmt9_all, writes
+route goes through _closed_form_curves, which calls the closed form once
+per order on the whole array of points.  One formatter, fmt9_all, writes
 every number (9 significant digits, lowercase exponent, -0 as 0; a JSON
 number is float of that text) and one writer, _csv, every CSV table, so
 identical configurations produce byte-identical files.  `--input` rows are
@@ -23,6 +24,7 @@ whose values overflow double precision included), 3 I/O error.
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -186,9 +188,9 @@ def _engine_curves(signal, alphas, window=slice(None)):
 
 
 def _closed_form_curves(oracle, alphas, xs):
-    """(order, x, D^a values) per order from the closed form, point by point."""
+    """(order, x, D^a values) per order from the closed form, one array call per order."""
     try:
-        return [(a, xs, np.array([oracle(a, float(x)) for x in xs])) for a in alphas]
+        return [(a, xs, oracle(a, xs)) for a in alphas]
     except ArgumentOutOfRange as exc:
         raise CLIConfigError(
             f"--domain: closed-form route limited to |x| <= {math.sqrt(MAX_ABS_Z):g} ({exc}); "
@@ -296,7 +298,14 @@ def cmd_check(args):
 
 # --- argument parsing ------------------------------------------------------
 
+# argparse takes a token that starts with "-" for a value only where it
+# matches this pattern; its own misses exponents and infinities (-1e1, -inf)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 def _add_shared(p, grid=True, alpha=True):
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     if grid:
         p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
                        default=(-16.0, 16.0), help="grid interval (default -16 16)")

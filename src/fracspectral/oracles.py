@@ -3,7 +3,7 @@
 These are the ground-truth routes against which the FFT engine is judged:
 
 * gaussian_deriv / x2gaussian_deriv: analytic formulas in terms of Gamma
-  and 1F1, evaluated exactly as written (no algebraic simplification);
+  and 1F1, evaluated exactly as written at a float or an array of x;
   an order whose value overflows double precision raises OrderTooLarge.
 * exp_rule / monomial_deriv: rule objects for functions that are not
   square-integrable; they never touch the FFT path, which would silently
@@ -15,6 +15,7 @@ These are the ground-truth routes against which the FFT engine is judged:
   operator with their frequency pinned exactly onto the discrete grid.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +64,24 @@ class Undefined:
 UNDEFINED = Undefined()
 
 
+def _closed_form(formula):
+    """The formula at a float x, giving a complex, or at once over a numpy
+    array x, giving a complex array of its shape whose elements are the scalar
+    calls bit for bit (numpy's overflow warnings off: require_finite raises)."""
+    @functools.wraps(formula)
+    def closed_form(alpha, x):
+        alpha = require_order(alpha)
+        if not isinstance(x, np.ndarray):
+            return complex(formula(alpha, specfun.require_real("x", x)))
+        x = specfun.require_reals("x", x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(formula(alpha, x), dtype=complex)
+    return closed_form
+
+
+@_closed_form
 def gaussian_deriv(alpha, x):
-    """Fractional derivative of e^{-x^2}, closed form.
+    """Fractional derivative of e^{-x^2}, closed form (x a float or an array).
 
     (2^a/sqrt(pi)) [cos(a*pi/2) Gamma((1+a)/2) 1F1((1+a)/2, 1/2, -x^2)
                     - a*x*sin(a*pi/2) Gamma(a/2) 1F1(1 + a/2, 3/2, -x^2)]
@@ -72,8 +89,6 @@ def gaussian_deriv(alpha, x):
     The Gamma(a/2) term is taken as 0 at a = 0: the prefactor a cancels the
     pole, and the surviving term is e^{-x^2} itself.
     """
-    alpha = require_order(alpha)
-    x = specfun.require_real("x", x)
     z = -x * x
     t1 = (math.cos(alpha * np.pi / 2)
           * specfun.gamma((1 + alpha) / 2)
@@ -84,19 +99,18 @@ def gaussian_deriv(alpha, x):
         t2 = (alpha * x * math.sin(alpha * np.pi / 2)
               * specfun.gamma(alpha / 2)
               * specfun.kummer_1f1(1 + alpha / 2, 1.5, z))
-    return complex(specfun.require_finite(2.0 ** alpha / _SQRT_PI * (t1 - t2),
-                                          specfun.ORDER_OVERFLOW, "gaussian_deriv", alpha))
+    return specfun.require_finite(2.0 ** alpha / _SQRT_PI * (t1 - t2),
+                                  specfun.ORDER_OVERFLOW, "gaussian_deriv", alpha)
 
 
+@_closed_form
 def x2gaussian_deriv(alpha, x):
-    """Fractional derivative of x^2 e^{-x^2}, closed form.
+    """Fractional derivative of x^2 e^{-x^2}, closed form (x a float or an array).
 
     Written exactly as derived, with the i^a and (-i)^a phases kept
     explicit (i^a + (-i)^a recombines to 2 cos(a*pi/2); the second group
     carries the odd-in-x part).  Real-valued for real alpha, x.
     """
-    alpha = require_order(alpha)
-    x = specfun.require_real("x", x)
     z = -x * x
     i_a = cmath.exp(1j * alpha * np.pi / 2)      # i^a
     mi_a = cmath.exp(-1j * alpha * np.pi / 2)    # (-i)^a
@@ -108,8 +122,8 @@ def x2gaussian_deriv(alpha, x):
     # OverflowError past a = 1024, Gamma OrderTooLarge past a = 342
     terms = ((i_a + mi_a) * specfun.gamma((1 + alpha) / 2) * g1
              - 2j * (mi_a - i_a) * x * specfun.gamma(1 + alpha / 2) * g2)
-    return complex(specfun.require_finite(2.0 ** (alpha - 2) / _SQRT_PI * terms,
-                                          specfun.ORDER_OVERFLOW, "x2gaussian_deriv", alpha))
+    return specfun.require_finite(2.0 ** (alpha - 2) / _SQRT_PI * terms,
+                                  specfun.ORDER_OVERFLOW, "x2gaussian_deriv", alpha)
 
 
 def exp_rule(k, alpha, x):

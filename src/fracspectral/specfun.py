@@ -9,6 +9,7 @@ auditable and need nothing beyond numpy and the standard library.  A value
 that overflows double precision raises OrderTooLarge (see require_finite).
 """
 import cmath
+import functools
 import math
 import operator
 
@@ -54,8 +55,13 @@ _ZETA_DIRECT = 8
 _BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
                    (7, 6), (-3617, 510))
 # B_2k / (2k)!, k = 1 .. 8, each correctly rounded (integer true division)
-_ZETA_TAIL = tuple(num / (den * math.factorial(2 * k))
-                   for k, (num, den) in enumerate(_BERNOULLI_EVEN, start=1))
+_ZETA_TAIL = np.array([num / (den * math.factorial(2 * k))
+                       for k, (num, den) in enumerate(_BERNOULLI_EVEN, start=1)])
+# the offsets of the direct terms, the steps of the rising factorials
+# (s)_1 .. (s)_15 and the even powers 0 .. 14 of 1/w, made once
+_DIRECT_OFFSETS = np.arange(float(_ZETA_DIRECT))
+_RISING_STEPS = np.arange(2.0 * len(_ZETA_TAIL) - 1)
+_EVEN_POWERS = np.arange(0.0, 2 * len(_ZETA_TAIL), 2.0)
 # The tail is scaled by w^(-s) with w = q + _ZETA_DIRECT > 8, and 8^(-s)
 # underflows to 0 from s of about 358.4 on.  Its Bernoulli corrections are
 # formed with s capped here, so their rising factorials stay finite where
@@ -73,10 +79,11 @@ def require_finite(value, message, *args):
     """The value, or OrderTooLarge(message.format(*args)) where it is inf or nan.
 
     Python floats and complexes overflow to inf without a warning; the
-    closed forms, 1F1 and the uncertainty bound return through here.  The
-    message is formatted only when it is raised.
+    closed forms, 1F1 and the uncertainty bound return through here.  An
+    array must be finite in every element.  The message is formatted only
+    when it is raised.
     """
-    if not cmath.isfinite(value):
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)):
         raise OrderTooLarge(message.format(*args))
     return value
 
@@ -146,11 +153,33 @@ def _series(a, b, z):
                              f"after {_SERIES_MAX_TERMS} terms")
 
 
-def _kummer_args(a, b, z):
+def _series_array(a, b, z):
+    """_series at each element of the 1-d arrays a and z, with its own stopping rule.
+
+    The loop runs over the elements still live, so each one sees the
+    operations of a scalar call on it, in the same order.  Call it under
+    np.errstate: an overflow returns inf, as in _series.
+    """
+    total = np.ones_like(z)
+    term, partial, live = total.copy(), total.copy(), np.arange(z.size)
+    for j in range(_SERIES_MAX_TERMS):
+        term *= (a + j) * z / ((b + j) * (j + 1))
+        partial += term
+        done = np.abs(term) <= _SERIES_RTOL * np.abs(partial)
+        total[live[done]] = partial[done]
+        going = np.flatnonzero(~done)
+        term, partial, a, z, live = term[going], partial[going], a[going], z[going], live[going]
+        if not live.size:
+            return total
+    raise SeriesNotConverged(f"1F1({a[0]:g}; {b:g}; {z[0]:g}) power series not converged "
+                             f"after {_SERIES_MAX_TERMS} terms")
+
+
+def _kummer_args(a, b, z, require_z=require_real):
     """(a, b, z) as floats; a non-finite argument or a pole at b is rejected."""
     a = require_real("1F1 parameter a", a)
     b = require_real("1F1 parameter b", b)
-    z = require_real("1F1 argument z", z)
+    z = require_z("1F1 argument z", z)
     if b <= 0.0 and b == math.floor(b):
         raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
     return a, b, z
@@ -164,11 +193,14 @@ def kummer_1f1(a, b, z):
 
     Negative arguments are routed through the Kummer transformation
     1F1(a,b,z) = e^z 1F1(b-a, b, -z) so the series that actually runs has a
-    positive argument and no catastrophic cancellation.  A non-finite
-    argument raises ArgumentOutOfRange; a series that overflows raises
-    OrderTooLarge, and one that does not converge within _SERIES_MAX_TERMS
-    terms SeriesNotConverged.
+    positive argument and no catastrophic cancellation.  z may also be a
+    numpy array of any shape: each element is then bitwise the scalar call.
+    A non-finite argument raises ArgumentOutOfRange; a series that overflows
+    raises OrderTooLarge, and one that does not converge within
+    _SERIES_MAX_TERMS terms SeriesNotConverged.
     """
+    if isinstance(z, np.ndarray):
+        return _kummer_1f1_array(a, b, z)
     a, b, z = _kummer_args(a, b, z)
     if abs(z) > MAX_ABS_Z:
         raise ArgumentOutOfRange(f"|z| = {abs(z)} exceeds {MAX_ABS_Z}")
@@ -177,6 +209,24 @@ def kummer_1f1(a, b, z):
     else:
         value = _series(a, b, z)
     return require_finite(value, _KUMMER_OVERFLOW, a, b, z)
+
+
+def _kummer_1f1_array(a, b, z):
+    """kummer_1f1 over an array z: one series for all its elements, and e^z
+    from math.exp, as a scalar call has it (np.exp can differ in the last bit)."""
+    a, b, z = _kummer_args(a, b, z, require_reals)
+    flat = z.ravel()
+    far = np.abs(flat) > MAX_ABS_Z
+    if far.any():
+        raise ArgumentOutOfRange(f"|z| = {abs(flat[far][0])} exceeds {MAX_ABS_Z}")
+    neg = flat < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _series_array(np.where(neg, b - a, a), b, np.abs(flat))
+        value[neg] *= np.fromiter(map(math.exp, flat[neg].tolist()), float)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise OrderTooLarge(_KUMMER_OVERFLOW.format(a, b, flat[bad][0]))
+    return value.reshape(z.shape)
 
 
 def kummer_1f1_series(a, b, z):
@@ -193,33 +243,49 @@ def kummer_1f1_series(a, b, z):
     return require_finite(_series(a, b, z), _KUMMER_OVERFLOW, a, b, z)
 
 
+def _sum_rows(stack):
+    """The sum over the leading axis, row after row in order, for every shape.
+
+    np.sum(axis=0) adds an (8,) or (8, 1) stack pairwise but an (8, n) one
+    row by row, so a scalar and an array call on the same (s, q) would
+    differ in the last bits.
+    """
+    return functools.reduce(operator.add, stack)
+
+
 def hurwitz_zeta(s, q):
     """Hurwitz zeta function zeta(s, q) = sum_{k>=0} (q + k)^(-s).
 
     Defined here for finite s > 1 and q > 0; s and q broadcast against each other
-    like numpy arrays, and a pair of scalars gives a float.  Euler-Maclaurin
+    like numpy arrays, and a pair of scalars gives a float, bitwise the
+    element of an array call on the same pair.  Euler-Maclaurin
     summation with a fixed number of direct terms and Bernoulli corrections
     (see _ZETA_DIRECT), accurate to a few ulp for s up to 40 on the q range
     0.5 .. 1.5 that the engine's image correction uses.  Where the tail's
     factor w^(-s) underflows (q of about 1e154 and up at s = 2), the tail
-    is formed from w^(1-s) instead, so zeta(2, 1e300) is 1e-300, not 0.
+    is formed from w^(1-s) instead, so zeta(2, 1e300) is about 1e-300, not 0.
     Raises OrderTooLarge where a term overflows double precision: a direct
     term q^(-s) (large s with q < 1), or the tail's w/(s-1) (large q with
     s near 1).
     """
     s = require_reals("hurwitz_zeta s", s, above=1.0)
     q = require_reals("hurwitz_zeta q", q, above=0.0)
+    # a pair of scalars runs as 1-element arrays: numpy's ** on scalars (and
+    # its fast paths for exponents such as -1) can differ in the last bit
+    # from the pow of the array loop
+    scalar = s.ndim == q.ndim == 0
+    s, q = np.atleast_1d(s, q)
     column = (-1,) + (1,) * max(s.ndim, q.ndim)    # a leading axis to sum over
     w = q + _ZETA_DIRECT
     # sum_i B_2i/(2i)! (s)_(2i-1) w^(-s-2i+1) = w^(-s-1) sum_i c_i(s) w^(-2i+2)
     capped = np.minimum(s, _ZETA_TAIL_MAX_S)
-    rising = np.cumprod(capped + np.arange(2 * len(_ZETA_TAIL) - 1).reshape(column),
+    rising = np.cumprod(capped + _RISING_STEPS.reshape(column),
                         axis=0)[::2]                               # (s)_1, (s)_3, ...
-    even = np.arange(0.0, 2 * len(_ZETA_TAIL), 2.0).reshape(column)
-    bernoulli = np.sum(np.reshape(_ZETA_TAIL, column) * rising * w ** -even, axis=0)
+    even = _EVEN_POWERS.reshape(column)
+    bernoulli = _sum_rows(_ZETA_TAIL.reshape(column) * rising * w ** -even)
     try:
         with np.errstate(over="raise"):
-            direct = np.sum((q + np.arange(_ZETA_DIRECT).reshape(column)) ** -s, axis=0)
+            direct = _sum_rows((q + _DIRECT_OFFSETS.reshape(column)) ** -s)
             scale = w ** -s
             tail = scale * (w / (s - 1.0) + 0.5 + bernoulli / w)
             # where w^(-s) underflows (large q), w^(1-s) keeps the digits
@@ -233,7 +299,7 @@ def hurwitz_zeta(s, q):
         raise OrderTooLarge(f"hurwitz_zeta overflows double precision for s in "
                             f"[{s.min():.12g}, {s.max():.12g}], q in [{q.min():g}, {q.max():g}]: "
                             f"the order or argument is too large") from None
-    return float(total) if total.ndim == 0 else total
+    return float(total[0]) if scalar else total
 
 
 def zeta_negative(t):

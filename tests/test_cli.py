@@ -388,6 +388,18 @@ def test_config_errors_name_the_flag(capsys):
     assert "--points" in capsys.readouterr().err
 
 
+def test_domain_takes_negative_bounds_written_with_an_exponent(capsys):
+    # argparse's own pattern reads "-1e1" as an option flag
+    plain = run_cli(capsys, "derive", "--alpha", "0.5", "--points", "64", "--domain", "-10", "10")
+    assert plain[0] == 0
+    assert run_cli(capsys, "derive", "--alpha", "0.5", "--points", "64",
+                   "--domain", "-1e1", "1e1") == plain
+    rc, out, err = run_cli(capsys, "derive", "--alpha", "0.5", "--points", "64",
+                           "--domain", "-1.7e308", "1.7e308")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --domain: ") and err.count("\n") == 1
+
+
 def test_oracle_domain_cap_suggests_the_engine(capsys):
     assert main(["derive", "--alpha", "0.5", "--domain", "-30", "30"]) == 2
     err = capsys.readouterr().err

@@ -69,6 +69,8 @@ def _scan_table():
         ("hurwitz_zeta", fs.hurwitz_zeta, (2.0, 1.0), (0, 1)),
         ("kummer_1f1", fs.kummer_1f1, (0.5, 1.5, 2.0), (0, 1, 2)),
         ("kummer_1f1_series", fs.kummer_1f1_series, (0.5, 1.5, 2.0), (0, 1, 2)),
+        ("kummer_1f1 over an array", lambda a, b, z: fs.kummer_1f1(a, b, np.array([-2.0, z])),
+         (0.5, 1.5, 2.0), (0, 1, 2)),
         ("zeta_negative", zeta_negative, (2.5,), (0,)),
         ("fractional_derivative", fs.fractional_derivative, (f, 0.5), (1,)),
         ("fractional_momentum", fs.fractional_momentum, (f, 0.5), (1,)),
@@ -80,6 +82,10 @@ def _scan_table():
         ("duality_residual", fs.duality_residual, (f, h, 0.5, sesq, plus), (2,)),
         ("gaussian_deriv", fs.gaussian_deriv, (0.5, 1.0), (0, 1)),
         ("x2gaussian_deriv", fs.x2gaussian_deriv, (0.5, 1.0), (0, 1)),
+        ("gaussian_deriv over an array",
+         lambda a, x: fs.gaussian_deriv(a, np.array([-2.0, x])), (0.5, 1.0), (0, 1)),
+        ("x2gaussian_deriv over an array",
+         lambda a, x: fs.x2gaussian_deriv(a, np.array([-2.0, x])), (0.5, 1.0), (0, 1)),
         ("exp_rule", fs.exp_rule, (2.0, 0.5, 1.0), (0, 1, 2)),
         ("monomial_deriv", fs.monomial_deriv, (3, 1.0, 2.0), (0, 1, 2)),
         ("quadrature_reference", fs.quadrature_reference, (F_HAT, 0.5, 0.3, 40.0), (1, 2, 3)),

@@ -120,6 +120,69 @@ def test_x2gaussian_agrees_with_quadrature():
                        - quadrature_reference(f2_hat, a, x)) < 1e-8
 
 
+# --- closed forms over arrays ---------------------------------------------
+
+def _bits(values):
+    """The float64 bit patterns of a complex array, signed zeros included."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+# the figure grid, the default derive grid and the widest closed-form grid;
+# on the two 4096-point grids every 32nd point (and the last) is called alone
+ARRAY_GRIDS = {
+    "figure": (np.arange(-400, 401) / 100.0, slice(None)),
+    "default": (make_grid(-16.0, 16.0, 4096).x, np.r_[0:4096:32, 4095]),
+    "widest": (make_grid(-20.0, 20.0, 4096).x, np.r_[0:4096:32, 4095]),
+}
+
+
+@pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
+@pytest.mark.parametrize("grid", sorted(ARRAY_GRIDS))
+def test_closed_forms_over_arrays_are_the_scalar_calls_bitwise(closed_form, grid):
+    xs, picked = ARRAY_GRIDS[grid]
+    for alpha in (0.0, 0.02, 0.5, 4.5, 5.5, 12.0):
+        got = closed_form(alpha, xs)
+        assert got.dtype == complex and got.shape == xs.shape
+        want = np.array([closed_form(alpha, float(x)) for x in xs[picked]])
+        np.testing.assert_array_equal(_bits(got[picked]), _bits(want), err_msg=f"order {alpha}")
+
+
+@pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
+def test_closed_forms_over_arrays_keep_the_shape(closed_form):
+    xs = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    got = closed_form(0.5, xs)
+    assert got.shape == (2, 3)
+    np.testing.assert_array_equal(_bits(got.ravel()), _bits(closed_form(0.5, xs.ravel())))
+    zero_d = closed_form(0.5, np.array(1.25))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d == closed_form(0.5, 1.25)
+    assert closed_form(0.5, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
+def test_closed_forms_over_arrays_raise_typed_errors_without_warnings(closed_form):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ArgumentOutOfRange, match="finite"):
+                closed_form(0.5, np.array([0.0, bad, 1.0]))
+        with pytest.raises(ArgumentOutOfRange, match="exceeds"):
+            closed_form(0.5, np.array([0.0, 20.5, 1.0]))
+        # 2^a Gamma((1+a)/2) times the 1F1 values overflows at |x| = 20
+        with pytest.raises(OrderTooLarge, match="order 270 overflows"):
+            closed_form(270.0, np.array([-20.0, 0.0, 20.0]))
+
+
+def test_x2gaussian_is_the_gaussian_identity_over_arrays():
+    # x^2 e^{-x^2} = (D^2 + 2) e^{-x^2} / 4, and D^a D^2 = D^(a+2), so the two
+    # transcribed formulas check each other at every order
+    xs = np.linspace(-6.0, 6.0, 49)
+    for alpha in np.arange(0.0, 10.75, 0.5):
+        got = x2gaussian_deriv(alpha, xs)
+        want = (gaussian_deriv(alpha + 2, xs) + 2 * gaussian_deriv(alpha, xs)) / 4
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+
+
 # --- exponential and monomial rules ---------------------------------------
 
 def test_exp_rule_values():

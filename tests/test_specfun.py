@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,7 +161,75 @@ def test_kummer_series_past_its_cap_is_typed(monkeypatch):
     assert math.isfinite(kummer_1f1(0.75, 0.5, -300.0))
 
 
+def _bits(values):
+    """The float64 bit patterns of a float or complex array, signed zeros included."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+# z = 0 (and -0), positive and negative z up to the cap at +-400
+KUMMER_Z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 400.0, -400.0],
+                           np.linspace(-400.0, 400.0, 161), np.linspace(-4.0, 4.0, 33)])
+
+
+@pytest.mark.parametrize("a", [-3.5, -1.0, 0.0, 0.5, 0.75, 1.25, 6.25, 100.0])
+@pytest.mark.parametrize("b", [0.5, 1.5, 2.0, 7.25])
+def test_kummer_over_an_array_is_the_scalar_call_bitwise(a, b):
+    got = kummer_1f1(a, b, KUMMER_Z)
+    want = np.array([kummer_1f1(a, b, float(z)) for z in KUMMER_Z])
+    assert got.shape == KUMMER_Z.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_kummer_over_an_array_keeps_the_shape():
+    z = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
+    got = kummer_1f1(0.75, 0.5, z)
+    assert got.shape == (3, 4)
+    np.testing.assert_array_equal(_bits(got.ravel()),
+                                  _bits(kummer_1f1(0.75, 0.5, z.ravel())))
+    zero_d = kummer_1f1(0.75, 0.5, np.array(-2.0))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d == kummer_1f1(0.75, 0.5, -2.0)
+    assert kummer_1f1(0.75, 0.5, np.array([])).shape == (0,)
+    assert kummer_1f1(0.75, 0.5, np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_kummer_over_an_array_raises_typed_errors_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ArgumentOutOfRange, match="finite"):
+                kummer_1f1(0.5, 1.5, np.array([1.0, bad, -2.0]))
+        with pytest.raises(ArgumentOutOfRange, match="400.5 exceeds"):
+            kummer_1f1(0.5, 1.5, np.array([1.0, -400.5, -2.0]))
+        for z in (1.0, -1.0):
+            with pytest.raises(OrderTooLarge, match="overflows"):
+                kummer_1f1(1e300, 0.5, np.array([0.0, z]))
+        with pytest.raises(BParameterPole):
+            kummer_1f1(0.5, -2.0, np.array([1.0]))
+
+
+def test_kummer_series_past_its_cap_is_typed_over_an_array(monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 500)
+    with pytest.raises(SeriesNotConverged, match="500 terms"):
+        kummer_1f1(0.75, 0.5, np.array([-300.0, -400.0, 0.0]))
+    assert np.isfinite(kummer_1f1(0.75, 0.5, np.array([-300.0, 0.0, 300.0]))).all()
+
+
 # --- Hurwitz zeta ----------------------------------------------------------
+
+def test_hurwitz_zeta_gives_one_value_per_pair():
+    # the direct and the Bernoulli terms are added in one order for every
+    # shape, and a pair of scalars runs as 1-element arrays, so a scalar
+    # call is bitwise the element of an array call
+    s = np.concatenate([np.linspace(1.5, 30.0, 50), [2.0, 3.0, 1.5]])
+    q = np.concatenate([np.linspace(0.5, 1.5, 50), [1e300, 1e150, 1e250]])
+    scalar = np.array([hurwitz_zeta(float(si), float(qi)) for si, qi in zip(s, q)])
+    np.testing.assert_array_equal(_bits(hurwitz_zeta(s, q)), _bits(scalar))
+    grid = hurwitz_zeta(s[:, None], q[None, :])
+    for i in range(0, s.size, 7):
+        for j in range(0, q.size, 5):
+            assert _bits(grid[i, j]) == _bits(hurwitz_zeta(float(s[i]), float(q[j]))), (i, j)
+    assert hurwitz_zeta(2.0, 1e300) == hurwitz_zeta(np.array([2.0]), np.array([1e300]))[0]
 
 def test_hurwitz_zeta_against_scipy():
     s = np.concatenate([1.0 + np.logspace(-6, 0, 13), np.linspace(2.0, 12.0, 41)])
