@@ -87,7 +87,8 @@ def gaussian_deriv(alpha, x):
                     - a*x*sin(a*pi/2) Gamma(a/2) 1F1(1 + a/2, 3/2, -x^2)]
 
     The Gamma(a/2) term is taken as 0 at a = 0: the prefactor a cancels the
-    pole, and the surviving term is e^{-x^2} itself.
+    pole, and the surviving term is e^{-x^2} itself.  At an order so small
+    that Gamma(a/2) is not finite, a*Gamma(a/2) is taken as 2 Gamma(1 + a/2).
     """
     z = -x * x
     t1 = (math.cos(alpha * np.pi / 2)
@@ -96,8 +97,8 @@ def gaussian_deriv(alpha, x):
     if alpha == 0:
         t2 = 0.0
     else:
-        t2 = (alpha * x * math.sin(alpha * np.pi / 2)
-              * specfun.gamma(alpha / 2)
+        scale, gamma_half = specfun._order_gamma_half(alpha)
+        t2 = (scale * x * math.sin(alpha * np.pi / 2) * gamma_half
               * specfun.kummer_1f1(1 + alpha / 2, 1.5, z))
     return specfun.require_finite(2.0 ** alpha / _SQRT_PI * (t1 - t2),
                                   specfun.ORDER_OVERFLOW, "gaussian_deriv", alpha)

@@ -109,12 +109,7 @@ def commutator_dx(f, alpha):
     g = f.grid
     xf = SampledSignal(g, g.x * f.values)
     lhs_vals = fractional_derivative(xf, alpha).values - g.x * fractional_derivative(f, alpha).values
-    if alpha == 0:
-        rhs_vals = np.zeros(g.n, dtype=complex)
-    else:
-        rhs_vals = alpha * fractional_derivative(f, alpha - 1).values
-    gap = central_gap(lhs_vals, rhs_vals)
-    return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), gap
+    return _commutator_sides(f, alpha, lhs_vals, fractional_derivative)
 
 
 def commutator_ladder(f, alpha):
@@ -140,12 +135,14 @@ def commutator_ladder(f, alpha):
     pa_f = pxf + 1j * ppf                              # sqrt(2) P_a A f
     # 2 A(B f) - 2 B(A f), with sqrt(2) A = x + i P_a and sqrt(2) B = x - i P_a
     lhs_vals = ((g.x * b_f + 1j * pb_f) - (g.x * a_f - 1j * pa_f)) / 2
-    if alpha == 0:
-        rhs_vals = np.zeros(g.n, dtype=complex)
-    else:
-        rhs_vals = alpha * fractional_momentum(f, alpha - 1).values
-    gap = central_gap(lhs_vals, rhs_vals)
-    return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), gap
+    return _commutator_sides(f, alpha, lhs_vals, fractional_momentum)
+
+
+def _commutator_sides(f, alpha, lhs_vals, operator):
+    """(lhs, rhs, gap): rhs = a operator(f, a - 1), 0 at a = 0; gap over the central half."""
+    g = f.grid
+    rhs_vals = alpha * operator(f, alpha - 1).values if alpha else np.zeros(g.n, dtype=complex)
+    return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), central_gap(lhs_vals, rhs_vals)
 
 
 def expectation(op_result, state):
@@ -163,17 +160,19 @@ def uncertainty_bound(alpha):
     Zero at alpha = 0 (continuous limit) and at even integers, where the
     cosine vanishes.  Any order that require_order accepts is evaluated,
     so the curve can be drawn from 0; only orders >= 1 carry an operator
-    meaning (see uncertainty_check).  Raises OrderTooLarge where the bound
-    overflows double precision (from order about 305).
+    meaning (see uncertainty_check).  a*Gamma(a/2) is 2 Gamma(1 + a/2) where
+    a tiny order leaves Gamma(a/2) not finite.  Raises OrderTooLarge where
+    the bound overflows double precision (from order about 305).
     """
     alpha = require_order(alpha)
     if alpha == 0:
         return 0.0
     try:
-        bound = (alpha * 2.0 ** ((alpha - 3) / 2) / _SQRT_PI
-                 * specfun.gamma(alpha / 2) * abs(math.cos((alpha - 1) * math.pi / 2)))
-    except OverflowError:           # the float power, past order about 2051
-        bound = math.inf
+        power = 2.0 ** ((alpha - 3) / 2)
+    except OverflowError:           # past order about 2051, before Gamma overflows
+        raise OrderTooLarge(specfun.ORDER_OVERFLOW.format("uncertainty_bound", alpha)) from None
+    scale, gamma_half = specfun._order_gamma_half(alpha)
+    bound = scale * power / _SQRT_PI * gamma_half * abs(math.cos((alpha - 1) * math.pi / 2))
     return specfun.require_finite(bound, specfun.ORDER_OVERFLOW, "uncertainty_bound", alpha)
 
 
@@ -243,7 +242,8 @@ def uncertainty_check(alpha, state):
     """
     alpha = require_order(alpha)
     if alpha < 1:
-        raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha}")
+        raise AlphaInForbiddenRange(f"uncertainty_check requires alpha >= 1, got {alpha:g} "
+                                    f"(orders below 1 carry no operator meaning)")
     _require_normalized(state)
     _require_decay(state)
     g = state.grid

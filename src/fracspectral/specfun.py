@@ -94,6 +94,8 @@ def require_real(name, value, error=ArgumentOutOfRange, least=-math.inf):
         value = float(value)
     except OverflowError:
         raise error(f"{name} is past the float range") from None
+    except TypeError:
+        raise error(f"{name} must be real, got {value!r}") from None
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
     if value < least:
@@ -113,13 +115,18 @@ def require_count(name, value, error=ArgumentOutOfRange):
 
 
 def require_reals(name, values, above=-math.inf):
-    """The values as a float array: ArgumentOutOfRange unless all are finite and > above."""
+    """The values as a float array: ArgumentOutOfRange, naming the first bad one,
+    unless all are real, finite and > above."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":        # a float cast would drop the imaginary part
+        raise ArgumentOutOfRange(f"{name} must be real, got complex {values.ravel()[:1]}")
     try:
-        values = np.asarray(values, dtype=float)
+        values = values.astype(float, copy=False)
     except OverflowError:
         raise ArgumentOutOfRange(f"{name} is past the float range") from None
-    if not ((values > above) & (values < math.inf)).all():
-        raise ArgumentOutOfRange(f"{name} must be finite and > {above:g}, got {values}")
+    good = (values > above) & (values < math.inf)
+    if not good.all():
+        raise ArgumentOutOfRange(f"{name} must be finite and > {above:g}, got {values[~good][0]}")
     return values
 
 
@@ -140,6 +147,17 @@ def gamma(x):
                             f"the order or argument is too large") from None
 
 
+def _order_gamma_half(alpha):
+    """(c, g) with c * g = alpha * Gamma(alpha/2) at an order alpha > 0: (alpha, Gamma(alpha/2)),
+    or (2, Gamma(1 + alpha/2)) where alpha is so small that Gamma(alpha/2) is not finite."""
+    try:
+        return alpha, gamma(alpha / 2)
+    except (PoleAtNonPositiveInteger, OrderTooLarge):
+        if alpha > 1.0:
+            raise
+        return 2.0, gamma(1.0 + alpha / 2)
+
+
 def _series(a, b, z):
     """Plain 1F1 power series; an overflow returns inf for require_finite."""
     term = 1.0
@@ -154,25 +172,25 @@ def _series(a, b, z):
 
 
 def _series_array(a, b, z):
-    """_series at each element of the 1-d arrays a and z, with its own stopping rule.
+    """_series at each element of the arrays a and z, of one shape (any shape).
 
-    The loop runs over the elements still live, so each one sees the
-    operations of a scalar call on it, in the same order.  Call it under
-    np.errstate: an overflow returns inf, as in _series.
+    All elements run the scalar recurrence in lock-step, each seeing the
+    operations of a scalar call on it; at its stopping step an element's
+    partial sum is kept in place and it leaves the live mask.  Call it
+    under np.errstate: an overflow returns inf, as in _series.
     """
-    total = np.ones_like(z)
-    term, partial, live = total.copy(), total.copy(), np.arange(z.size)
+    term, partial, total = np.ones_like(z), np.ones_like(z), np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for j in range(_SERIES_MAX_TERMS):
         term *= (a + j) * z / ((b + j) * (j + 1))
         partial += term
-        done = np.abs(term) <= _SERIES_RTOL * np.abs(partial)
-        total[live[done]] = partial[done]
-        going = np.flatnonzero(~done)
-        term, partial, a, z, live = term[going], partial[going], a[going], z[going], live[going]
-        if not live.size:
+        done = live & (np.abs(term) <= _SERIES_RTOL * np.abs(partial))
+        np.copyto(total, partial, where=done)
+        live ^= done
+        if not live.any():
             return total
-    raise SeriesNotConverged(f"1F1({a[0]:g}; {b:g}; {z[0]:g}) power series not converged "
-                             f"after {_SERIES_MAX_TERMS} terms")
+    raise SeriesNotConverged(f"1F1({a[live][0]:g}; {b:g}; {z[live][0]:g}) power series "
+                             f"not converged after {_SERIES_MAX_TERMS} terms")
 
 
 def _kummer_args(a, b, z, require_z=require_real):
@@ -194,7 +212,8 @@ def kummer_1f1(a, b, z):
     Negative arguments are routed through the Kummer transformation
     1F1(a,b,z) = e^z 1F1(b-a, b, -z) so the series that actually runs has a
     positive argument and no catastrophic cancellation.  z may also be a
-    numpy array of any shape: each element is then bitwise the scalar call.
+    numpy array of any shape: one series runs over all its elements, each
+    stopping in place at its own step, bitwise the scalar call.
     A non-finite argument raises ArgumentOutOfRange; a series that overflows
     raises OrderTooLarge, and one that does not converge within
     _SERIES_MAX_TERMS terms SeriesNotConverged.
@@ -215,18 +234,17 @@ def _kummer_1f1_array(a, b, z):
     """kummer_1f1 over an array z: one series for all its elements, and e^z
     from math.exp, as a scalar call has it (np.exp can differ in the last bit)."""
     a, b, z = _kummer_args(a, b, z, require_reals)
-    flat = z.ravel()
-    far = np.abs(flat) > MAX_ABS_Z
+    far = np.abs(z) > MAX_ABS_Z
     if far.any():
-        raise ArgumentOutOfRange(f"|z| = {abs(flat[far][0])} exceeds {MAX_ABS_Z}")
-    neg = flat < 0.0
+        raise ArgumentOutOfRange(f"|z| = {abs(z[far][0])} exceeds {MAX_ABS_Z}")
+    neg = z < 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _series_array(np.where(neg, b - a, a), b, np.abs(flat))
-        value[neg] *= np.fromiter(map(math.exp, flat[neg].tolist()), float)
+        value = _series_array(np.where(neg, b - a, a), b, np.abs(z))
+        value[neg] *= np.fromiter(map(math.exp, z[neg].tolist()), float)
     bad = ~np.isfinite(value)
     if bad.any():
-        raise OrderTooLarge(_KUMMER_OVERFLOW.format(a, b, flat[bad][0]))
-    return value.reshape(z.shape)
+        raise OrderTooLarge(_KUMMER_OVERFLOW.format(a, b, z[bad][0]))
+    return value
 
 
 def kummer_1f1_series(a, b, z):

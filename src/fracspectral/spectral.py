@@ -206,8 +206,17 @@ class ImageCorrection:
     def values(self, grid):
         """The image sum on the grid's sample points."""
         period = grid.x_max - grid.x_min
-        scale = self.phase * period ** (-1.0 - self.order) / specfun.gamma(-self.order)
+        scale = self.phase * _period_power(period, self.order) / specfun.gamma(-self.order)
         return _image_sum(grid.n, self.order, scale * self.moments)
+
+
+def _period_power(period, order):
+    """P^(-1-a) of the image correction at box width P; OrderTooLarge where it overflows."""
+    try:
+        return period ** (-1.0 - order)
+    except OverflowError:
+        raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
+                            f"at box width P = {period:g}, order {order:g}") from None
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,7 +276,7 @@ def _moments(values, grid, order):
     period = grid.x_max - grid.x_min
     t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
     pairs = values[lo:hi].view(float).reshape(-1, 2)
-    scale = period ** (-1.0 - order) / abs(specfun.gamma(-order))
+    scale = _period_power(period, order) / abs(specfun.gamma(-order))
     limit = _MOMENT_TOL * top
     powers = np.empty((_MOMENT_CHUNK, hi - lo))
     powers[0] = grid.dx

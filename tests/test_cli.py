@@ -372,6 +372,41 @@ def test_order_too_large_prints_one_line(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
+    # a decaying signal in a file, for the orders on the --input route
+    data = str(tmp_path / "in.csv")
+    assert main(["derive", "--engine", "spectral", "--alpha", "0", "--points", "64",
+                 "--domain", "-8", "8", "--output", data]) == 0
+    engine = ["derive", "--engine", "spectral", "--points", "64", "--domain", "-8", "8"]
+    cases = [
+        # the image correction needs zeta(1 + a): 1 + a rounds to 1
+        *([*engine, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
+        *(["derive", "--input", data, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
+        # the uncertainty report's order rule is uncertainty_check's
+        ["uncertainty", "--alpha", "0.5"],
+        # x^2 overflows inside the closed form: the message names one value
+        ["derive", "--alpha", "0.5", "--points", "64", "--domain", "-1e300", "1e300"],
+        # P^(-1-a) of the image correction overflows on a box 2e-300 wide
+        ["derive", "--engine", "spectral", "--function", "x2gaussian", "--alpha", "0.5",
+         "--points", "64", "--domain", "-1e-300", "1e-300"],
+    ]
+    for argv in cases:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run_cli(capsys, "uncertainty", "--alpha", "0.5")[2] == (
+        "error: --alpha: uncertainty_check requires alpha >= 1, got 0.5 "
+        "(orders below 1 carry no operator meaning)\n")
+
+
+def test_closed_form_at_subnormal_orders_prints_the_order_zero_curve(capsys):
+    zero = run_cli(capsys, "derive", "--alpha", "0", "--points", "64", "--domain", "-8", "8")
+    assert zero[0] == 0
+    for a in ("5e-324", "1e-310"):
+        assert run_cli(capsys, "derive", "--alpha", a, "--points", "64",
+                       "--domain", "-8", "8") == zero, a
+
+
 def test_config_errors_name_the_flag(capsys):
     assert main(["derive", "--alpha", "1", "--points", "100"]) == 2
     assert "--points" in capsys.readouterr().err

@@ -156,6 +156,29 @@ def test_public_functions_survive_tiny_finite_numbers():
     assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
 
 
+def test_complex_input_is_rejected_without_warnings():
+    # a float cast would keep the real part alone, with a ComplexWarning
+    calls = (lambda: fs.hurwitz_zeta(np.array([2 + 5j]), 1.0),
+             lambda: fs.hurwitz_zeta(2.0, np.array([1.0, 1 + 0j])),
+             lambda: fs.kummer_1f1(0.5, 1.5, np.array([-1.0, 2j])),
+             lambda: fs.gaussian_deriv(0.5, np.array([1 + 1j, 0.0])),
+             lambda: fs.gaussian_deriv(0.5, 1 + 1j),            # the scalar gate
+             lambda: fs.ip_power(0.5, np.array([1.0 + 0.5j])))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fs.ArgumentOutOfRange, match="must be real"):
+                call()
+
+
+def test_array_gate_names_the_first_bad_element():
+    with pytest.raises(fs.ArgumentOutOfRange, match=r"got -1\.0$"):
+        fs.hurwitz_zeta(2.0, np.array([1.0, 0.5, -1.0, np.nan]))
+    with pytest.raises(fs.ArgumentOutOfRange, match=r"got -inf$") as info:
+        fs.kummer_1f1(0.5, 1.5, -np.full(4096, np.inf))
+    assert "\n" not in str(info.value) and len(str(info.value)) < 80
+
+
 # bounds and sizes that are each finite, but whose width, spacing dx or
 # frequency spacing dp = 2 pi/(n dx) is not finite and > 0, or whose samples
 # round to the same double

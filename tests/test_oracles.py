@@ -101,6 +101,17 @@ def test_closed_form_overflow_raises_order_too_large(closed_form):
             closed_form(270.0, 0.5)
 
 
+def test_gaussian_deriv_at_subnormal_orders_is_the_order_zero_limit():
+    # a/2 rounds to 0 at 5e-324, and Gamma(a/2) overflows at 1e-310; there
+    # a*Gamma(a/2) is taken as 2 Gamma(1 + a/2), so D^a e^{-x^2} -> e^{-x^2}
+    for a in (5e-324, 1e-310):
+        assert abs(gaussian_deriv(a, 0.5) - math.exp(-0.25)) < 1e-15, a
+        values = gaussian_deriv(a, np.array([0.5, -0.5, 2.0]))
+        assert np.abs(values - np.exp(-np.array([0.25, 0.25, 4.0]))).max() < 1e-15, a
+    # next to them, where Gamma(a/2) is finite, the formula is the usual one
+    assert gaussian_deriv(1e-300, 0.5) == gaussian_deriv(1e-300, np.array([0.5]))[0]
+
+
 # --- x^2 Gaussian closed form ---------------------------------------------
 
 def test_x2gaussian_integer_orders():

@@ -202,6 +202,13 @@ def test_uncertainty_bound_forbidden_range():
     assert uncertainty_bound(0.5) > 0.0
 
 
+def test_uncertainty_bound_at_subnormal_orders_tends_to_zero():
+    # a*Gamma(a/2) is 2 Gamma(1 + a/2) where a/2 rounds to 0 or Gamma(a/2)
+    # overflows; the bound's cosine factor then leaves a value near 0
+    for a in (5e-324, 1e-310, 1e-300):
+        assert 0.0 <= uncertainty_bound(a) < 1e-15, a
+
+
 def test_uncertainty_check_order_one_sits_on_the_bound():
     state = gaussian_state(high_res_grid())
     report = uncertainty_check(1.0, state)
@@ -289,7 +296,7 @@ def test_every_order_is_finite_or_order_too_large():
 
 def test_uncertainty_check_forbidden_and_unnormalized():
     state = gaussian_state(high_res_grid())
-    with pytest.raises(AlphaInForbiddenRange):
+    with pytest.raises(AlphaInForbiddenRange, match="no operator meaning"):
         uncertainty_check(0.5, state)
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(AlphaInForbiddenRange, match="finite and >= 0"):

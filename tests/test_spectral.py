@@ -274,6 +274,19 @@ def test_integer_total_order_drops_the_images():
     assert np.max(np.abs(twice.values - ref)) < 1e-12
 
 
+def test_image_power_past_double_precision_is_order_too_large():
+    # on a box 2e-300 wide, P^(-1-a) of the image correction overflows
+    narrow = sample(lambda x: np.exp(-(x / 1e-301) ** 2), make_grid(-1e-300, 1e-300, 64))
+    with pytest.raises(OrderTooLarge, match=r"box width P = 2e-300, order 0\.5"):
+        fractional_derivative(narrow, 0.5)
+    # 2e-150 wide: P^(-1.5) is finite, P^(-2.2) of the chained images is not
+    box = sample(lambda x: np.exp(-(x / 1e-151) ** 2), make_grid(-1e-150, 1e-150, 64))
+    half = fractional_derivative(box, 0.5)
+    assert np.isfinite(half.values).all()
+    with pytest.raises(OrderTooLarge, match=r"box width P = 2e-150, order 1\.2"):
+        fractional_derivative(half, 0.7)
+
+
 def test_zero_signal_stays_zero():
     g = make_grid(-8.0, 8.0, 256)
     d = fractional_derivative(SampledSignal(g, np.zeros(256)), 0.5)
