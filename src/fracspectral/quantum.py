@@ -169,7 +169,7 @@ def uncertainty_bound(alpha):
         return 0.0
     try:
         power = 2.0 ** ((alpha - 3) / 2)
-    except OverflowError:           # past order about 2051, before Gamma overflows
+    except OverflowError:           # past order about 2051; raised before Gamma is called
         raise OrderTooLarge(specfun.ORDER_OVERFLOW.format("uncertainty_bound", alpha)) from None
     scale, gamma_half = specfun._order_gamma_half(alpha)
     bound = scale * power / _SQRT_PI * gamma_half * abs(math.cos((alpha - 1) * math.pi / 2))
