@@ -13,6 +13,7 @@ Suites:
   duality     -- moving the operator across a pairing (integer asserted,
                  fractional reported)
 """
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import oracles, specfun
 from .grid import SampledSignal, central_gap, central_window, make_grid, sample
+from .oracles import gaussian, x2gaussian
 from .quantum import (commutator_dx, commutator_ladder, expectation, gaussian_state,
                       high_res_grid, symmetry_residual, uncertainty_bound,
                       uncertainty_check)
@@ -54,21 +56,13 @@ class _Recorder:
         self.results.append(CheckResult(name, None, float(measured), None, detail))
 
 
-def _gaussian(x):
-    return np.exp(-x * x)
-
-
-def _x2gaussian(x):
-    return x * x * np.exp(-x * x)
-
-
 def _default_grid():
     return make_grid(-16.0, 16.0, 4096)
 
 
 def _gaussian_ordinary(order, x):
     # 0..3: e^{-x^2} times 1, -2x, 4x^2-2, 12x-8x^3
-    e = np.exp(-x * x)
+    e = gaussian(x)
     if order == 0:
         return e
     if order == 1:
@@ -81,34 +75,29 @@ def _gaussian_ordinary(order, x):
 def suite_integer():
     r = _Recorder()
     g = _default_grid()
-    sig = sample(_gaussian, g)
+    sig = sample(gaussian, g)
     window = np.abs(g.x) <= 4.0
 
-    for order in range(4):
-        d = fractional_derivative(sig, float(order))
+    derivs = [fractional_derivative(sig, float(order)) for order in range(4)]
+    for order, d in enumerate(derivs):
         gap = float(np.max(np.abs(d.values[window] - _gaussian_ordinary(order, g.x[window]))))
         r.below(f"engine order {order} vs ordinary derivative (|x|<=4)", gap, 1e-8)
 
+    xs = np.array([0.0, 0.5, 1.0, 2.0])
     for order in range(4):
-        worst = 0.0
-        for x in (0.0, 0.5, 1.0, 2.0):
-            ref = _gaussian_ordinary(order, np.array(x))
-            val = oracles.gaussian_deriv(order, x).real
-            denom = max(abs(float(ref)), 1e-3)
-            worst = max(worst, abs(val - float(ref)) / denom)
-        r.below(f"closed form order {order} collapses to ordinary derivative", worst, 1e-9)
+        ref = _gaussian_ordinary(order, xs)
+        gap = np.abs(oracles.gaussian_deriv(order, xs).real - ref) / np.maximum(np.abs(ref), 1e-3)
+        r.below(f"closed form order {order} collapses to ordinary derivative", gap.max(), 1e-9)
 
+    step = derivs[1]
     for order in (2, 3):
-        direct = fractional_derivative(sig, float(order))
-        step = sig
-        for _ in range(order):
-            step = fractional_derivative(step, 1.0)
-        scale = float(np.max(np.abs(direct.values)))
-        gap = float(np.max(np.abs(direct.values - step.values))) / scale
+        step = fractional_derivative(step, 1.0)       # D^1 applied order times
+        scale = float(np.max(np.abs(derivs[order].values)))
+        gap = float(np.max(np.abs(derivs[order].values - step.values))) / scale
         r.below(f"order {order} equals {order}-fold first derivative (rel)", gap, 1e-9)
 
     g256 = make_grid(-16.0, 16.0, 256)
-    f1 = sample(_gaussian, g256)
+    f1 = sample(gaussian, g256)
     leib = product_rule(f1, f1, 1.0)
     ref = -4 * g256.x * np.exp(-2 * g256.x ** 2)
     r.below("product rule, order 1, gaussian*gaussian (central half)",
@@ -126,12 +115,9 @@ def suite_closedform():
     f1_hat = lambda p: np.exp(-p * p / 4) / np.sqrt(2)
     xs = np.linspace(-3.0, 3.0, 25)
     for alpha in (0.0, 0.02, 0.1, 0.5, 1.0, 2.0, 4.5, 5.0, 5.5):
-        worst = 0.0
-        for x in xs:
-            q = oracles.quadrature_reference(f1_hat, alpha, float(x))
-            c = oracles.gaussian_deriv(alpha, float(x))
-            worst = max(worst, abs(q - c))
-        r.below(f"gaussian closed form vs quadrature, order {alpha}", worst, 1e-8)
+        q = [oracles.quadrature_reference(f1_hat, alpha, x) for x in xs.tolist()]
+        gap = np.abs(np.array(q) - oracles.gaussian_deriv(alpha, xs))
+        r.below(f"gaussian closed form vs quadrature, order {alpha}", gap.max(), 1e-8)
 
     spot = 2.0 ** 0.5 * math.cos(math.pi / 4) * specfun.gamma(0.75) / math.sqrt(math.pi)
     r.below("half-order gaussian at x=0: closed form vs reduction",
@@ -139,19 +125,16 @@ def suite_closedform():
     r.below("half-order gaussian at x=0: quadrature vs reduction",
             abs(oracles.quadrature_reference(f1_hat, 0.5, 0.0) - spot), 1e-9)
 
-    worst = 0.0
-    for x in (0.5, 1.0):
-        ref = x * x * math.exp(-x * x)
-        worst = max(worst, abs(oracles.x2gaussian_deriv(0.0, x) - ref) / ref)
-    r.below("x2-gaussian closed form at order 0 (rel)", worst, 1e-9)
-    worst = 0.0
-    for x in (0.5, 1.0, 2.0):
-        ref = 2 * x * (1 - x * x) * math.exp(-x * x)
-        worst = max(worst, abs(oracles.x2gaussian_deriv(1.0, x) - ref))
-    r.below("x2-gaussian closed form at order 1", worst, 1e-10)
+    # math.exp, not np.exp, for the references: the two can differ in the last bit
+    ref = np.array([x * x * math.exp(-x * x) for x in (0.5, 1.0)])
+    gap = np.abs(oracles.x2gaussian_deriv(0.0, np.array([0.5, 1.0])) - ref) / ref
+    r.below("x2-gaussian closed form at order 0 (rel)", gap.max(), 1e-9)
+    ref = np.array([2 * x * (1 - x * x) * math.exp(-x * x) for x in (0.5, 1.0, 2.0)])
+    gap = np.abs(oracles.x2gaussian_deriv(1.0, np.array([0.5, 1.0, 2.0])) - ref)
+    r.below("x2-gaussian closed form at order 1", gap.max(), 1e-10)
 
     gw = make_grid(-128.0, 128.0, 8192)
-    sig2 = sample(_x2gaussian, gw)
+    sig2 = sample(x2gaussian, gw)
     d = fractional_derivative(sig2, 0.5)
     j = int(np.argmin(np.abs(gw.x - 1.0)))
     r.below("x2-gaussian half order at x=1: engine vs closed form",
@@ -213,17 +196,17 @@ def suite_closedform():
 def suite_commutator():
     r = _Recorder()
     g = high_res_grid()
-    f1 = sample(_gaussian, g)
-    f2 = sample(_x2gaussian, g)
+    f1 = sample(gaussian, g)
+    f2 = sample(x2gaussian, g)
 
     for label, f in (("gaussian", f1), ("x2-gaussian", f2)):
         for alpha in (0.0, 1.0, 1.5, 2.0, 2.5, 3.0):
             _, _, gap = commutator_dx(f, alpha)
             r.below(f"x-commutator identity, order {alpha:g}, {label}", gap, 1e-6)
 
-    for alpha in (0.0, 1.0, 1.5, 2.0):
-        lhs, _, _ = commutator_ladder(f1, alpha)
-        xf = SampledSignal(g, g.x * f1.values)
+    xf = SampledSignal(g, g.x * f1.values)
+    ladders = {alpha: commutator_ladder(f1, alpha) for alpha in (0.0, 1.0, 1.5, 2.0)}
+    for alpha, (lhs, _, _) in ladders.items():
         direct = -1j * (g.x * fractional_momentum(f1, alpha).values
                         - fractional_momentum(xf, alpha).values)
         r.below(f"ladder commutator equals -i[x, P] route, order {alpha:g}",
@@ -232,7 +215,7 @@ def suite_commutator():
     _, _, gap = commutator_ladder(f2, 3.0)
     r.below("ladder commutator identity, order 3, x2-gaussian", gap, 1e-6)
 
-    _, rhs, _ = commutator_ladder(f1, 1.0)
+    _, rhs, _ = ladders[1.0]
     r.below("ladder commutator at order 1 returns the state itself",
             central_gap(rhs.values, f1.values), 1e-12)
 
@@ -244,8 +227,8 @@ def suite_commutator():
             r.holds(f"{fn.__name__} rejects order 1/2", True)
 
     gs = make_grid(-16.0, 16.0, 4096)
-    a = sample(_gaussian, gs)
-    b = sample(_x2gaussian, gs)
+    a = sample(gaussian, gs)
+    b = sample(x2gaussian, gs)
     for alpha in (1.0, 2.0):
         r.below(f"momentum symmetry across the pairing, order {alpha:g}",
                 abs(symmetry_residual(a, b, alpha)), 1e-10)
@@ -259,17 +242,16 @@ def suite_uncertainty():
     r.below("bound at order 3 equals 3/2", abs(uncertainty_bound(3.0) - 1.5), 1e-12)
 
     state = gaussian_state(high_res_grid())
+    reports = {alpha: uncertainty_check(alpha, state) for alpha in (1.0, 1.5, 2.0, 3.0)}
     for alpha in (1.0, 1.5, 3.0):
-        rep = uncertainty_check(alpha, state)
         ref = uncertainty_bound(alpha)
         r.below(f"numeric bound matches analytic bound, order {alpha:g} (rel)",
-                abs(rep.rhs_bound - ref) / ref, 1e-6)
-    rep1 = uncertainty_check(1.0, state)
+                abs(reports[alpha].rhs_bound - ref) / ref, 1e-6)
+    rep1 = reports[1.0]
     r.below("order-1 product sits on the bound (minimum-uncertainty state)",
             abs(rep1.product - rep1.rhs_bound), 1e-9)
-    for alpha in (1.0, 2.0, 3.0):
-        rep = uncertainty_check(alpha, state)
-        r.holds(f"spreads finite and nonnegative, order {alpha:g}",
+    for rep in (reports[1.0], reports[2.0], reports[3.0]):
+        r.holds(f"spreads finite and nonnegative, order {rep.alpha:g}",
                 rep.delta_x >= 0 and rep.delta_p_alpha >= 0 and rep.satisfied,
                 measured=rep.product)
 
@@ -295,40 +277,40 @@ def suite_uncertainty():
 def suite_convergence():
     r = _Recorder()
     g = _default_grid()
-    f1 = sample(_gaussian, g)
-    f2 = sample(_x2gaussian, g)
+    f1 = sample(gaussian, g)
+    f2 = sample(x2gaussian, g)
 
-    coeffs = forward(f1).coeffs
+    d_f1 = functools.cache(lambda alpha: fractional_derivative(f1, alpha))   # once per order
+    c1, c2 = forward(f1), forward(f2)
     mask = np.abs(g.p) <= 8.0
     ref = np.exp(-g.p[mask] ** 2 / 4) / np.sqrt(2)
     r.below("forward transform of the gaussian (|p|<=8)",
-            float(np.max(np.abs(coeffs[mask] - ref))), 1e-10)
+            float(np.max(np.abs(c1.coeffs[mask] - ref))), 1e-10)
     ref2 = (2 - g.p[mask] ** 2) * np.exp(-g.p[mask] ** 2 / 4) / (4 * np.sqrt(2))
     r.below("forward transform of the x2-gaussian (|p|<=8)",
-            float(np.max(np.abs(forward(f2).coeffs[mask] - ref2))), 1e-10)
+            float(np.max(np.abs(c2.coeffs[mask] - ref2))), 1e-10)
 
-    for label, s in (("gaussian", f1), ("x2-gaussian", f2)):
-        back = inverse(forward(s))
+    for label, s, spectrum in (("gaussian", f1, c1), ("x2-gaussian", f2, c2)):
+        back = inverse(spectrum)
         scale = float(np.max(np.abs(s.values)))
         r.below(f"round trip, {label} (rel sup)",
                 float(np.max(np.abs(back.values - s.values))) / scale, 1e-12)
         e_x = float(np.sum(np.abs(s.values) ** 2) * g.dx)
-        e_p = float(np.sum(np.abs(forward(s).coeffs) ** 2) * g.dp)
+        e_p = float(np.sum(np.abs(spectrum.coeffs) ** 2) * g.dp)
         r.below(f"energy identity between domains, {label} (rel)",
                 abs(e_x - e_p) / e_x, 1e-12)
 
     for a in (0.3, 0.7, 1.5):
         for b in (0.3, 0.7, 1.5):
-            two = fractional_derivative(fractional_derivative(f1, a), b)
-            one = fractional_derivative(f1, a + b)
+            two = fractional_derivative(d_f1(a), b)
+            one = d_f1(a + b)
             scale = float(np.max(np.abs(one.values)))
             r.below(f"order additivity {a:g}+{b:g} (rel sup)",
                     float(np.max(np.abs(two.values - one.values))) / scale, 1e-10)
 
     for alpha in (0.0, 0.5, 1.0, 2.5):
-        d = fractional_derivative(f1, alpha)
-        lhs = float(np.max(np.abs(d.values)))
-        rhs = float(np.sum(_abs_power(alpha, g.p) * np.abs(forward(f1).coeffs)) * g.dp / SQRT_2PI)
+        lhs = float(np.max(np.abs(d_f1(alpha).values)))
+        rhs = float(np.sum(_abs_power(alpha, g.p) * np.abs(c1.coeffs)) * g.dp / SQRT_2PI)
         r.holds(f"sup bound by the weighted spectrum, order {alpha:g}",
                 lhs <= rhs * (1 + 1e-12), measured=rhs - lhs)
 
@@ -350,17 +332,17 @@ def suite_convergence():
 
     rev = slice(1, None)
     for alpha in (1.0 / 50, 1.0 / 10, 0.5):
-        d = fractional_derivative(f1, alpha).values
+        d = d_f1(alpha).values
         asym = float(np.max(np.abs(d[rev] - d[rev][::-1])))
         r.holds(f"even symmetry broken at order {alpha:g}", asym > 1e-3, measured=asym)
     for alpha in (0.0, 2.0):
-        d = fractional_derivative(f1, alpha).values
+        d = d_f1(alpha).values
         asym = float(np.max(np.abs(d[rev] - d[rev][::-1])))
         r.below(f"even symmetry kept at order {alpha:g}", asym, 1e-8)
 
     g256 = make_grid(-16.0, 16.0, 256)
-    a = sample(_gaussian, g256)
-    b = sample(_x2gaussian, g256)
+    a = sample(gaussian, g256)
+    b = sample(x2gaussian, g256)
     w = central_window(256)
     via_pair = product_rule(a, b, 0.5)
     via_product = fractional_derivative(SampledSignal(g256, a.values * b.values), 0.5)
@@ -374,8 +356,8 @@ def suite_convergence():
 def suite_duality():
     r = _Recorder()
     g = _default_grid()
-    f1 = sample(_gaussian, g)
-    f2 = sample(_x2gaussian, g)
+    f1 = sample(gaussian, g)
+    f2 = sample(x2gaussian, g)
     for alpha in (1.0, 2.0, 3.0):
         res = duality_residual(f1, f2, alpha, Pairing.SESQUILINEAR, MinusOneBranch.E_PLUS_I_PI)
         r.below(f"derivative moves across the pairing, integer order {alpha:g}",

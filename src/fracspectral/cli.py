@@ -34,7 +34,7 @@ import numpy as np
 from . import checks
 from .grid import (CSV_HEADER, DegenerateInterval, NonPowerOfTwo, SampledSignal, make_grid,
                    sample)
-from .oracles import gaussian_deriv, x2gaussian_deriv
+from .oracles import gaussian, gaussian_deriv, x2gaussian, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
 from .specfun import MAX_ABS_Z, ArgumentOutOfRange, OrderTooLarge
 from .spectral import AlphaInForbiddenRange, fractional_derivative, require_order
@@ -45,8 +45,8 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 _BUILTINS = {
-    "gaussian": (lambda x: np.exp(-x * x), gaussian_deriv),
-    "x2gaussian": (lambda x: x * x * np.exp(-x * x), x2gaussian_deriv),
+    "gaussian": (gaussian, gaussian_deriv),
+    "x2gaussian": (x2gaussian, x2gaussian_deriv),
 }
 
 #: figure id -> (built-in function, orders); figure 4 is the bound scan
@@ -78,6 +78,8 @@ def _grid(args):
         raise CLIConfigError(f"--points: {exc}") from exc
     except DegenerateInterval as exc:
         raise CLIConfigError(f"--domain: {exc}") from exc
+    except MemoryError as exc:          # numpy refuses a grid past the memory at once
+        raise CLIConfigError(f"--points: {exc}") from exc
 
 
 def _parse_alphas(text):
@@ -131,8 +133,11 @@ def _per_alpha_path(path, alpha):
 
 def _read_signal_csv(path):
     """The signal in a CSV file: the header x,re,im, then rows on a uniform grid."""
-    with open(path) as fh:
-        header, *lines = fh.readlines() or [""]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.readlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise CLIConfigError(f"--input {path}: not a UTF-8 text file ({exc})") from exc
     if [c.strip().strip('"') for c in header.split(",")] != CSV_HEADER.split(","):
         raise CLIConfigError(f"--input {path}: expected header '{CSV_HEADER}'")
     try:

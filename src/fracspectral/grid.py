@@ -128,8 +128,14 @@ def _own_samples(values, points, name, axis):
     """values as their own read-only complex copy, one finite value per point (x or p).
 
     The one gate of sampled data: ValueError for the wrong shape, else
-    EvaluationFailure, naming the point, for a value that is not a finite double.
+    EvaluationFailure, naming the point, for a value that is not a finite double,
+    and EvaluationFailure for text or a nested array, which a complex cast would parse.
     """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biufcO" or values.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, np.ndarray)) for v in values.flat):
+        raise EvaluationFailure(f"{name} must be numbers, not text or nested arrays "
+                                f"({values.dtype})")
     try:
         values = np.array(values, dtype=complex)
     except OverflowError:

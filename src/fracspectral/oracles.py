@@ -2,7 +2,8 @@
 
 These are the ground-truth routes against which the FFT engine is judged:
 
-* gaussian_deriv / x2gaussian_deriv: analytic formulas in terms of Gamma
+* gaussian / x2gaussian, the built-in functions of the CLI and the check
+  suites, and gaussian_deriv / x2gaussian_deriv: analytic formulas in terms of Gamma
   and 1F1, evaluated exactly as written at a float or an array of x;
   an order whose value overflows double precision raises OrderTooLarge.
 * exp_rule / monomial_deriv: rule objects for functions that are not
@@ -62,6 +63,19 @@ class Undefined:
 
 
 UNDEFINED = Undefined()
+
+
+def gaussian(x):
+    """e^{-x^2} at a float or an array; 0, with no warning, where x^2 overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-x * x)
+
+
+def x2gaussian(x):
+    """x^2 e^{-x^2}, likewise 0 where x^2 overflows: the largest double times e^{-inf}."""
+    with np.errstate(over="ignore"):
+        x2 = x * x
+        return np.minimum(x2, np.finfo(float).max) * np.exp(-x2)
 
 
 def _closed_form(formula):
@@ -344,10 +358,12 @@ class EigenstateSpec:
     eigenvalue: float
 
     def __post_init__(self):
-        require_order(self.alpha)
+        # both fields hold the floats their gates return
+        object.__setattr__(self, "alpha", require_order(self.alpha))
         if self.alpha == 0:
             raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
         eigenvalue = specfun.require_real("eigenvalue", self.eigenvalue)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
         if eigenvalue <= 0 and self.alpha == 2:
             raise specfun.ArgumentOutOfRange("order-2 eigenvalue must be > 0")
         if eigenvalue < 0 and self.alpha % 2 != 1:

@@ -84,12 +84,14 @@ def _require_normalized(state):
 
 
 def _require_commutator_input(f, alpha):
-    require_order(alpha)
+    """The order as a float, with f checked for decay; orders in (0, 1) are refused."""
+    alpha = require_order(alpha)
     if 0 < alpha < 1:
         raise AlphaInForbiddenRange(
             f"commutator identities are only defined for alpha = 0 or alpha >= 1; "
             f"got {alpha} (the order-lowering term has no meaning below order 1)")
     _require_decay(f)
+    return alpha
 
 
 def _require_decay(signal):
@@ -105,7 +107,7 @@ def commutator_dx(f, alpha):
     Returns (lhs, rhs, gap): lhs = D^a(x f) - x D^a f, rhs = a D^{a-1} f,
     gap = sup |lhs - rhs| over the central half.
     """
-    _require_commutator_input(f, alpha)
+    alpha = _require_commutator_input(f, alpha)
     g = f.grid
     xf = SampledSignal(g, g.x * f.values)
     lhs_vals = fractional_derivative(xf, alpha).values - g.x * fractional_derivative(f, alpha).values
@@ -123,7 +125,7 @@ def commutator_ladder(f, alpha):
     wrap-around images.  Both composed sides reuse P_a f, P_a(x f) and
     P_a(P_a f).  Same return shape as commutator_dx.
     """
-    _require_commutator_input(f, alpha)
+    alpha = _require_commutator_input(f, alpha)
     g = f.grid
     pf = fractional_momentum(f, alpha)
     ppf = fractional_momentum(pf, alpha).values

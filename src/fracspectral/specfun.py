@@ -88,13 +88,26 @@ def require_finite(value, message, *args):
     return value
 
 
+def _real_float(value):
+    """float(value) for a real number; TypeError for text, a complex number or an
+    array of neither ints nor floats, where float() would parse the text or keep
+    the real part alone.  The OverflowError of an int past the float range and
+    the TypeError or ValueError of a failed conversion pass through."""
+    if isinstance(value, float):        # the common case, checked first
+        return float(value)
+    if isinstance(value, (str, bytes, complex)) or (
+            isinstance(value, np.ndarray) and value.dtype.kind not in "biuf"):
+        raise TypeError
+    return float(value)
+
+
 def require_real(name, value, error=ArgumentOutOfRange, least=-math.inf):
     """The one finite-real gate: value as a float >= least, else error (pure Python)."""
     try:
-        value = float(value)
+        value = _real_float(value)
     except OverflowError:
         raise error(f"{name} is past the float range") from None
-    except TypeError:
+    except (TypeError, ValueError):
         raise error(f"{name} must be real, got {value!r}") from None
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
@@ -118,12 +131,13 @@ def require_reals(name, values, above=-math.inf):
     """The values as a float array: ArgumentOutOfRange, naming the first bad one,
     unless all are real, finite and > above."""
     values = np.asarray(values)
-    if values.dtype.kind == "c":        # a float cast would drop the imaginary part
-        raise ArgumentOutOfRange(f"{name} must be real, got complex {values.ravel()[:1]}")
-    try:
-        values = values.astype(float, copy=False)
-    except OverflowError:
-        raise ArgumentOutOfRange(f"{name} is past the float range") from None
+    kind = values.dtype.kind
+    if kind == "O":                     # each element through the scalar gate
+        values = np.fromiter((require_real(name, v) for v in values.flat), float,
+                             values.size).reshape(values.shape)
+    elif kind not in "biuf":            # a float cast would parse text or drop an imaginary part
+        raise ArgumentOutOfRange(f"{name} must be real, got an array of {values.dtype}")
+    values = values.astype(float, copy=False)
     good = (values > above) & (values < math.inf)
     if not good.all():
         raise ArgumentOutOfRange(f"{name} must be finite and > {above:g}, got {values[~good][0]}")

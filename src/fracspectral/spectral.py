@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import SampledSignal, Spectrum, central_gap, require_same_grid
+from .grid import EvaluationFailure, SampledSignal, Spectrum, central_gap, require_same_grid
 from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -99,18 +99,21 @@ class MinusOneBranch(enum.Enum):
 
 
 def require_order(alpha):
-    """The order as a float: NegativeAlpha unless it is finite and >= 0.
+    """The order as a float: NegativeAlpha unless it is a real number, finite and >= 0.
 
     An int past the float range raises OrderTooLarge, or NegativeAlpha if
-    it is negative.
+    it is negative; text and complex numbers raise NegativeAlpha, as in
+    specfun.require_real.
     """
     try:
-        value = float(alpha)
+        value = specfun._real_float(alpha)
     except OverflowError:
         if alpha < 0:
             raise NegativeAlpha("alpha must be finite and >= 0, got a negative int "
                                 "past the float range") from None
         raise OrderTooLarge("the order is past the float range: the order is too large") from None
+    except (TypeError, ValueError):
+        raise NegativeAlpha(f"alpha must be a real number, got {alpha!r}") from None
     if not (math.isfinite(value) and value >= 0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {value}")
     return value
@@ -135,24 +138,28 @@ def _abs_power(alpha, p):
     return modulus
 
 
+def _branch_power(alpha, p, momentum):
+    """(ip)^a on an array of frequencies, or where momentum the symbol p^a: the one
+    body of both, |p|^a times the branch's phase on each side of p = 0."""
+    alpha = require_order(alpha)
+    p = specfun.require_reals("p", p)
+    half_turn = cmath.exp(0.5j * np.pi * alpha)
+    upper, lower = ((1.0 + 0.0j, np.exp(-1j * np.pi * alpha)) if momentum
+                    else (half_turn, half_turn.conjugate()))
+    modulus = _abs_power(alpha, p)          # 0^0 = 1: order 0 is 1 on every bin
+    symbol = np.multiply(modulus, upper, out=np.empty(p.shape, dtype=complex))
+    np.multiply(modulus, lower, out=symbol, where=p < 0)
+    return symbol
+
+
 def ip_power(alpha, p):
     """Multiplier (ip)^a on an array of frequencies, branch as above."""
-    require_order(alpha)
-    p = specfun.require_reals("p", p)
-    if alpha == 0:
-        return np.ones_like(p, dtype=complex)
-    half_turn = cmath.exp(0.5j * np.pi * alpha)
-    return _abs_power(alpha, p) * np.where(p < 0, half_turn.conjugate(), half_turn)
+    return _branch_power(alpha, p, momentum=False)
 
 
 def p_power(alpha, p):
     """Momentum symbol p^a = (ip)^a / i^a; real on p > 0, e^{-i*a*pi} phase on p < 0."""
-    require_order(alpha)
-    p = specfun.require_reals("p", p)
-    if alpha == 0:
-        return np.ones_like(p, dtype=complex)
-    phase = np.where(p < 0, np.exp(-1j * np.pi * alpha), 1.0 + 0.0j)
-    return _abs_power(alpha, p) * phase
+    return _branch_power(alpha, p, momentum=True)
 
 
 def forward(signal):
@@ -327,6 +334,7 @@ def _fresh_images(signal, alpha, phase):
                   f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow leaves inf or nan; see the end
 def _apply_multiplier(signal, alpha, phase):
     """irfft(rfft(values) * (ip)^a) times phase, with the images handled.
 
@@ -340,15 +348,15 @@ def _apply_multiplier(signal, alpha, phase):
     D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
     bin.  Bins of either part below the noise floor, taken against the
     largest coefficient of both, are zeroed before the symbol is applied.
-    Raises OrderTooLarge, before any transform, where |p|^a overflows at the Nyquist bin.
+    Raises OrderTooLarge, before any transform, where |p|^a overflows at
+    the Nyquist bin, and after, where a transform or a product overflows
+    (samples near the float range).
     """
-    require_order(alpha)
+    alpha = require_order(alpha)
     if alpha == 0:
         return signal
     g = signal.grid
-    # (ip)^a on the bins p = k*dp >= 0 is p^a e^{i*pi*a/2}
-    half_turn = cmath.exp(0.5j * math.pi * alpha)
-    symbol = _abs_power(alpha, np.arange(g.n // 2 + 1) * g.dp) * half_turn
+    symbol = ip_power(alpha, np.arange(g.n // 2 + 1) * g.dp)
     source = signal.images
     values = signal.values
     if source is not None:
@@ -379,7 +387,12 @@ def _apply_multiplier(signal, alpha, phase):
         images = None
     if images is not None:
         out -= images.values(g)
-    return SampledSignal(g, out, warning=warning, images=images)
+    try:
+        return SampledSignal(g, out, warning=warning, images=images)
+    except EvaluationFailure:           # the gate of the result found the inf or nan
+        top = float(np.abs(signal.values).max())
+        raise OrderTooLarge(f"the engine's transform overflows double precision at order "
+                            f"{alpha:g}: samples up to |f| = {top:.3g} are too large") from None
 
 
 def fractional_derivative(signal, alpha):
@@ -441,6 +454,7 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     combinations as a diagnostic table.
     """
     dx = require_same_grid(f, g).dx
+    alpha = require_order(alpha)
     df = fractional_derivative(f, alpha)
     dg = fractional_derivative(g, alpha)
     if minus_one_branch is MinusOneBranch.E_PLUS_I_PI:
@@ -486,6 +500,7 @@ def product_rule(f, g, alpha):
     product, its wrap-around warning included.
     """
     grid = require_same_grid(f, g)
+    alpha = require_order(alpha)
     n = grid.n
     u = (np.arange(2 * n - 1) - n) * grid.dp
     symbol = ip_power(alpha, u)

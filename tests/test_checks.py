@@ -1,5 +1,8 @@
+import collections
+
 import pytest
 
+from fracspectral import checks, spectral
 from fracspectral.checks import CheckResult, SUITE_NAMES, run_suite
 
 
@@ -45,3 +48,23 @@ def test_results_are_frozen(suite_results):
     row = suite_results["duality"][0]
     with pytest.raises(AttributeError):
         row.passed = False
+
+
+def test_check_all_computes_each_value_once(monkeypatch):
+    # every engine call (D^a or P_a) of `check all`, counted where the engine
+    # applies its multiplier; the suites call uncertainty_check and forward directly
+    counts = collections.Counter()
+
+    def counting(module, name):
+        function = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(spectral, "_apply_multiplier")
+    counting(checks, "uncertainty_check")
+    counting(checks, "forward")
+    run_suite("all")
+    assert counts == {"_apply_multiplier": 135, "uncertainty_check": 4, "forward": 2}

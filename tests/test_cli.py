@@ -378,6 +378,10 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
     assert main(["derive", "--engine", "spectral", "--alpha", "0", "--points", "64",
                  "--domain", "-8", "8", "--output", data]) == 0
     engine = ["derive", "--engine", "spectral", "--points", "64", "--domain", "-8", "8"]
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes("x,re,im\n0,\u00e9,0\n".encode("latin-1"))
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x,re,im\n" + "".join(f"{i},1e308,0\n" for i in range(8)))
     cases = [
         # the image correction needs zeta(1 + a): 1 + a rounds to 1
         *([*engine, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
@@ -389,14 +393,41 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
         # P^(-1-a) of the image correction overflows on a box 2e-300 wide
         ["derive", "--engine", "spectral", "--function", "x2gaussian", "--alpha", "0.5",
          "--points", "64", "--domain", "-1e-300", "1e-300"],
+        # a file that is not UTF-8, and one whose transform overflows
+        ["derive", "--input", str(latin), "--alpha", "0.5"],
+        ["derive", "--input", str(huge), "--alpha", "0.5"],
+        # 2^50 points: numpy refuses the 8 PiB at once
+        ["derive", "--alpha", "0.5", "--points", str(2 ** 50)],
     ]
-    for argv in cases:
-        rc, out, err = run_cli(capsys, *argv)
-        assert (rc, out) == (2, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in cases:
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run_cli(capsys, *cases[-3])[2].startswith(f"error: --input {latin}: not a UTF-8 ")
+    assert "transform overflows double precision" in run_cli(capsys, *cases[-2])[2]
+    assert run_cli(capsys, *cases[-1])[2].startswith("error: --points: ")
     assert run_cli(capsys, "uncertainty", "--alpha", "0.5")[2] == (
         "error: --alpha: uncertainty_check requires alpha >= 1, got 0.5 "
         "(orders below 1 carry no operator meaning)\n")
+
+
+def test_built_ins_where_x2_overflows_run_without_warnings(capsys):
+    # on +-1e200 every sample but x = 0 has an x^2 past double precision:
+    # e^{-x^2} and x^2 e^{-x^2} are 0 there
+    wide = ["--engine", "spectral", "--points", "8", "--domain", "-1e200", "1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["derive", "--function", "x2gaussian", "--alpha", "0.5", *wide],
+                     ["derive", "--alpha", "0.5", *wide], ["figure", "3", *wide]):
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, err) == (0, ""), argv
+    rows = run_cli(capsys, "derive", "--function", "x2gaussian", "--alpha", "0",
+                   *wide)[1].splitlines()
+    assert [row.split(",")[1:] for row in rows[1:]] == [["0", "0"]] * 8
+    rows = run_cli(capsys, "derive", "--alpha", "0", *wide)[1].splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["0"] * 4 + ["1"] + ["0"] * 3
 
 
 def test_closed_form_at_subnormal_orders_prints_the_order_zero_curve(capsys):

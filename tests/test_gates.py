@@ -5,7 +5,10 @@ import cmath
 import dataclasses
 import math
 import numbers
+import pickle
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +27,9 @@ LARGE_NUMBERS = (300.0, 1e300, -1e300)
 # finite, but so small that 1 + a rounds to 1 or a quotient by them overflows;
 # 5e-324 is the smallest subnormal
 TINY_NUMBERS = (1e-300, 5e-324)
+# not numbers: text, which float() would parse, and object arrays holding text
+# or a complex number
+NON_NUMBERS = ("0.5", b"0.5", np.array("0.5", dtype=object), np.array(1 + 1j, dtype=object))
 
 
 def _numbers(result):
@@ -116,27 +122,30 @@ def _outcome(function, args):
     return None
 
 
-def _scan(numbers, finite):
-    """The cases of the scan table, with each number in each slot, that break the rule.
+def _scan(values, finite):
+    """The cases of the scan table, with each value in each slot, that break the rule.
 
-    A finite number may return; a non-finite float must raise.
+    A finite number may return; a non-finite float, and anything that is not a
+    number, must raise.
     """
     cases = []
     for name, function, valid, slots in _scan_table():
         assert _outcome(function, valid) is None, name
         for slot in slots:
-            for bad in numbers:
+            for bad in values:
                 args = list(valid)
                 args[slot] = bad
                 why = _outcome(function, args)
-                if why is None and not finite and isinstance(bad, float):
+                if why is None and (not finite and isinstance(bad, float)
+                                    or not isinstance(bad, numbers.Number)):
                     try:
                         function(*args)
                     except Exception:
                         continue
-                    why = "a non-finite argument returned"
+                    why = "a non-finite argument or a non-number returned"
                 if why is not None:
-                    shown = bad if isinstance(bad, float) else f"{'-' if bad < 0 else ''}10**400"
+                    shown = (f"{'-' if bad < 0 else ''}10**400" if isinstance(bad, int)
+                             else repr(bad))
                     cases.append(f"{name} slot {slot} = {shown}: {why}")
     return cases
 
@@ -156,6 +165,47 @@ def test_public_functions_survive_tiny_finite_numbers():
     assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
 
 
+def test_public_functions_reject_non_numbers():
+    cases = _scan(NON_NUMBERS, finite=True)
+    assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
+
+
+# the order slot of each function of the scan table that takes an order
+ORDER_SLOTS = {
+    "fractional_derivative": 1, "fractional_momentum": 1, "ip_power": 0, "p_power": 0,
+    "order_continuity_gap": 1, "pairing_continuity_gap": 3, "product_rule": 2,
+    "duality_residual": 2, "gaussian_deriv": 0, "x2gaussian_deriv": 0,
+    "gaussian_deriv over an array": 0, "x2gaussian_deriv over an array": 0,
+    "exp_rule": 1, "monomial_deriv": 1, "quadrature_reference": 1, "EigenstateSpec": 0,
+    "eigenstate_signal": 0, "commutator_dx": 1, "commutator_ladder": 1,
+    "symmetry_residual": 2, "uncertainty_bound": 0, "uncertainty_check": 0,
+}
+
+
+def _bits(function, args):
+    """The pickled result of the call, or the type and message of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return pickle.dumps(function(*args))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("order", [Decimal("0.5"), Fraction(1, 2)], ids=repr)
+def test_every_order_is_the_float_its_gate_returns(order):
+    table = {name: (function, valid) for name, function, valid, _ in _scan_table()}
+    assert set(ORDER_SLOTS) <= set(table)
+    differ = []
+    for name, slot in ORDER_SLOTS.items():
+        function, valid = table[name]
+        calls = [[*valid[:slot], a, *valid[slot + 1:]] for a in (0.5, order)]
+        want, got = (_bits(function, args) for args in calls)
+        if got != want:
+            differ.append(f"{name}: {got if isinstance(got, tuple) else 'other bits'}"[:120])
+    assert not differ, "\n".join(differ)
+
+
 def test_complex_input_is_rejected_without_warnings():
     # a float cast would keep the real part alone, with a ComplexWarning
     calls = (lambda: fs.hurwitz_zeta(np.array([2 + 5j]), 1.0),
@@ -163,7 +213,11 @@ def test_complex_input_is_rejected_without_warnings():
              lambda: fs.kummer_1f1(0.5, 1.5, np.array([-1.0, 2j])),
              lambda: fs.gaussian_deriv(0.5, np.array([1 + 1j, 0.0])),
              lambda: fs.gaussian_deriv(0.5, 1 + 1j),            # the scalar gate
-             lambda: fs.ip_power(0.5, np.array([1.0 + 0.5j])))
+             lambda: fs.ip_power(0.5, np.array([1.0 + 0.5j])),
+             # an object array: each element through the scalar gate
+             lambda: fs.gaussian_deriv(0.5, np.array([1 + 1j, None], dtype=object)),
+             lambda: fs.hurwitz_zeta(np.array([2.0, np.complex128(3 + 0j)], dtype=object), 1.0),
+             lambda: fs.gamma(np.complex128(2.5)))
     for call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

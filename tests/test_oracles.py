@@ -90,6 +90,25 @@ def test_gaussian_deriv_negative_order_rejected():
         gaussian_deriv(-0.5, 0.0)
 
 
+def test_built_in_functions_are_zero_where_x2_overflows():
+    # x^2 is past the largest double from |x| of about 1.34e154 on
+    wide = np.array([1.4e154, -1e200, 1e308, -np.inf, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (oracles.gaussian, oracles.x2gaussian):
+            assert np.all(f(wide) == 0.0), f.__name__
+            assert all(f(x) == 0.0 for x in wide.tolist()), f.__name__
+            assert f(1e154) == 0.0 and f(0.0) == (f is oracles.gaussian)
+
+
+@pytest.mark.parametrize("bounds", [(-16.0, 16.0, 4096), (-20.0, 20.0, 4096),
+                                    (-20.0, 20.0, 8192), (-128.0, 128.0, 8192)])
+def test_built_in_functions_keep_the_bits_of_the_plain_formulas(bounds):
+    x = make_grid(*bounds).x
+    assert oracles.gaussian(x).tobytes() == np.exp(-x * x).tobytes()
+    assert oracles.x2gaussian(x).tobytes() == (x * x * np.exp(-x * x)).tobytes()
+
+
 @pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
 def test_closed_form_overflow_raises_order_too_large(closed_form):
     # 2^a Gamma((1+a)/2) leaves double precision near a = 270, well before

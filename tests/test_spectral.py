@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ def test_image_power_past_double_precision_is_order_too_large():
     assert np.isfinite(half.values).all()
     with pytest.raises(OrderTooLarge, match=r"box width P = 2e-150, order 1\.2"):
         fractional_derivative(half, 0.7)
+
+
+def test_transform_overflow_is_order_too_large_without_warnings():
+    # samples near the float range: the transform's sums, or their products
+    # with the symbol, overflow double precision, on the periodic route and
+    # on the image route
+    g = make_grid(-8.0, 8.0, 64)
+    flat = SampledSignal(g, np.full(64, 1e308))
+    decaying = SampledSignal(g, 1e308 * GAUSS(4.0 * g.x))
+    assert decaying.boundary_decay == 0.0
+    message = r"transform overflows double precision at order 0\.5: samples up to \|f\| = 1e\+308"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sig in (flat, decaying):
+            for op in (fractional_derivative, fractional_momentum):
+                with pytest.raises(OrderTooLarge, match=message):
+                    op(sig, 0.5)
+        # order 0 makes no transform; at 1e300 the sums stay finite
+        assert fractional_derivative(flat, 0.0) is flat
+        large = fractional_derivative(SampledSignal(g, 1e300 * GAUSS(g.x)), 0.5)
+        assert np.isfinite(large.values).all()
 
 
 def test_zero_signal_stays_zero():
