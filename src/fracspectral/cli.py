@@ -3,26 +3,28 @@
 Commands
 --------
 derive       fractional derivative of a built-in function or CSV signal
-figure       data behind the four standard curves (CSV or JSON)
+figure       data behind the four standard curves (CSV or JSON), in closed form
 uncertainty  position/momentum spread report on the Gaussian state
 check        run a named invariant suite (or `all`)
 
-Built-in functions default to the closed-form oracle route (no grid
-artifacts); `--engine spectral` switches to the FFT path.  File input
-always uses the FFT path.  Every FFT route goes through _engine_curves,
+Each command takes only the flags it reads.  Built-in functions default to
+the closed-form oracle route (no grid artifacts); `--engine spectral`
+switches to the FFT path.  File input always uses the FFT path, on the
+grid its x column sets.  Every FFT route goes through _engine_curves,
 which prints the engine's wrap-around warning on stderr; every closed-form
-route goes through _closed_form_curves, which calls the closed form once
-per order on the whole array of points.  One formatter, fmt9_all, writes
-every number (9 significant digits, lowercase exponent, -0 as 0; a JSON
-number is float of that text) and one writer, _csv, every CSV table, so
-identical configurations produce byte-identical files.  `--input` rows are
-parsed by np.loadtxt and sized by make_grid.
+route through _closed_form_curves, which calls the closed form once per
+order on the whole array of points.  One formatter, fmt9_all, writes every
+number (9 significant digits, lowercase exponent, -0 as 0; a JSON number
+is float of that text) and one writer, _csv, every CSV table, so identical
+configurations produce byte-identical files.  `--input` rows are parsed by
+np.loadtxt and sized by make_grid.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
 whose values overflow double precision, or one outside the range a command
 is defined for, included), 3 I/O error.
 """
 import argparse
+import functools
 import json
 import math
 import re
@@ -49,11 +51,11 @@ _BUILTINS = {
     "x2gaussian": (x2gaussian, x2gaussian_deriv),
 }
 
-#: figure id -> (built-in function, orders); figure 4 is the bound scan
+#: figure id -> (closed form, orders); figure 4 is the bound scan
 _FIGURES = {
-    1: ("gaussian", (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
-    2: ("gaussian", (4.5, 4.8, 5.0, 5.2, 5.5)),
-    3: ("x2gaussian", (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
+    1: (gaussian_deriv, (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
+    2: (gaussian_deriv, (4.5, 4.8, 5.0, 5.2, 5.5)),
+    3: (x2gaussian_deriv, (0.0, 1.0 / 50, 1.0 / 10, 0.5)),
 }
 
 
@@ -72,8 +74,10 @@ def fmt9(v):
 
 
 def _grid(args):
+    """--domain and --points default to (-16, 16) and 4096 here, so --input can refuse them."""
+    x_min, x_max = (-16.0, 16.0) if args.domain is None else args.domain
     try:
-        return make_grid(args.domain[0], args.domain[1], args.points)
+        return make_grid(x_min, x_max, 4096 if args.points is None else args.points)
     except NonPowerOfTwo as exc:
         raise CLIConfigError(f"--points: {exc}") from exc
     except DegenerateInterval as exc:
@@ -173,8 +177,8 @@ def _read_signal_csv(path):
 
 # --- the two routes ---------------------------------------------------------
 
-def _engine_curves(signal, alphas, window=slice(None)):
-    """(order, x, D^a values) per order through the FFT engine, cut to window.
+def _engine_curves(signal, alphas):
+    """(order, x, D^a values) per order through the FFT engine.
 
     Prints the engine's wrap-around warning, if any, on stderr.
     """
@@ -183,7 +187,7 @@ def _engine_curves(signal, alphas, window=slice(None)):
         d = fractional_derivative(signal, a)
         if d.warning:
             print(f"warning: {d.warning}", file=sys.stderr)
-        curves.append((a, signal.grid.x[window], d.values[window]))
+        curves.append((a, signal.grid.x, d.values))
     return curves
 
 
@@ -206,6 +210,9 @@ def cmd_derive(args):
     if alphas is None:
         raise CLIConfigError("--alpha is required for derive")
     if args.input is not None:
+        for flag, value in (("--domain", args.domain), ("--points", args.points)):
+            if value is not None:
+                raise CLIConfigError(f"{flag}: the --input file sets the grid")
         if args.engine == "oracle":
             raise CLIConfigError("--engine oracle has no closed form for --input data")
         curves = _engine_curves(_read_signal_csv(args.input), alphas)
@@ -230,19 +237,14 @@ def cmd_derive(args):
 
 
 def cmd_figure(args):
-    grid = _grid(args)          # validates --points/--domain on every route
     if args.id == 4:
         scan = np.arange(601) / 100.0
         vals = np.array([uncertainty_bound(a) for a in scan], dtype=complex)
         curves = [(None, scan, vals)]
         header = "alpha,bound"
     else:
-        name, alphas = _FIGURES[args.id]
-        builtin, oracle = _BUILTINS[name]
-        if args.engine == "spectral":
-            curves = _engine_curves(sample(builtin, grid), alphas, np.abs(grid.x) <= 4.0)
-        else:
-            curves = _closed_form_curves(oracle, alphas, np.arange(-400, 401) / 100.0)
+        oracle, alphas = _FIGURES[args.id]
+        curves = _closed_form_curves(oracle, alphas, np.arange(-400, 401) / 100.0)
         header = "x," + ",".join(f"alpha={t}" for t in fmt9_all(alphas))
     if args.format == "json":
         _emit(args.output, _curves_json(curves))
@@ -294,15 +296,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity
                               re.IGNORECASE)
 
 
-def _add_shared(p, grid=True, alpha=True):
+def _add_shared(p, alpha=True):
     p._negative_number_matcher = _NEGATIVE_NUMBER
-    if grid:
-        p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
-                       default=(-16.0, 16.0), help="grid interval (default -16 16)")
-        p.add_argument("--points", type=int, metavar="N", default=4096,
-                       help="grid size, power of two (default 4096)")
-        p.add_argument("--engine", choices=("oracle", "spectral"),
-                       help="closed-form oracle (default for built-ins) or FFT engine")
     if alpha:
         p.add_argument("--alpha", metavar="A[,A...]",
                        help="comma-separated derivative orders, each >= 0")
@@ -311,7 +306,9 @@ def _add_shared(p, grid=True, alpha=True):
                    help="output format (default csv)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="fracspectral",
         description="Fractional derivatives via Fourier multipliers, with "
@@ -320,20 +317,28 @@ def build_parser():
 
     p = sub.add_parser("derive", help="compute fractional derivatives")
     p.set_defaults(run=cmd_derive)
+    p.add_argument("--domain", nargs=2, type=float, metavar=("MIN", "MAX"),
+                   help="grid interval (default -16 16)")
+    p.add_argument("--points", type=int, metavar="N",
+                   help="grid size, power of two (default 4096)")
+    p.add_argument("--engine", choices=("oracle", "spectral"),
+                   help="closed-form oracle (default for built-ins) or FFT engine")
     _add_shared(p)
     p.add_argument("--function", choices=sorted(_BUILTINS),
                    help="built-in function (default gaussian)")
     p.add_argument("--input", metavar="FILE",
                    help=f"CSV signal ({CSV_HEADER}) to differentiate instead of a built-in")
 
-    p = sub.add_parser("figure", help="emit the data behind the standard figures")
+    p = sub.add_parser("figure", help="emit the data behind the standard figures",
+                       description="Closed-form curves; derive --engine spectral --function F "
+                                   "--alpha <the figure's orders> gives the engine's.")
     p.set_defaults(run=cmd_figure)
     p.add_argument("id", type=int, choices=(1, 2, 3, 4), help="figure number")
     _add_shared(p, alpha=False)
 
     p = sub.add_parser("uncertainty", help="spread report on the Gaussian state")
     p.set_defaults(run=cmd_uncertainty)
-    _add_shared(p, grid=False)
+    _add_shared(p)
     p.set_defaults(alpha="1,1.5,2,3")
 
     p = sub.add_parser("check", help="run an invariant suite")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal, _evaluate
-from .spectral import ip_power, require_order
+from .spectral import AlphaInForbiddenRange, ip_power, require_order
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -348,11 +348,11 @@ class EigenstateSpec:
 
     The implied plane-wave frequency q solves q^alpha = eigenvalue; for
     order 2 the eigenfunction is the cosine combination and the eigenvalue
-    must be > 0.  The order must be finite and > 0: P_0 is the identity,
-    which implies no frequency.  The eigenvalue must be finite, else
-    ArgumentOutOfRange, and may be negative only at odd integer orders:
-    the symbol p^a = |p|^a e^{-i*a*pi} of a q < 0 is real and negative
-    only there.
+    must be > 0.  The order must be finite and > 0, else
+    AlphaInForbiddenRange: P_0 is the identity, which implies no frequency.
+    The eigenvalue must be finite, else ArgumentOutOfRange, and may be
+    negative only at odd integer orders: the symbol p^a = |p|^a e^{-i*a*pi}
+    of a q < 0 is real and negative only there.
     """
     alpha: float
     eigenvalue: float
@@ -361,7 +361,8 @@ class EigenstateSpec:
         # both fields hold the floats their gates return
         object.__setattr__(self, "alpha", require_order(self.alpha))
         if self.alpha == 0:
-            raise ValueError("order 0 has no eigenfunction frequency: P_0 is the identity")
+            raise AlphaInForbiddenRange("order 0 has no eigenfunction frequency: "
+                                        "P_0 is the identity")
         eigenvalue = specfun.require_real("eigenvalue", self.eigenvalue)
         object.__setattr__(self, "eigenvalue", eigenvalue)
         if eigenvalue <= 0 and self.alpha == 2:

@@ -76,6 +76,7 @@ def gaussian_state(grid):
     return SampledSignal(grid, values)
 
 
+@np.errstate(over="ignore")     # a norm past the float range is inf, which is not 1
 def _require_normalized(state):
     """The one normalisation gate: NotNormalized unless the discrete L2 norm is 1."""
     norm = float(np.sqrt(np.sum(np.abs(state.values) ** 2) * state.grid.dx))

@@ -34,6 +34,7 @@ derivative on the line.  Signals that do not decay, such as on-grid plane
 waves, are treated as periodic and a non-integer order attaches a warning.
 """
 import cmath
+import contextlib
 import enum
 import functools
 import math
@@ -162,22 +163,50 @@ def p_power(alpha, p):
     return _branch_power(alpha, p, momentum=True)
 
 
+def _too_large(what, *sources):
+    """The OrderTooLarge of a result that overflowed, naming the largest input |value|."""
+    top = max(float(np.abs(v).max()) for v in sources)
+    return OrderTooLarge(f"{what}: samples up to |f| = {top:.3g} are too large")
+
+
+@contextlib.contextmanager
+def _overflow_is_too_large(what, *sources):
+    """numpy's overflow warnings off, and OrderTooLarge (see _too_large) where the
+    gate of the result finds a value that is not finite (an EvaluationFailure).
+
+    The one mapping of the engine, the transforms and product_rule.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except EvaluationFailure:
+            raise _too_large(what, *sources) from None
+
+
 def forward(signal):
     """Transform samples to frequency coefficients.
 
     coeffs[k] = (dx/sqrt(2*pi)) * sum_j e^{-i p_k x_j} values[j], done with
-    an FFT plus the e^{-i p_k x_min} phase for the grid offset.
+    an FFT plus the e^{-i p_k x_min} phase for the grid offset.  Raises
+    OrderTooLarge where the coefficients overflow.
     """
     g = signal.grid
-    coeffs = (g.dx / SQRT_2PI) * np.exp(-1j * g.p * g.x_min) * np.fft.fft(signal.values)
-    return Spectrum(g, coeffs)
+    with _overflow_is_too_large("the forward transform overflows double precision",
+                                signal.values):
+        coeffs = (g.dx / SQRT_2PI) * np.exp(-1j * g.p * g.x_min) * np.fft.fft(signal.values)
+        return Spectrum(g, coeffs)
 
 
 def inverse(spectrum):
-    """Inverse transform; inverse(forward(s)) == s to machine precision."""
+    """Inverse transform; inverse(forward(s)) == s to machine precision.
+
+    Raises OrderTooLarge where the samples overflow.
+    """
     g = spectrum.grid
-    values = (SQRT_2PI / g.dx) * np.fft.ifft(spectrum.coeffs * np.exp(1j * g.p * g.x_min))
-    return SampledSignal(g, values)
+    with _overflow_is_too_large("the inverse transform overflows double precision",
+                                spectrum.coeffs):
+        values = (SQRT_2PI / g.dx) * np.fft.ifft(spectrum.coeffs * np.exp(1j * g.p * g.x_min))
+        return SampledSignal(g, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,12 +416,9 @@ def _apply_multiplier(signal, alpha, phase):
         images = None
     if images is not None:
         out -= images.values(g)
-    try:
+    with _overflow_is_too_large(f"the engine's transform overflows double precision at "
+                                f"order {alpha:g}", signal.values):
         return SampledSignal(g, out, warning=warning, images=images)
-    except EvaluationFailure:           # the gate of the result found the inf or nan
-        top = float(np.abs(signal.values).max())
-        raise OrderTooLarge(f"the engine's transform overflows double precision at order "
-                            f"{alpha:g}: samples up to |f| = {top:.3g} are too large") from None
 
 
 def fractional_derivative(signal, alpha):
@@ -437,11 +463,18 @@ def order_continuity_gap(signal, n, k):
     return central_gap(d_frac.values, d_int.values)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a sum past the float range raises below
 def inner(u, v, dx, pairing):
-    """The discrete pairing sum u_j v_j dx; SESQUILINEAR conjugates u."""
+    """The discrete pairing sum u_j v_j dx; SESQUILINEAR conjugates u.
+
+    Raises OrderTooLarge where the sum overflows double precision.
+    """
     if pairing is Pairing.SESQUILINEAR:
-        return complex(np.sum(np.conj(u) * v) * dx)
-    return complex(np.sum(u * v) * dx)
+        u = np.conj(u)
+    total = complex(np.sum(u * v) * dx)
+    if not cmath.isfinite(total):
+        raise _too_large("the pairing sum overflows double precision", u, v)
+    return total
 
 
 def duality_residual(f, g, alpha, pairing, minus_one_branch):
@@ -504,18 +537,20 @@ def product_rule(f, g, alpha):
     n = grid.n
     u = (np.arange(2 * n - 1) - n) * grid.dp
     symbol = ip_power(alpha, u)
-    images, warning = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
-    fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
-    gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
-    # after the shift both spectra start at p = -(n/2)*dp, so index m of
-    # their convolution holds the sum over s+q = u_m
-    conv = np.fft.ifft(gs * fs)[:2 * n - 1]
-    # the FFT convolution leaves roundoff of the largest sum in every bin,
-    # which the symbol would amplify by |u|^a: the engine's floor applies
-    zero_noise(conv)
-    terms = np.exp(1j * grid.x_min * u) * symbol * conv
-    terms[:n - 1] += terms[n:]
-    values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
-    if images is not None:
-        values -= images.values(grid)
-    return SampledSignal(grid, values, warning=warning, images=images)
+    with _overflow_is_too_large(f"the product rule overflows double precision at order "
+                                f"{alpha:g}", f.values, g.values):
+        images, warning = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
+        fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
+        gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
+        # after the shift both spectra start at p = -(n/2)*dp, so index m of
+        # their convolution holds the sum over s+q = u_m
+        conv = np.fft.ifft(gs * fs)[:2 * n - 1]
+        # the FFT convolution leaves roundoff of the largest sum in every bin,
+        # which the symbol would amplify by |u|^a: the engine's floor applies
+        zero_noise(conv)
+        terms = np.exp(1j * grid.x_min * u) * symbol * conv
+        terms[:n - 1] += terms[n:]
+        values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
+        if images is not None:
+            values -= images.values(grid)
+        return SampledSignal(grid, values, warning=warning, images=images)

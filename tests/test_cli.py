@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -75,6 +76,10 @@ def test_derive_round_trips_through_file_input(tmp_path, capsys):
     assert run_cli(capsys, "derive", "--input", str(src), "--alpha", "0",
                    "--output", str(out))[0] == 0
     assert src.read_bytes() == out.read_bytes()
+    assert run_cli(capsys, "derive", "--engine", "spectral", "--alpha", "0", "--domain", "-8",
+                   "8", "--points", "64", "--output", str(src))[0] == 0
+    assert run_cli(capsys, "derive", "--input", str(src), "--alpha", "0") == (
+        0, src.read_text(), "")
 
 
 def test_file_input_edge_cases_with_warnings_as_errors(tmp_path, capsys):
@@ -233,35 +238,49 @@ def test_figure4_json_has_null_alpha(capsys):
     assert payload[0]["x"][0] == 0.0 and payload[0]["x"][-1] == 6.0
 
 
-def test_figure_spectral_engine_restricted_to_window(capsys):
-    rc, out, _ = run_cli(capsys, "figure", "1", "--engine", "spectral",
-                         "--domain", "-32", "32", "--points", "2048")
-    assert rc == 0
-    lines = out.splitlines()
-    xs = [float(r.split(",")[0]) for r in lines[1:]]
-    assert min(xs) >= -4.0 and max(xs) <= 4.0
-
-
-def test_figure_spectral_engine_warns_like_derive(capsys):
-    grid = ("--engine", "spectral", "--domain", "-2", "2", "--points", "64")
-    rc, _, derive_err = run_cli(capsys, "derive", "--alpha", "0.5", *grid)
-    assert rc == 0
-    assert derive_err.startswith("warning: ") and derive_err.count("\n") == 1
-    rc, _, figure_err = run_cli(capsys, "figure", "1", *grid)
-    assert rc == 0
-    # one line per non-integer order (0.02, 0.1, 0.5), each naming its order;
-    # order 0 does not warn
-    lines = figure_err.splitlines()
-    assert len(lines) == len(set(lines)) == 3
-    assert [line.rpartition(" ")[2] for line in lines] == ["0.02", "0.1", "0.5"]
-    assert lines[2] == derive_err.rstrip("\n")
-
-
 def test_figure_is_deterministic(tmp_path, capsys):
     a = run_cli(capsys, "figure", "2", "--output", str(tmp_path / "a.csv"))
     b = run_cli(capsys, "figure", "2", "--output", str(tmp_path / "b.csv"))
     assert a[0] == b[0] == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_no_command_takes_a_flag_it_ignores(tmp_path, capsys):
+    # figures draw the closed form on their own points: engine and grid flags
+    # are usage errors
+    for figure in "1234":
+        for flags in (["--engine", "spectral"], ["--domain", "-2", "2"], ["--points", "64"]):
+            rc, out, err = run_cli(capsys, "figure", figure, *flags)
+            assert (rc, out) == (2, ""), (figure, flags)
+            assert flags[0] in err
+    # the --input file sets the grid
+    data = str(tmp_path / "in.csv")
+    assert main(["derive", "--engine", "spectral", "--alpha", "0", "--points", "64",
+                 "--domain", "-8", "8", "--output", data]) == 0
+    for flags in (["--domain", "-1", "1"], ["--points", "8"]):
+        rc, out, err = run_cli(capsys, "derive", "--input", data, "--alpha", "0.5", *flags)
+        assert (rc, out, err) == (2, "", f"error: {flags[0]}: the --input file sets the grid\n")
+    # derive --engine spectral draws the engine's figure curves: where the
+    # Gaussian does not decay at the box edge, one warning per non-integer
+    # order, each naming its order
+    rc, out, err = run_cli(capsys, "derive", "--engine", "spectral", "--alpha", "0,0.02,0.1,0.5",
+                           "--domain", "-2", "2", "--points", "64", "--format", "json")
+    assert rc == 0 and [c["alpha"] for c in json.loads(out)] == [0.0, 0.02, 0.1, 0.5]
+    lines = err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines)
+    assert [line.rpartition(" ")[2] for line in lines] == ["0.02", "0.1", "0.5"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    main(["check", "nope"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(init(self, *args, **kwargs)))
+    for argv in (["figure", "4"], ["derive", "--alpha", "nan"], ["check", "nope"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
 
 
 # --- uncertainty -----------------------------------------------------------
@@ -383,6 +402,9 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
     huge = tmp_path / "huge.csv"
     huge.write_text("x,re,im\n" + "".join(f"{i},1e308,0\n" for i in range(8)))
     cases = [
+        # |p|^400 overflows at the Nyquist bin; the closed form's values overflow
+        [*engine, "--alpha", "400"],
+        ["derive", "--alpha", "400", "--points", "64", "--domain", "-8", "8"],
         # the image correction needs zeta(1 + a): 1 + a rounds to 1
         *([*engine, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
         *(["derive", "--input", data, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
@@ -420,7 +442,7 @@ def test_built_ins_where_x2_overflows_run_without_warnings(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in (["derive", "--function", "x2gaussian", "--alpha", "0.5", *wide],
-                     ["derive", "--alpha", "0.5", *wide], ["figure", "3", *wide]):
+                     ["derive", "--alpha", "0.5", *wide]):
             rc, out, err = run_cli(capsys, *argv)
             assert (rc, err) == (0, ""), argv
     rows = run_cli(capsys, "derive", "--function", "x2gaussian", "--alpha", "0",

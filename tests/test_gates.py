@@ -24,9 +24,9 @@ BAD_NUMBERS = (10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf)
 # finite, but large enough that a power, a product or a frequency built from
 # them overflows double precision
 LARGE_NUMBERS = (300.0, 1e300, -1e300)
-# finite, but so small that 1 + a rounds to 1 or a quotient by them overflows;
-# 5e-324 is the smallest subnormal
-TINY_NUMBERS = (1e-300, 5e-324)
+# zero, and numbers finite but so small that 1 + a rounds to 1 or a quotient by
+# them overflows; 5e-324 is the smallest subnormal
+TINY_NUMBERS = (0.0, 1e-300, 5e-324)
 # not numbers: text, which float() would parse, and object arrays holding text
 # or a complex number
 NON_NUMBERS = ("0.5", b"0.5", np.array("0.5", dtype=object), np.array(1 + 1j, dtype=object))
@@ -78,6 +78,8 @@ def _scan_table():
         ("kummer_1f1 over an array", lambda a, b, z: fs.kummer_1f1(a, b, np.array([-2.0, z])),
          (0.5, 1.5, 2.0), (0, 1, 2)),
         ("zeta_negative", zeta_negative, (2.5,), (0,)),
+        ("forward", fs.forward, (f,), ()),
+        ("inverse", fs.inverse, (fs.forward(f),), ()),
         ("fractional_derivative", fs.fractional_derivative, (f, 0.5), (1,)),
         ("fractional_momentum", fs.fractional_momentum, (f, 0.5), (1,)),
         ("ip_power", fs.ip_power, (0.5, p), (0, 1)),
@@ -100,6 +102,7 @@ def _scan_table():
         ("eigenstate_signal", eigenstate, (0.5, math.sqrt(4 * g.dp)), (0, 1)),
         ("commutator_dx", fs.commutator_dx, (f, 1.5), (1,)),
         ("commutator_ladder", fs.commutator_ladder, (f, 1.5), (1,)),
+        ("expectation", fs.expectation, (f, state), ()),
         ("symmetry_residual", fs.symmetry_residual, (f, h, 0.5), (2,)),
         ("uncertainty_bound", fs.uncertainty_bound, (1.5,), (0,)),
         ("uncertainty_check", fs.uncertainty_check, (1.5, state), (0,)),
@@ -168,6 +171,36 @@ def test_public_functions_survive_tiny_finite_numbers():
 def test_public_functions_reject_non_numbers():
     cases = _scan(NON_NUMBERS, finite=True)
     assert not cases, f"{len(cases)} cases:\n" + "\n".join(cases)
+
+
+# the signal (or spectrum) slots of each function of the scan table that takes one
+SIGNAL_SLOTS = {
+    "fractional_derivative": (0,), "fractional_momentum": (0,), "forward": (0,),
+    "inverse": (0,), "order_continuity_gap": (0,), "pairing_continuity_gap": (0, 1, 2),
+    "product_rule": (0, 1), "duality_residual": (0, 1), "commutator_dx": (0,),
+    "commutator_ladder": (0,), "expectation": (0, 1), "symmetry_residual": (0, 1),
+    "uncertainty_check": (1,),
+}
+
+
+@pytest.mark.parametrize("huge", ["1e200 exp(-x^2)", "1e308"])
+def test_public_functions_survive_huge_samples(huge):
+    # samples near the float range: a sum, a product or a transform of them
+    # overflows, which must raise a typed error, with no warning
+    table = {name: (function, valid) for name, function, valid, _ in _scan_table()}
+    assert set(SIGNAL_SLOTS) <= set(table)
+    g = fs.make_grid(-8.0, 8.0, 256)
+    values = 1e200 * GAUSS(g.x) if huge == "1e200 exp(-x^2)" else np.full(g.n, 1e308)
+    cases = []
+    for name, slots in SIGNAL_SLOTS.items():
+        function, valid = table[name]
+        args = list(valid)
+        for slot in slots:
+            args[slot] = type(valid[slot])(g, values)
+        why = _outcome(function, args)
+        if why is not None:
+            cases.append(f"{name}: {why}")
+    assert not cases, "\n".join(cases)
 
 
 # the order slot of each function of the scan table that takes an order

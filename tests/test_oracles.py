@@ -18,7 +18,8 @@ from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   x2gaussian_deriv)
 from fracspectral.specfun import ArgumentOutOfRange, OrderTooLarge
 from fracspectral.quantum import uncertainty_bound
-from fracspectral.spectral import NegativeAlpha, fractional_derivative, fractional_momentum
+from fracspectral.spectral import (AlphaInForbiddenRange, NegativeAlpha, fractional_derivative,
+                                  fractional_momentum)
 
 F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
 
@@ -546,7 +547,7 @@ def test_eigenstate_negative_eigenvalue_rules():
 
 def test_eigenstate_rejects_order_zero():
     # P_0 is the identity: no frequency to pin
-    with pytest.raises(ValueError, match="order 0"):
+    with pytest.raises(AlphaInForbiddenRange, match="order 0"):
         EigenstateSpec(0.0, 1.0)
 
 

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspectral.grid import GridMismatch, SampledSignal, make_grid, sample
+from fracspectral.grid import GridMismatch, SampledSignal, Spectrum, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
+from fracspectral.quantum import symmetry_residual
 from fracspectral.specfun import OrderTooLarge
 from fracspectral.spectral import (AlphaInForbiddenRange, MinusOneBranch,
                                    NegativeAlpha, Pairing, duality_residual, forward,
@@ -307,6 +308,30 @@ def test_transform_overflow_is_order_too_large_without_warnings():
         assert fractional_derivative(flat, 0.0) is flat
         large = fractional_derivative(SampledSignal(g, 1e300 * GAUSS(g.x)), 0.5)
         assert np.isfinite(large.values).all()
+
+
+def test_transforms_pairings_and_product_rule_overflow_typed_without_warnings():
+    # every sample is finite, but a transform, a product or a pairing sum of
+    # them is not: each raises OrderTooLarge that names the samples
+    g = make_grid(-8.0, 8.0, 64)
+    flat = SampledSignal(g, np.full(64, 1e308))
+    big = SampledSignal(g, 1e200 * GAUSS(g.x))
+    sesq, plus = Pairing.SESQUILINEAR, MinusOneBranch.E_PLUS_I_PI
+    cases = [
+        (lambda: forward(flat), r"the forward transform overflows .* 1e\+308 are too large$"),
+        (lambda: inverse(Spectrum(g, flat.values)),
+         r"the inverse transform overflows .* 1e\+308 are too large$"),
+        (lambda: product_rule(big, big, 0.5),
+         r"the product rule overflows .* at order 0\.5: samples up to \|f\| = 1e\+200"),
+        (lambda: duality_residual(big, big, 1.0, sesq, plus), "the pairing sum overflows"),
+        (lambda: symmetry_residual(big, big, 1.0), "the pairing sum overflows"),
+        (lambda: pairing_continuity_gap(big, big, big, 0.5, 3), "the pairing sum overflows"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in cases:
+            with pytest.raises(OrderTooLarge, match=message):
+                call()
 
 
 def test_zero_signal_stays_zero():
