@@ -226,7 +226,7 @@ def suite_commutator():
         except AlphaInForbiddenRange:
             r.holds(f"{fn.__name__} rejects order 1/2", True)
 
-    gs = make_grid(-16.0, 16.0, 4096)
+    gs = _default_grid()
     a = sample(gaussian, gs)
     b = sample(x2gaussian, gs)
     for alpha in (1.0, 2.0):

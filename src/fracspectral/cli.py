@@ -13,10 +13,11 @@ switches to the FFT path.  File input always uses the FFT path, on the
 grid its x column sets.  Every FFT route goes through _engine_curves,
 which prints the engine's wrap-around warning on stderr; every closed-form
 route through _closed_form_curves, which calls the closed form once per
-order on the whole array of points.  One formatter, fmt9_all, writes every
-number (9 significant digits, lowercase exponent, -0 as 0; a JSON number
-is float of that text) and one writer, _csv, every CSV table, so identical
-configurations produce byte-identical files.  `--input` rows are parsed by
+order on the whole array of points.  One 9-digit rule writes every
+number (9 significant digits, lowercase exponent, -0 as 0): fmt9_all gives
+each number's text (a JSON number is float of that text), and _csv, the
+one writer of every CSV table, formats a whole table by the same rule, so
+identical configurations produce byte-identical files.  `--input` rows are parsed by
 np.loadtxt and sized by make_grid.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
@@ -63,9 +64,17 @@ class CLIConfigError(Exception):
     """Bad flag/config combination; message names the offending field."""
 
 
+_NINE_DIGITS = "%.9g"      # the 9-digit rule, applied to _unsigned_zero's floats
+
+
+def _unsigned_zero(values):
+    """values as a float array with -0 as 0, which _NINE_DIGITS alone prints as -0."""
+    return np.asarray(values, dtype=float) + 0.0
+
+
 def fmt9_all(values):
     """Each number as text: 9 significant digits, lowercase exponent; -0 prints as 0."""
-    return [f"{v:.9g}" for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
+    return [_NINE_DIGITS % v for v in _unsigned_zero(values).tolist()]
 
 
 def fmt9(v):
@@ -108,9 +117,14 @@ def _emit(path, text):
         fh.write(text)
 
 
-def _csv(header, *columns):
-    """A CSV table: the header line, then one line per row of the text columns."""
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+def _csv(header, *numbers, text=()):
+    """A CSV table: the header line, then one line per row, the number columns
+    by fmt9_all's rule and then the text columns, all rows in one % operation."""
+    table = _unsigned_zero(np.column_stack(numbers))
+    if text:
+        table = np.column_stack([table.astype(object), *text])
+    line = ",".join([_NINE_DIGITS] * len(numbers) + ["%s"] * len(text)) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def _json(payload):
@@ -232,7 +246,7 @@ def cmd_derive(args):
                              "(one file per order)")
     for a, x, vals in curves:
         path = args.output if len(curves) == 1 else _per_alpha_path(args.output, a)
-        _emit(path, _csv(CSV_HEADER, fmt9_all(x), fmt9_all(vals.real), fmt9_all(vals.imag)))
+        _emit(path, _csv(CSV_HEADER, x, vals.real, vals.imag))
     return EXIT_OK
 
 
@@ -250,8 +264,7 @@ def cmd_figure(args):
         _emit(args.output, _curves_json(curves))
     else:
         # one column of x (figure 4: of orders), then the real part of each curve
-        _emit(args.output, _csv(header, fmt9_all(curves[0][1]),
-                                *(fmt9_all(vals.real) for _, _, vals in curves)))
+        _emit(args.output, _csv(header, curves[0][1], *(vals.real for _, _, vals in curves)))
     return EXIT_OK
 
 
@@ -262,15 +275,15 @@ def cmd_uncertainty(args):
     alphas = _parse_alphas(args.alpha)
     state = gaussian_state(high_res_grid())
     reports = [uncertainty_check(a, state) for a in alphas]
-    columns = [fmt9_all([getattr(r, f) for r in reports]) for f in _UNCERTAINTY_FIELDS]
+    columns = [[getattr(r, f) for r in reports] for f in _UNCERTAINTY_FIELDS]
     if args.format == "json":
         _emit(args.output, _json([
-            dict(zip(_UNCERTAINTY_FIELDS, map(float, row)), satisfied=r.satisfied)
+            dict(zip(_UNCERTAINTY_FIELDS, map(float, fmt9_all(row))), satisfied=r.satisfied)
             for row, r in zip(zip(*columns), reports)]))
     else:
         satisfied = ["true" if r.satisfied else "false" for r in reports]
         _emit(args.output, _csv(",".join(_UNCERTAINTY_FIELDS) + ",satisfied",
-                                *columns, satisfied))
+                                *columns, text=[satisfied]))
     return EXIT_OK
 
 

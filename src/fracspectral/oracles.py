@@ -45,15 +45,9 @@ class ToleranceNotReached(RuntimeError):
 class Undefined:
     """Distinguished result for monomial orders with no assigned meaning.
 
-    A singleton, returned (never raised) where the case analysis of
-    fractional monomial derivatives leaves the value unassigned.
+    Its one instance, UNDEFINED, is returned (never raised) where the case
+    analysis of fractional monomial derivatives leaves the value unassigned.
     """
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "Undefined"

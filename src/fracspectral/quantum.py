@@ -16,6 +16,7 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal, central_gap, make_grid, require_same_grid
+from .oracles import gaussian
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
                        _abs_power, fractional_derivative, fractional_momentum, inner,
@@ -72,8 +73,7 @@ class UncertaintyReport:
 
 def gaussian_state(grid):
     """The normalized Gaussian state (2/pi)^{1/4} e^{-x^2}: a SampledSignal on the grid."""
-    values = (2.0 / np.pi) ** 0.25 * np.exp(-grid.x ** 2)
-    return SampledSignal(grid, values)
+    return SampledSignal(grid, (2.0 / np.pi) ** 0.25 * gaussian(grid.x))
 
 
 @np.errstate(over="ignore")     # a norm past the float range is inf, which is not 1

@@ -336,34 +336,35 @@ def _moments(values, grid, order):
     return np.array(moments)
 
 
-def _has_images(order):
-    """An integer order leaves no tail, so no images; see also _MAX_IMAGE_ORDER."""
-    return order != int(order) and order <= _MAX_IMAGE_ORDER
+def _images(signal, alpha, phase):
+    """(images, warning) of a multiplier of order alpha and phase on signal: the one
+    wrap-around decision of the engine and product_rule.
 
-
-def _fresh_images(signal, alpha, phase):
-    """(images, warning) for differentiating a plain signal: the one decay decision.
-
-    A signal that decays at the box edge gets an image record where the
-    order leaves a tail; an order so small that 1 + a rounds to 1 raises
-    AlphaInForbiddenRange there, since the image sum needs zeta(1 + a).
-    One that does not decay stays periodic, and a non-integer order gets a
-    warning that names it.
+    A record that the signal carries moves on to the combined order, whatever
+    the signal's own decay.  A signal that decays at the box edge gets a
+    fresh record from its moments; an order so small that 1 + a rounds to 1
+    raises AlphaInForbiddenRange there, since the image sum needs zeta(1 + a).
+    An integer total order leaves no tail, and past _MAX_IMAGE_ORDER
+    Gamma(-a) underflows: neither gets a record.  A signal that does not
+    decay stays periodic, and a non-integer order gets a warning naming it.
     """
-    if signal.boundary_decay < DECAY_THRESHOLD:
-        if not _has_images(alpha):
+    source = signal.images
+    if source is None and signal.boundary_decay >= DECAY_THRESHOLD:
+        if alpha == int(alpha):
             return None, None
-        if 1.0 + alpha == 1.0:
-            raise AlphaInForbiddenRange(f"order {alpha:g} is too small for the image "
-                                        f"correction: 1 + a rounds to 1")
-        return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha)), None
-    if alpha == int(alpha):
+        return None, (f"boundary decay {signal.boundary_decay:.3e} above threshold "
+                      f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
+    order = alpha if source is None else source.order + alpha
+    if order == int(order) or order > _MAX_IMAGE_ORDER:
         return None, None
-    return None, (f"boundary decay {signal.boundary_decay:.3e} above threshold "
-                  f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
+    if source is not None:
+        return ImageCorrection(order, source.phase * phase, source.moments), None
+    if 1.0 + alpha == 1.0:
+        raise AlphaInForbiddenRange(f"order {alpha:g} is too small for the image "
+                                    f"correction: 1 + a rounds to 1")
+    return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha)), None
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow leaves inf or nan; see the end
 def _apply_multiplier(signal, alpha, phase):
     """irfft(rfft(values) * (ip)^a) times phase, with the images handled.
 
@@ -385,39 +386,33 @@ def _apply_multiplier(signal, alpha, phase):
     if alpha == 0:
         return signal
     g = signal.grid
-    symbol = ip_power(alpha, np.arange(g.n // 2 + 1) * g.dp)
-    source = signal.images
-    values = signal.values
-    if source is not None:
-        # back to the periodic value, which the symbol maps to the periodic result
-        values = values + source.values(g)
-        images = ImageCorrection(source.order + alpha, source.phase * phase, source.moments)
-        warning = None
-    else:
-        images, warning = _fresh_images(signal, alpha, phase)
-    parts = [values.real, values.imag] if values.imag.any() else [values.real]
-    spectra = [np.fft.rfft(v) for v in parts]
-    del parts, values
-    zero_noise(*spectra)
-    for c in spectra:
-        c *= symbol
-    del symbol
-    # One complex buffer holds the result, and the phase and the images are
-    # applied in place: on large grids, n-point temporaries left the heap
-    # in a state that depended on the order of earlier calls.
-    out = np.empty(g.n, dtype=complex)
-    out.real = np.fft.irfft(spectra[0], g.n)
-    out.imag = np.fft.irfft(spectra[1], g.n) if len(spectra) == 2 else 0.0
-    del spectra
-    if phase != 1.0:
-        # phase first: numpy rounds phase * out and out * phase differently
-        np.multiply(phase, out, out=out)
-    if images is not None and not _has_images(images.order):
-        images = None
-    if images is not None:
-        out -= images.values(g)
     with _overflow_is_too_large(f"the engine's transform overflows double precision at "
                                 f"order {alpha:g}", signal.values):
+        symbol = ip_power(alpha, np.arange(g.n // 2 + 1) * g.dp)
+        images, warning = _images(signal, alpha, phase)
+        values = signal.values
+        if signal.images is not None:
+            # back to the periodic value, which the symbol maps to the periodic result
+            values = values + signal.images.values(g)
+        parts = [values.real, values.imag] if values.imag.any() else [values.real]
+        spectra = [np.fft.rfft(v) for v in parts]
+        del parts, values
+        zero_noise(*spectra)
+        for c in spectra:
+            c *= symbol
+        del symbol
+        # One complex buffer holds the result, and the phase and the images are
+        # applied in place: on large grids, n-point temporaries left the heap
+        # in a state that depended on the order of earlier calls.
+        out = np.empty(g.n, dtype=complex)
+        out.real = np.fft.irfft(spectra[0], g.n)
+        out.imag = np.fft.irfft(spectra[1], g.n) if len(spectra) == 2 else 0.0
+        del spectra
+        if phase != 1.0:
+            # phase first: numpy rounds phase * out and out * phase differently
+            np.multiply(phase, out, out=out)
+        if images is not None:
+            out -= images.values(g)
         return SampledSignal(g, out, warning=warning, images=images)
 
 
@@ -539,7 +534,7 @@ def product_rule(f, g, alpha):
     symbol = ip_power(alpha, u)
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
-        images, warning = _fresh_images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
+        images, warning = _images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
         fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
         gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
         # after the shift both spectra start at p = -(n/2)*dp, so index m of

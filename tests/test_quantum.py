@@ -42,6 +42,16 @@ def test_gaussian_state_is_normalized():
     assert _norm(sample(GAUSS, g)) == pytest.approx((math.pi / 2.0) ** 0.25, rel=1e-12)
 
 
+def test_gaussian_state_is_zero_without_warnings_where_x2_overflows():
+    # on (-1e200, 1e200) x^2 overflows at every sample but x = 0
+    g = make_grid(-1e200, 1e200, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = gaussian_state(g)
+    expected = np.where(g.x == 0.0, (2.0 / np.pi) ** 0.25, 0.0)
+    assert np.array_equal(state.values, expected)
+
+
 def test_high_res_grid_is_cached():
     g = high_res_grid()
     assert g is high_res_grid()

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracspectral import spectral
 from fracspectral.grid import GridMismatch, SampledSignal, Spectrum, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
 from fracspectral.quantum import symmetry_residual
@@ -268,12 +269,19 @@ def test_chained_result_carries_order_and_phase():
     assert np.max(np.abs(chained.values - direct)) < 1e-12
 
 
-def test_integer_total_order_drops_the_images():
-    g, sig, _ = _short_box_gaussian()
-    twice = fractional_derivative(fractional_derivative(sig, 0.5), 0.5)
-    assert twice.images is None
-    ref = -2 * g.x * np.exp(-g.x ** 2)
-    assert np.max(np.abs(twice.values - ref)) < 1e-12
+@pytest.mark.parametrize("n, second", [(1024, 0.5), (256, 169.9)],
+                         ids=["total_order_1", "past_order_170"])
+def test_integer_total_order_drops_the_images(n, second):
+    # an integer order leaves no tail; past order 170 Gamma(-a) underflows
+    g = make_grid(-8.0, 8.0, n)
+    chained = fractional_derivative(fractional_derivative(sample(GAUSS, g), 0.5), second)
+    assert chained.images is None and chained.warning is None
+    assert np.isfinite(chained.values).all()
+    if second == 0.5:
+        ref = -2 * g.x * np.exp(-g.x ** 2)
+        assert np.max(np.abs(chained.values - ref)) < 1e-12
+    else:
+        assert 0.5 + second > spectral._MAX_IMAGE_ORDER
 
 
 def test_image_power_past_double_precision_is_order_too_large():
