@@ -212,8 +212,10 @@ def _momentum_moment(density, b, signed, taylor, dp):
         dp sum_{k>=1} (k dp)^b G(+-k dp) - int_0^inf p^b G(+-p) dp
             = sum_j zeta(-b-j) (+-1)^j c_j dp^(b+j+1),
 
-    where c_j are the Taylor coefficients of G at 0.  Terms stop once
-    Gamma(1+b+j) overflows; they are far below the roundoff of the sum there.
+    where c_j are the Taylor coefficients of G at 0.  The zeta values come
+    from one call over the row b + j.  Terms stop before the first whose
+    zeta(-b-j) overflows (where Gamma(1+b+j) does); they are far below the
+    roundoff of the sum there.
     """
     power = _abs_power(b, np.arange(density.shape[1]) * dp)     # 0^0 = 1
     plus, minus = np.sum(density * power, axis=1)
@@ -221,12 +223,19 @@ def _momentum_moment(density, b, signed, taylor, dp):
     total = plus + phase * minus
     if b == int(b) and (signed or b % 2 == 0):
         return total
-    for j, c in enumerate(taylor):
-        both = c * (1 + phase * (-1) ** j)
+    row = b + np.arange(len(taylor))
+    while True:
         try:
-            total -= specfun.zeta_negative(b + j) * dp ** (b + j + 1) * both
-        except OrderTooLarge:
+            # the longest row that does not raise: the terms before the first
+            # whose zeta(-t) overflows.  The overflow raises before any zeta
+            # is computed, so each shorter row costs only its Gamma factors
+            zeta = specfun.zeta_negative(row).tolist()
             break
+        except OrderTooLarge:
+            row = row[:-1]
+    for j, (c, z) in enumerate(zip(taylor, zeta)):
+        both = c * (1 + phase * (-1) ** j)
+        total -= z * dp ** (b + j + 1) * both
     return total
 
 

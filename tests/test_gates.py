@@ -78,6 +78,8 @@ def _scan_table():
         ("kummer_1f1 over an array", lambda a, b, z: fs.kummer_1f1(a, b, np.array([-2.0, z])),
          (0.5, 1.5, 2.0), (0, 1, 2)),
         ("zeta_negative", zeta_negative, (2.5,), (0,)),
+        ("zeta_negative over an array", lambda t: zeta_negative(np.array([1.5, t])),
+         (2.5,), (0,)),
         ("forward", fs.forward, (f,), ()),
         ("inverse", fs.inverse, (fs.forward(f),), ()),
         ("fractional_derivative", fs.fractional_derivative, (f, 0.5), (1,)),

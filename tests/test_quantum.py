@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import mpmath
 
+from fracspectral import quantum, specfun, spectral
 from fracspectral.grid import GridMismatch, make_grid, sample
 from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
@@ -16,7 +18,7 @@ from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   gaussian_state, high_res_grid,
                                   symmetry_residual, uncertainty_bound,
                                   uncertainty_check)
-from fracspectral.specfun import zeta_negative
+from fracspectral.specfun import hurwitz_zeta, zeta_negative
 from fracspectral.spectral import fractional_momentum
 
 GAUSS = lambda x: np.exp(-x * x)
@@ -260,6 +262,51 @@ def test_uncertainty_check_matches_closed_form_moments():
             bound = a / 2 * moment(a - 1) * abs(mpmath.cos(mpmath.pi * (a - 1) / 2))
             assert abs(report.delta_p_alpha - delta_p) / delta_p < tol, order
             assert abs(report.rhs_bound - bound) / bound < tol, order
+
+
+def _momentum_moment_per_term(density, b, signed, taylor, dp):
+    """The reference of quantum._momentum_moment: one scalar zeta_negative call
+    per Navot term, stopping at the first that overflows."""
+    power = spectral._abs_power(b, np.arange(density.shape[1]) * dp)
+    plus, minus = np.sum(density * power, axis=1)
+    phase = complex(np.exp(-1j * np.pi * b)) if signed else 1.0
+    total = plus + phase * minus
+    if b == int(b) and (signed or b % 2 == 0):
+        return total
+    for j, c in enumerate(taylor):
+        both = c * (1 + phase * (-1) ** j)
+        try:
+            total -= zeta_negative(b + j) * dp ** (b + j + 1) * both
+        except OrderTooLarge:
+            break
+    return total
+
+
+def test_uncertainty_reports_keep_the_bits_of_the_per_term_sums(monkeypatch):
+    # orders 1 to 133.25: past about 81 the Gamma limit cuts the rows of the
+    # |p|^(2a) sum, and at 85.5 and 100.5 it drops the whole row
+    state = gaussian_state(high_res_grid())
+    orders = np.arange(1.0, 133.5, 0.25).tolist()
+    got = [uncertainty_check(a, state) for a in orders]
+    monkeypatch.setattr(quantum, "_momentum_moment", _momentum_moment_per_term)
+    want = [uncertainty_check(a, state) for a in orders]
+    differ = [a for a, r, w in zip(orders, got, want) if pickle.dumps(r) != pickle.dumps(w)]
+    assert not differ
+
+
+def test_uncertainty_check_takes_one_zeta_call_per_sum(monkeypatch):
+    state = gaussian_state(high_res_grid())
+    calls = []
+
+    def counted(s, q):
+        calls.append(s)
+        return hurwitz_zeta(s, q)
+
+    monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
+    for a in (a for a in np.arange(1.0, 133.5, 0.25).tolist() if a != int(a)):
+        calls.clear()
+        uncertainty_check(a, state)
+        assert len(calls) <= 3, a
 
 
 def test_order_too_large_is_typed():

@@ -308,5 +308,43 @@ def test_zeta_negative_domain():
     for t in (-0.5, math.nan, math.inf):
         with pytest.raises(ArgumentOutOfRange):
             zeta_negative(t)
+        with pytest.raises(ArgumentOutOfRange):
+            zeta_negative(np.array([1.5, t]))
     with pytest.raises(OrderTooLarge):
         zeta_negative(301.0)
+
+
+def test_zeta_negative_over_an_array_is_the_scalar_call():
+    # t = 0 (-1/2), t = 1 (-1/12), the trivial zeros at even t (exact 0.0,
+    # past the Gamma limit too), non-integers up to 170 and next to a zero
+    ts = np.concatenate([[0.0, 1.0, 2.0 + 1e-7], np.arange(2.0, 302.0, 2.0),
+                         np.linspace(0.0, 170.0, 1361), [170.5, 170.6]])
+    got = zeta_negative(ts)
+    want = np.array([zeta_negative(t) for t in ts.tolist()])
+    assert got.dtype == float and got.shape == ts.shape
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == -0.5 and got[1] == zeta_negative(1.0)
+    assert not np.any(got[3:153])
+    # any shape, 0-d and empty included
+    assert zeta_negative(ts[:12].reshape(3, 4)).tobytes() == want[:12].tobytes()
+    assert zeta_negative(np.array(2.5)).shape == ()
+    assert zeta_negative(np.array(2.5))[()] == zeta_negative(2.5)
+    assert zeta_negative(np.array([])).shape == (0,)
+
+
+def test_zeta_negative_over_a_row_that_crosses_the_gamma_limit():
+    # the scalar call raises at 171.5 (Gamma(172.5) overflows) and returns the
+    # exact zero at 172; the row raises that OrderTooLarge before any zeta is formed
+    row = np.array([169.5, 170.5, 171.5, 172.0])
+    with pytest.raises(OrderTooLarge, match=r"gamma\(172\.5\)") as info:
+        zeta_negative(171.5)
+    with pytest.raises(OrderTooLarge) as row_info:
+        zeta_negative(row)
+    assert str(row_info.value) == str(info.value)
+    assert zeta_negative(row[:2]).tolist() == [zeta_negative(169.5), zeta_negative(170.5)]
+    assert zeta_negative(np.array([172.0, 400.0])).tolist() == [0.0, 0.0]
+    # the first element whose scalar call raises decides the error
+    with pytest.raises(OrderTooLarge):
+        zeta_negative(np.array([200.5, math.nan]))
+    with pytest.raises(ArgumentOutOfRange, match="must be finite"):
+        zeta_negative(np.array([math.nan, 200.5]))

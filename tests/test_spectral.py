@@ -1,5 +1,7 @@
 import cmath
+import copy as copy_module
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from fracspectral import spectral
 from fracspectral.grid import GridMismatch, SampledSignal, Spectrum, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
-from fracspectral.quantum import symmetry_residual
+from fracspectral.quantum import commutator_dx, commutator_ladder, symmetry_residual
 from fracspectral.specfun import OrderTooLarge
 from fracspectral.spectral import (AlphaInForbiddenRange, MinusOneBranch,
                                    NegativeAlpha, Pairing, duality_residual, forward,
@@ -258,6 +260,72 @@ def test_images_restore_the_periodic_result():
     periodic = d.values + d.images.values(g)
     ref = np.array([gaussian_deriv(0.5, float(x)) for x in g.x[mask]])
     assert np.max(np.abs(periodic[mask] - ref)) > 1e-2
+
+
+def test_image_record_is_read_only():
+    # a write to the moments would move every later chain step (by 4.7e-2 for
+    # D^0.5 of this D^0.5 after moments[0] *= 2), and one to the memoized sum
+    # would go stale
+    g = make_grid(-16.0, 16.0, 1024)
+    d = fractional_derivative(sample(GAUSS, g), 0.5)
+    again = fractional_derivative(d, 0.5).values
+    images = d.images.values(g)
+    assert d.images.values(g) is images
+    for array in (d.images.moments, images):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] *= 2
+    assert np.array_equal(fractional_derivative(d, 0.5).values, again)
+    # the record holds its own copy of the moments it is given
+    moments = np.array([1.0, 0.5])
+    record = spectral.ImageCorrection(0.5, 1.0, moments)
+    moments[0] = 2.0
+    assert record.moments[0] == 1.0 and not record.moments.flags.writeable
+    for copy in (pickle.loads(pickle.dumps(d.images)), copy_module.deepcopy(d.images)):
+        assert not copy.moments.flags.writeable
+        assert np.array_equal(copy.values(g), images)
+
+
+def test_zeta_table_reuse_is_invisible():
+    # the same bits from a cold and a warm table cache; on high_res_grid() f
+    # needs 15 moments and x*f 18, so one (n, order) has two tables.  A cold
+    # call computes the table of a key met once, and caches that of a key met
+    # before
+    g = make_grid(-20.0, 20.0, 8192)
+    f = sample(GAUSS, g)
+    xf = SampledSignal(g, g.x * f.values)
+    assert [len(fractional_derivative(s, 2.5).images.moments) for s in (f, xf)] == [15, 18]
+    calls = {
+        "D^a f": lambda: fractional_derivative(f, 2.5).values,
+        "D^a xf": lambda: fractional_derivative(xf, 2.5).values,
+        "P_a f": lambda: fractional_momentum(f, 2.5).values,
+        "P_a xf": lambda: fractional_momentum(xf, 2.5).values,
+        "P_0.8 P_a f": lambda: fractional_momentum(fractional_momentum(f, 2.5), 0.8).values,
+        "commutator_dx": lambda: np.concatenate([s.values for s in commutator_dx(f, 2.5)[:2]]),
+        "commutator_ladder": lambda: np.concatenate(
+            [s.values for s in commutator_ladder(f, 2.5)[:2]]),
+    }
+    cold = {}
+    for name, call in calls.items():
+        spectral._zeta_table.cache_clear()
+        spectral._recent_keys.clear()
+        cold[name] = call().tobytes()
+    assert spectral._zeta_table.cache_info().currsize == 0
+    spectral._zeta_table.cache_clear()
+    first = {name: call().tobytes() for name, call in calls.items()}
+    hits = spectral._zeta_table.cache_info().hits
+    warm = {name: call().tobytes() for name, call in calls.items()}
+    assert spectral._zeta_table.cache_info().hits > hits
+    assert first == warm == cold
+    assert spectral._zeta_table.cache_info().maxsize <= 16
+
+
+def test_a_scan_of_fresh_orders_caches_no_zeta_table():
+    g = make_grid(-16.0, 16.0, 1024)
+    f = sample(GAUSS, g)
+    spectral._zeta_table.cache_clear()
+    for a in np.linspace(0.3, 2.9, 40).tolist():
+        fractional_derivative(f, a)
+    assert spectral._zeta_table.cache_info().currsize == 0
 
 
 def test_chained_result_carries_order_and_phase():
