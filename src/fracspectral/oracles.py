@@ -24,10 +24,9 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal, _evaluate
-from .spectral import AlphaInForbiddenRange, ip_power, require_order
+from .spectral import SQRT_2PI, AlphaInForbiddenRange, ip_power, require_order
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class NonPositiveK(ValueError):
@@ -331,7 +330,7 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     total, est = _adaptive(f_hat, alpha, x, lo, hi, tol)
     if est > _QUAD_FAIL_EST:
         raise ToleranceNotReached(f"estimated error {est:.3e} exceeds {_QUAD_FAIL_EST:.1e}")
-    return total / _SQRT_2PI
+    return total / SQRT_2PI
 
 
 # --- eigenfunctions of the fractional momentum operator --------------------

@@ -16,13 +16,11 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal, central_gap, make_grid, require_same_grid
-from .oracles import gaussian
+from .oracles import _SQRT_PI, gaussian
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
                        _abs_power, fractional_derivative, fractional_momentum, inner,
                        require_order, zero_noise)
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
 # For the Gaussian state on (-20, 20) the first term left out (j = 10; odd
@@ -201,8 +199,9 @@ def _momentum_moment(density, b, signed, taylor, dp):
     """Integral of s(p) G(p) dp, G = |phi_hat|^2, from its Riemann sum on the frequency grid.
 
     density has the rows dp G(+k dp) and dp G(-k dp), k = 0, 1, 2, ...,
-    with G(0) counted in the first row only.  s(p) = |p|^b, or the momentum symbol p^b of p_power (phase e^{-i pi b}
-    on p < 0) when signed.  The two sides are summed alike, so a signed
+    with G(0) counted in the first row only.  s(p) = |p|^b, or the
+    momentum symbol p^b of p_power (phase e^{-i pi b} on p < 0) when
+    signed.  The two sides are summed alike, so a signed
     odd power of an even density cancels to the phase's roundoff.  Unless
     s is smooth at p = 0 (b an even integer, or a signed integer power),
     the kink there leaves an error of order dp^(1+b) in the sum.  Navot's

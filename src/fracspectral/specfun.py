@@ -350,39 +350,26 @@ def zeta_negative(t):
     zeros need no Gamma).
 
     t may also be a numpy array of any shape, each element bitwise the
-    scalar call: the factor before zeta(1+t) is formed element by element
-    as above, and one hurwitz_zeta call serves every element.  Where the
-    scalar call on some element would raise, the array raises the error of
-    the first such element in C order, before any zeta is computed: a row
+    scalar call; anything else runs as a one-element row and gives a float.
+    Each element is gated and its factor before zeta(1+t) formed as above,
+    in C order, and one hurwitz_zeta call serves every element that needs
+    it.  Where the scalar call on some element would raise, the array raises
+    the error of the first such element, before any zeta is computed: a row
     that crosses the Gamma limit raises OrderTooLarge as a whole.
     """
-    if isinstance(t, np.ndarray):
-        return _zeta_negative_array(t)
-    t, factor, needs_zeta = _zeta_negative_factor(t)
-    return factor * hurwitz_zeta(1.0 + t, 1.0) if needs_zeta else factor
-
-
-def _zeta_negative_factor(t):
-    """(t, v, True) with zeta(-t) = v zeta(1+t), or (t, zeta(-t), False) where t
-    is 0 or an even integer; t as the float its gate returns."""
-    t = require_real("zeta_negative t", t, least=0.0)
-    if t == 0.0:
-        return t, -0.5, False
-    m = round(t)
-    d = t - m
-    sin_m, cos_m = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[m % 4]
-    sine = sin_m * math.cos(0.5 * math.pi * d) + cos_m * math.sin(0.5 * math.pi * d)
-    if sine == 0.0:
-        return t, 0.0, False
-    return t, -2.0 * (2.0 * math.pi) ** (-1.0 - t) * sine * gamma(1.0 + t), True
-
-
-def _zeta_negative_array(t):
-    """zeta_negative over an array t: each element's gate and factor in C order,
-    then one hurwitz_zeta call for the elements that need zeta(1+t)."""
-    rows = np.array([_zeta_negative_factor(x) for x in t.ravel().tolist()], dtype=float)
-    flat, values, needs_zeta = rows.reshape(-1, 3).T
-    needs_zeta = needs_zeta.astype(bool)
+    array = isinstance(t, np.ndarray)
+    row = t.ravel().tolist() if array else [t]
+    values, needs_zeta = np.empty(len(row)), np.zeros(len(row), dtype=bool)
+    for i, x in enumerate(row):
+        x = row[i] = require_real("zeta_negative t", x, least=0.0)
+        m = round(x)
+        d = x - m
+        sin_m, cos_m = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[m % 4]
+        sine = sin_m * math.cos(0.5 * math.pi * d) + cos_m * math.sin(0.5 * math.pi * d)
+        # the sine is 0 at t = 0, where zeta(0) = -1/2, and at the trivial zeros
+        needs_zeta[i] = sine != 0.0
+        values[i] = (-2.0 * (2.0 * math.pi) ** (-1.0 - x) * sine * gamma(1.0 + x)
+                     if needs_zeta[i] else -0.5 if x == 0.0 else 0.0)
     if needs_zeta.any():
-        values[needs_zeta] *= hurwitz_zeta(1.0 + flat[needs_zeta], 1.0)
-    return values.reshape(t.shape)
+        values[needs_zeta] *= hurwitz_zeta(1.0 + np.array(row)[needs_zeta], 1.0)
+    return values.reshape(t.shape) if array else float(values[0])

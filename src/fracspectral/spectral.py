@@ -224,8 +224,9 @@ class ImageCorrection:
 
         P^(-1-a)/Gamma(-a) * sum_j nu_j (1+a)_j/j! * zeta(1+a+j, 1 + (x-c)/P),
 
-    nu_j = mu_j / P^j, zeta the Hurwitz zeta function.  Images m <= -1 fall
-    to the left of f, where g decays like f itself.  A P_a result is
+    nu_j = mu_j / P^j, zeta the Hurwitz zeta function; _tail_terms forms
+    the terms before the zeta, the one home of the series.  Images m <= -1
+    fall to the left of f, where g decays like f itself.  A P_a result is
     e^{-i*pi*a/2} D^a f, so its images carry that phase.
 
     order   total order of the multiplier chain the result represents
@@ -259,21 +260,23 @@ class ImageCorrection:
         """
         memo_grid, memo = self._memo
         if memo_grid != grid:
-            period = grid.x_max - grid.x_min
-            scale = self.phase * _period_power(period, self.order) / specfun.gamma(-self.order)
-            memo = _image_sum(grid.n, self.order, scale * self.moments)
+            terms = _tail_terms(self.order, self.phase, self.moments, grid.x_max - grid.x_min)
+            memo = _image_sum(grid.n, self.order, terms)
             memo.setflags(write=False)
             object.__setattr__(self, "_memo", (grid, memo))
         return memo
 
 
-def _period_power(period, order):
-    """P^(-1-a) of the image correction at box width P; OrderTooLarge where it overflows."""
+def _tail_terms(order, phase, moments, period):
+    """phase P^(-1-a)/Gamma(-a) nu_j (1+a)_j/j!: the terms of the image tail series
+    at box width P, its one home.  OrderTooLarge where P^(-1-a) overflows."""
     try:
-        return period ** (-1.0 - order)
+        scale = phase * period ** (-1.0 - order) / specfun.gamma(-order)
     except OverflowError:
         raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
                             f"at box width P = {period:g}, order {order:g}") from None
+    j = np.arange(1, len(moments))
+    return scale * moments * np.concatenate(([1.0], np.cumprod((order + j) / j)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -316,27 +319,25 @@ def _zeta_table(n, order, columns):
     return table
 
 
-def _image_sum(n, order, coeffs):
-    """sum_j coeffs_j (1+a)_j/j! zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1.
+def _image_sum(n, order, terms):
+    """sum_j terms_j zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (terms of _tail_terms).
 
     Each block uses zeta(s, q_b + h) = sum_r (-h)^r (s)_r / r! zeta(s+r, q_b),
     so zeta is evaluated at the block centres only.
     """
     centres, factors = _taylor_blocks(n)
-    n_mom, n_taylor = len(coeffs), len(factors)
-    s = 1.0 + order + np.arange(n_mom + n_taylor)
+    n_mom, n_taylor = len(terms), len(factors)
+    s = 1.0 + order + np.arange(n_mom)
     key = (n, order, n_mom + n_taylor)
     if key in _recent_keys:
         zeta = _zeta_table(*key)                                      # (B, J+R)
     else:
         _recent_keys.append(key)
         zeta = _zeta_table.__wrapped__(*key)
-    j = np.arange(1, n_mom)
-    weights = coeffs * np.concatenate(([1.0], np.cumprod((order + j) / j)))
     rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
-                                   s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
+                                   s[:, None] + np.arange(n_taylor - 1)]), axis=1)
     shift = np.arange(n_mom)[:, None] + np.arange(n_taylor)           # (J, R)
-    taylor = np.einsum("jr,bjr->br", weights[:, None] * rising, zeta[:, shift])
+    taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, zeta[:, shift])
     # einsum, not matmul: with two OpenBLAS threads on a 2-vCPU machine a
     # product of this shape took 12-14 ms between FFTs, 0.1 ms on one thread
     parts = np.einsum("br,ri->bi", np.vstack([taylor.real, taylor.imag]), factors)
@@ -350,7 +351,8 @@ def _moments(values, grid, order):
     """Scaled moments nu_j of the samples about the box centre, as many as order needs.
 
     Moments are taken _MOMENT_CHUNK at a time over the support of the
-    samples; the bound of each image term decides where to stop.
+    samples.  After each chunk, the first two moments in a row whose image
+    term is bounded below the limit end the list there.
     """
     mag = np.abs(values)
     top = float(mag.max())
@@ -360,28 +362,26 @@ def _moments(values, grid, order):
     period = grid.x_max - grid.x_min
     t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
     pairs = values[lo:hi].view(float).reshape(-1, 2)
-    scale = _period_power(period, order) / abs(specfun.gamma(-order))
-    limit = _MOMENT_TOL * top
+    # the image term of moment j is bounded by |nu_j| times its term per unit
+    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1), in that order: the zeta
+    # bound comes last, so a bound of samples near the float minimum rounds
+    # on the grid of subnormal numbers as the moment itself does
+    per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
+    s = 1.0 + order + np.arange(_MAX_MOMENTS)
+    zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
     powers = np.empty((_MOMENT_CHUNK, hi - lo))
     powers[0] = grid.dx
-    moments = []
-    rising = 1.0                 # (1+a)_j / j!
-    quiet = 0
-    while len(moments) < _MAX_MOMENTS:
+    moments = np.empty(_MAX_MOMENTS, dtype=complex)
+    for j in range(_MOMENT_CHUNK, _MAX_MOMENTS + 1, _MOMENT_CHUNK):
         for k in range(1, _MOMENT_CHUNK):
             np.multiply(powers[k - 1], t, out=powers[k])
-        for re, im in powers @ pairs:
-            j = len(moments)
-            moments.append(complex(re, im))
-            s = 1.0 + order + j
-            # zeta(s, q) <= zeta(s, 1/2) <= 2^s + 1/(s-1) on the box
-            bound = scale * rising * abs(moments[-1]) * (2.0 ** s + 1.0 / (s - 1.0))
-            quiet = quiet + 1 if bound < limit else 0
-            if quiet == 2:
-                return np.array(moments)
-            rising *= (order + j + 1) / (j + 1)
+        np.matmul(powers, pairs, out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
+        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * top
+        stop = np.flatnonzero(quiet[1:] & quiet[:-1])
+        if stop.size:
+            return moments[:stop[0] + 2]
         np.multiply(powers[-1], t, out=powers[0])
-    return np.array(moments)
+    return moments
 
 
 def _images(signal, alpha, phase):

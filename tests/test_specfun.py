@@ -1,5 +1,7 @@
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +332,27 @@ def test_zeta_negative_over_an_array_is_the_scalar_call():
     assert zeta_negative(np.array(2.5)).shape == ()
     assert zeta_negative(np.array(2.5))[()] == zeta_negative(2.5)
     assert zeta_negative(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("t, value", [
+    (2.5, "0x1.17152d4817de4p-7"),
+    (np.float64(0.75), "-0x1.11b34d8c6a28dp-3"),
+    (Fraction(7, 2), "0x1.230bce7271d51p-8"),
+    (Decimal("1.25"), "-0x1.90a9545e22b08p-5"),
+    (3, "0x1.1111111111111p-7"),
+    (True, "-0x1.5555555555555p-4"),
+    (False, "-0x1.0000000000000p-1"),
+    (4, "0x0.0p+0"),
+], ids=["float", "float64", "Fraction", "Decimal", "int", "True", "False", "even_int"])
+def test_zeta_negative_of_a_real_number_is_a_float(t, value):
+    got = zeta_negative(t)
+    assert type(got) is float and got.hex() == value
+
+
+@pytest.mark.parametrize("t", [[2.5], (2.5,), "2.5"], ids=["list", "tuple", "text"])
+def test_zeta_negative_takes_only_an_ndarray_as_a_row(t):
+    with pytest.raises(ArgumentOutOfRange, match="must be real"):
+        zeta_negative(t)
 
 
 def test_zeta_negative_over_a_row_that_crosses_the_gamma_limit():

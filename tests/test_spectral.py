@@ -319,6 +319,29 @@ def test_zeta_table_reuse_is_invisible():
     assert spectral._zeta_table.cache_info().maxsize <= 16
 
 
+_CENTRED = lambda x: np.exp(-x * x)
+_DELTA = lambda x: np.where(np.arange(x.size) == x.size // 2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("f, order, count", [
+    (_CENTRED, 0.02, 17), (_CENTRED, 0.5, 19), (_CENTRED, 2.5, 19), (_CENTRED, 5.2, 19),
+    # off-centre input: moments about the box centre reach the cap
+    (lambda x: np.exp(-(x - 6) ** 2), 0.5, 40),
+    (lambda x: np.exp(-(x - 9) ** 2), 0.5, 40),
+    (lambda x: np.exp(-(x - 10) ** 2), 0.5, 40),
+    (_DELTA, 0.5, 3),
+    (np.zeros_like, 0.5, 40),                   # no moment is ever below a limit of 0
+    (lambda x: 1e-300 * np.exp(-x * x), 0.5, 19),
+], ids=["gauss_0.02", "gauss_0.5", "gauss_2.5", "gauss_5.2", "shift_6", "shift_9",
+        "shift_10", "delta", "zero", "gauss_1e-300"])
+def test_image_record_moment_count(f, order, count):
+    # where the stop of the moment list falls: two moments in a row whose
+    # image term is bounded below the limit, checked once per chunk
+    g = make_grid(-16.0, 16.0, 4096)
+    d = fractional_derivative(SampledSignal(g, f(g.x)), order)
+    assert len(d.images.moments) == count
+
+
 def test_a_scan_of_fresh_orders_caches_no_zeta_table():
     g = make_grid(-16.0, 16.0, 1024)
     f = sample(GAUSS, g)
