@@ -73,8 +73,12 @@ def _unsigned_zero(values):
 
 
 def fmt9_all(values):
-    """Each number as text: 9 significant digits, lowercase exponent; -0 prints as 0."""
-    return [_NINE_DIGITS % v for v in _unsigned_zero(values).tolist()]
+    """Each number as text: 9 significant digits, lowercase exponent; -0 prints as 0.
+
+    All numbers go through one % operation; no text it writes holds a comma.
+    """
+    values = _unsigned_zero(values).ravel().tolist()
+    return (",".join([_NINE_DIGITS] * len(values)) % tuple(values)).split(",") if values else []
 
 
 def fmt9(v):
@@ -128,7 +132,30 @@ def _csv(header, *numbers, text=()):
 
 
 def _json(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", byte for byte, for lists, dicts with
+    text keys, numbers, text, bools and None, at the speed of json's C encoder,
+    which json.dumps leaves out under an indent."""
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, newline):
+    """value as json.dumps(value, indent=2) writes it after newline and its indent.
+
+    A list of numbers (no dict or list among them) is one C-encoder call
+    whose item separator carries the line break and the indent.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [json.dumps(key) + ": " + _indented(v, inner) for key, v in value.items()]
+    elif isinstance(value, list) and value:
+        if {dict, list}.isdisjoint(map(type, value)):
+            items = [json.dumps(value, separators=("," + inner, ": "))[1:-1]]
+        else:
+            items = [_indented(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    open_, close = "{}" if isinstance(value, dict) else "[]"
+    return open_ + inner + ("," + inner).join(items) + newline + close
 
 
 def _curves_json(curve_list):

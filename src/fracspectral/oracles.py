@@ -71,23 +71,48 @@ def x2gaussian(x):
         return np.minimum(x2, np.finfo(float).max) * np.exp(-x2)
 
 
+def _kummer_each(z, *rows):
+    """1F1(a; b; z) at a float z for each (a, b) of rows, one call after another.
+
+    A plain loop: over two rows it adds about 0.3 us to the direct calls, a
+    list comprehension about 0.75 us (a scalar closed form costs about 20 us).
+    """
+    values = []
+    for a, b in rows:
+        values.append(specfun.kummer_1f1(a, b, z))
+    return values
+
+
+def _kummer_stacked(z, *rows):
+    """1F1(a; b; z) over an array z for each (a, b) of rows, all rows in one
+    lock-step series: an array of one row per (a, b), each row bitwise its own call."""
+    z = np.asarray(z)           # -x * x is a numpy scalar where x is 0-d
+    a, b = np.array(rows).T.reshape((2, len(rows)) + (1,) * z.ndim)
+    return specfun.kummer_1f1(a, b, z)
+
+
 def _closed_form(formula):
     """The formula at a float x, giving a complex, or at once over a numpy
     array x, giving a complex array of its shape whose elements are the scalar
-    calls bit for bit (numpy's overflow warnings off: require_finite raises)."""
+    calls bit for bit (numpy's overflow warnings off: require_finite raises).
+
+    The formula gets its 1F1 values from kummer(z, *rows), called once with
+    every (a, b) it needs: at a float x one kummer_1f1 call per row, over an
+    array one call for all the rows.
+    """
     @functools.wraps(formula)
     def closed_form(alpha, x):
         alpha = require_order(alpha)
         if not isinstance(x, np.ndarray):
-            return complex(formula(alpha, specfun.require_real("x", x)))
+            return complex(formula(alpha, specfun.require_real("x", x), _kummer_each))
         x = specfun.require_reals("x", x)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(formula(alpha, x), dtype=complex)
+            return np.asarray(formula(alpha, x, _kummer_stacked), dtype=complex)
     return closed_form
 
 
 @_closed_form
-def gaussian_deriv(alpha, x):
+def gaussian_deriv(alpha, x, kummer):
     """Fractional derivative of e^{-x^2}, closed form (x a float or an array).
 
     (2^a/sqrt(pi)) [cos(a*pi/2) Gamma((1+a)/2) 1F1((1+a)/2, 1/2, -x^2)
@@ -96,36 +121,39 @@ def gaussian_deriv(alpha, x):
     The Gamma(a/2) term is taken as 0 at a = 0: the prefactor a cancels the
     pole, and the surviving term is e^{-x^2} itself.  At an order so small
     that Gamma(a/2) is not finite, a*Gamma(a/2) is taken as 2 Gamma(1 + a/2).
+    The Gamma factors come before the 1F1 terms, so an order past the Gamma
+    limit names Gamma.
     """
     z = -x * x
-    t1 = (math.cos(alpha * np.pi / 2)
-          * specfun.gamma((1 + alpha) / 2)
-          * specfun.kummer_1f1((1 + alpha) / 2, 0.5, z))
+    c1 = math.cos(alpha * np.pi / 2) * specfun.gamma((1 + alpha) / 2)
+    row1 = ((1 + alpha) / 2, 0.5)
     if alpha == 0:
+        f1, = kummer(z, row1)
         t2 = 0.0
     else:
         scale, gamma_half = specfun._order_gamma_half(alpha)
-        t2 = (scale * x * math.sin(alpha * np.pi / 2) * gamma_half
-              * specfun.kummer_1f1(1 + alpha / 2, 1.5, z))
-    return specfun.require_finite(2.0 ** alpha / _SQRT_PI * (t1 - t2),
+        f1, f2 = kummer(z, row1, (1 + alpha / 2, 1.5))
+        t2 = scale * x * math.sin(alpha * np.pi / 2) * gamma_half * f2
+    return specfun.require_finite(2.0 ** alpha / _SQRT_PI * (c1 * f1 - t2),
                                   specfun.ORDER_OVERFLOW, "gaussian_deriv", alpha)
 
 
 @_closed_form
-def x2gaussian_deriv(alpha, x):
+def x2gaussian_deriv(alpha, x, kummer):
     """Fractional derivative of x^2 e^{-x^2}, closed form (x a float or an array).
 
     Written exactly as derived, with the i^a and (-i)^a phases kept
     explicit (i^a + (-i)^a recombines to 2 cos(a*pi/2); the second group
-    carries the odd-in-x part).  Real-valued for real alpha, x.
+    carries the odd-in-x part).  Real-valued for real alpha, x.  The 1F1
+    terms come before the Gamma factors.
     """
     z = -x * x
     i_a = cmath.exp(1j * alpha * np.pi / 2)      # i^a
     mi_a = cmath.exp(-1j * alpha * np.pi / 2)    # (-i)^a
-    g1 = (specfun.kummer_1f1((1 + alpha) / 2, 0.5, z)
-          - (1 + alpha) * specfun.kummer_1f1((3 + alpha) / 2, 0.5, z))
-    g2 = (specfun.kummer_1f1((2 + alpha) / 2, 1.5, z)
-          - (2 + alpha) * specfun.kummer_1f1((4 + alpha) / 2, 1.5, z))
+    f1, f2, f3, f4 = kummer(z, ((1 + alpha) / 2, 0.5), ((3 + alpha) / 2, 0.5),
+                            ((2 + alpha) / 2, 1.5), ((4 + alpha) / 2, 1.5))
+    g1 = f1 - (1 + alpha) * f2
+    g2 = f3 - (2 + alpha) * f4
     # Gamma before the power, as in gaussian_deriv: 2.0 ** a raises
     # OverflowError past a = 1024, Gamma OrderTooLarge past a = 342
     terms = ((i_a + mi_a) * specfun.gamma((1 + alpha) / 2) * g1

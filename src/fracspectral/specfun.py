@@ -69,6 +69,10 @@ _EVEN_POWERS = np.arange(0.0, 2 * len(_ZETA_TAIL), 2.0)
 _ZETA_TAIL_MAX_S = 400.0
 # the smallest normal double: a w^(-s) below it has lost digits or is 0
 _TINY = float(np.finfo(float).tiny)
+# Below this t, zeta(-t) is its Taylor polynomial -1/2 + t ln(2 pi)/2: the next
+# term, zeta''(0) t^2 / 2 with zeta''(0) = -2.006, is below 1e-17 of the value.
+_ZETA_TAYLOR_T = 1e-9
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)     # -zeta'(0), DLMF 25.6.11
 
 
 #: Message of require_finite for a function of an order: name, order.
@@ -186,15 +190,19 @@ def _series(a, b, z):
 
 
 def _series_array(a, b, z):
-    """_series at each element of the arrays a and z, of one shape (any shape).
+    """_series at each element of a, b and z broadcast together (b may stay a float).
 
     All elements run the scalar recurrence in lock-step, each seeing the
-    operations of a scalar call on it; at its stopping step an element's
-    partial sum is kept in place and it leaves the live mask.  Call it
-    under np.errstate: an overflow returns inf, as in _series.
+    operations of a scalar call on it: (b + j) * (j + 1) is the same IEEE
+    operation on a float64 element as on a float.  At its stopping step an
+    element's partial sum is kept in place and it leaves the live mask.
+    Returns (total, live), live marking the elements that did not stop
+    within _SERIES_MAX_TERMS terms.  Call it under np.errstate: an overflow
+    gives inf, as in _series.
     """
-    term, partial, total = np.ones_like(z), np.ones_like(z), np.ones_like(z)
-    live = np.ones(z.shape, dtype=bool)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), z.shape)
+    term, partial, total = np.ones(shape), np.ones(shape), np.ones(shape)
+    live = np.ones(shape, dtype=bool)
     for j in range(_SERIES_MAX_TERMS):
         term *= (a + j) * z / ((b + j) * (j + 1))
         partial += term
@@ -202,16 +210,15 @@ def _series_array(a, b, z):
         np.copyto(total, partial, where=done)
         live ^= done
         if not live.any():
-            return total
-    raise SeriesNotConverged(f"1F1({a[live][0]:g}; {b:g}; {z[live][0]:g}) power series "
-                             f"not converged after {_SERIES_MAX_TERMS} terms")
+            break
+    return total, live
 
 
-def _kummer_args(a, b, z, require_z=require_real):
+def _kummer_args(a, b, z):
     """(a, b, z) as floats; a non-finite argument or a pole at b is rejected."""
     a = require_real("1F1 parameter a", a)
     b = require_real("1F1 parameter b", b)
-    z = require_z("1F1 argument z", z)
+    z = require_real("1F1 argument z", z)
     if b <= 0.0 and b == math.floor(b):
         raise BParameterPole(f"1F1 undefined at non-positive integer b={b}")
     return a, b, z
@@ -226,11 +233,16 @@ def kummer_1f1(a, b, z):
     Negative arguments are routed through the Kummer transformation
     1F1(a,b,z) = e^z 1F1(b-a, b, -z) so the series that actually runs has a
     positive argument and no catastrophic cancellation.  z may also be a
-    numpy array of any shape: one series runs over all its elements, each
-    stopping in place at its own step, bitwise the scalar call.
+    numpy array of any shape, and then a and b may be arrays too: the three
+    broadcast against each other like numpy arrays, and one series runs over
+    all the elements, each stopping in place at its own step, bitwise the
+    scalar call on it.  So a and b of shape (R, 1) against z of shape (n,)
+    give R rows of n values from one series.
     A non-finite argument raises ArgumentOutOfRange; a series that overflows
     raises OrderTooLarge, and one that does not converge within
-    _SERIES_MAX_TERMS terms SeriesNotConverged.
+    _SERIES_MAX_TERMS terms SeriesNotConverged.  Over arrays, the error is
+    that of the first row that fails, as if the rows were called one by one:
+    a row is one index of the axes that a and b add in front of z's.
     """
     if isinstance(z, np.ndarray):
         return _kummer_1f1_array(a, b, z)
@@ -244,21 +256,55 @@ def kummer_1f1(a, b, z):
     return require_finite(value, _KUMMER_OVERFLOW, a, b, z)
 
 
+def _require_parameter(name, value):
+    """A 1F1 parameter as a float, or as a float array where it is an array."""
+    return require_reals(name, value) if isinstance(value, np.ndarray) else require_real(name, value)
+
+
 def _kummer_1f1_array(a, b, z):
-    """kummer_1f1 over an array z: one series for all its elements, and e^z
-    from math.exp, as a scalar call has it (np.exp can differ in the last bit)."""
-    a, b, z = _kummer_args(a, b, z, require_reals)
+    """kummer_1f1 over an array z, a and b floats or arrays: one series for all
+    elements, and e^z from math.exp once per element of z, as a scalar call has
+    it (np.exp can differ in the last bit)."""
+    a = _require_parameter("1F1 parameter a", a)
+    b = _require_parameter("1F1 parameter b", b)
+    z = require_reals("1F1 argument z", z)
+    pole = (b <= 0.0) & (b == np.floor(b))
+    if pole.any():
+        raise BParameterPole(f"1F1 undefined at non-positive integer b={np.extract(pole, b)[0]}")
     far = np.abs(z) > MAX_ABS_Z
     if far.any():
         raise ArgumentOutOfRange(f"|z| = {abs(z[far][0])} exceeds {MAX_ABS_Z}")
     neg = z < 0.0
+    growth = np.ones(z.shape)       # e^z where z < 0; elsewhere 1, and v * 1.0 is v
+    growth[neg] = np.fromiter(map(math.exp, z[neg].tolist()), float)
+    series_a = np.where(neg, b - a, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _series_array(np.where(neg, b - a, a), b, np.abs(z))
-        value[neg] *= np.fromiter(map(math.exp, z[neg].tolist()), float)
-    bad = ~np.isfinite(value)
-    if bad.any():
-        raise OrderTooLarge(_KUMMER_OVERFLOW.format(a, b, z[bad][0]))
+        value, live = _series_array(series_a, b, np.abs(z))
+        value *= growth
+    if live.any() or not np.isfinite(value).all():
+        _raise_first_failure(value, live, z.ndim, (series_a, b, np.abs(z)), (a, b, z))
     return value
+
+
+def _raise_first_failure(value, live, z_ndim, series_args, args):
+    """Raise the error of the first failing row of a kummer_1f1 array call.
+
+    A row is one index of the axes that a and b add in front of z's (the
+    whole call where they add none).  In a row, a series that did not
+    converge, named by the series' own a, b and z, comes before a value
+    that overflows, named by the call's a, b and z: a call on the row alone
+    raises the same.
+    """
+    size = math.prod(value.shape[value.ndim - z_ndim:])
+    element = lambda values, i: (np.broadcast_to(v, value.shape).flat[i] for v in values)
+    for row, (unfinished, bad) in enumerate(zip(live.reshape(-1, size),
+                                                ~np.isfinite(value.reshape(-1, size)))):
+        if unfinished.any():
+            a, b, z = element(series_args, row * size + unfinished.argmax())
+            raise SeriesNotConverged(f"1F1({a:g}; {b:g}; {z:g}) power series not converged "
+                                     f"after {_SERIES_MAX_TERMS} terms")
+        if bad.any():
+            raise OrderTooLarge(_KUMMER_OVERFLOW.format(*element(args, row * size + bad.argmax())))
 
 
 def kummer_1f1_series(a, b, z):
@@ -345,7 +391,11 @@ def zeta_negative(t):
     nearest integer m, sin(pi t/2) = sin(pi m/2) cos(pi d/2) +
     cos(pi m/2) sin(pi d/2) with d = t - m exact, so the trivial zeros at
     even t > 0 are exact and the value keeps its relative accuracy next to
-    them; zeta(0) = -1/2 is the limit t -> 0.  Raises OrderTooLarge where
+    them.  zeta(1+t) is taken at s = 1 + t rounded; where t < 1 its pole
+    term is moved from 1/(s-1) back to 1/t, so the rounding of s costs no
+    relative accuracy next to the pole.  Below _ZETA_TAYLOR_T, a range that
+    holds every t for which 1 + t rounds to 1, zeta(-t) is -1/2 + t ln(2 pi)/2
+    (zeta(0) = -1/2, zeta'(0) = -ln(2 pi)/2).  Raises OrderTooLarge where
     Gamma(1+t) overflows (t above about 170.6, except at the even t, whose
     zeros need no Gamma).
 
@@ -360,16 +410,28 @@ def zeta_negative(t):
     array = isinstance(t, np.ndarray)
     row = t.ravel().tolist() if array else [t]
     values, needs_zeta = np.empty(len(row)), np.zeros(len(row), dtype=bool)
+    pole = []       # for each element that needs zeta: 1/t - 1/(s-1), s = 1 + t rounded
     for i, x in enumerate(row):
         x = row[i] = require_real("zeta_negative t", x, least=0.0)
+        if x < _ZETA_TAYLOR_T:
+            values[i] = -0.5 + x * _HALF_LOG_2PI
+            continue
         m = round(x)
         d = x - m
         sin_m, cos_m = ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[m % 4]
         sine = sin_m * math.cos(0.5 * math.pi * d) + cos_m * math.sin(0.5 * math.pi * d)
-        # the sine is 0 at t = 0, where zeta(0) = -1/2, and at the trivial zeros
+        # the sine is 0 at the trivial zeros
         needs_zeta[i] = sine != 0.0
         values[i] = (-2.0 * (2.0 * math.pi) ** (-1.0 - x) * sine * gamma(1.0 + x)
-                     if needs_zeta[i] else -0.5 if x == 0.0 else 0.0)
-    if needs_zeta.any():
-        values[needs_zeta] *= hurwitz_zeta(1.0 + np.array(row)[needs_zeta], 1.0)
+                     if needs_zeta[i] else 0.0)
+        if needs_zeta[i]:
+            # zeta(1+t) = zeta(s) + 1/t - 1/(s-1) + O(r), with r = t - (s - 1)
+            # the rounding of s, exact for t < 1 (s - 1 is exact there)
+            rounded = (1.0 + x) - 1.0
+            pole.append((x - rounded) / (x * rounded) if x < 1.0 else 0.0)
+    if pole:
+        zeta = hurwitz_zeta(1.0 + np.array(row)[needs_zeta], 1.0)
+        if any(pole):
+            zeta -= pole
+        values[needs_zeta] *= zeta
     return values.reshape(t.shape) if array else float(values[0])

@@ -362,26 +362,29 @@ def _moments(values, grid, order):
     period = grid.x_max - grid.x_min
     t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
     pairs = values[lo:hi].view(float).reshape(-1, 2)
+    # the moments are taken with the step dx 2^-e, 2^e the power of two next to
+    # max|f| (an exact scaling), so that no moment or bound underflows for
+    # samples near the float minimum and c*f keeps the moment count of f at
+    # any scale c; 2^-e stops at 2^1000, and dx 2^-e at 2^1000
+    unit = math.ldexp(1.0, -max(math.frexp(top)[1], math.frexp(grid.dx)[1] - 1000, -1000))
     # the image term of moment j is bounded by |nu_j| times its term per unit
-    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1), in that order: the zeta
-    # bound comes last, so a bound of samples near the float minimum rounds
-    # on the grid of subnormal numbers as the moment itself does
+    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
     per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
     s = 1.0 + order + np.arange(_MAX_MOMENTS)
     zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
     powers = np.empty((_MOMENT_CHUNK, hi - lo))
-    powers[0] = grid.dx
+    powers[0] = grid.dx * unit
     moments = np.empty(_MAX_MOMENTS, dtype=complex)
     for j in range(_MOMENT_CHUNK, _MAX_MOMENTS + 1, _MOMENT_CHUNK):
         for k in range(1, _MOMENT_CHUNK):
             np.multiply(powers[k - 1], t, out=powers[k])
         np.matmul(powers, pairs, out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
-        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * top
+        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * (top * unit)
         stop = np.flatnonzero(quiet[1:] & quiet[:-1])
         if stop.size:
-            return moments[:stop[0] + 2]
+            return moments[:stop[0] + 2] / unit
         np.multiply(powers[-1], t, out=powers[0])
-    return moments
+    return moments / unit
 
 
 def _images(signal, alpha, phase):

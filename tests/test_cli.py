@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspectral.cli import fmt9, main
+from fracspectral.cli import _json, fmt9, fmt9_all, main
 
 
 def run_cli(capsys, *args):
@@ -39,6 +39,48 @@ def test_fmt9_is_idempotent():
 
 
 # --- derive ----------------------------------------------------------------
+
+def test_fmt9_all_is_fmt9_of_each_number():
+    values = [0.0, -0.0, 1e-05, -1e-300, 5e-324, 1e16, 1.5e17, -1.7976931348623157e308,
+              123456789.0, 1234567890.0, 0.1, 2.0 / 3.0]
+    assert fmt9_all(values) == ["%.9g" % (v + 0.0) for v in values]
+    assert fmt9_all(np.array(values)) == fmt9_all(values)
+    assert fmt9_all([]) == [] and fmt9_all(np.array([])) == []
+
+
+def test_json_writer_is_json_dumps_with_indent_2():
+    # numbers that print as 1e-05, past 1e16 (where repr switches to an
+    # exponent), -0.0, and every kind of value and container the writer meets
+    payload = [{"alpha": 1e-05, "x": [1e-05, 1e16, 1.5e17, -0.0, 0.0, 123456789.0, -1e-300, 5e-324],
+                "re": [0.5], "im": [], "none": None, "flags": [True, False], "name": "a\"b",
+                "rows": [[1.0, 2.0], [], {"k": 1}], "empty": {}},
+               {}, [], 3, -0.0, None]
+    for value in (payload, [], {}, [[]], 1e16, None, "text"):
+        assert _json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "1"), ("figure", "2"), ("figure", "3"), ("figure", "4"),
+    ("derive", "--alpha", "0.5", "--points", "64", "--domain", "-4", "4"),
+    ("derive", "--function", "x2gaussian", "--alpha", "0,0.02,1.5,30.7", "--points", "64",
+     "--domain", "-20", "20"),
+    ("derive", "--engine", "spectral", "--alpha", "0.5,1.3", "--points", "256",
+     "--domain", "-8", "8"),
+    ("uncertainty",),
+], ids=["figure1", "figure2", "figure3", "figure4", "derive", "derive-several",
+        "derive-spectral", "uncertainty"])
+def test_json_output_is_json_dumps_with_indent_2(argv, capsys):
+    # every JSON number is the float of its 9-digit text, laid out as
+    # json.dumps(payload, indent=2) would write it
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    numbers = [v for record in payload for key, value in record.items()
+               for v in (value if isinstance(value, list) else [value])
+               if isinstance(v, float)]
+    assert numbers and all(v == float(fmt9(v)) for v in numbers)
+
 
 def test_derive_csv_to_stdout():
     # the one CLI test that runs `python -m fracspectral` in a subprocess
@@ -433,6 +475,24 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "uncertainty", "--alpha", "0.5")[2] == (
         "error: --alpha: uncertainty_check requires alpha >= 1, got 0.5 "
         "(orders below 1 carry no operator meaning)\n")
+
+
+@pytest.mark.parametrize("alpha, gaussian, x2gaussian", [
+    ("340", "gaussian_deriv at order 340 overflows double precision: the order is too large",
+     "x2gaussian_deriv at order 340 overflows double precision: the order is too large"),
+    ("343", "gamma(172) overflows double precision: the order or argument is too large",
+     "gamma(172) overflows double precision: the order or argument is too large"),
+    ("400", "gamma(200.5) overflows double precision: the order or argument is too large",
+     "gamma(200.5) overflows double precision: the order or argument is too large"),
+    # the Gaussian's Gamma factors come before its 1F1 terms, the x2-Gaussian's after
+    ("1e6", "gamma(500000) overflows double precision: the order or argument is too large",
+     "1F1(500000; 0.5; -16) overflows double precision"),
+])
+def test_closed_form_errors_at_high_orders(alpha, gaussian, x2gaussian, capsys):
+    for function, message in (("gaussian", gaussian), ("x2gaussian", x2gaussian)):
+        rc, out, err = run_cli(capsys, "derive", "--function", function, "--alpha", alpha,
+                               "--points", "64", "--domain", "-4", "4")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_built_ins_where_x2_overflows_run_without_warnings(capsys):

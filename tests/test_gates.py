@@ -77,6 +77,10 @@ def _scan_table():
         ("kummer_1f1_series", fs.kummer_1f1_series, (0.5, 1.5, 2.0), (0, 1, 2)),
         ("kummer_1f1 over an array", lambda a, b, z: fs.kummer_1f1(a, b, np.array([-2.0, z])),
          (0.5, 1.5, 2.0), (0, 1, 2)),
+        ("kummer_1f1 over rows of a and b",
+         lambda a, b, z: fs.kummer_1f1(np.array([0.75, a])[:, None], np.array([0.5, b])[:, None],
+                                       np.array([-2.0, z])),
+         (0.5, 1.5, 2.0), (0, 1, 2)),
         ("zeta_negative", zeta_negative, (2.5,), (0,)),
         ("zeta_negative over an array", lambda t: zeta_negative(np.array([1.5, t])),
          (2.5,), (0,)),

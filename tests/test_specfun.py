@@ -217,6 +217,56 @@ def test_kummer_series_past_its_cap_is_typed_over_an_array(monkeypatch):
     assert np.isfinite(kummer_1f1(0.75, 0.5, np.array([-300.0, 0.0, 300.0]))).all()
 
 
+
+# rows of (a, b): the closed forms' own, a pole-free negative a, a large a and
+# a b that differs per row
+KUMMER_ROWS = [(0.75, 0.5), (1.25, 0.5), (1.25, 1.5), (2.75, 1.5), (-3.5, 2.0), (100.0, 7.25)]
+
+
+def test_kummer_over_rows_is_each_row_s_own_call_bitwise():
+    # a and b of shape (R, 1) against z of shape (n,): R rows from one series
+    a, b = np.array(KUMMER_ROWS).T[..., None]
+    got = kummer_1f1(a, b, KUMMER_Z)
+    assert got.shape == (len(KUMMER_ROWS), KUMMER_Z.size)
+    for row, (ai, bi) in zip(got, KUMMER_ROWS):
+        np.testing.assert_array_equal(_bits(row), _bits(kummer_1f1(ai, bi, KUMMER_Z)))
+    # an array a with a float b, and rows against a 2-d z
+    np.testing.assert_array_equal(_bits(kummer_1f1(a, 0.5, KUMMER_Z)),
+                                  _bits(np.array([kummer_1f1(ai, 0.5, KUMMER_Z) for ai in a.ravel()])))
+    z = KUMMER_Z[:60].reshape(3, 20)
+    stacked = kummer_1f1(a[:, :, None], b[:, :, None], z)
+    assert stacked.shape == (len(KUMMER_ROWS), 3, 20)
+    np.testing.assert_array_equal(_bits(stacked[4]), _bits(kummer_1f1(-3.5, 2.0, z)))
+    # each element is the scalar call
+    for i, j in ((0, 0), (1, 7), (5, 100), (3, KUMMER_Z.size - 1)):
+        assert _bits(got[i, j]) == _bits(kummer_1f1(*KUMMER_ROWS[i], float(KUMMER_Z[j])))
+
+
+def test_kummer_over_rows_raises_the_first_failing_row_s_error(monkeypatch):
+    z = np.array([0.0, -1.0, 2.0])
+    rows = lambda *pairs: [np.array(column)[:, None] for column in zip(*pairs)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the error names the failing row's own a, b and z
+        with pytest.raises(OrderTooLarge, match=r"1F1\(1e\+300; 1\.5; -1\)"):
+            kummer_1f1(*rows((0.5, 0.5), (1e300, 1.5), (1e301, 0.5)), z)
+        with pytest.raises(BParameterPole, match="b=-2.0"):
+            kummer_1f1(*rows((0.5, 0.5), (0.5, -2.0)), z)
+        with pytest.raises(ArgumentOutOfRange, match="finite"):
+            kummer_1f1(*rows((0.5, 0.5), (math.nan, 1.5)), z)
+    # within a row a series past its cap comes before an overflow, and an
+    # earlier row's overflow before a later row's series: as called row by row
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 500)
+    far = np.array([-1.0, -400.0])
+    for pairs in (((0.75, 0.5), (1e300, 0.5)), ((1e300, 0.5), (0.75, 0.5))):
+        with pytest.raises((SeriesNotConverged, OrderTooLarge)) as stacked:
+            kummer_1f1(*rows(*pairs), far)
+        with pytest.raises((SeriesNotConverged, OrderTooLarge)) as first:
+            for a, b in pairs:
+                kummer_1f1(a, b, far)
+        assert (type(stacked.value), str(stacked.value)) == (type(first.value), str(first.value))
+
+
 # --- Hurwitz zeta ----------------------------------------------------------
 
 def test_hurwitz_zeta_gives_one_value_per_pair():
@@ -304,6 +354,27 @@ def test_zeta_negative_against_mpmath():
     assert worst < 1e-13
     assert zeta_negative(0.0) == -0.5
     assert zeta_negative(1.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
+
+
+def test_zeta_negative_next_to_zero_against_mpmath():
+    # zeta(1+t) is taken at s = 1 + t rounded, so next to the pole the pole
+    # term is moved back from 1/(s-1) to 1/t; below 1e-9 the Taylor
+    # polynomial -1/2 + t ln(2 pi)/2 holds, down to the smallest subnormal
+    rng = np.random.default_rng(24)
+    ts = np.concatenate([[5e-324, 1e-320, 1e-300, 1e-17, 1.1e-16, 2.2e-16, 3e-16, 1e-14,
+                          1e-10, 1e-9, 1.0000001e-9, 1e-6, 1e-4, 1.0],
+                         np.logspace(-323, 0, 324), 10 ** rng.uniform(-12, 0, 300)])
+    got = zeta_negative(ts)
+    assert got.tobytes() == np.array([zeta_negative(t) for t in ts.tolist()]).tobytes()
+    with mpmath.workdps(40):
+        errors = [float(abs((g - mpmath.zeta(-mpmath.mpf(t))) / mpmath.zeta(-mpmath.mpf(t))))
+                  for t, g in zip(ts.tolist(), got.tolist())]
+    # the Gamma, power, sine and zeta factors each round (math.gamma alone is
+    # off by up to 6.5e-16 next to 1), so the worst case sits just above 1e-15
+    assert max(errors) < 1.5e-15
+    assert np.median(errors) < 3e-16
+    assert zeta_negative(5e-324) == -0.5
+    assert zeta_negative(1e-10) == -0.5 + 1e-10 * 0.5 * math.log(2.0 * math.pi)
 
 
 def test_zeta_negative_domain():

@@ -342,6 +342,26 @@ def test_image_record_moment_count(f, order, count):
     assert len(d.images.moments) == count
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150])
+def test_moment_count_does_not_depend_on_the_scale(scale):
+    # the stop test is taken relative to max|f|: c*f keeps the moment count of
+    # f where its moments and bounds would underflow (or grow) with c
+    for box, n in (((-8.0, 8.0), 256), ((-16.0, 16.0), 4096)):
+        g = make_grid(*box, n)
+        f = np.exp(-g.x * g.x).astype(complex)
+        for order in (0.02, 0.5, 2.5, 5.2):
+            counts = [len(spectral._moments(c * f, g, order)) for c in (1.0, scale)]
+            assert counts[0] == counts[1], (box, order, counts)
+
+
+def test_image_record_of_a_gaussian_near_the_float_minimum():
+    # 1e-300 e^{-x^2} on (-8, 8) stopped at 25 moments where e^{-x^2} takes
+    # 29: the bound of moment 24 underflowed to 0
+    g = make_grid(-8.0, 8.0, 256)
+    d = [fractional_derivative(SampledSignal(g, c * np.exp(-g.x * g.x)), 0.02) for c in (1.0, 1e-300)]
+    assert [len(r.images.moments) for r in d] == [29, 29]
+
+
 def test_a_scan_of_fresh_orders_caches_no_zeta_table():
     g = make_grid(-16.0, 16.0, 1024)
     f = sample(GAUSS, g)
