@@ -140,6 +140,15 @@ def _own_samples(values, points, name, axis):
         values = np.array(values, dtype=complex)
     except OverflowError:
         raise EvaluationFailure(f"{name} hold an int past the float range") from None
+    return _finite_samples(values, points, name, axis)
+
+
+def _finite_samples(values, points, name, axis):
+    """A complex array made read-only, after the shape and finite tests of _own_samples.
+
+    Called alone for an array that its caller has just allocated and holds
+    no other reference to, so the gate needs no copy.
+    """
     if values.shape != points.shape:
         raise ValueError(f"{name} shape {values.shape} != {points.shape}")
     if not np.isfinite(values.view(float)).all():
@@ -159,16 +168,38 @@ class SampledSignal:
     An engine result of non-integer order on a decaying signal holds the
     derivative on the line and records in `images` the wrap-around images
     it subtracted (a spectral.ImageCorrection); everything else has None.
+
+    A signal never changes, so what depends on it alone, and not on an
+    order, is computed at first use and kept in a private memo for the
+    signal's lifetime: the noise-floored half-spectra and the image moments
+    of the engine (spectral), and x times the signal, its norm and its
+    spread (quantum).  A copy or a pickle carries no memo.
     """
 
-    __slots__ = ("grid", "values", "boundary_decay", "warning", "images")
+    __slots__ = ("grid", "values", "boundary_decay", "warning", "images", "_memo")
 
     def __init__(self, grid, values, warning=None, images=None):
+        self._fill(grid, _own_samples(values, grid.x, "values", "x"), warning, images)
+
+    @classmethod
+    def _adopt(cls, grid, values, warning=None, images=None):
+        """The signal of a complex array that its caller has just allocated and holds
+        no other reference to: the constructor's gate and messages, without its copy."""
+        signal = cls.__new__(cls)
+        signal._fill(grid, _finite_samples(values, grid.x, "values", "x"), warning, images)
+        return signal
+
+    def _fill(self, grid, values, warning, images):
         self.grid = grid
-        self.values = _own_samples(values, grid.x, "values", "x")
-        self.boundary_decay = _boundary_decay(self.values, grid.n)
+        self.values = values
+        self.boundary_decay = _boundary_decay(values, grid.n)
         self.warning = warning
         self.images = images
+        self._memo = {}
+
+    def __reduce__(self):
+        # through __init__, so a copy or an unpickled signal starts with an empty memo
+        return SampledSignal, (self.grid, self.values, self.warning, self.images)
 
     def __repr__(self):
         return (f"SampledSignal(n={self.grid.n}, "
@@ -184,6 +215,14 @@ class Spectrum:
         self.grid = grid
         self.coeffs = _own_samples(coeffs, grid.p, "coeffs", "p")
 
+    @classmethod
+    def _adopt(cls, grid, coeffs):
+        """The spectrum of a complex array just allocated, as SampledSignal._adopt."""
+        spectrum = cls.__new__(cls)
+        spectrum.grid = grid
+        spectrum.coeffs = _finite_samples(coeffs, grid.p, "coeffs", "p")
+        return spectrum
+
     def __repr__(self):
         return f"Spectrum(n={self.grid.n})"
 
@@ -197,11 +236,13 @@ def require_same_grid(*signals):
 
 
 def _evaluate(f, points, axis):
-    """f at the points: one call on the array where f maps it to one of its shape,
-    else one call per point, with EvaluationFailure naming the point of a failing call.
+    """f at the points, as a complex array of its own: one call on the array where f
+    maps it to one of its shape, else one call per point, with EvaluationFailure
+    naming the point of a failing call.  An array that f returns is copied, never
+    taken over, so f's caller may go on writing to it.
     """
     with contextlib.suppress(Exception):
-        values = np.asarray(f(points), dtype=complex)
+        values = np.array(f(points), dtype=complex)
         if values.shape == points.shape:
             return values
     values = np.empty(points.shape, dtype=complex)
@@ -219,4 +260,4 @@ def sample(f, grid):
     Raises EvaluationFailure naming the offending x if f fails or returns
     a non-finite value there.
     """
-    return SampledSignal(grid, _evaluate(f, grid.x, "x"))
+    return SampledSignal._adopt(grid, _evaluate(f, grid.x, "x"))

@@ -19,8 +19,8 @@ from .grid import SampledSignal, central_gap, make_grid, require_same_grid
 from .oracles import _SQRT_PI, gaussian
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
-                       _abs_power, fractional_derivative, fractional_momentum, inner,
-                       require_order, zero_noise)
+                       _abs_power, _overflow_is_too_large, fractional_derivative,
+                       fractional_momentum, inner, require_order, zero_noise)
 
 # Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
 # For the Gaussian state on (-20, 20) the first term left out (j = 10; odd
@@ -76,8 +76,15 @@ def gaussian_state(grid):
 
 @np.errstate(over="ignore")     # a norm past the float range is inf, which is not 1
 def _require_normalized(state):
-    """The one normalisation gate: NotNormalized unless the discrete L2 norm is 1."""
-    norm = float(np.sqrt(np.sum(np.abs(state.values) ** 2) * state.grid.dx))
+    """The one normalisation gate: NotNormalized unless the discrete L2 norm is 1.
+
+    The norm is computed once per state (its memo keeps it); the test runs
+    on every call.
+    """
+    norm = state._memo.get("norm")
+    if norm is None:
+        norm = state._memo["norm"] = float(np.sqrt(np.sum(np.abs(state.values) ** 2)
+                                                   * state.grid.dx))
     if abs(norm - 1.0) > _NORM_TOL:
         raise NotNormalized(f"state norm {norm!r} is not 1 within {_NORM_TOL:.1e}")
 
@@ -100,6 +107,20 @@ def _require_decay(signal):
             f"multiplication by x would wrap around")
 
 
+def _x_times(f):
+    """x f as a SampledSignal, once per signal: f's memo keeps it, and its own memo
+    then serves D^a(x f) and P_a(x f) at every order.  Raises OrderTooLarge where
+    a product overflows double precision, on every call.
+    """
+    xf = f._memo.get("x_times")
+    if xf is None:
+        g = f.grid
+        with _overflow_is_too_large("multiplication by x overflows double precision",
+                                    f.values):
+            xf = f._memo["x_times"] = SampledSignal._adopt(g, g.x * f.values)
+    return xf
+
+
 def commutator_dx(f, alpha):
     """Both sides of [D^a, x] f = a D^{a-1} f, evaluated independently.
 
@@ -108,7 +129,7 @@ def commutator_dx(f, alpha):
     """
     alpha = _require_commutator_input(f, alpha)
     g = f.grid
-    xf = SampledSignal(g, g.x * f.values)
+    xf = _x_times(f)
     lhs_vals = fractional_derivative(xf, alpha).values - g.x * fractional_derivative(f, alpha).values
     return _commutator_sides(f, alpha, lhs_vals, fractional_derivative)
 
@@ -128,7 +149,7 @@ def commutator_ladder(f, alpha):
     g = f.grid
     pf = fractional_momentum(f, alpha)
     ppf = fractional_momentum(pf, alpha).values
-    xf = SampledSignal(g, g.x * f.values)
+    xf = _x_times(f)
     pxf = fractional_momentum(xf, alpha).values
     b_f = xf.values - 1j * pf.values                   # sqrt(2) B f
     a_f = xf.values + 1j * pf.values                   # sqrt(2) A f
@@ -143,7 +164,8 @@ def _commutator_sides(f, alpha, lhs_vals, operator):
     """(lhs, rhs, gap): rhs = a operator(f, a - 1), 0 at a = 0; gap over the central half."""
     g = f.grid
     rhs_vals = alpha * operator(f, alpha - 1).values if alpha else np.zeros(g.n, dtype=complex)
-    return SampledSignal(g, lhs_vals), SampledSignal(g, rhs_vals), central_gap(lhs_vals, rhs_vals)
+    return (SampledSignal._adopt(g, lhs_vals), SampledSignal._adopt(g, rhs_vals),
+            central_gap(lhs_vals, rhs_vals))
 
 
 def expectation(op_result, state):
@@ -238,6 +260,36 @@ def _momentum_moment(density, b, signed, taylor, dp):
     return total
 
 
+def _spread(state):
+    """(delta_x, density, taylor) of a state, computed once per state (its memo keeps them).
+
+    delta_x is the position spread about mean_x = <x>; density holds the
+    rows dp |phi_hat(+-k dp)|^2 that _momentum_moment sums, up to the last
+    bin that spectral.zero_noise keeps; taylor the coefficients of
+    |phi_hat|^2 at p = 0, from the moments about mean_x.
+    """
+    spread = state._memo.get("spread")
+    if spread is None:
+        g = state.grid
+        mean_x = inner(state.values, g.x * state.values, g.dx, Pairing.SESQUILINEAR).real
+        mean_xx = inner(state.values, g.x ** 2 * state.values, g.dx, Pairing.SESQUILINEAR).real
+        delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
+
+        # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
+        coeffs = np.fft.fft(state.values)
+        zero_noise(coeffs)
+        weight = np.abs(coeffs) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
+        half = g.n // 2
+        density = np.zeros((2, half + 1))
+        density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
+        density[1, 1:] = weight[:half - 1:-1]          # p = -dp .. -(n/2) dp
+        kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
+        density = density[:, :kept]
+        density.setflags(write=False)
+        spread = state._memo["spread"] = (delta_x, density, _density_taylor(state, mean_x))
+    return spread
+
+
 def uncertainty_check(alpha, state):
     """Measure delta_x, delta_P_a, and the commutator bound on a state.
 
@@ -258,22 +310,7 @@ def uncertainty_check(alpha, state):
     _require_normalized(state)
     _require_decay(state)
     g = state.grid
-
-    mean_x = inner(state.values, g.x * state.values, g.dx, Pairing.SESQUILINEAR).real
-    mean_xx = inner(state.values, g.x ** 2 * state.values, g.dx, Pairing.SESQUILINEAR).real
-    delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
-
-    # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
-    coeffs = np.fft.fft(state.values)
-    zero_noise(coeffs)
-    weight = np.abs(coeffs) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
-    half = g.n // 2
-    density = np.zeros((2, half + 1))
-    density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
-    density[1, 1:] = weight[:half - 1:-1]          # p = -dp .. -(n/2) dp
-    kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
-    density = density[:, :kept]
-    taylor = _density_taylor(state, mean_x)
+    delta_x, density, taylor = _spread(state)
 
     # |p|^(2a) first: where any power overflows, its OrderTooLarge names 2a
     mean_pp = _momentum_moment(density, 2 * alpha, False, taylor, g.dp)

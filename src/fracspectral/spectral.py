@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import EvaluationFailure, SampledSignal, Spectrum, central_gap, require_same_grid
+from .grid import (EvaluationFailure, SampledSignal, Spectrum, _readonly, central_gap,
+                   require_same_grid)
 from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -195,7 +196,7 @@ def forward(signal):
     with _overflow_is_too_large("the forward transform overflows double precision",
                                 signal.values):
         coeffs = (g.dx / SQRT_2PI) * np.exp(-1j * g.p * g.x_min) * np.fft.fft(signal.values)
-        return Spectrum(g, coeffs)
+        return Spectrum._adopt(g, coeffs)
 
 
 def inverse(spectrum):
@@ -207,7 +208,7 @@ def inverse(spectrum):
     with _overflow_is_too_large("the inverse transform overflows double precision",
                                 spectrum.coeffs):
         values = (SQRT_2PI / g.dx) * np.fft.ifft(spectrum.coeffs * np.exp(1j * g.p * g.x_min))
-        return SampledSignal(g, values)
+        return SampledSignal._adopt(g, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,26 +341,58 @@ def _image_sum(n, order, terms):
     taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, zeta[:, shift])
     # einsum, not matmul: with two OpenBLAS threads on a 2-vCPU machine a
     # product of this shape took 12-14 ms between FFTs, 0.1 ms on one thread
-    parts = np.einsum("br,ri->bi", np.vstack([taylor.real, taylor.imag]), factors)
     out = np.empty(n, dtype=complex)
-    out.real = parts[:len(centres)].ravel()
-    out.imag = parts[len(centres):].ravel()
+    if taylor.imag.any():
+        parts = np.einsum("br,ri->bi", np.vstack([taylor.real, taylor.imag]), factors)
+        out.real = parts[:len(centres)].ravel()
+        out.imag = parts[len(centres):].ravel()
+    else:
+        # real coefficients (D^a of a real signal): the imaginary half is 0
+        out.real = np.einsum("br,ri->bi", np.ascontiguousarray(taylor.real), factors).ravel()
+        out.imag = 0.0
     return out
 
 
-def _moments(values, grid, order):
+def _moments(signal, order):
     """Scaled moments nu_j of the samples about the box centre, as many as order needs.
 
     Moments are taken _MOMENT_CHUNK at a time over the support of the
     samples.  After each chunk, the first two moments in a row whose image
-    term is bounded below the limit end the list there.
+    term is bounded below the limit end the list there.  The signal's memo
+    keeps the chunks taken and their scale: a later order runs the same test
+    on them first, and takes the chunks from the samples again only where it
+    needs more.
     """
-    mag = np.abs(values)
+    grid = signal.grid
+    period = grid.x_max - grid.x_min
+    # the image term of moment j is bounded by |nu_j| times its term per unit
+    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
+    per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
+    s = 1.0 + order + np.arange(_MAX_MOMENTS)
+    zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
+
+    def ended(moments, j, top, unit):
+        """The list that the first j moments end, else None."""
+        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * (top * unit)
+        stop = np.flatnonzero(quiet[1:] & quiet[:-1])
+        return moments[:stop[0] + 2] / unit if stop.size else None
+
+    kept = signal._memo.get("moments")
+    if kept is not None:
+        top, unit, moments = kept
+        for j in range(_MOMENT_CHUNK, len(moments) + 1, _MOMENT_CHUNK):
+            found = ended(moments, j, top, unit)
+            if found is not None:
+                return found
+        if len(moments) == _MAX_MOMENTS:
+            return moments / unit
+    values = signal.values
+    # |f| is |Re f| where Im f is 0, bit for bit
+    mag = np.abs(values) if values.imag.any() else np.abs(values.real)
     top = float(mag.max())
     above = mag > _SUPPORT_FLOOR * top
     lo = int(above.argmax())
     hi = grid.n - int(above[::-1].argmax())
-    period = grid.x_max - grid.x_min
     t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
     pairs = values[lo:hi].view(float).reshape(-1, 2)
     # the moments are taken with the step dx 2^-e, 2^e the power of two next to
@@ -367,11 +400,6 @@ def _moments(values, grid, order):
     # samples near the float minimum and c*f keeps the moment count of f at
     # any scale c; 2^-e stops at 2^1000, and dx 2^-e at 2^1000
     unit = math.ldexp(1.0, -max(math.frexp(top)[1], math.frexp(grid.dx)[1] - 1000, -1000))
-    # the image term of moment j is bounded by |nu_j| times its term per unit
-    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
-    per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
-    s = 1.0 + order + np.arange(_MAX_MOMENTS)
-    zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
     powers = np.empty((_MOMENT_CHUNK, hi - lo))
     powers[0] = grid.dx * unit
     moments = np.empty(_MAX_MOMENTS, dtype=complex)
@@ -379,10 +407,10 @@ def _moments(values, grid, order):
         for k in range(1, _MOMENT_CHUNK):
             np.multiply(powers[k - 1], t, out=powers[k])
         np.matmul(powers, pairs, out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
-        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * (top * unit)
-        stop = np.flatnonzero(quiet[1:] & quiet[:-1])
-        if stop.size:
-            return moments[:stop[0] + 2] / unit
+        signal._memo["moments"] = (top, unit, _readonly(moments[:j]))
+        found = ended(moments, j, top, unit)
+        if found is not None:
+            return found
         np.multiply(powers[-1], t, out=powers[0])
     return moments / unit
 
@@ -413,7 +441,28 @@ def _images(signal, alpha, phase):
     if 1.0 + alpha == 1.0:
         raise AlphaInForbiddenRange(f"order {alpha:g} is too small for the image "
                                     f"correction: 1 + a rounds to 1")
-    return ImageCorrection(alpha, phase, _moments(signal.values, signal.grid, alpha)), None
+    return ImageCorrection(alpha, phase, _moments(signal, alpha)), None
+
+
+def _half_spectra(signal):
+    """The rfft of the real part of the periodic samples, and of the imaginary part
+    where it is non-zero, after the noise floor: read-only, once per signal.
+
+    The periodic samples are those of a corrected signal with its images added
+    back.  Bins of either part below the noise floor, taken against the
+    largest coefficient of both, are zeroed.
+    """
+    spectra = signal._memo.get("spectra")
+    if spectra is None:
+        values = signal.values
+        if signal.images is not None:
+            # back to the periodic value, which the symbol maps to the periodic result
+            values = values + signal.images.values(signal.grid)
+        parts = [values.real, values.imag] if values.imag.any() else [values.real]
+        spectra = tuple(np.fft.rfft(v) for v in parts)
+        zero_noise(*spectra)
+        signal._memo["spectra"] = spectra = tuple(_readonly(c) for c in spectra)
+    return spectra
 
 
 def _apply_multiplier(signal, alpha, phase):
@@ -427,8 +476,8 @@ def _apply_multiplier(signal, alpha, phase):
     the bins p = k*dp, k = 0..n/2; irfft keeps the real part of the Nyquist
     bin, which splits that bin evenly between +-pi/dx.  The phase is 1 for
     D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
-    bin.  Bins of either part below the noise floor, taken against the
-    largest coefficient of both, are zeroed before the symbol is applied.
+    bin.  The half-spectra, after the noise floor, are the signal's own
+    (_half_spectra), so further orders on one signal take no rfft.
     Raises OrderTooLarge, before any transform, where |p|^a overflows at
     the Nyquist bin, and after, where a transform or a product overflows
     (samples near the float range).
@@ -441,30 +490,25 @@ def _apply_multiplier(signal, alpha, phase):
                                 f"order {alpha:g}", signal.values):
         symbol = ip_power(alpha, np.arange(g.n // 2 + 1) * g.dp)
         images, warning = _images(signal, alpha, phase)
-        values = signal.values
-        if signal.images is not None:
-            # back to the periodic value, which the symbol maps to the periodic result
-            values = values + signal.images.values(g)
-        parts = [values.real, values.imag] if values.imag.any() else [values.real]
-        spectra = [np.fft.rfft(v) for v in parts]
-        del parts, values
-        zero_noise(*spectra)
-        for c in spectra:
-            c *= symbol
+        spectra = _half_spectra(signal)
+        # the kept spectra stay as they are: the last product goes into the
+        # symbol's buffer, any other into a fresh one
+        products = [c * symbol for c in spectra[:-1]]
+        products.append(np.multiply(spectra[-1], symbol, out=symbol))
         del symbol
         # One complex buffer holds the result, and the phase and the images are
         # applied in place: on large grids, n-point temporaries left the heap
         # in a state that depended on the order of earlier calls.
         out = np.empty(g.n, dtype=complex)
-        out.real = np.fft.irfft(spectra[0], g.n)
-        out.imag = np.fft.irfft(spectra[1], g.n) if len(spectra) == 2 else 0.0
-        del spectra
+        out.real = np.fft.irfft(products[0], g.n)
+        out.imag = np.fft.irfft(products[1], g.n) if len(products) == 2 else 0.0
+        del products
         if phase != 1.0:
             # phase first: numpy rounds phase * out and out * phase differently
             np.multiply(phase, out, out=out)
         if images is not None:
             out -= images.values(g)
-        return SampledSignal(g, out, warning=warning, images=images)
+        return SampledSignal._adopt(g, out, warning=warning, images=images)
 
 
 def fractional_derivative(signal, alpha):
@@ -585,7 +629,7 @@ def product_rule(f, g, alpha):
     symbol = ip_power(alpha, u)
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
-        images, warning = _images(SampledSignal(grid, f.values * g.values), alpha, 1.0)
+        images, warning = _images(SampledSignal._adopt(grid, f.values * g.values), alpha, 1.0)
         fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
         gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
         # after the shift both spectra start at p = -(n/2)*dp, so index m of
@@ -599,4 +643,4 @@ def product_rule(f, g, alpha):
         values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
         if images is not None:
             values -= images.values(grid)
-        return SampledSignal(grid, values, warning=warning, images=images)
+        return SampledSignal._adopt(grid, values, warning=warning, images=images)

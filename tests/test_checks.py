@@ -1,5 +1,6 @@
 import collections
 
+import numpy as np
 import pytest
 
 from fracspectral import checks, spectral
@@ -52,7 +53,9 @@ def test_results_are_frozen(suite_results):
 
 def test_check_all_computes_each_value_once(monkeypatch):
     # every engine call (D^a or P_a) of `check all`, counted where the engine
-    # applies its multiplier; the suites call uncertainty_check and forward directly
+    # applies its multiplier; the suites call uncertainty_check and forward
+    # directly.  The engine takes the rfft of each signal once, whatever the
+    # number of orders applied to it (124 rffts when it took one per call)
     counts = collections.Counter()
 
     def counting(module, name):
@@ -66,5 +69,7 @@ def test_check_all_computes_each_value_once(monkeypatch):
     counting(spectral, "_apply_multiplier")
     counting(checks, "uncertainty_check")
     counting(checks, "forward")
+    counting(np.fft, "rfft")
     run_suite("all")
-    assert counts == {"_apply_multiplier": 135, "uncertainty_check": 4, "forward": 2}
+    assert counts == {"_apply_multiplier": 135, "uncertainty_check": 4, "forward": 2,
+                      "rfft": 34}

@@ -66,6 +66,18 @@ def test_arrays_are_frozen():
     assert not sp.coeffs.flags.writeable
 
 
+def test_sample_never_takes_over_the_callables_array():
+    # sample adopts the array it allocates, never one that f returns and may keep
+    g = make_grid(-4.0, 4.0, 64)
+    kept = np.exp(1j * g.x)
+    s = sample(lambda x: kept, g)
+    assert kept.flags.writeable and not np.shares_memory(kept, s.values)
+    kept[0] = 7.0
+    assert s.values[0] != 7.0 and not s.values.flags.writeable
+    real = sample(lambda x: np.exp(-x * x), g)
+    assert not real.values.flags.writeable
+
+
 def test_central_window():
     w = central_window(4096)
     assert w == slice(1024, 3072)

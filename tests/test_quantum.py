@@ -9,7 +9,7 @@ import pytest
 import mpmath
 
 from fracspectral import quantum, specfun, spectral
-from fracspectral.grid import GridMismatch, make_grid, sample
+from fracspectral.grid import GridMismatch, SampledSignal, make_grid, sample
 from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   NotNormalized, OrderTooLarge,
@@ -169,6 +169,46 @@ def test_ladder_agrees_with_commutator_dx_route():
 
 # --- expectation values ----------------------------------------------------
 
+def _counting(monkeypatch, name):
+    """The list that gets one entry per call of np.fft.<name> from now on."""
+    calls = []
+    function = getattr(np.fft, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return function(*args, **kwargs)
+    monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("f", [GAUSS, X2GAUSS], ids=["gaussian", "x2-gaussian"])
+def test_commutators_take_each_rfft_once_per_signal(monkeypatch, f):
+    # the memo of f keeps x f and the half-spectra of f and x f, so a second
+    # order takes no rfft; the results are the bits of fresh signals
+    g = _gap_grid()
+    kept = sample(f, g)
+    calls = _counting(monkeypatch, "rfft")
+    got = [commutator_dx(kept, a) for a in (2.5, 3.0)]
+    assert len(calls) == 2                  # f and x f
+    got += [commutator_ladder(kept, a) for a in (2.5, 3.0)]
+    assert len(calls) == 2 + 2 * 2          # P_a f, complex, at each order
+    want = [commutator_dx(sample(f, g), a) for a in (2.5, 3.0)]
+    want += [commutator_ladder(sample(f, g), a) for a in (2.5, 3.0)]
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def test_an_overflowing_x_f_raises_on_every_call():
+    # one sample of 1.5e307 at x = 18: x f overflows, and the memo keeps no error
+    g = _gap_grid()
+    values = np.zeros(g.n)
+    values[int(np.searchsorted(g.x, 18.0))] = 1.5e307
+    f = SampledSignal(g, values)
+    for commutator in (commutator_dx, commutator_ladder, commutator_dx):
+        with pytest.raises(OrderTooLarge, match="multiplication by x overflows"):
+            commutator(f, 0.0)
+    assert "x_times" not in f._memo
+
+
 def test_expectation_examples():
     g = make_grid(-16.0, 16.0, 4096)
     state = gaussian_state(g)
@@ -292,6 +332,25 @@ def test_uncertainty_reports_keep_the_bits_of_the_per_term_sums(monkeypatch):
     want = [uncertainty_check(a, state) for a in orders]
     differ = [a for a, r, w in zip(orders, got, want) if pickle.dumps(r) != pickle.dumps(w)]
     assert not differ
+
+
+def test_uncertainty_check_takes_one_fft_per_state(monkeypatch):
+    # the norm, <x>, delta_x, |phi_hat|^2 and its Taylor coefficients are the
+    # state's, so four orders on one state take one FFT and keep the bits
+    state = gaussian_state(high_res_grid())
+    orders = (1.0, 1.5, 2.0, 3.0)
+    calls = _counting(monkeypatch, "fft")
+    got = [uncertainty_check(a, state) for a in orders]
+    assert len(calls) == 1
+    want = [uncertainty_check(a, gaussian_state(high_res_grid())) for a in orders]
+    assert pickle.dumps(got) == pickle.dumps(want)
+    # the gates still run on every call
+    with pytest.raises(AlphaInForbiddenRange):
+        uncertainty_check(0.5, state)
+    raw = sample(GAUSS, high_res_grid())
+    for _ in range(2):
+        with pytest.raises(NotNormalized):
+            uncertainty_check(1.5, raw)
 
 
 def test_uncertainty_check_takes_one_zeta_call_per_sum(monkeypatch):

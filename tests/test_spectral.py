@@ -285,6 +285,63 @@ def test_image_record_is_read_only():
         assert np.array_equal(copy.values(g), images)
 
 
+def _result_bits(signal):
+    """The values, warning and image record of an engine result, as bytes and text."""
+    images = signal.images
+    record = images and (images.order, images.phase, images.moments.tobytes(),
+                         images.values(signal.grid).tobytes())
+    return signal.values.tobytes(), signal.warning, record
+
+
+@pytest.mark.parametrize("f, chunks", [
+    (GAUSS, [24, 24, 24, 24]),
+    # order 5.2 needs more moment chunks than the first order, 0.3
+    (lambda x: np.exp(-(x - 3) ** 2 + 0.5j * x), [32, 40, 40, 40]),
+], ids=["gaussian", "off-centre complex"])
+def test_a_reused_signal_gives_the_bits_of_fresh_ones(f, chunks):
+    # the signal's memo keeps its half-spectra and the moment chunks taken
+    g = make_grid(-16.0, 16.0, 4096)
+    kept = sample(f, g)
+    taken = []
+    for a in (0.3, 5.2, 0.02, 2.5):
+        for op in (fractional_derivative, fractional_momentum):
+            assert _result_bits(op(kept, a)) == _result_bits(op(sample(f, g), a)), (a, op)
+            chained = op(op(kept, a), 0.7)
+            assert _result_bits(chained) == _result_bits(op(op(sample(f, g), a), 0.7)), (a, op)
+        taken.append(len(kept._memo["moments"][2]))
+    assert taken == chunks
+    assert set(kept._memo) == {"spectra", "moments"}
+    assert not any(c.flags.writeable for c in kept._memo["spectra"])
+
+
+def test_engine_results_are_read_only_and_their_own():
+    g = make_grid(-16.0, 16.0, 256)
+    f, h = sample(GAUSS, g), sample(lambda x: x * np.exp(-x * x), g)
+    spectrum = forward(f)
+    results = [fractional_derivative(f, 0.5).values, fractional_momentum(f, 1.5).values,
+               spectrum.coeffs, inverse(spectrum).values, product_rule(f, h, 0.5).values]
+    for values in results:
+        assert not values.flags.writeable and values.flags.owndata
+    assert not np.shares_memory(f.values, results[0])
+
+
+def test_pickles_and_copies_carry_no_memo():
+    g = make_grid(-16.0, 16.0, 1024)
+    s = sample(GAUSS, g)
+    before = pickle.dumps(s)
+    d = fractional_derivative(s, 0.5)
+    assert s._memo
+    assert pickle.dumps(s) == before
+    assert fractional_derivative(s, 0) is s
+    for other in (pickle.loads(before), copy_module.copy(s), copy_module.deepcopy(s)):
+        assert other._memo == {} and not other.values.flags.writeable
+        assert np.array_equal(other.values, s.values)
+    again = pickle.loads(pickle.dumps(d))
+    assert _result_bits(again) == _result_bits(d)
+    assert _result_bits(fractional_derivative(again, 0.5)) == _result_bits(
+        fractional_derivative(d, 0.5))
+
+
 def test_zeta_table_reuse_is_invisible():
     # the same bits from a cold and a warm table cache; on high_res_grid() f
     # needs 15 moments and x*f 18, so one (n, order) has two tables.  A cold
@@ -350,7 +407,8 @@ def test_moment_count_does_not_depend_on_the_scale(scale):
         g = make_grid(*box, n)
         f = np.exp(-g.x * g.x).astype(complex)
         for order in (0.02, 0.5, 2.5, 5.2):
-            counts = [len(spectral._moments(c * f, g, order)) for c in (1.0, scale)]
+            counts = [len(spectral._moments(SampledSignal(g, c * f), order))
+                      for c in (1.0, scale)]
             assert counts[0] == counts[1], (box, order, counts)
 
 
