@@ -23,8 +23,8 @@ import numpy as np
 from . import oracles, specfun
 from .grid import SampledSignal, central_gap, central_window, make_grid, sample
 from .oracles import gaussian, x2gaussian
-from .quantum import (_x_times, commutator_dx, commutator_ladder, expectation,
-                      gaussian_state, high_res_grid, symmetry_residual, uncertainty_bound,
+from .quantum import (commutator_dx, commutator_ladder, expectation, gaussian_state,
+                      high_res_grid, symmetry_residual, uncertainty_bound,
                       uncertainty_check)
 from .spectral import (AlphaInForbiddenRange, MinusOneBranch, Pairing, SQRT_2PI,
                        _abs_power, duality_residual, forward, fractional_derivative,
@@ -204,7 +204,7 @@ def suite_commutator():
             _, _, gap = commutator_dx(f, alpha)
             r.below(f"x-commutator identity, order {alpha:g}, {label}", gap, 1e-6)
 
-    xf = _x_times(f1)               # the x f1 that commutator_ladder uses
+    xf = SampledSignal(g, g.x * f1.values)
     ladders = {alpha: commutator_ladder(f1, alpha) for alpha in (0.0, 1.0, 1.5, 2.0)}
     for alpha, (lhs, _, _) in ladders.items():
         direct = -1j * (g.x * fractional_momentum(f1, alpha).values
@@ -265,7 +265,8 @@ def suite_uncertainty():
     low = float(np.max(vals[(scan >= 2.5) & (scan <= 3.5)]))
     r.holds("bound maxima grow with the order", high > low, measured=high - low)
 
-    r.below("Gaussian position mean", abs(expectation(_x_times(state), state)), 1e-12)
+    xphi = SampledSignal(state.grid, state.grid.x * state.values)
+    r.below("Gaussian position mean", abs(expectation(xphi, state)), 1e-12)
     r.below("identity-operator expectation",
             abs(expectation(state, state) - 1.0), 1e-10)
     p1 = fractional_momentum(state, 1.0)

@@ -55,7 +55,7 @@ def test_check_all_computes_each_value_once(monkeypatch):
     # every engine call (D^a or P_a) of `check all`, counted where the engine
     # applies its multiplier; the suites call uncertainty_check and forward
     # directly.  The engine takes the rfft of each signal once, whatever the
-    # number of orders applied to it (124 rffts when it took one per call)
+    # number of orders applied to it
     counts = collections.Counter()
 
     def counting(module, name):
@@ -72,4 +72,4 @@ def test_check_all_computes_each_value_once(monkeypatch):
     counting(np.fft, "rfft")
     run_suite("all")
     assert counts == {"_apply_multiplier": 135, "uncertainty_check": 4, "forward": 2,
-                      "rfft": 34}
+                      "rfft": 35}
