@@ -119,11 +119,6 @@ def central_gap(u, v):
     return float(np.max(np.abs(u[w] - v[w])))
 
 
-def _boundary_decay(values, n):
-    m = max(1, int(round(0.5 * _BOUNDARY_FRACTION * n)))
-    return float(max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:]))))
-
-
 def _own_samples(values, points, name, axis):
     """values as their own read-only complex copy, one finite value per point (x or p).
 
@@ -162,8 +157,8 @@ class SampledSignal:
 
     boundary_decay is the max |value| over the outer 5% of samples (split
     between the two ends), recomputed on construction.  Operations that
-    assume rapid decay (fractional orders, multiplication by x) check it
-    rather than silently wrapping around.
+    assume rapid decay (fractional orders, multiplication by x) test it
+    against max|f| (spectral._decays) rather than silently wrapping around.
 
     An engine result of non-integer order on a decaying signal holds the
     derivative on the line and records in `images` the wrap-around images
@@ -171,9 +166,9 @@ class SampledSignal:
 
     A signal never changes, so what depends on it alone, and not on an
     order, is computed at first use and kept in a private memo for the
-    signal's lifetime: the noise-floored half-spectra and the image moments
-    of the engine (spectral), and x times the signal, its norm and its
-    spread (quantum).  A copy or a pickle carries no memo.
+    signal's lifetime: the support record, noise-floored half-spectra and
+    image moments of the engine (spectral), and x times the signal, its
+    norm and its spread (quantum).  A copy or a pickle carries no memo.
     """
 
     __slots__ = ("grid", "values", "boundary_decay", "warning", "images", "_memo")
@@ -192,7 +187,8 @@ class SampledSignal:
     def _fill(self, grid, values, warning, images):
         self.grid = grid
         self.values = values
-        self.boundary_decay = _boundary_decay(values, grid.n)
+        m = max(1, int(round(0.5 * _BOUNDARY_FRACTION * grid.n)))
+        self.boundary_decay = float(max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:]))))
         self.warning = warning
         self.images = images
         self._memo = {}

@@ -18,8 +18,8 @@ from . import specfun
 from .grid import SampledSignal, central_gap, make_grid, require_same_grid
 from .oracles import _SQRT_PI, gaussian
 from .specfun import OrderTooLarge
-from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing,
-                       _abs_power, _overflow_is_too_large, fractional_derivative,
+from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing, _abs_power,
+                       _decays, _overflow_is_too_large, _support, fractional_derivative,
                        fractional_momentum, inner, require_order, zero_noise)
 
 # Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
@@ -101,10 +101,10 @@ def _require_commutator_input(f, alpha):
 
 
 def _require_decay(signal):
-    if not signal.boundary_decay < DECAY_THRESHOLD:     # the engine's test, negated
-        raise InsufficientDecay(
-            f"boundary decay {signal.boundary_decay:.3e} is not below {DECAY_THRESHOLD:.1e}; "
-            f"multiplication by x would wrap around")
+    if not _decays(signal):     # the engine's test, negated
+        ratio = signal.boundary_decay / _support(signal)[0]
+        raise InsufficientDecay(f"boundary decay {ratio:.3e} of max|f| is not below "
+                                f"{DECAY_THRESHOLD:.1e}; multiplication by x would wrap around")
 
 
 def _x_times(f):

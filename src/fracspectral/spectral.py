@@ -27,11 +27,11 @@ With this branch D^a is the left-sided (Liouville) derivative on the real
 line.  For non-integer a, D^a f has a one-sided tail to the right of f that
 falls off only like x^(-1-a)/Gamma(-a), and by Poisson summation a multiplier
 on a periodic grid returns the periodisation sum_m g(x + m*P) of g = D^a f,
-P = x_max - x_min.  When the signal decays at the box edge (boundary_decay
-below DECAY_THRESHOLD) the engine subtracts the images m >= 1 in closed form
-from the moments of the signal (see ImageCorrection) and so returns the
-derivative on the line.  Signals that do not decay, such as on-grid plane
-waves, are treated as periodic and a non-integer order attaches a warning.
+P = x_max - x_min.  Where boundary_decay is below DECAY_THRESHOLD times max|f|
+the engine subtracts the images m >= 1 in closed form from the moments of the
+signal (see ImageCorrection), which gives the derivative on the line.  Signals
+that do not decay, such as on-grid plane waves, stay periodic and a
+non-integer order attaches a warning.
 """
 import cmath
 import collections
@@ -51,10 +51,9 @@ from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-#: Signals whose boundary_decay is below this count as decaying: a
-#: non-integer order then subtracts the wrap-around images.  Above it the
-#: result stays periodic and carries a wrap-around warning.  The operator
-#: layer refuses multiplication by x above it.
+#: A boundary_decay of 0 or below this times max|f| counts as decaying, so c*f decays
+#: where f does: a non-integer order then subtracts the wrap-around images.  Otherwise
+#: the result stays periodic with a warning, and the operator layer refuses x*f.
 DECAY_THRESHOLD = 1e-10
 
 #: Transform coefficients below this fraction of the largest one are set to
@@ -258,11 +257,15 @@ class ImageCorrection:
 
         The record keeps the sum of the last grid it was asked for, so the
         engine's subtraction and a further multiplier's add-back compute it once.
+        A largest moment past 2 sets the unit 2^e of the sum, scaled back once
+        (both exact), so no term overflows where the periodic result is finite.
         """
         memo_grid, memo = self._memo
         if memo_grid != grid:
-            terms = _tail_terms(self.order, self.phase, self.moments, grid.x_max - grid.x_min)
-            memo = _image_sum(grid.n, self.order, terms)
+            e = max(math.frexp(float(np.abs(self.moments).max(initial=0.0)))[1] - 1, 0)
+            moments = (self.moments.view(float) * 2.0 ** -e).view(complex)
+            terms = _tail_terms(self.order, self.phase, moments, grid.x_max - grid.x_min)
+            memo = _image_sum(grid.n, self.order, terms, 2.0 ** e)
             memo.setflags(write=False)
             object.__setattr__(self, "_memo", (grid, memo))
         return memo
@@ -320,8 +323,8 @@ def _zeta_table(n, order, columns):
     return table
 
 
-def _image_sum(n, order, terms):
-    """sum_j terms_j zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (terms of _tail_terms).
+def _image_sum(n, order, terms, scale):
+    """scale sum_j terms_j zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (see _tail_terms).
 
     Each block uses zeta(s, q_b + h) = sum_r (-h)^r (s)_r / r! zeta(s+r, q_b),
     so zeta is evaluated at the block centres only.
@@ -344,19 +347,43 @@ def _image_sum(n, order, terms):
     # One product per half: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
     out = np.empty(n, dtype=complex)
-    out.real = np.einsum("br,ri->bi", taylor.real, factors).ravel()
-    out.imag = np.einsum("br,ri->bi", taylor.imag, factors).ravel()
+    np.multiply(np.einsum("br,ri->bi", taylor.real, factors).ravel(), scale, out=out.real)
+    np.multiply(np.einsum("br,ri->bi", taylor.imag, factors).ravel(), scale, out=out.imag)
     return out
+
+
+def _support(signal):
+    """(max|f|, unit, lo, hi), kept in the memo: the samples above _SUPPORT_FLOOR times max|f|
+    span lo:hi; unit = 2^-e, 2^e the power of two next to max|f| (2^-e, dx 2^-e <= 2^1000)."""
+    record = signal._memo.get("support")
+    if record is None:
+        grid = signal.grid
+        mag = np.abs(signal.values)
+        top = float(mag.max())
+        above = mag > _SUPPORT_FLOOR * top
+        lo = int(above.argmax())
+        hi = grid.n - int(above[::-1].argmax())
+        unit = math.ldexp(1.0, -max(math.frexp(top)[1], math.frexp(grid.dx)[1] - 1000, -1000))
+        record = signal._memo["support"] = (top, unit, lo, hi)
+    return record
+
+
+def _decays(signal):
+    """Whether the signal decays (see DECAY_THRESHOLD): the one test of the engine and quantum."""
+    edge = signal.boundary_decay
+    return edge == 0.0 or edge < DECAY_THRESHOLD * _support(signal)[0]
 
 
 def _moments(signal, order):
     """Scaled moments nu_j of the samples about the box centre, as many as order needs.
 
-    Moments are taken _MOMENT_CHUNK at a time over the support of the
-    samples.  After each chunk, the first two moments in a row whose image
-    term is bounded below the limit end the list there.  The signal's memo
-    keeps the chunks taken and their scale, so a later order tests the kept
-    chunks and takes from the samples only the chunks past them.
+    Each chunk of _MOMENT_CHUNK moments is one matmul of the power rows
+    dx unit t^j over the support (_support), t the offset from the box
+    centre in periods: in that unit no moment or bound underflows near the
+    float minimum, and c*f keeps the moment count of f.  The list ends at
+    the first two moments in a row whose image term is bounded below the
+    limit.  The memo keeps the moments taken, and a later order that needs
+    more re-forms the one power row it starts from.
     """
     grid = signal.grid
     period = grid.x_max - grid.x_min
@@ -365,16 +392,26 @@ def _moments(signal, order):
     per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
     s = 1.0 + order + np.arange(_MAX_MOMENTS)
     zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
-    top, unit, kept = signal._memo.get("moments", (None, None, ()))
+    top, unit, lo, hi = _support(signal)
+    kept = signal._memo.get("moments", ())
     moments = np.empty(_MAX_MOMENTS, dtype=complex)
     moments[:len(kept)] = kept
-    chunks = None
+    powers = None
     for j in range(_MOMENT_CHUNK, _MAX_MOMENTS + 1, _MOMENT_CHUNK):
         if j > len(kept):
-            if chunks is None:
-                top, unit, chunks = _moment_chunks(signal, len(kept))
-            np.matmul(*next(chunks), out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
-            signal._memo["moments"] = (top, unit, _readonly(moments[:j]))
+            if powers is None:
+                t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
+                powers = np.empty((_MOMENT_CHUNK, hi - lo))
+                powers[0] = grid.dx * unit
+                for _ in range(len(kept)):
+                    powers[0] *= t
+            else:
+                np.multiply(powers[-1], t, out=powers[0])
+            for k in range(1, _MOMENT_CHUNK):
+                np.multiply(powers[k - 1], t, out=powers[k])
+            np.matmul(powers, signal.values[lo:hi].view(float).reshape(-1, 2),
+                      out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
+            signal._memo["moments"] = _readonly(moments[:j])
         quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * (top * unit)
         stop = np.flatnonzero(quiet[1:] & quiet[:-1])
         if stop.size:
@@ -382,56 +419,23 @@ def _moments(signal, order):
     return moments / unit
 
 
-def _moment_chunks(signal, skip):
-    """(max|f|, unit, chunks): chunks yields, for each chunk of moments past the first
-    skip, the (powers, samples) of one matmul; powers holds _MOMENT_CHUNK rows
-    dx unit t^k over the support, t the offset from the box centre in
-    periods.  The rows of the skipped moments are formed again (so every row
-    keeps its bits) but not multiplied out.
-    """
-    grid, values = signal.grid, signal.values
-    mag = np.abs(values)
-    top = float(mag.max())
-    above = mag > _SUPPORT_FLOOR * top
-    lo = int(above.argmax())
-    hi = grid.n - int(above[::-1].argmax())
-    t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / (grid.x_max - grid.x_min)
-    pairs = values[lo:hi].view(float).reshape(-1, 2)
-    # the moments are taken with the step dx 2^-e, 2^e the power of two next to
-    # max|f| (an exact scaling), so that no moment or bound underflows for
-    # samples near the float minimum and c*f keeps the moment count of f at
-    # any scale c; 2^-e stops at 2^1000, and dx 2^-e at 2^1000
-    unit = math.ldexp(1.0, -max(math.frexp(top)[1], math.frexp(grid.dx)[1] - 1000, -1000))
-
-    def chunks():
-        powers = np.empty((_MOMENT_CHUNK, hi - lo))
-        powers[0] = grid.dx * unit
-        for j in range(_MOMENT_CHUNK, _MAX_MOMENTS + 1, _MOMENT_CHUNK):
-            for k in range(1, _MOMENT_CHUNK):
-                np.multiply(powers[k - 1], t, out=powers[k])
-            if j > skip:
-                yield powers, pairs
-            np.multiply(powers[-1], t, out=powers[0])
-    return top, unit, chunks()
-
-
 def _images(signal, alpha, phase):
     """(images, warning) of a multiplier of order alpha and phase on signal: the one
     wrap-around decision of the engine and product_rule.
 
     A record that the signal carries moves on to the combined order, whatever
-    the signal's own decay.  A signal that decays at the box edge gets a
-    fresh record from its moments; an order so small that 1 + a rounds to 1
-    raises AlphaInForbiddenRange there, since the image sum needs zeta(1 + a).
-    An integer total order leaves no tail, and past _MAX_IMAGE_ORDER
-    Gamma(-a) underflows: neither gets a record.  A signal that does not
-    decay stays periodic, and a non-integer order gets a warning naming it.
+    the signal's own decay.  A signal that decays (_decays) gets a fresh
+    record from its moments, or AlphaInForbiddenRange where 1 + a rounds to
+    1 (the image sum needs zeta(1 + a)).  An integer total order leaves no
+    tail, and past _MAX_IMAGE_ORDER Gamma(-a) underflows: neither gets a
+    record.  Any other signal stays periodic, with a warning at a non-integer order.
     """
     source = signal.images
-    if source is None and signal.boundary_decay >= DECAY_THRESHOLD:
+    if source is None and not _decays(signal):
         if alpha == int(alpha):
             return None, None
-        return None, (f"boundary decay {signal.boundary_decay:.3e} above threshold "
+        ratio = signal.boundary_decay / _support(signal)[0]
+        return None, (f"boundary decay {ratio:.3e} of max|f| above threshold "
                       f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
     order = alpha if source is None else source.order + alpha
     if order == int(order) or order > _MAX_IMAGE_ORDER:
@@ -516,13 +520,13 @@ def fractional_derivative(signal, alpha):
 
     alpha = 0 returns the signal unchanged; integer alpha reproduces
     ordinary derivatives.  For non-integer alpha on a signal whose
-    boundary_decay is below DECAY_THRESHOLD the wrap-around images are
-    subtracted and the result is the derivative on the line; it records
-    them in its `images` attribute (an ImageCorrection), and a further
-    fractional_derivative or fractional_momentum of it carries the
-    correction on whatever its own decay.  The periodic value is
-    d.values + d.images.values(d.grid).  On a signal that does not decay
-    the result is the periodic one and carries a warning string.
+    boundary_decay is 0 or below DECAY_THRESHOLD times max|f| the
+    wrap-around images are subtracted and the result is the derivative on
+    the line; it records them in its `images` attribute (an
+    ImageCorrection), and a further fractional_derivative or
+    fractional_momentum of it carries the correction on whatever its own
+    decay.  The periodic value is d.values + d.images.values(d.grid).  On a
+    signal that does not decay the result is periodic and carries a warning.
     """
     return _apply_multiplier(signal, alpha, 1.0)
 

@@ -182,6 +182,23 @@ def test_derive_file_input_uses_the_engine(tmp_path, capsys):
     assert curve["re"][j] == pytest.approx(-2 * math.exp(-1.0), abs=1e-6)
 
 
+def test_a_small_periodic_file_warns_and_stays_periodic(tmp_path, capsys):
+    # 1e-12 cos(pi x/4) does not decay at the box edge at any scale: the
+    # engine warns and gives the periodic derivative
+    x = -16.0 + (32.0 / 1024) * np.arange(1024)
+    src = tmp_path / "cos.csv"
+    src.write_text("x,re,im\n" + "".join(f"{xj!r},{1e-12 * math.cos(math.pi * xj / 4)!r},0\n"
+                                           for xj in x.tolist()))
+    rc, out, err = run_cli(capsys, "derive", "--input", str(src), "--alpha", "0.5",
+                           "--format", "json")
+    assert rc == 0
+    assert err.startswith("warning: boundary decay ") and err.count("\n") == 1
+    curve = json.loads(out)[0]
+    want = 1e-12 * math.sqrt(math.pi / 4) * np.cos(math.pi * x / 4 + math.pi / 4)
+    np.testing.assert_allclose(curve["x"], x, rtol=1e-8)
+    np.testing.assert_allclose(curve["re"], want, rtol=0, atol=1e-8 * np.max(np.abs(want)))
+
+
 def test_derive_multiple_orders_one_file_each(tmp_path, capsys):
     out = tmp_path / "d.csv"
     rc, _, _ = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",

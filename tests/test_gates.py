@@ -323,3 +323,53 @@ def test_one_decay_test_for_engine_and_operator_layer():
     assert fs.fractional_derivative(sig, 1.5).warning is not None
     with pytest.raises(fs.InsufficientDecay):
         fs.commutator_dx(sig, 1.5)
+
+
+def test_the_decay_test_does_not_depend_on_the_scale():
+    # D^a(c f) = c D^a f: the decay test is taken against max|f|, so c f takes
+    # the branch of f (the image route, for these signals) at every scale
+    for box, n in (((-8.0, 8.0), 256), ((-16.0, 16.0), 4096)):
+        g = fs.make_grid(*box, n)
+        window = np.abs(g.x) <= 4.0
+        for f in (GAUSS, lambda x: x * x * GAUSS(x)):
+            for a in (0.02, 0.5, 2.5):
+                for op in (fs.fractional_derivative, fs.fractional_momentum):
+                    ref = op(fs.SampledSignal(g, f(g.x)), a)
+                    for c in (1e-300, 1e-150, 1e150, 1e300):
+                        got = op(fs.SampledSignal(g, c * f(g.x)), a)
+                        assert (got.images is None) == (ref.images is None), (box, a, c)
+                        want = c * ref.values[window]
+                        err = np.max(np.abs(got.values[window] - want)) / np.max(np.abs(want))
+                        assert err < 1e-13, (box, a, c, err)
+
+
+def test_a_small_plane_wave_stays_periodic():
+    # 1e-12 e^{ix} does not decay at the box edge, whatever its scale: the
+    # engine warns and keeps it periodic, so it meets its P_{1/3} eigenvalue
+    g = fs.make_grid(-4 * math.pi, 4 * math.pi, 1024)
+    spec = fs.EigenstateSpec(1.0 / 3.0, 1.0)
+    sig = fs.SampledSignal(g, 1e-12 * fs.eigenstate_signal(spec, g).values)
+    d = fs.fractional_momentum(sig, spec.alpha)
+    assert d.images is None
+    assert d.warning.startswith("boundary decay 1.000e+00 of max|f| above threshold 1.0e-10")
+    want = spec.eigenvalue * sig.values
+    assert np.max(np.abs(d.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_commutator_refuses_a_small_cosine():
+    # the operator layer's decay test is the engine's, against max|f|; its
+    # message states the relative figure it tests
+    g = fs.make_grid(-4 * math.pi, 4 * math.pi, 1024)
+    with pytest.raises(fs.InsufficientDecay, match=r"boundary decay 1\.000e\+00 of max\|f\| "
+                                                    r"is not below 1\.0e-10"):
+        fs.commutator_dx(fs.SampledSignal(g, 1e-12 * np.cos(g.x)), 1.5)
+
+
+def test_product_rule_takes_the_branch_of_its_factors():
+    g = fs.make_grid(-8.0, 8.0, 256)
+    f, h = fs.sample(GAUSS, g), fs.sample(lambda x: x * x * GAUSS(x), g)
+    ref = fs.product_rule(f, h, 0.5)
+    got = fs.product_rule(fs.SampledSignal(g, 1e150 * f.values), h, 0.5)
+    assert ref.images is not None and got.images is not None and got.warning is None
+    np.testing.assert_allclose(got.values, 1e150 * ref.values, rtol=0,
+                               atol=1e-13 * 1e150 * np.max(np.abs(ref.values)))
