@@ -256,21 +256,21 @@ def cmd_derive(args):
                 raise CLIConfigError(f"{flag}: the --input file sets the grid")
         if args.engine == "oracle":
             raise CLIConfigError("--engine oracle has no closed form for --input data")
-        curves = _engine_curves(_read_signal_csv(args.input), alphas)
+        signal = _read_signal_csv(args.input)
     else:
         builtin, oracle = _BUILTINS[args.function or "gaussian"]
         grid = _grid(args)
-        if args.engine == "spectral":
-            curves = _engine_curves(sample(builtin, grid), alphas)
-        else:
-            curves = _closed_form_curves(oracle, alphas, grid.x)
+        signal = sample(builtin, grid) if args.engine == "spectral" else None
+    if args.format == "csv" and len(alphas) > 1 and args.output is None:
+        # refused before any order is computed
+        raise CLIConfigError("--output is required for multiple orders in csv format "
+                             "(one file per order)")
+    curves = (_closed_form_curves(oracle, alphas, grid.x) if signal is None
+              else _engine_curves(signal, alphas))
 
     if args.format == "json":
         _emit(args.output, _curves_json(curves))
         return EXIT_OK
-    if len(curves) > 1 and args.output is None:
-        raise CLIConfigError("--output is required for multiple orders in csv format "
-                             "(one file per order)")
     for a, x, vals in curves:
         path = args.output if len(curves) == 1 else _per_alpha_path(args.output, a)
         _emit(path, _csv(CSV_HEADER, x, vals.real, vals.imag))

@@ -49,8 +49,8 @@ MAX_ABS_Z = 400.0
 # Hurwitz zeta by Euler-Maclaurin (Johansson, arXiv:1309.2877): the first
 # _ZETA_DIRECT terms are summed directly and the tail from q + _ZETA_DIRECT
 # on is replaced by its integral, half its first term and the Bernoulli
-# corrections B_2 .. B_16.  Against an independent reference this reaches
-# relative error below 1e-15 for 1 < s <= 40 and 0.5 <= q <= 1.5.
+# corrections B_2 .. B_16.  Against mpmath this reaches relative error
+# below 6e-16 for 1 < s <= 1000 and 0.5 <= q <= 1.5 (2e-16 past s = 40).
 _ZETA_DIRECT = 8
 _BERNOULLI_EVEN = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
                    (7, 6), (-3617, 510))
@@ -338,7 +338,7 @@ def hurwitz_zeta(s, q):
     like numpy arrays, and a pair of scalars gives a float, bitwise the
     element of an array call on the same pair.  Euler-Maclaurin
     summation with a fixed number of direct terms and Bernoulli corrections
-    (see _ZETA_DIRECT), accurate to a few ulp for s up to 40 on the q range
+    (see _ZETA_DIRECT), accurate to a few ulp for s up to 1000 on the q range
     0.5 .. 1.5 that the engine's image correction uses.  Where the tail's
     factor w^(-s) underflows (q of about 1e154 and up at s = 2), the tail
     is formed from w^(1-s) instead, so zeta(2, 1e300) is about 1e-300, not 0.

@@ -211,10 +211,16 @@ def test_derive_multiple_orders_one_file_each(tmp_path, capsys):
 
 
 def test_derive_multiple_orders_csv_needs_output_file(capsys):
-    rc, _, err = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",
-                         "--domain", "-8", "8", "--points", "32")
-    assert rc == 2
-    assert "--output" in err
+    # refused before any order is computed: the periodic x2-Gaussian on (-2, 2)
+    # prints no wrap-around warning first.  One test, one argv per route
+    for argv in (("--function", "gaussian", "--alpha", "0.5,1",
+                  "--domain", "-8", "8", "--points", "32"),
+                 ("--function", "x2gaussian", "--engine", "spectral", "--points", "64",
+                  "--domain", "-2", "2", "--alpha", "0.3,1.5")):
+        rc, out, err = run_cli(capsys, "derive", *argv)
+        assert rc == 2 and out == ""
+        assert err == ("error: --output is required for multiple orders in csv format "
+                       "(one file per order)\n"), argv
 
 
 def test_derive_json_schema(capsys):

@@ -291,6 +291,19 @@ def test_hurwitz_zeta_against_scipy():
     assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
+def test_hurwitz_zeta_on_the_image_kernel_columns():
+    # the image sum asks for s = 1 + a + j + r up to about 63 (order 5.2, 40
+    # moments, 18 Taylor terms) at block centres q in 0.5 .. 1.5
+    s = np.linspace(12.0, 80.0, 35)
+    q = np.linspace(0.5, 1.5, 11)
+    got = hurwitz_zeta(s[:, None], q[None, :])
+    with mpmath.workdps(30):
+        for i, si in enumerate(s):
+            for j, qj in enumerate(q):
+                ref = mpmath.zeta(si, qj)
+                assert float(abs((got[i, j] - ref) / ref)) < 1e-15, (si, qj)
+
+
 def test_hurwitz_zeta_pinned_values():
     assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15)
     # zeta(s, 1/2) = (2^s - 1) zeta(s)

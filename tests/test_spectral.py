@@ -10,8 +10,8 @@ import pytest
 from fracspectral import spectral
 from fracspectral.grid import GridMismatch, SampledSignal, Spectrum, make_grid, sample
 from fracspectral.oracles import gaussian_deriv
-from fracspectral.quantum import commutator_dx, commutator_ladder, symmetry_residual
-from fracspectral.specfun import OrderTooLarge
+from fracspectral.quantum import high_res_grid, symmetry_residual
+from fracspectral.specfun import OrderTooLarge, hurwitz_zeta
 from fracspectral.spectral import (AlphaInForbiddenRange, MinusOneBranch,
                                    NegativeAlpha, Pairing, duality_residual, forward,
                                    fractional_derivative, fractional_momentum,
@@ -343,40 +343,6 @@ def test_pickles_and_copies_carry_no_memo():
         fractional_derivative(d, 0.5))
 
 
-def test_zeta_table_reuse_is_invisible():
-    # the same bits from a cold and a warm table cache; on high_res_grid() f
-    # needs 15 moments and x*f 18, so one (n, order) has two tables.  A cold
-    # call computes the table of a key met once, and caches that of a key met
-    # before
-    g = make_grid(-20.0, 20.0, 8192)
-    f = sample(GAUSS, g)
-    xf = SampledSignal(g, g.x * f.values)
-    assert [len(fractional_derivative(s, 2.5).images.moments) for s in (f, xf)] == [15, 18]
-    calls = {
-        "D^a f": lambda: fractional_derivative(f, 2.5).values,
-        "D^a xf": lambda: fractional_derivative(xf, 2.5).values,
-        "P_a f": lambda: fractional_momentum(f, 2.5).values,
-        "P_a xf": lambda: fractional_momentum(xf, 2.5).values,
-        "P_0.8 P_a f": lambda: fractional_momentum(fractional_momentum(f, 2.5), 0.8).values,
-        "commutator_dx": lambda: np.concatenate([s.values for s in commutator_dx(f, 2.5)[:2]]),
-        "commutator_ladder": lambda: np.concatenate(
-            [s.values for s in commutator_ladder(f, 2.5)[:2]]),
-    }
-    cold = {}
-    for name, call in calls.items():
-        spectral._zeta_table.cache_clear()
-        spectral._recent_keys.clear()
-        cold[name] = call().tobytes()
-    assert spectral._zeta_table.cache_info().currsize == 0
-    spectral._zeta_table.cache_clear()
-    first = {name: call().tobytes() for name, call in calls.items()}
-    hits = spectral._zeta_table.cache_info().hits
-    warm = {name: call().tobytes() for name, call in calls.items()}
-    assert spectral._zeta_table.cache_info().hits > hits
-    assert first == warm == cold
-    assert spectral._zeta_table.cache_info().maxsize <= 16
-
-
 _CENTRED = lambda x: np.exp(-x * x)
 _DELTA = lambda x: np.where(np.arange(x.size) == x.size // 2, 1.0, 0.0)
 
@@ -400,6 +366,35 @@ def test_image_record_moment_count(f, order, count):
     assert len(d.images.moments) == count
 
 
+def test_image_record_moment_count_of_f_and_xf_on_high_res_grid():
+    # the operator layer's grid at order 2.5: f takes 15 moments and x*f 18
+    g = high_res_grid()
+    f = sample(GAUSS, g)
+    xf = SampledSignal(g, g.x * f.values)
+    assert [len(fractional_derivative(s, 2.5).images.moments) for s in (f, xf)] == [15, 18]
+
+
+@pytest.mark.parametrize("box, n", [((-8.0, 8.0), 256), ((-16.0, 16.0), 4096),
+                                    ((-20.0, 20.0), 8192)], ids=["256", "4096", "8192"])
+def test_image_sum_matches_direct_zeta_summation(box, n):
+    # the block Taylor kernel against sum_j terms_j zeta(1+a+j, q_i) at every
+    # grid point, for every decaying Gaussian and x^2-Gaussian centred at 0 to
+    # 10 (up to 40 moments): its truncation stays at roundoff of max|f|
+    g = make_grid(*box, n)
+    q = 0.5 + np.arange(n) / n
+    signals = [SampledSignal(g, np.exp(-(g.x - c) ** 2) * (g.x - c) ** k)
+               for c in (0.0, 3.0, 6.0, 9.0, 10.0) for k in (0, 2)]
+    signals = [f for f in signals if spectral._decays(f)]
+    for order in (0.02, 0.3, 0.5, 1.5, 2.5, 3.7, 5.2):
+        zeta = hurwitz_zeta(1.0 + order + np.arange(spectral._MAX_MOMENTS), q[:, None])
+        for f in signals:
+            record = spectral.ImageCorrection(order, 1.0, spectral._moments(f, order))
+            terms = spectral._tail_terms(order, 1.0, record.moments, g.x_max - g.x_min)
+            direct = zeta[:, :len(terms)] @ terms
+            error = np.max(np.abs(record.values(g) - direct))
+            assert error < 2e-16 * np.max(np.abs(f.values)), (order, len(terms), error)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150])
 def test_moment_count_does_not_depend_on_the_scale(scale):
     # the stop test is taken relative to max|f|: c*f keeps the moment count of
@@ -419,15 +414,6 @@ def test_image_record_of_a_gaussian_near_the_float_minimum():
     g = make_grid(-8.0, 8.0, 256)
     d = [fractional_derivative(SampledSignal(g, c * np.exp(-g.x * g.x)), 0.02) for c in (1.0, 1e-300)]
     assert [len(r.images.moments) for r in d] == [29, 29]
-
-
-def test_a_scan_of_fresh_orders_caches_no_zeta_table():
-    g = make_grid(-16.0, 16.0, 1024)
-    f = sample(GAUSS, g)
-    spectral._zeta_table.cache_clear()
-    for a in np.linspace(0.3, 2.9, 40).tolist():
-        fractional_derivative(f, a)
-    assert spectral._zeta_table.cache_info().currsize == 0
 
 
 def test_chained_result_carries_order_and_phase():
