@@ -162,7 +162,7 @@ class SampledSignal:
 
     An engine result of non-integer order on a decaying signal holds the
     derivative on the line and records in `images` the wrap-around images
-    it subtracted (a spectral.ImageCorrection); everything else has None.
+    it subtracted (a spectral.ImageCorrection on its grid); everything else has None.
 
     A signal never changes, so what depends on it alone, and not on an
     order, is computed at first use and kept in a private memo for the
@@ -173,8 +173,8 @@ class SampledSignal:
 
     __slots__ = ("grid", "values", "boundary_decay", "warning", "images", "_memo")
 
-    def __init__(self, grid, values, warning=None, images=None):
-        self._fill(grid, _own_samples(values, grid.x, "values", "x"), warning, images)
+    def __init__(self, grid, values):
+        self._fill(grid, _own_samples(values, grid.x, "values", "x"), None, None)
 
     @classmethod
     def _adopt(cls, grid, values, warning=None, images=None):
@@ -194,8 +194,8 @@ class SampledSignal:
         self._memo = {}
 
     def __reduce__(self):
-        # through __init__, so a copy or an unpickled signal starts with an empty memo
-        return SampledSignal, (self.grid, self.values, self.warning, self.images)
+        # through _adopt on a copy, so a copy or an unpickled signal starts with an empty memo
+        return SampledSignal._adopt, (self.grid, self.values.copy(), self.warning, self.images)
 
     def __repr__(self):
         return (f"SampledSignal(n={self.grid.n}, "

@@ -39,13 +39,13 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specfun
-from .grid import (EvaluationFailure, SampledSignal, Spectrum, _readonly, central_gap,
-                   require_same_grid)
+from .grid import (EvaluationFailure, Grid, GridMismatch, SampledSignal, Spectrum,
+                   _finite_samples, _own_samples, _readonly, central_gap, require_same_grid)
 from .specfun import OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -213,9 +213,22 @@ def inverse(spectrum):
         return SampledSignal._adopt(g, values)
 
 
+def _image_order(order):
+    """The order, or None where it leaves no image tail (an integer, or past
+    _MAX_IMAGE_ORDER, where Gamma(-a) underflows); AlphaInForbiddenRange where
+    1 + a rounds to 1.  The one home of the image route's order limits."""
+    order = require_order(order)
+    if order == int(order) or order > _MAX_IMAGE_ORDER:
+        return None
+    if 1.0 + order == 1.0:
+        raise AlphaInForbiddenRange(f"order {order:g} is too small for the image "
+                                    f"correction: 1 + a rounds to 1")
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class ImageCorrection:
-    """The wrap-around images subtracted from an engine result.
+    """The wrap-around images subtracted from an engine result, on the grid of its moments.
 
     For x to the right of a signal f centred in the box, the line derivative
     g = D^a f is (Samko-Kilbas-Marichev 1993, section 7)
@@ -232,53 +245,48 @@ class ImageCorrection:
     fall to the left of f, where g decays like f itself.  A P_a result is
     e^{-i*pi*a/2} D^a f, so its images carry that phase.
 
+    grid    the grid of the moments: c is its box centre, P its period
     order   total order of the multiplier chain the result represents
-    phase   product of the momentum phases e^{-i*pi*b/2} along that chain
-    moments nu_0, nu_1, ... of the signal the chain started from, as a
-            read-only complex copy
+    moments nu_0, nu_1, ... of the signal the chain started from, times the
+            momentum phases e^{-i*pi*b/2} along the chain, a read-only copy
+    values  the image sum at the grid's samples, formed at construction, read-only
 
-    A further multiplier adds the images back (restoring the periodic
-    value), applies its symbol and subtracts the images of the combined
-    order, so D^b(D^a f) = D^(a+b) f holds on corrected results.
+    Construction refuses a grid that is not a Grid (GridMismatch), moments
+    that are not finite (EvaluationFailure) and an order outside _image_order's
+    limits.  A further multiplier adds the images back, applies its symbol and
+    subtracts the images of the combined order: D^b(D^a f) = D^(a+b) f.
     """
+    grid: Grid
     order: float
-    phase: complex
     moments: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        moments = np.array(self.moments, dtype=complex)
-        moments.setflags(write=False)
+        if not isinstance(self.grid, Grid):
+            raise GridMismatch(f"an image record needs a Grid, got {type(self.grid).__name__}")
+        order = _image_order(self.order)
+        if order is None:
+            raise AlphaInForbiddenRange(f"order {self.order:g} leaves no image tail")
+        moments = _own_samples(self.moments, np.arange(np.size(self.moments)), "moments", "j")
+        # a largest moment past 2 sets the unit 2^e of the sum (exact), so no term overflows
+        e = max(math.frexp(float(np.abs(moments).max(initial=0.0)))[1] - 1, 0)
+        terms = _tail_terms(order, (moments.view(float) * 2.0 ** -e).view(complex),
+                            self.grid.x_max - self.grid.x_min)
+        values = _image_sum(self.grid.n, order, terms, 2.0 ** e)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "_memo", (None, None))
+        object.__setattr__(self, "values", _finite_samples(values, self.grid.x, "images", "x"))
 
     def __reduce__(self):
         # through __init__, so a copy or an unpickled record is read-only too
-        return ImageCorrection, (self.order, self.phase, self.moments)
-
-    def values(self, grid):
-        """The image sum on the grid's sample points, read-only.
-
-        The record keeps the sum of the last grid it was asked for, so the
-        engine's subtraction and a further multiplier's add-back compute it once.
-        A largest moment past 2 sets the unit 2^e of the sum, scaled back once
-        (both exact), so no term overflows where the periodic result is finite.
-        """
-        memo_grid, memo = self._memo
-        if memo_grid != grid:
-            e = max(math.frexp(float(np.abs(self.moments).max(initial=0.0)))[1] - 1, 0)
-            moments = (self.moments.view(float) * 2.0 ** -e).view(complex)
-            terms = _tail_terms(self.order, self.phase, moments, grid.x_max - grid.x_min)
-            memo = _image_sum(grid.n, self.order, terms, 2.0 ** e)
-            memo.setflags(write=False)
-            object.__setattr__(self, "_memo", (grid, memo))
-        return memo
+        return ImageCorrection, (self.grid, self.order, self.moments)
 
 
-def _tail_terms(order, phase, moments, period):
-    """phase P^(-1-a)/Gamma(-a) nu_j (1+a)_j/j!: the terms of the image tail series
-    at box width P, its one home.  OrderTooLarge where P^(-1-a) overflows."""
+def _tail_terms(order, moments, period):
+    """P^(-1-a)/Gamma(-a) nu_j (1+a)_j/j!: the terms of the image tail series at box
+    width P, its one home.  OrderTooLarge where P^(-1-a) overflows."""
     try:
-        scale = phase * period ** (-1.0 - order) / specfun.gamma(-order)
+        scale = period ** (-1.0 - order) / specfun.gamma(-order)
     except OverflowError:
         raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
                             f"at box width P = {period:g}, order {order:g}") from None
@@ -319,13 +327,11 @@ def _image_sum(n, order, terms, scale):
                                    s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
     shift = np.arange(n_mom)[:, None] + np.arange(n_taylor)           # (J, R)
     taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, zeta[:, shift])
-    # einsum, not matmul: with two OpenBLAS threads on a 2-vCPU machine a
-    # product of this shape took 12-14 ms between FFTs, 0.1 ms on one thread.
     # One product per half: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
     out = np.empty(n, dtype=complex)
-    np.multiply(np.einsum("br,ri->bi", taylor.real, factors).ravel(), scale, out=out.real)
-    np.multiply(np.einsum("br,ri->bi", taylor.imag, factors).ravel(), scale, out=out.imag)
+    np.multiply((taylor.real @ factors).ravel(), scale, out=out.real)
+    np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
     return out
 
 
@@ -366,7 +372,7 @@ def _moments(signal, order):
     period = grid.x_max - grid.x_min
     # the image term of moment j is bounded by |nu_j| times its term per unit
     # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
-    per_moment = np.abs(_tail_terms(order, 1.0, np.ones(_MAX_MOMENTS), period))
+    per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), period))
     s = 1.0 + order + np.arange(_MAX_MOMENTS)
     zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
     top, unit, lo, hi = _support(signal)
@@ -401,11 +407,9 @@ def _images(signal, alpha, phase):
     wrap-around decision of the engine and product_rule.
 
     A record that the signal carries moves on to the combined order, whatever
-    the signal's own decay.  A signal that decays (_decays) gets a fresh
-    record from its moments, or AlphaInForbiddenRange where 1 + a rounds to
-    1 (the image sum needs zeta(1 + a)).  An integer total order leaves no
-    tail, and past _MAX_IMAGE_ORDER Gamma(-a) underflows: neither gets a
-    record.  Any other signal stays periodic, with a warning at a non-integer order.
+    the signal's own decay, and a signal that decays (_decays) gets a fresh
+    one from its moments, both within _image_order's limits.  Any other
+    signal stays periodic, with a warning at a non-integer order.
     """
     source = signal.images
     if source is None and not _decays(signal):
@@ -414,15 +418,11 @@ def _images(signal, alpha, phase):
         ratio = signal.boundary_decay / _support(signal)[0]
         return None, (f"boundary decay {ratio:.3e} of max|f| above threshold "
                       f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
-    order = alpha if source is None else source.order + alpha
-    if order == int(order) or order > _MAX_IMAGE_ORDER:
+    order = _image_order(alpha if source is None else source.order + alpha)
+    if order is None:
         return None, None
-    if source is not None:
-        return ImageCorrection(order, source.phase * phase, source.moments), None
-    if 1.0 + alpha == 1.0:
-        raise AlphaInForbiddenRange(f"order {alpha:g} is too small for the image "
-                                    f"correction: 1 + a rounds to 1")
-    return ImageCorrection(alpha, phase, _moments(signal, alpha)), None
+    moments = _moments(signal, alpha) if source is None else source.moments
+    return ImageCorrection(signal.grid, order, moments * phase), None
 
 
 def _half_spectra(signal):
@@ -438,7 +438,7 @@ def _half_spectra(signal):
         values = signal.values
         if signal.images is not None:
             # back to the periodic value, which the symbol maps to the periodic result
-            values = values + signal.images.values(signal.grid)
+            values = values + signal.images.values
         parts = [values.real, values.imag] if values.imag.any() else [values.real]
         spectra = tuple(np.fft.rfft(v) for v in parts)
         zero_noise(*spectra)
@@ -488,7 +488,7 @@ def _apply_multiplier(signal, alpha, phase):
             # phase first: numpy rounds phase * out and out * phase differently
             np.multiply(phase, out, out=out)
         if images is not None:
-            out -= images.values(g)
+            out -= images.values
         return SampledSignal._adopt(g, out, warning=warning, images=images)
 
 
@@ -502,7 +502,7 @@ def fractional_derivative(signal, alpha):
     the line; it records them in its `images` attribute (an
     ImageCorrection), and a further fractional_derivative or
     fractional_momentum of it carries the correction on whatever its own
-    decay.  The periodic value is d.values + d.images.values(d.grid).  On a
+    decay.  The periodic value is d.values + d.images.values.  On a
     signal that does not decay the result is periodic and carries a warning.
     """
     return _apply_multiplier(signal, alpha, 1.0)
@@ -595,33 +595,32 @@ def product_rule(f, g, alpha):
     by u = s+q is an exact rearrangement: the inner sums are the linear
     convolution of the two spectra, taken through zero-padded FFTs of
     length 2n, and the symbol is applied at each of the 2n-1 sums
-    u_m = (m-n)*dp, after the engine's noise floor.  Since dx*dp = 2pi/n,
-    e^{i j dx u_m} has period n in m, so the 2n-1 terms fold into n bins
-    and one inverse FFT gives every sample; the cost is O(n log n).  The
-    sum is periodic in x like the engine, so where the product decays at
-    the box edge the same wrap-around images are subtracted, from the
-    moments of f*g, and the result matches fractional_derivative of the
-    product, its wrap-around warning included.
+    u_m = (m-n)*dp, after the engine's noise floor.  The spectra are plain
+    FFTs (the grid-offset phases e^{-ip x_min} cancel; the scale is 1/n).
+    Since dx*dp = 2pi/n, e^{i j dx u_m} has period n in m, so the 2n-1
+    terms fold into n bins and one inverse FFT gives every sample; the cost
+    is O(n log n).  The sum is periodic in x like the engine, so where the
+    product decays at the box edge the same wrap-around images are
+    subtracted, from the moments of f*g, and the result matches
+    fractional_derivative of the product, its wrap-around warning included.
     """
     grid = require_same_grid(f, g)
     alpha = require_order(alpha)
     n = grid.n
-    u = (np.arange(2 * n - 1) - n) * grid.dp
-    symbol = ip_power(alpha, u)
+    symbol = ip_power(alpha, (np.arange(2 * n - 1) - n) * grid.dp)     # at u_m
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
         images, warning = _images(SampledSignal._adopt(grid, f.values * g.values), alpha, 1.0)
-        fs = np.fft.fft(np.fft.fftshift(forward(f).coeffs), 2 * n)
-        gs = np.fft.fft(np.fft.fftshift(forward(g).coeffs), 2 * n)
+        fs, gs = (np.fft.fft(np.fft.fftshift(np.fft.fft(s.values)), 2 * n) for s in (f, g))
         # after the shift both spectra start at p = -(n/2)*dp, so index m of
         # their convolution holds the sum over s+q = u_m
         conv = np.fft.ifft(gs * fs)[:2 * n - 1]
         # the FFT convolution leaves roundoff of the largest sum in every bin,
         # which the symbol would amplify by |u|^a: the engine's floor applies
         zero_noise(conv)
-        terms = np.exp(1j * grid.x_min * u) * symbol * conv
+        terms = symbol * conv
         terms[:n - 1] += terms[n:]
-        values = np.fft.ifft(terms[:n]) * (n * grid.dp * grid.dp / (2 * np.pi))
+        values = np.fft.ifft(terms[:n]) / n
         if images is not None:
-            values -= images.values(grid)
+            values -= images.values
         return SampledSignal._adopt(grid, values, warning=warning, images=images)

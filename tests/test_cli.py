@@ -210,6 +210,14 @@ def test_derive_multiple_orders_one_file_each(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_derive_multiple_orders_to_an_output_without_extension(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc, _, _ = run_cli(capsys, "derive", "--alpha", "0.5,1.5", "--domain", "-8", "8",
+                       "--points", "32", "--output", str(out))
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out_alpha0.5", "out_alpha1.5"]
+
+
 def test_derive_multiple_orders_csv_needs_output_file(capsys):
     # refused before any order is computed: the periodic x2-Gaussian on (-2, 2)
     # prints no wrap-around warning first.  One test, one argv per route
@@ -589,3 +597,6 @@ def test_input_error_messages_are_specific(tmp_path, capsys):
         f"{i * 0.5},{'nan' if i == 5 else 1},0" for i in range(16)) + "\n")
     assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
     assert "non-finite value on line 7" in capsys.readouterr().err
+    f.write_text("x,re,im\n" + "\n".join(f"{-i * 0.5},1,0" for i in range(16)) + "\n")
+    assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: --input {f}: x column must increase\n"

@@ -91,6 +91,8 @@ def _scan_table():
         ("ip_power", fs.ip_power, (0.5, p), (0, 1)),
         ("p_power", fs.p_power, (0.5, p), (0, 1)),
         ("order_continuity_gap", fs.order_continuity_gap, (f, 1, 10), (1, 2)),
+        # an image record of the given order and leading moment
+        ("ImageCorrection", lambda a, m: fs.ImageCorrection(g, a, [m, 0.5]), (0.5, 1.0), (0, 1)),
         ("pairing_continuity_gap", fs.pairing_continuity_gap, (f, f, h, 0.5, 10), (3, 4)),
         ("product_rule", fs.product_rule, (f, h, 0.5), (2,)),
         ("duality_residual", fs.duality_residual, (f, h, 0.5, sesq, plus), (2,)),
@@ -212,8 +214,8 @@ def test_public_functions_survive_huge_samples(huge):
 # the order slot of each function of the scan table that takes an order
 ORDER_SLOTS = {
     "fractional_derivative": 1, "fractional_momentum": 1, "ip_power": 0, "p_power": 0,
-    "order_continuity_gap": 1, "pairing_continuity_gap": 3, "product_rule": 2,
-    "duality_residual": 2, "gaussian_deriv": 0, "x2gaussian_deriv": 0,
+    "order_continuity_gap": 1, "ImageCorrection": 0, "pairing_continuity_gap": 3,
+    "product_rule": 2, "duality_residual": 2, "gaussian_deriv": 0, "x2gaussian_deriv": 0,
     "gaussian_deriv over an array": 0, "x2gaussian_deriv over an array": 0,
     "exp_rule": 1, "monomial_deriv": 1, "quadrature_reference": 1, "EigenstateSpec": 0,
     "eigenstate_signal": 0, "commutator_dx": 1, "commutator_ladder": 1,

@@ -340,6 +340,13 @@ def test_quadrature_reports_failure():
         quadrature_reference(lambda p: np.abs(p - 1.0 / 3.0) ** -0.95, 0.5, 0.0)
 
 
+def test_quadrature_names_its_spent_budget():
+    # at order 20 the integrand |p|^20 e^{-p^2/4} needs more panels than the budget
+    with pytest.raises(ToleranceNotReached, match=r"no convergence within 1048576 integrand "
+                                                  r"evaluations"):
+        quadrature_reference(F1_HAT, 20.0, 0.5)
+
+
 def test_quadrature_rejects_non_finite_order_and_position():
     for alpha, x in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.inf),
                      (0.5, -math.inf), (0.5, math.nan)):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fracspectral import spectral
-from fracspectral.grid import GridMismatch, SampledSignal, Spectrum, make_grid, sample
+from fracspectral.grid import (EvaluationFailure, GridMismatch, SampledSignal, Spectrum,
+                               make_grid, sample)
 from fracspectral.oracles import gaussian_deriv
 from fracspectral.quantum import high_res_grid, symmetry_residual
 from fracspectral.specfun import OrderTooLarge, hurwitz_zeta
@@ -257,40 +258,72 @@ def test_engine_gives_the_line_derivative_on_a_short_box():
 def test_images_restore_the_periodic_result():
     g, sig, mask = _short_box_gaussian()
     d = fractional_derivative(sig, 0.5)
-    periodic = d.values + d.images.values(g)
+    periodic = d.values + d.images.values
     ref = np.array([gaussian_deriv(0.5, float(x)) for x in g.x[mask]])
     assert np.max(np.abs(periodic[mask] - ref)) > 1e-2
 
 
 def test_image_record_is_read_only():
     # a write to the moments would move every later chain step (by 4.7e-2 for
-    # D^0.5 of this D^0.5 after moments[0] *= 2), and one to the memoized sum
+    # D^0.5 of this D^0.5 after moments[0] *= 2), and one to the image sum
     # would go stale
     g = make_grid(-16.0, 16.0, 1024)
     d = fractional_derivative(sample(GAUSS, g), 0.5)
     again = fractional_derivative(d, 0.5).values
-    images = d.images.values(g)
-    assert d.images.values(g) is images
+    images = d.images.values
     for array in (d.images.moments, images):
         with pytest.raises(ValueError, match="read-only"):
             array[0] *= 2
     assert np.array_equal(fractional_derivative(d, 0.5).values, again)
     # the record holds its own copy of the moments it is given
     moments = np.array([1.0, 0.5])
-    record = spectral.ImageCorrection(0.5, 1.0, moments)
+    record = spectral.ImageCorrection(g, 0.5, moments)
     moments[0] = 2.0
     assert record.moments[0] == 1.0 and not record.moments.flags.writeable
     for copy in (pickle.loads(pickle.dumps(d.images)), copy_module.deepcopy(d.images)):
         assert not copy.moments.flags.writeable
-        assert np.array_equal(copy.values(g), images)
+        assert np.array_equal(copy.values, images)
 
 
 def _result_bits(signal):
     """The values, warning and image record of an engine result, as bytes and text."""
     images = signal.images
-    record = images and (images.order, images.phase, images.moments.tobytes(),
-                         images.values(signal.grid).tobytes())
+    record = images and (images.order, images.moments.tobytes(), images.values.tobytes())
     return signal.values.tobytes(), signal.warning, record
+
+
+def test_image_record_gates_its_inputs():
+    g = make_grid(-8.0, 8.0, 256)
+    with pytest.raises(GridMismatch, match="needs a Grid"):
+        spectral.ImageCorrection(0.5, 1.0, [1.0])
+    for moments in ([math.nan], [1.0, math.inf], [10 ** 400]):
+        with pytest.raises(EvaluationFailure):
+            spectral.ImageCorrection(g, 0.5, moments)
+    # the orders _images gives no record, or refuses, the record refuses too
+    for order in (0, 1, 2.0, 170.5, 300.0):
+        with pytest.raises(AlphaInForbiddenRange, match="leaves no image tail"):
+            spectral.ImageCorrection(g, order, [1.0])
+    with pytest.raises(AlphaInForbiddenRange, match="1 \\+ a rounds to 1"):
+        spectral.ImageCorrection(g, 1e-17, [1.0])
+    with pytest.raises(NegativeAlpha):
+        spectral.ImageCorrection(g, -0.5, [1.0])
+
+
+@pytest.mark.parametrize("op", [fractional_derivative, fractional_momentum])
+def test_image_record_and_result_survive_pickle_and_deepcopy(op):
+    g = make_grid(-16.0, 16.0, 1024)
+    d = op(sample(GAUSS, g), 0.5)
+    chain = _result_bits(op(d, 0.7))
+    for copy in (pickle.loads(pickle.dumps(d)), copy_module.deepcopy(d)):
+        assert _result_bits(copy) == _result_bits(d)
+        for array in (copy.values, copy.images.moments, copy.images.values):
+            assert not array.flags.writeable
+        assert copy.images.grid == g
+        assert _result_bits(op(copy, 0.7)) == chain
+    for record in (pickle.loads(pickle.dumps(d.images)), copy_module.deepcopy(d.images)):
+        assert not record.values.flags.writeable
+        assert np.array_equal(record.values, d.images.values)
+        assert np.array_equal(record.moments, d.images.moments)
 
 
 @pytest.mark.parametrize("f, chunks", [
@@ -388,10 +421,10 @@ def test_image_sum_matches_direct_zeta_summation(box, n):
     for order in (0.02, 0.3, 0.5, 1.5, 2.5, 3.7, 5.2):
         zeta = hurwitz_zeta(1.0 + order + np.arange(spectral._MAX_MOMENTS), q[:, None])
         for f in signals:
-            record = spectral.ImageCorrection(order, 1.0, spectral._moments(f, order))
-            terms = spectral._tail_terms(order, 1.0, record.moments, g.x_max - g.x_min)
+            record = spectral.ImageCorrection(g, order, spectral._moments(f, order))
+            terms = spectral._tail_terms(order, record.moments, g.x_max - g.x_min)
             direct = zeta[:, :len(terms)] @ terms
-            error = np.max(np.abs(record.values(g) - direct))
+            error = np.max(np.abs(record.values - direct))
             assert error < 2e-16 * np.max(np.abs(f.values)), (order, len(terms), error)
 
 
@@ -418,9 +451,12 @@ def test_image_record_of_a_gaussian_near_the_float_minimum():
 
 def test_chained_result_carries_order_and_phase():
     g, sig, _ = _short_box_gaussian()
-    chained = fractional_momentum(fractional_derivative(sig, 0.4), 0.8)
+    first = fractional_derivative(sig, 0.4)
+    chained = fractional_momentum(first, 0.8)
     assert chained.images.order == pytest.approx(1.2)
-    assert chained.images.phase == pytest.approx(cmath.exp(-0.4j * math.pi))
+    # the record's moments carry the momentum phase of the chain
+    assert chained.images.moments == pytest.approx(cmath.exp(-0.4j * math.pi)
+                                                   * first.images.moments)
     direct = cmath.exp(-0.4j * math.pi) * fractional_derivative(sig, 1.2).values
     assert np.max(np.abs(chained.values - direct)) < 1e-12
 
@@ -651,7 +687,7 @@ def test_product_rule_matches_the_dense_double_sum():
     h = sample(X2GAUSS, g)
     for a in (0.5, 1.5, 2.5):
         got = product_rule(f, h, a)
-        periodic = got.values + got.images.values(g)
+        periodic = got.values + got.images.values
         ref = _dense_product_rule(f, h, a)
         assert np.max(np.abs(periodic - ref)) <= 1e-12 * np.max(np.abs(ref)), a
 
