@@ -148,7 +148,7 @@ def _finite_samples(values, points, name, axis):
         raise ValueError(f"{name} shape {values.shape} != {points.shape}")
     if not np.isfinite(values.view(float)).all():
         raise EvaluationFailure(f"non-finite value at {axis}="
-                                f"{points[np.argmin(np.isfinite(values))]!r}")
+                                f"{points[np.argmin(np.isfinite(values))].item()!r}")
     return _readonly(values)
 
 

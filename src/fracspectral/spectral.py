@@ -64,21 +64,26 @@ NOISE_FLOOR = 1e-15
 
 # Image correction.  Moments are taken over the samples above
 # _SUPPORT_FLOOR * max|f| and added until two in a row bound an image term
-# below _MOMENT_TOL * max|f| (or _MAX_MOMENTS is reached).  The image sum is
-# evaluated by a Taylor series of _IMAGE_TAYLOR terms about the centre of
-# each of _IMAGE_BLOCKS equal blocks of the grid: every ratio |h| / q of an
-# offset to its centre is below 1/33.  The remainder is bounded on the
-# moment-weighted sum, not on each zeta term (at s = 1 + a + j near 60 a
-# single term converges slowly, but its moment weight is below roundoff):
-# for decaying Gaussians and x^2-Gaussians up to 40 moments and orders up
-# to 5.2 it stays below 1.1e-18 * max|f|, where 16 terms reach 1.3e-16 and
-# 14 terms 1.3e-14.
+# below _MOMENT_TOL * max|f| (or _MAX_MOMENTS is reached).  Both sides use
+# _IMAGE_BLOCKS equal blocks of the grid, every offset h from a block's
+# centre q below q / 33: _IMAGE_TAYLOR local moments per block, and as many
+# Taylor terms about q for the image sum.  On the moment-weighted sum (at
+# s = 1 + a + j near 60 one zeta term converges slowly, but its moment weight
+# is below roundoff), for decaying Gaussians and x^2-Gaussians, 40 moments
+# and orders up to 5.2, the Taylor remainder stays below 1.1e-18 * max|f|
+# (1.3e-16 at 16 terms), and the h^r, r >= 18, that the moments j >= 18 drop
+# below 1.5e-21 * max|f| (n = 256 to 2^15).
 _SUPPORT_FLOOR = 1e-20
 _MOMENT_TOL = 1e-17
 _MAX_MOMENTS = 40
-_MOMENT_CHUNK = 8
 _IMAGE_BLOCKS = 32
 _IMAGE_TAYLOR = 18
+# _moments' binomial shift: the weight j!/(j-r)! (-1)^r at (j, r), 0 for r > j, and
+# the flat index of (j - r, r), the row clipped at 0, in a (_MAX_MOMENTS, _IMAGE_TAYLOR) table
+_SHIFT = np.array([[(-1) ** r * math.perm(j, r) for r in range(_IMAGE_TAYLOR)]
+                   for j in range(_MAX_MOMENTS)], dtype=float)
+_SHIFT_AT = (np.maximum(np.arange(_MAX_MOMENTS)[:, None] - np.arange(_IMAGE_TAYLOR), 0)
+             * _IMAGE_TAYLOR + np.arange(_IMAGE_TAYLOR))
 # Beyond this order Gamma(-a) underflows (and |p|^a overflows on any grid).
 _MAX_IMAGE_ORDER = 170.0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -299,7 +304,8 @@ def _taylor_blocks(n):
     """Block centres q_b and the Taylor factors (-h)^r / r! of each block's points.
 
     The grid point i sits at q = 1/2 + i/n, so every block has the same
-    offsets h from its centre and the factors form one (R, L) table.
+    offsets h from its centre and the factors form one (R, L) table: samples
+    to block moments in _moments, block Taylor terms to samples in _image_sum.
     """
     blocks = min(n, _IMAGE_BLOCKS)
     size = n // blocks
@@ -307,9 +313,7 @@ def _taylor_blocks(n):
     r = np.arange(1, _IMAGE_TAYLOR)
     factors = np.cumprod(np.vstack([np.ones(size), -h / r[:, None]]), axis=0)
     centres = 0.5 + (np.arange(blocks) * size + 0.5 * (size - 1)) / n
-    centres.setflags(write=False)
-    factors.setflags(write=False)
-    return centres, factors
+    return _readonly(centres), _readonly(factors)
 
 
 def _image_sum(n, order, terms, scale):
@@ -325,13 +329,16 @@ def _image_sum(n, order, terms, scale):
     zeta = specfun.hurwitz_zeta(s, centres[:, None])                  # (B, J+R)
     rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
                                    s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
-    shift = np.arange(n_mom)[:, None] + np.arange(n_taylor)           # (J, R)
-    taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, zeta[:, shift])
+    windows = np.lib.stride_tricks.sliding_window_view(zeta, n_taylor, axis=1)[:, :n_mom]
+    weights = terms[:, None] * rising
+    imaginary = weights.imag.any()
+    taylor = np.einsum("jr,bjr->br", weights if imaginary else weights.real, windows)
     # One product per half: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
     out = np.empty(n, dtype=complex)
-    np.multiply((taylor.real @ factors).ravel(), scale, out=out.real)
-    np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
+    np.multiply((taylor.real @ factors).ravel(), scale, out=out)      # imaginary half 0
+    if imaginary:
+        np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
     return out
 
 
@@ -360,46 +367,38 @@ def _decays(signal):
 def _moments(signal, order):
     """Scaled moments nu_j of the samples about the box centre, as many as order needs.
 
-    Each chunk of _MOMENT_CHUNK moments is one matmul of the power rows
-    dx unit t^j over the support (_support), t the offset from the box
-    centre in periods: in that unit no moment or bound underflows near the
-    float minimum, and c*f keeps the moment count of f.  The list ends at
-    the first two moments in a row whose image term is bounded below the
-    limit.  The memo keeps the moments taken, and a later order that needs
-    more re-forms the one power row it starts from.
+    One product per signal forms all _MAX_MOMENTS, kept in the memo in the
+    unit of _support: the blocks of _taylor_blocks(n) hold dx unit f over
+    the support (0 elsewhere), its factors give their local moments
+    L_br = sum (-h)^r/r! f, and _SHIFT moves these to the box centre,
+    nu_j = sum_r j!/(j-r)! (-1)^r sum_b tau_b^(j-r) L_br with tau_b = q_b - 1
+    (h and tau_b in periods).  In the unit nothing underflows near the float
+    minimum, and c*f keeps the moment count of f.  The list ends at the
+    first two moments in a row whose image term is bounded below the limit.
     """
     grid = signal.grid
     period = grid.x_max - grid.x_min
+    top, unit, lo, hi = _support(signal)
+    moments = signal._memo.get("moments")
+    if moments is None:
+        centres, factors = _taylor_blocks(grid.n)
+        size = factors.shape[1]
+        first, last = lo // size, -(-hi // size)
+        part = signal.values[first * size:last * size] * (grid.dx * unit)
+        part[:lo - first * size] = part[hi - first * size:] = 0.0
+        local = np.vstack([part.real, part.imag]).reshape(2, last - first, size) @ factors.T
+        powers = np.vander(centres[first:last] - 1.0, _MAX_MOMENTS, increasing=True)
+        shifted = (powers.T @ local).reshape(2, -1).take(_SHIFT_AT, axis=1)
+        real, imag = np.einsum("jr,cjr->cj", _SHIFT, shifted)
+        signal._memo["moments"] = moments = _readonly(real + 1j * imag)
     # the image term of moment j is bounded by |nu_j| times its term per unit
     # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
     per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), period))
     s = 1.0 + order + np.arange(_MAX_MOMENTS)
     zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
-    top, unit, lo, hi = _support(signal)
-    kept = signal._memo.get("moments", ())
-    moments = np.empty(_MAX_MOMENTS, dtype=complex)
-    moments[:len(kept)] = kept
-    powers = None
-    for j in range(_MOMENT_CHUNK, _MAX_MOMENTS + 1, _MOMENT_CHUNK):
-        if j > len(kept):
-            if powers is None:
-                t = (grid.x[lo:hi] - 0.5 * (grid.x_min + grid.x_max)) / period
-                powers = np.empty((_MOMENT_CHUNK, hi - lo))
-                powers[0] = grid.dx * unit
-                for _ in range(len(kept)):
-                    powers[0] *= t
-            else:
-                np.multiply(powers[-1], t, out=powers[0])
-            for k in range(1, _MOMENT_CHUNK):
-                np.multiply(powers[k - 1], t, out=powers[k])
-            np.matmul(powers, signal.values[lo:hi].view(float).reshape(-1, 2),
-                      out=moments[j - _MOMENT_CHUNK:j].view(float).reshape(-1, 2))
-            signal._memo["moments"] = _readonly(moments[:j])
-        quiet = per_moment[:j] * np.abs(moments[:j]) * zeta_max[:j] < _MOMENT_TOL * (top * unit)
-        stop = np.flatnonzero(quiet[1:] & quiet[:-1])
-        if stop.size:
-            return moments[:stop[0] + 2] / unit
-    return moments / unit
+    quiet = per_moment * np.abs(moments) * zeta_max < _MOMENT_TOL * (top * unit)
+    stop = np.flatnonzero(quiet[1:] & quiet[:-1])
+    return moments[:stop[0] + 2 if stop.size else _MAX_MOMENTS] / unit
 
 
 def _images(signal, alpha, phase):

@@ -125,15 +125,17 @@ def test_sample_rejects_non_finite():
 def test_hand_built_samples_must_be_finite(bad):
     # sample's check is the constructors' own, so hand-built data meets it
     # too: one nan sample used to give a non-finite D^0.5 with no warning
+    # the point is named as a plain number, not as numpy's np.float64(...)
     g = make_grid(-8.0, 8.0, 64)
-    values = np.exp(-g.x ** 2).astype(complex)
-    values[9] = bad
-    with pytest.raises(EvaluationFailure, match="non-finite value at x=") as err:
-        SampledSignal(g, values)
-    assert str(g.x[9]) in str(err.value)
-    with pytest.raises(EvaluationFailure, match="non-finite value at p=") as err:
-        Spectrum(g, values)
-    assert str(g.p[9]) in str(err.value)
+    for k, x, p in ((0, "-8.0", "0.0"), (9, "-5.75", "3.5342917352885173")):
+        values = np.exp(-g.x ** 2).astype(complex)
+        values[k] = bad
+        with pytest.raises(EvaluationFailure) as err:
+            SampledSignal(g, values)
+        assert str(err.value) == f"non-finite value at x={x}"
+        with pytest.raises(EvaluationFailure) as err:
+            Spectrum(g, values)
+        assert str(err.value) == f"non-finite value at p={p}"
 
 
 def test_require_same_grid_names_both_grids():

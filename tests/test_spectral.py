@@ -296,9 +296,12 @@ def test_image_record_gates_its_inputs():
     g = make_grid(-8.0, 8.0, 256)
     with pytest.raises(GridMismatch, match="needs a Grid"):
         spectral.ImageCorrection(0.5, 1.0, [1.0])
-    for moments in ([math.nan], [1.0, math.inf], [10 ** 400]):
-        with pytest.raises(EvaluationFailure):
+    for moments, message in (([math.nan], "non-finite value at j=0"),
+                             ([1.0, math.inf], "non-finite value at j=1"),
+                             ([10 ** 400], "moments hold an int past the float range")):
+        with pytest.raises(EvaluationFailure) as err:
             spectral.ImageCorrection(g, 0.5, moments)
+        assert str(err.value) == message
     # the orders _images gives no record, or refuses, the record refuses too
     for order in (0, 1, 2.0, 170.5, 300.0):
         with pytest.raises(AlphaInForbiddenRange, match="leaves no image tail"):
@@ -326,14 +329,11 @@ def test_image_record_and_result_survive_pickle_and_deepcopy(op):
         assert np.array_equal(record.moments, d.images.moments)
 
 
-@pytest.mark.parametrize("f, chunks", [
-    (GAUSS, [24, 24, 24, 24]),
-    # order 5.2 needs more moment chunks than the first order, 0.3
-    (lambda x: np.exp(-(x - 3) ** 2 + 0.5j * x), [32, 40, 40, 40]),
-], ids=["gaussian", "off-centre complex"])
-def test_a_reused_signal_gives_the_bits_of_fresh_ones(f, chunks):
-    # the signal's memo keeps its half-spectra, its support record and the
-    # moment chunks taken
+@pytest.mark.parametrize("f", [GAUSS, lambda x: np.exp(-(x - 3) ** 2 + 0.5j * x)],
+                         ids=["gaussian", "off-centre complex"])
+def test_a_reused_signal_gives_the_bits_of_fresh_ones(f):
+    # the signal's memo keeps its half-spectra, its support record and all
+    # _MAX_MOMENTS moments, formed at its first fractional order
     g = make_grid(-16.0, 16.0, 4096)
     kept = sample(f, g)
     taken = []
@@ -343,9 +343,34 @@ def test_a_reused_signal_gives_the_bits_of_fresh_ones(f, chunks):
             chained = op(op(kept, a), 0.7)
             assert _result_bits(chained) == _result_bits(op(op(sample(f, g), a), 0.7)), (a, op)
         taken.append(len(kept._memo["moments"]))
-    assert taken == chunks
+    assert taken == [spectral._MAX_MOMENTS] * 4
     assert set(kept._memo) == {"spectra", "support", "moments"}
     assert not any(c.flags.writeable for c in kept._memo["spectra"])
+
+
+@pytest.mark.parametrize("n", [8, 16, 256, 4096, 2 ** 15])
+def test_block_moments_match_direct_sums(n):
+    # the block product of _moments against sum_k t_k^j f_k dx over the
+    # support, t_k the offset from the box centre in periods, both in the
+    # signal's unit (n = 8 and 16 give blocks of one sample).  Each kept
+    # moment's error, times the stop test's bound on its image term, stays
+    # below 1e-16 max|f|, also at scales where dx unit t^j is subnormal
+    g = make_grid(-16.0, 16.0, n)
+    t = np.arange(n) / n - 0.5
+    period = g.x_max - g.x_min
+    for f in (GAUSS, X2GAUSS, lambda x: np.exp(-(x - 6) ** 2), lambda x: np.exp(-(x - 9) ** 2),
+              lambda x: np.exp(-(x - 10) ** 2 + 0.5j * x)):
+        for scale in (1.0, 1e-300, 1e300):
+            signal = sample(lambda x: scale * f(x), g)
+            top, unit, lo, hi = spectral._support(signal)
+            for order in (0.5, 5.2):
+                j = np.arange(len(spectral._moments(signal, order)))
+                s = 1.0 + order + j
+                bound = (np.abs(spectral._tail_terms(order, np.ones(j.size), period))
+                         * (2.0 ** s + 1.0 / (s - 1.0)))
+                direct = t[lo:hi] ** j[:, None] @ (signal.values[lo:hi] * unit) * g.dx
+                error = np.abs(signal._memo["moments"][:j.size] - direct) * bound
+                assert error.max() <= 1e-16 * top * unit, (f, scale, order)
 
 
 def test_engine_results_are_read_only_and_their_own():
