@@ -330,15 +330,12 @@ def _image_sum(n, order, terms, scale):
     rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
                                    s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(zeta, n_taylor, axis=1)[:, :n_mom]
-    weights = terms[:, None] * rising
-    imaginary = weights.imag.any()
-    taylor = np.einsum("jr,bjr->br", weights if imaginary else weights.real, windows)
+    taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, windows)
     # One product per half: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
     out = np.empty(n, dtype=complex)
-    np.multiply((taylor.real @ factors).ravel(), scale, out=out)      # imaginary half 0
-    if imaginary:
-        np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
+    np.multiply((taylor.real @ factors).ravel(), scale, out=out.real)
+    np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
     return out
 
 
