@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .grid import SampledSignal, central_gap, make_grid, require_same_grid
+from .grid import SampledSignal, _readonly, central_gap, make_grid, require_same_grid
 from .oracles import _SQRT_PI, gaussian
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing, _abs_power,
-                       _decays, _overflow_is_too_large, _support, fractional_derivative,
-                       fractional_momentum, inner, require_order, zero_noise)
+                       _box_moments, _decays, _half_spectra, _overflow_is_too_large, _support,
+                       fractional_derivative, fractional_momentum, inner, require_order)
 
 # Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
 # For the Gaussian state on (-20, 20) the first term left out (j = 10; odd
@@ -199,24 +199,6 @@ def uncertainty_bound(alpha):
     return specfun.require_finite(bound, specfun.ORDER_OVERFLOW, "uncertainty_bound", alpha)
 
 
-def _density_taylor(signal, centre):
-    """Taylor coefficients c_0..c_(_NAVOT_TERMS-1) of |phi_hat(p)|^2 at p = 0.
-
-    phi_hat(p) = e^{-ip c} sum_j a_j p^j with a_j = (-i)^j m_j / (j! sqrt(2 pi))
-    and m_j = sum (x - c)^j f dx the moments about c; the phase drops out of
-    |phi_hat|^2 = sum_k c_k p^k, c_k = sum_{i+l=k} conj(a_i) a_l.
-    """
-    g = signal.grid
-    t = g.x - centre
-    a = np.empty(_NAVOT_TERMS, dtype=complex)
-    term = signal.values * g.dx
-    for j in range(_NAVOT_TERMS):
-        a[j] = (-1j) ** j * np.sum(term) / (math.factorial(j) * SQRT_2PI)
-        term = term * t
-    return np.array([np.sum(np.conj(a[:k + 1]) * a[k::-1]).real
-                     for k in range(_NAVOT_TERMS)])
-
-
 def _momentum_moment(density, b, signed, taylor, dp):
     """Integral of s(p) G(p) dp, G = |phi_hat|^2, from its Riemann sum on the frequency grid.
 
@@ -263,45 +245,52 @@ def _momentum_moment(density, b, signed, taylor, dp):
 def _spread(state):
     """(delta_x, density, taylor) of a state, computed once per state (its memo keeps them).
 
-    delta_x is the position spread about mean_x = <x>; density holds the
-    rows dp |phi_hat(+-k dp)|^2 that _momentum_moment sums, up to the last
-    bin that spectral.zero_noise keeps; taylor the coefficients of
-    |phi_hat|^2 at p = 0, from the moments about mean_x.
+    delta_x is the position spread, from the weights |psi|^2 dx.  The other two
+    are read from the engine's records of the state, so a state it has
+    transformed costs no transform here.  density holds the rows
+    dp |phi_hat(+-k dp)|^2 that _momentum_moment sums, up to the last bin the
+    noise floor keeps: with R, I the half-spectra of the real and imaginary part
+    (spectral._half_spectra), phi_hat is R + iI at +k dp, conj(R - iI) at -k dp.
+    taylor holds the coefficients c_k of |phi_hat|^2 at p = 0 from the moments
+    m_j = sum (x - c)^j psi dx about the box centre c (spectral._box_moments, which
+    the image correction reads too): phi_hat(p) = e^{-ipc} sum_j a_j p^j with
+    a_j = (-i)^j m_j / (j! sqrt(2 pi)), and c_k = sum_{i+l=k} conj(a_i) a_l.
     """
     spread = state._memo.get("spread")
     if spread is None:
         g = state.grid
-        mean_x = inner(state.values, g.x * state.values, g.dx, Pairing.SESQUILINEAR).real
-        mean_xx = inner(state.values, g.x ** 2 * state.values, g.dx, Pairing.SESQUILINEAR).real
-        delta_x = math.sqrt(max(mean_xx - mean_x ** 2, 0.0))
-
-        # |forward(signal).coeffs|^2 dp; the grid-offset phase of forward drops out of |.|^2
-        coeffs = np.fft.fft(state.values)
-        zero_noise(coeffs)
-        weight = np.abs(coeffs) ** 2 * (g.dx ** 2 / (2 * np.pi) * g.dp)
+        weight = np.abs(state.values) ** 2 * g.dx
+        mean_x = np.sum(weight * g.x)
+        delta_x = math.sqrt(max(np.sum(weight * g.x ** 2) - mean_x ** 2, 0.0))
+        spectra = _half_spectra(state)
+        real, imag = spectra if len(spectra) == 2 else (spectra[0], 0.0)
+        scale = g.dx ** 2 / (2 * np.pi) * g.dp
         half = g.n // 2
         density = np.zeros((2, half + 1))
-        density[0, :half] = weight[:half]              # p = 0 .. (n/2 - 1) dp
-        density[1, 1:] = weight[:half - 1:-1]          # p = -dp .. -(n/2) dp
+        density[0, :half] = np.abs(real + 1j * imag)[:half] ** 2 * scale   # p = 0 .. (n/2 - 1) dp
+        density[1, 1:] = np.abs(real - 1j * imag)[1:] ** 2 * scale         # p = -dp .. -(n/2) dp
         kept = int(np.flatnonzero(density.any(axis=0))[-1]) + 1
-        density = density[:, :kept]
-        density.setflags(write=False)
-        spread = state._memo["spread"] = (delta_x, density, _density_taylor(state, mean_x))
+        density = _readonly(density[:, :kept])
+
+        j = np.arange(_NAVOT_TERMS)
+        m = _box_moments(state)[:_NAVOT_TERMS] * (g.x_max - g.x_min) ** j / _support(state)[1]
+        a = (-1j) ** j * m / (np.cumprod(np.maximum(j, 1)) * SQRT_2PI)
+        taylor = np.convolve(np.conj(a), a)[:_NAVOT_TERMS].real
+        spread = state._memo["spread"] = (delta_x, density, taylor)
     return spread
 
 
 def uncertainty_check(alpha, state):
     """Measure delta_x, delta_P_a, and the commutator bound on a state.
 
-    Position moments go through multiplication by x; momentum moments are
-    diagonal quadratic forms, so they are summed directly in the frequency
-    domain against |phi_hat|^2 rather than round-tripped through the
-    engine, with the error of the kink of |p|^b at p = 0 removed (see
-    _momentum_moment).  Bins that spectral.zero_noise zeroes hold FFT
-    roundoff, which |p|^b would amplify; they are left out.  For the
-    Gaussian state the resulting bound reproduces uncertainty_bound(alpha).
-    The state is a unit-norm SampledSignal.  Raises OrderTooLarge where
-    |p|^(2a) overflows on the kept bins.
+    Momentum moments are diagonal quadratic forms, so they are summed in the
+    frequency domain against |phi_hat|^2 (see _spread) rather than
+    round-tripped through the engine, with the error of the kink of |p|^b at
+    p = 0 removed (see _momentum_moment).  Bins below the engine's noise floor
+    hold FFT roundoff, which |p|^b would amplify; they are left out.  For the
+    Gaussian state the bound reproduces uncertainty_bound(alpha).  The state
+    is a unit-norm SampledSignal.  Raises OrderTooLarge where |p|^(2a)
+    overflows on the kept bins, or 2a itself does.
     """
     alpha = require_order(alpha)
     if alpha < 1:
@@ -312,7 +301,9 @@ def uncertainty_check(alpha, state):
     g = state.grid
     delta_x, density, taylor = _spread(state)
 
-    # |p|^(2a) first: where any power overflows, its OrderTooLarge names 2a
+    # |p|^(2a) first: its OrderTooLarge names 2a, or the order where 2a is not finite
+    if math.isinf(2 * alpha):
+        raise OrderTooLarge(f"order {alpha:g} is too large: 2a overflows double precision")
     mean_pp = _momentum_moment(density, 2 * alpha, False, taylor, g.dp)
     mean_p = _momentum_moment(density, alpha, True, taylor, g.dp)
     mean_lower = _momentum_moment(density, alpha - 1, True, taylor, g.dp)

@@ -78,7 +78,7 @@ _MOMENT_TOL = 1e-17
 _MAX_MOMENTS = 40
 _IMAGE_BLOCKS = 32
 _IMAGE_TAYLOR = 18
-# _moments' binomial shift: the weight j!/(j-r)! (-1)^r at (j, r), 0 for r > j, and
+# _box_moments' binomial shift: the weight j!/(j-r)! (-1)^r at (j, r), 0 for r > j, and
 # the flat index of (j - r, r), the row clipped at 0, in a (_MAX_MOMENTS, _IMAGE_TAYLOR) table
 _SHIFT = np.array([[(-1) ** r * math.perm(j, r) for r in range(_IMAGE_TAYLOR)]
                    for j in range(_MAX_MOMENTS)], dtype=float)
@@ -305,7 +305,7 @@ def _taylor_blocks(n):
 
     The grid point i sits at q = 1/2 + i/n, so every block has the same
     offsets h from its centre and the factors form one (R, L) table: samples
-    to block moments in _moments, block Taylor terms to samples in _image_sum.
+    to block moments in _box_moments, block Taylor terms to samples in _image_sum.
     """
     blocks = min(n, _IMAGE_BLOCKS)
     size = n // blocks
@@ -361,23 +361,21 @@ def _decays(signal):
     return edge == 0.0 or edge < DECAY_THRESHOLD * _support(signal)[0]
 
 
-def _moments(signal, order):
-    """Scaled moments nu_j of the samples about the box centre, as many as order needs.
+def _box_moments(signal):
+    """All _MAX_MOMENTS scaled moments nu_j of the samples about the box centre, in the
+    unit of _support: read-only, once per signal (its memo keeps them).
 
-    One product per signal forms all _MAX_MOMENTS, kept in the memo in the
-    unit of _support: the blocks of _taylor_blocks(n) hold dx unit f over
-    the support (0 elsewhere), its factors give their local moments
+    One product forms them all: the blocks of _taylor_blocks(n) hold dx unit f
+    over the support (0 elsewhere), its factors give their local moments
     L_br = sum (-h)^r/r! f, and _SHIFT moves these to the box centre,
     nu_j = sum_r j!/(j-r)! (-1)^r sum_b tau_b^(j-r) L_br with tau_b = q_b - 1
-    (h and tau_b in periods).  In the unit nothing underflows near the float
-    minimum, and c*f keeps the moment count of f.  The list ends at the
-    first two moments in a row whose image term is bounded below the limit.
+    (h and tau_b in periods), nothing underflowing near the float minimum.  Read by
+    _moments, for the image correction, and by quantum._spread, for |phi_hat|^2.
     """
-    grid = signal.grid
-    period = grid.x_max - grid.x_min
-    top, unit, lo, hi = _support(signal)
     moments = signal._memo.get("moments")
     if moments is None:
+        grid = signal.grid
+        _, unit, lo, hi = _support(signal)
         centres, factors = _taylor_blocks(grid.n)
         size = factors.shape[1]
         first, last = lo // size, -(-hi // size)
@@ -388,9 +386,19 @@ def _moments(signal, order):
         shifted = (powers.T @ local).reshape(2, -1).take(_SHIFT_AT, axis=1)
         real, imag = np.einsum("jr,cjr->cj", _SHIFT, shifted)
         signal._memo["moments"] = moments = _readonly(real + 1j * imag)
+    return moments
+
+
+def _moments(signal, order):
+    """The moments nu_j of _box_moments, as many as order needs: the list ends at the
+    first two in a row whose image term is bounded below the limit (so c*f keeps the
+    moment count of f)."""
+    grid = signal.grid
+    top, unit = _support(signal)[:2]
+    moments = _box_moments(signal)
     # the image term of moment j is bounded by |nu_j| times its term per unit
     # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
-    per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), period))
+    per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), grid.x_max - grid.x_min))
     s = 1.0 + order + np.arange(_MAX_MOMENTS)
     zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
     quiet = per_moment * np.abs(moments) * zeta_max < _MOMENT_TOL * (top * unit)

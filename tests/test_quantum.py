@@ -169,15 +169,18 @@ def test_ladder_agrees_with_commutator_dx_route():
 
 # --- expectation values ----------------------------------------------------
 
-def _counting(monkeypatch, name):
-    """The list that gets one entry per call of np.fft.<name> from now on."""
+def _counting(monkeypatch, *names):
+    """The list that gets the name of each call of np.fft.<name> from now on, for
+    each of names, or for every entry point of np.fft where none is given."""
     calls = []
-    function = getattr(np.fft, name)
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return function(*args, **kwargs)
-    monkeypatch.setattr(np.fft, name, counted)
+    def counter(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counted
+    for name in names or np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, counter(name, getattr(np.fft, name)))
     return calls
 
 
@@ -304,6 +307,34 @@ def test_uncertainty_check_matches_closed_form_moments():
             assert abs(report.rhs_bound - bound) / bound < tol, order
 
 
+@pytest.mark.parametrize("k", [6, -10, 25])
+def test_uncertainty_check_on_a_boosted_state(k):
+    # e^{iqx} times the Gaussian state, q = k dp on the grid: P ~ N(q, 1) off
+    # p = 0, so the spreads at orders 1, 2 and 3 follow from the raw moments of
+    # N(q, 1), and the density's rows R + iI and conj(R - iI) differ
+    g = high_res_grid()
+    q = k * g.dp
+    state = SampledSignal(g, np.exp(1j * q * g.x) * gaussian_state(g).values)
+    for order, delta_p in ((1.0, 1.0), (2.0, math.sqrt(4 * q ** 2 + 2)),
+                           (3.0, math.sqrt(9 * q ** 4 + 36 * q ** 2 + 15))):
+        report = uncertainty_check(order, state)
+        assert report.delta_p_alpha == pytest.approx(delta_p, rel=1e-14, abs=0), order
+        assert report.delta_x == pytest.approx(0.5, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("s", [3.0, 7.5, 10.0])
+def test_uncertainty_check_does_not_depend_on_the_centre(s):
+    # a shift is a phase of phi_hat, so the momentum sums and the Taylor
+    # coefficients of |phi_hat|^2, taken about the box centre, are the centred state's
+    g = high_res_grid()
+    shifted = SampledSignal(g, (2.0 / np.pi) ** 0.25 * np.exp(-(g.x - s) ** 2))
+    centred = gaussian_state(g)
+    for order in (1.02, 1.5, 2.5, 5.5, 10.5):
+        got, want = uncertainty_check(order, shifted), uncertainty_check(order, centred)
+        assert got.delta_p_alpha == pytest.approx(want.delta_p_alpha, rel=1e-13, abs=0), order
+        assert got.rhs_bound == pytest.approx(want.rhs_bound, rel=1e-13, abs=0), order
+
+
 def _momentum_moment_per_term(density, b, signed, taylor, dp):
     """The reference of quantum._momentum_moment: one scalar zeta_negative call
     per Navot term, stopping at the first that overflows."""
@@ -335,13 +366,22 @@ def test_uncertainty_reports_keep_the_bits_of_the_per_term_sums(monkeypatch):
 
 
 def test_uncertainty_check_takes_one_fft_per_state(monkeypatch):
-    # the norm, <x>, delta_x, |phi_hat|^2 and its Taylor coefficients are the
-    # state's, so four orders on one state take one FFT and keep the bits
+    # |phi_hat|^2 comes from the engine's half-spectra of the state and its
+    # Taylor coefficients from the engine's moment record, so four orders on
+    # a fresh state take one rfft and no other transform, a state the engine
+    # has transformed takes none, and both keep the bits
     state = gaussian_state(high_res_grid())
     orders = (1.0, 1.5, 2.0, 3.0)
-    calls = _counting(monkeypatch, "fft")
+    calls = _counting(monkeypatch)
     got = [uncertainty_check(a, state) for a in orders]
-    assert len(calls) == 1
+    assert calls == ["rfft"]
+    assert set(state._memo) == {"norm", "support", "spectra", "moments", "spread"}
+    transformed = gaussian_state(high_res_grid())
+    fractional_momentum(transformed, 1.5)
+    calls.clear()
+    reused = [uncertainty_check(a, transformed) for a in orders]
+    assert calls == []
+    assert pickle.dumps(reused) == pickle.dumps(got)
     want = [uncertainty_check(a, gaussian_state(high_res_grid())) for a in orders]
     assert pickle.dumps(got) == pickle.dumps(want)
     # the gates still run on every call
@@ -377,9 +417,12 @@ def test_order_too_large_is_typed():
         uncertainty_bound(400.0)
     report = uncertainty_check(140.0, state)     # below the overflow the report is finite
     assert math.isfinite(report.delta_p_alpha) and report.satisfied
-    # the report's largest power is |p|^(2a), and the error names it
-    with pytest.raises(OrderTooLarge, match=r"\|p\|\^800 overflows"):
-        uncertainty_check(400.0, state)
+    # the report's largest power is |p|^(2a), and the error names it, or the
+    # order as given where 2a is past the float range
+    for a, text in ((400.0, r"\|p\|\^800 overflows"),
+                    (1e308, r"order 1e\+308 is too large: 2a overflows")):
+        with pytest.raises(OrderTooLarge, match=text):
+            uncertainty_check(a, state)
     # past order about 2051 the float power 2^((a-3)/2) overflows before Gamma
     for a in (2060.0, 1e300):
         with pytest.raises(OrderTooLarge, match="uncertainty_bound"):
