@@ -140,6 +140,13 @@ def suite_closedform():
     r.below("x2-gaussian half order at x=1: engine vs closed form",
             abs(d.values[j] - oracles.x2gaussian_deriv(0.5, 1.0)), 1e-3)
 
+    # D^a -> identity as a -> 0: the image sum takes zeta(1 + a)'s pole term at a itself
+    g8 = make_grid(-8.0, 8.0, 256)
+    gap = (fractional_derivative(sample(gaussian, g8), 1e-12).values
+           - oracles.gaussian_deriv(1e-12, g8.x))
+    r.below("gaussian order 1e-12: engine vs closed form (|x|<=4)",
+            np.max(np.abs(gap[np.abs(g8.x) <= 4.0])), 1e-13)
+
     r.below("exp rule k=1 half order at 0", abs(oracles.exp_rule(1.0, 0.5, 0.0) - 1.0), 1e-12)
     r.below("exp rule k=2 half order at 0",
             abs(oracles.exp_rule(2.0, 0.5, 0.0) - math.sqrt(2.0)), 1e-12)

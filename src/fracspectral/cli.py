@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -168,10 +169,9 @@ def _curves_json(curve_list):
 
 
 def _per_alpha_path(path, alpha):
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_alpha{fmt9(alpha)}"
-    return f"{stem}_alpha{fmt9(alpha)}.{ext}"
+    """The path with _alpha<order> before its file name's extension, if it has one."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_alpha{fmt9(alpha)}{ext}"
 
 
 # --- input path ------------------------------------------------------------

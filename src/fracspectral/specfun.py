@@ -62,13 +62,11 @@ _ZETA_TAIL = np.array([num / (den * math.factorial(2 * k))
 _DIRECT_OFFSETS = np.arange(float(_ZETA_DIRECT))
 _RISING_STEPS = np.arange(2.0 * len(_ZETA_TAIL) - 1)
 _EVEN_POWERS = np.arange(0.0, 2 * len(_ZETA_TAIL), 2.0)
-# The tail is scaled by w^(-s) with w = q + _ZETA_DIRECT > 8, and 8^(-s)
-# underflows to 0 from s of about 358.4 on.  Its Bernoulli corrections are
-# formed with s capped here, so their rising factorials stay finite where
+# The tail is scaled by w^(-t), t = s - 1, with w = q + _ZETA_DIRECT > 8, and
+# 8^(-t) underflows to 0 from t of about 358.4 on.  Its Bernoulli corrections
+# are formed with s capped here, so their rising factorials stay finite where
 # they are multiplied by that 0; below the cap s is used as it is.
 _ZETA_TAIL_MAX_S = 400.0
-# the smallest normal double: a w^(-s) below it has lost digits or is 0
-_TINY = float(np.finfo(float).tiny)
 # Below this t, zeta(-t) is its Taylor polynomial -1/2 + t ln(2 pi)/2: the next
 # term, zeta''(0) t^2 / 2 with zeta''(0) = -2.006, is below 1e-17 of the value.
 _ZETA_TAYLOR_T = 1e-9
@@ -331,28 +329,13 @@ def _sum_rows(stack):
     return functools.reduce(operator.add, stack)
 
 
-def hurwitz_zeta(s, q):
-    """Hurwitz zeta function zeta(s, q) = sum_{k>=0} (q + k)^(-s).
-
-    Defined here for finite s > 1 and q > 0; s and q broadcast against each other
-    like numpy arrays, and a pair of scalars gives a float, bitwise the
-    element of an array call on the same pair.  Euler-Maclaurin
-    summation with a fixed number of direct terms and Bernoulli corrections
-    (see _ZETA_DIRECT), accurate to a few ulp for s up to 1000 on the q range
-    0.5 .. 1.5 that the engine's image correction uses.  Where the tail's
-    factor w^(-s) underflows (q of about 1e154 and up at s = 2), the tail
-    is formed from w^(1-s) instead, so zeta(2, 1e300) is about 1e-300, not 0.
-    Raises OrderTooLarge where a term overflows double precision: a direct
-    term q^(-s) (large s with q < 1), or the tail's w/(s-1) (large q with
-    s near 1).
-    """
-    s = require_reals("hurwitz_zeta s", s, above=1.0)
-    q = require_reals("hurwitz_zeta q", q, above=0.0)
-    # a pair of scalars runs as 1-element arrays: numpy's ** on scalars (and
-    # its fast paths for exponents such as -1) can differ in the last bit
-    # from the pow of the array loop
-    scalar = s.ndim == q.ndim == 0
-    s, q = np.atleast_1d(s, q)
+def _zeta_one_plus(t, q):
+    """zeta(1 + t, q) on gated float arrays t > 0, q > 0: the one body of hurwitz_zeta,
+    zeta_negative and the image sum.  The direct and Bernoulli terms take s = 1.0 + t,
+    the tail w^(-t) (1/t + (1/2 + B/w)/w), w = q + _ZETA_DIRECT, takes t itself: by
+    zeta(s, q) = 1/(s-1) - psi(q) + O(s-1) (DLMF 25.11) only the pole term needs the
+    exact t.  w^(-t) <= 1, so only a direct term q^(-s) can overflow."""
+    s = 1.0 + t
     column = (-1,) + (1,) * max(s.ndim, q.ndim)    # a leading axis to sum over
     w = q + _ZETA_DIRECT
     # sum_i B_2i/(2i)! (s)_(2i-1) w^(-s-2i+1) = w^(-s-1) sum_i c_i(s) w^(-2i+2)
@@ -361,18 +344,32 @@ def hurwitz_zeta(s, q):
                         axis=0)[::2]                               # (s)_1, (s)_3, ...
     even = _EVEN_POWERS.reshape(column)
     bernoulli = _sum_rows(_ZETA_TAIL.reshape(column) * rising * w ** -even)
+    direct = _sum_rows((q + _DIRECT_OFFSETS.reshape(column)) ** -s)
+    return direct + w ** -t * (1.0 / t + (0.5 + bernoulli / w) / w)
+
+
+def hurwitz_zeta(s, q):
+    """Hurwitz zeta function zeta(s, q) = sum_{k>=0} (q + k)^(-s).
+
+    Defined here for finite s > 1 and q > 0; s and q broadcast against each other
+    like numpy arrays, and a pair of scalars gives a float, bitwise the
+    element of an array call on the same pair.  Euler-Maclaurin
+    summation with a fixed number of direct terms and Bernoulli corrections
+    (see _ZETA_DIRECT and _zeta_one_plus), accurate to a few ulp for s up to
+    1000 on the q range 0.5 .. 1.5 that the engine's image correction uses,
+    and at large q (zeta(2, 1e300) is about 1e-300).  Raises OrderTooLarge
+    where a direct term q^(-s) overflows (large s with q < 1).
+    """
+    s = require_reals("hurwitz_zeta s", s, above=1.0)
+    q = require_reals("hurwitz_zeta q", q, above=0.0)
+    # a pair of scalars runs as 1-element arrays: numpy's ** on scalars (and
+    # its fast paths for exponents such as -1) can differ in the last bit
+    # from the pow of the array loop
+    scalar = s.ndim == q.ndim == 0
+    s, q = np.atleast_1d(s, q)
     try:
         with np.errstate(over="raise"):
-            direct = _sum_rows((q + _DIRECT_OFFSETS.reshape(column)) ** -s)
-            scale = w ** -s
-            tail = scale * (w / (s - 1.0) + 0.5 + bernoulli / w)
-            # where w^(-s) underflows (large q), w^(1-s) keeps the digits
-            # that w / (s - 1) would have scaled back up
-            low = scale < _TINY
-            if low.any():
-                rest = 1.0 / (s - 1.0) + (0.5 + bernoulli / w) / w
-                tail = np.where(low, w ** (1.0 - s) * rest, tail)
-            total = direct + tail
+            total = _zeta_one_plus(s - 1.0, q)      # s - 1 is exact for s <= 2^53
     except FloatingPointError:
         raise OrderTooLarge(f"hurwitz_zeta overflows double precision for s in "
                             f"[{s.min():.12g}, {s.max():.12g}], q in [{q.min():g}, {q.max():g}]: "
@@ -391,10 +388,9 @@ def zeta_negative(t):
     nearest integer m, sin(pi t/2) = sin(pi m/2) cos(pi d/2) +
     cos(pi m/2) sin(pi d/2) with d = t - m exact, so the trivial zeros at
     even t > 0 are exact and the value keeps its relative accuracy next to
-    them.  zeta(1+t) is taken at s = 1 + t rounded; where t < 1 its pole
-    term is moved from 1/(s-1) back to 1/t, so the rounding of s costs no
-    relative accuracy next to the pole.  Below _ZETA_TAYLOR_T, a range that
-    holds every t for which 1 + t rounds to 1, zeta(-t) is -1/2 + t ln(2 pi)/2
+    them.  zeta(1+t) is _zeta_one_plus at t itself, so the rounding of 1 + t
+    costs no relative accuracy next to the pole.  Below _ZETA_TAYLOR_T, a
+    range that holds every t for which 1 + t rounds to 1, zeta(-t) is -1/2 + t ln(2 pi)/2
     (zeta(0) = -1/2, zeta'(0) = -ln(2 pi)/2).  Raises OrderTooLarge where
     Gamma(1+t) overflows (t above about 170.6, except at the even t, whose
     zeros need no Gamma).
@@ -402,7 +398,7 @@ def zeta_negative(t):
     t may also be a numpy array of any shape, each element bitwise the
     scalar call; anything else runs as a one-element row and gives a float.
     Each element is gated and its factor before zeta(1+t) formed as above,
-    in C order, and one hurwitz_zeta call serves every element that needs
+    in C order, and one _zeta_one_plus call serves every element that needs
     it.  Where the scalar call on some element would raise, the array raises
     the error of the first such element, before any zeta is computed: a row
     that crosses the Gamma limit raises OrderTooLarge as a whole.
@@ -410,7 +406,6 @@ def zeta_negative(t):
     array = isinstance(t, np.ndarray)
     row = t.ravel().tolist() if array else [t]
     values, needs_zeta = np.empty(len(row)), np.zeros(len(row), dtype=bool)
-    pole = []       # for each element that needs zeta: 1/t - 1/(s-1), s = 1 + t rounded
     for i, x in enumerate(row):
         x = row[i] = require_real("zeta_negative t", x, least=0.0)
         if x < _ZETA_TAYLOR_T:
@@ -424,14 +419,6 @@ def zeta_negative(t):
         needs_zeta[i] = sine != 0.0
         values[i] = (-2.0 * (2.0 * math.pi) ** (-1.0 - x) * sine * gamma(1.0 + x)
                      if needs_zeta[i] else 0.0)
-        if needs_zeta[i]:
-            # zeta(1+t) = zeta(s) + 1/t - 1/(s-1) + O(r), with r = t - (s - 1)
-            # the rounding of s, exact for t < 1 (s - 1 is exact there)
-            rounded = (1.0 + x) - 1.0
-            pole.append((x - rounded) / (x * rounded) if x < 1.0 else 0.0)
-    if pole:
-        zeta = hurwitz_zeta(1.0 + np.array(row)[needs_zeta], 1.0)
-        if any(pole):
-            zeta -= pole
-        values[needs_zeta] *= zeta
+    if needs_zeta.any():
+        values[needs_zeta] *= _zeta_one_plus(np.array(row)[needs_zeta], np.ones(1))
     return values.reshape(t.shape) if array else float(values[0])

@@ -321,12 +321,12 @@ def _image_sum(n, order, terms, scale):
 
     Each block uses zeta(s, q_b + h) = sum_r (-h)^r (s)_r / r! zeta(s+r, q_b),
     from d zeta(s, q)/dq = -s zeta(s+1, q) (DLMF 25.11), so zeta is evaluated
-    at the block centres only.
+    at the block centres only, column 0's pole term ~ 1/a at the order itself.
     """
     centres, factors = _taylor_blocks(n)
     n_mom, n_taylor = len(terms), len(factors)
     s = 1.0 + order + np.arange(n_mom + n_taylor)
-    zeta = specfun.hurwitz_zeta(s, centres[:, None])                  # (B, J+R)
+    zeta = specfun._zeta_one_plus(np.hstack([order, s[1:] - 1.0]), centres[:, None])  # (B, J+R)
     rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
                                    s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(zeta, n_taylor, axis=1)[:, :n_mom]

@@ -218,6 +218,22 @@ def test_derive_multiple_orders_to_an_output_without_extension(tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out_alpha0.5", "out_alpha1.5"]
 
 
+def test_derive_multiple_orders_splits_only_the_file_name_extension(tmp_path, capsys, monkeypatch):
+    # a dot in a directory name, a leading ./ and a dot file have no extension
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    for output, stem in (("run.v2/out", "run.v2/out"), ("./out", "out"), (".hidden", ".hidden"),
+                         ("d.csv", "d")):
+        rc, _, err = run_cli(capsys, "derive", "--alpha", "0.5,1.5", "--domain", "-8", "8",
+                             "--points", "32", "--output", output)
+        assert (rc, err) == (0, ""), output
+        ext = ".csv" if output.endswith(".csv") else ""
+        for a in ("0.5", "1.5"):
+            assert (tmp_path / f"{stem}_alpha{a}{ext}").is_file(), (output, a)
+    assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == ["out_alpha0.5",
+                                                                       "out_alpha1.5"]
+
+
 def test_derive_multiple_orders_csv_needs_output_file(capsys):
     # refused before any order is computed: the periodic x2-Gaussian on (-2, 2)
     # prints no wrap-around warning first.  One test, one argv per route

@@ -51,6 +51,16 @@ def test_grid_equality_and_hash():
     assert a != c
 
 
+def test_reprs_and_equality_with_another_type():
+    g = make_grid(-8.0, 8.0, 16)
+    assert repr(SampledSignal(g, np.exp(-g.x * g.x))) == \
+        "SampledSignal(n=16, boundary_decay=5.243e-22)"
+    assert repr(Spectrum(g, np.zeros(16))) == "Spectrum(n=16)"
+    # another type is left to its own __eq__, and then compares unequal
+    assert Grid.__eq__(g, 3) is NotImplemented
+    assert (g == 3) is False
+
+
 def test_arrays_are_frozen():
     g = make_grid(-4.0, 4.0, 64)
     with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   gaussian_state, high_res_grid,
                                   symmetry_residual, uncertainty_bound,
                                   uncertainty_check)
-from fracspectral.specfun import hurwitz_zeta, zeta_negative
+from fracspectral.specfun import zeta_negative
 from fracspectral.spectral import fractional_momentum
 
 GAUSS = lambda x: np.exp(-x * x)
@@ -397,11 +397,13 @@ def test_uncertainty_check_takes_one_zeta_call_per_sum(monkeypatch):
     state = gaussian_state(high_res_grid())
     calls = []
 
-    def counted(s, q):
-        calls.append(s)
-        return hurwitz_zeta(s, q)
+    body = specfun._zeta_one_plus
 
-    monkeypatch.setattr(specfun, "hurwitz_zeta", counted)
+    def counted(t, q):
+        calls.append(t)
+        return body(t, q)
+
+    monkeypatch.setattr(specfun, "_zeta_one_plus", counted)
     for a in (a for a in np.arange(1.0, 133.5, 0.25).tolist() if a != int(a)):
         calls.clear()
         uncertainty_check(a, state)

@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspectral import spectral
+from fracspectral import specfun, spectral
 from fracspectral.grid import (EvaluationFailure, GridMismatch, SampledSignal, Spectrum,
                                make_grid, sample)
-from fracspectral.oracles import gaussian_deriv
+from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import high_res_grid, symmetry_residual
-from fracspectral.specfun import OrderTooLarge, hurwitz_zeta
+from fracspectral.specfun import OrderTooLarge
 from fracspectral.spectral import (AlphaInForbiddenRange, MinusOneBranch,
                                    NegativeAlpha, Pairing, duality_residual, forward,
                                    fractional_derivative, fractional_momentum,
@@ -103,11 +103,35 @@ def test_order_too_small_for_the_images_is_typed(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(AlphaInForbiddenRange):
         product_rule(sig, sig, 1e-20)
-    # the smallest order whose 1 + a is not 1 returns, with a large error
+    # the smallest orders whose 1 + a is not 1 return (their accuracy is
+    # checked in test_tiny_orders_match_the_closed_forms)
     assert abs(fractional_derivative(sig, 2e-16).values[128] - 1.0) < 0.05
     # a periodic signal has no images, so any order returns
     wide = sample(lambda x: np.ones_like(x), make_grid(-8.0, 8.0, 256))
     assert np.all(np.isfinite(fractional_derivative(wide, 1e-20).values))
+
+
+def test_tiny_orders_match_the_closed_forms():
+    # D^a tends to the identity as a -> 0: zeta(1 + a, q) ~ 1/a in the image
+    # sum takes its pole term at the order itself, so the rounding of 1 + a
+    # costs nothing down to the smallest order the images accept
+    orders = [10.0 ** -k for k in range(2, 15, 2)] + [1e-15, 2e-16, 1.2e-16]
+    for box, n in (((-8.0, 8.0), 256), ((-16.0, 16.0), 4096)):
+        g = make_grid(*box, n)
+        inner = np.abs(g.x) <= 4.0
+        for fn, closed in ((lambda x: np.exp(-x * x), gaussian_deriv),
+                           (lambda x: x * x * np.exp(-x * x), x2gaussian_deriv)):
+            f = SampledSignal(g, fn(g.x))
+            for a in orders:
+                want = closed(a, g.x[inner])
+                for op, phase in ((fractional_derivative, 1.0),
+                                  (fractional_momentum, cmath.exp(-0.5j * math.pi * a))):
+                    error = np.max(np.abs(op(f, a).values[inner] - phase * want))
+                    assert error < 1e-15, (box, op.__name__, a, error)
+        f = SampledSignal(g, np.exp(-g.x * g.x))
+        product = product_rule(f, SampledSignal(g, np.ones(n)), 1e-14)
+        error = np.max(np.abs(product.values[inner] - gaussian_deriv(1e-14, g.x[inner])))
+        assert error < 1e-15, (box, "product_rule", error)
 
 
 # --- transform pair --------------------------------------------------------
@@ -437,14 +461,18 @@ def test_image_record_moment_count_of_f_and_xf_on_high_res_grid():
 def test_image_sum_matches_direct_zeta_summation(box, n):
     # the block Taylor kernel against sum_j terms_j zeta(1+a+j, q_i) at every
     # grid point, for every decaying Gaussian and x^2-Gaussian centred at 0 to
-    # 10 (up to 40 moments): its truncation stays at roundoff of max|f|
+    # 10 (up to 40 moments): its truncation stays at roundoff of max|f|.  The
+    # reference takes zeta(1+a, q)'s pole term at the order itself, as the
+    # kernel does, through the same body
     g = make_grid(*box, n)
     q = 0.5 + np.arange(n) / n
     signals = [SampledSignal(g, np.exp(-(g.x - c) ** 2) * (g.x - c) ** k)
                for c in (0.0, 3.0, 6.0, 9.0, 10.0) for k in (0, 2)]
     signals = [f for f in signals if spectral._decays(f)]
     for order in (0.02, 0.3, 0.5, 1.5, 2.5, 3.7, 5.2):
-        zeta = hurwitz_zeta(1.0 + order + np.arange(spectral._MAX_MOMENTS), q[:, None])
+        t = (1.0 + order + np.arange(spectral._MAX_MOMENTS)) - 1.0
+        t[0] = order
+        zeta = specfun._zeta_one_plus(t, q[:, None])
         for f in signals:
             record = spectral.ImageCorrection(g, order, spectral._moments(f, order))
             terms = spectral._tail_terms(order, record.moments, g.x_max - g.x_min)
