@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .specfun import require_count, require_real
+from .specfun import ArgumentOutOfRange, require_count, require_real
 
 
 class NonPowerOfTwo(ValueError):
@@ -107,9 +107,11 @@ def central_window(n):
     engine subtracts the wrap-around images of a decaying signal's algebraic
     tail, so the window no longer has to absorb them; it stays the place
     where identities that multiply by x are compared, since x grows towards
-    the box edge.
+    the box edge.  A count below 4 raises ArgumentOutOfRange.
     """
     q = require_count("n", n) // 4
+    if q < 1:
+        raise ArgumentOutOfRange(f"n must be >= 4, got {n}")
     return slice(q, 3 * q)
 
 

@@ -329,12 +329,13 @@ def _sum_rows(stack):
     return functools.reduce(operator.add, stack)
 
 
-def _zeta_one_plus(t, q):
-    """zeta(1 + t, q) on gated float arrays t > 0, q > 0: the one body of hurwitz_zeta,
-    zeta_negative and the image sum.  The direct and Bernoulli terms take s = 1.0 + t,
-    the tail w^(-t) (1/t + (1/2 + B/w)/w), w = q + _ZETA_DIRECT, takes t itself: by
-    zeta(s, q) = 1/(s-1) - psi(q) + O(s-1) (DLMF 25.11) only the pole term needs the
-    exact t.  w^(-t) <= 1, so only a direct term q^(-s) can overflow."""
+def _zeta_one_plus(t, q, factor):
+    """factor zeta(1 + t, q) on gated float arrays t > 0, q > 0: the one body of hurwitz_zeta
+    and zeta_negative (factor 1.0, and 1.0 * x is x) and of the image sum (factor a).  The
+    direct and Bernoulli terms take s = 1.0 + t, the tail w^(-t) (factor/t + factor (1/2 +
+    B/w)/w), w = q + _ZETA_DIRECT, takes t itself: by zeta(s, q) = 1/(s-1) - psi(q) + O(s-1)
+    (DLMF 25.11) only the pole term needs the exact t, and at factor = t it is 1 where 1/t
+    overflows.  w^(-t) <= 1, so only a direct term q^(-s) can overflow."""
     s = 1.0 + t
     column = (-1,) + (1,) * max(s.ndim, q.ndim)    # a leading axis to sum over
     w = q + _ZETA_DIRECT
@@ -345,7 +346,7 @@ def _zeta_one_plus(t, q):
     even = _EVEN_POWERS.reshape(column)
     bernoulli = _sum_rows(_ZETA_TAIL.reshape(column) * rising * w ** -even)
     direct = _sum_rows((q + _DIRECT_OFFSETS.reshape(column)) ** -s)
-    return direct + w ** -t * (1.0 / t + (0.5 + bernoulli / w) / w)
+    return factor * direct + w ** -t * (factor / t + factor * (0.5 + bernoulli / w) / w)
 
 
 def hurwitz_zeta(s, q):
@@ -369,7 +370,7 @@ def hurwitz_zeta(s, q):
     s, q = np.atleast_1d(s, q)
     try:
         with np.errstate(over="raise"):
-            total = _zeta_one_plus(s - 1.0, q)      # s - 1 is exact for s <= 2^53
+            total = _zeta_one_plus(s - 1.0, q, 1.0)     # s - 1 is exact for s <= 2^53
     except FloatingPointError:
         raise OrderTooLarge(f"hurwitz_zeta overflows double precision for s in "
                             f"[{s.min():.12g}, {s.max():.12g}], q in [{q.min():g}, {q.max():g}]: "
@@ -390,7 +391,7 @@ def zeta_negative(t):
     even t > 0 are exact and the value keeps its relative accuracy next to
     them.  zeta(1+t) is _zeta_one_plus at t itself, so the rounding of 1 + t
     costs no relative accuracy next to the pole.  Below _ZETA_TAYLOR_T, a
-    range that holds every t for which 1 + t rounds to 1, zeta(-t) is -1/2 + t ln(2 pi)/2
+    range that holds every t too small to change 1.0 + t, zeta(-t) is -1/2 + t ln(2 pi)/2
     (zeta(0) = -1/2, zeta'(0) = -ln(2 pi)/2).  Raises OrderTooLarge where
     Gamma(1+t) overflows (t above about 170.6, except at the even t, whose
     zeros need no Gamma).
@@ -420,5 +421,5 @@ def zeta_negative(t):
         values[i] = (-2.0 * (2.0 * math.pi) ** (-1.0 - x) * sine * gamma(1.0 + x)
                      if needs_zeta[i] else 0.0)
     if needs_zeta.any():
-        values[needs_zeta] *= _zeta_one_plus(np.array(row)[needs_zeta], np.ones(1))
+        values[needs_zeta] *= _zeta_one_plus(np.array(row)[needs_zeta], np.ones(1), 1.0)
     return values.reshape(t.shape) if array else float(values[0])

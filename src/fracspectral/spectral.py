@@ -220,15 +220,9 @@ def inverse(spectrum):
 
 def _image_order(order):
     """The order, or None where it leaves no image tail (an integer, or past
-    _MAX_IMAGE_ORDER, where Gamma(-a) underflows); AlphaInForbiddenRange where
-    1 + a rounds to 1.  The one home of the image route's order limits."""
+    _MAX_IMAGE_ORDER, where Gamma(-a) underflows): the one home of its order limits."""
     order = require_order(order)
-    if order == int(order) or order > _MAX_IMAGE_ORDER:
-        return None
-    if 1.0 + order == 1.0:
-        raise AlphaInForbiddenRange(f"order {order:g} is too small for the image "
-                                    f"correction: 1 + a rounds to 1")
-    return order
+    return None if order == int(order) or order > _MAX_IMAGE_ORDER else order
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +239,9 @@ class ImageCorrection:
 
         P^(-1-a)/Gamma(-a) * sum_j nu_j (1+a)_j/j! * zeta(1+a+j, 1 + (x-c)/P),
 
-    nu_j = mu_j / P^j, zeta the Hurwitz zeta function; _tail_terms forms
-    the terms before the zeta, the one home of the series.  Images m <= -1
+    nu_j = mu_j / P^j, zeta the Hurwitz zeta function.  By 1/Gamma(-a) = -a/Gamma(1-a),
+    _tail_terms forms the terms before a zeta(...), the one home of the series, finite
+    at every order (see _image_sum); as a -> 0 the sum tends to -nu_0/P.  Images m <= -1
     fall to the left of f, where g decays like f itself.  A P_a result is
     e^{-i*pi*a/2} D^a f, so its images carry that phase.
 
@@ -273,11 +268,11 @@ class ImageCorrection:
         if order is None:
             raise AlphaInForbiddenRange(f"order {self.order:g} leaves no image tail")
         moments = _own_samples(self.moments, np.arange(np.size(self.moments)), "moments", "j")
-        # a largest moment past 2 sets the unit 2^e of the sum (exact), so no term overflows
-        e = max(math.frexp(float(np.abs(moments).max(initial=0.0)))[1] - 1, 0)
-        terms = _tail_terms(order, (moments.view(float) * 2.0 ** -e).view(complex),
+        # the sum runs in the unit 2^e next to the largest moment, up or down (ldexp, exact)
+        e = math.frexp(float(np.abs(moments).max(initial=0.0)))[1] - 1
+        terms = _tail_terms(order, np.ldexp(moments.view(float), -e).view(complex),
                             self.grid.x_max - self.grid.x_min)
-        values = _image_sum(self.grid.n, order, terms, 2.0 ** e)
+        values = _image_sum(self.grid.n, order, terms, e)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "values", _finite_samples(values, self.grid.x, "images", "x"))
@@ -288,10 +283,11 @@ class ImageCorrection:
 
 
 def _tail_terms(order, moments, period):
-    """P^(-1-a)/Gamma(-a) nu_j (1+a)_j/j!: the terms of the image tail series at box
-    width P, its one home.  OrderTooLarge where P^(-1-a) overflows."""
+    """-P^(-1-a)/Gamma(1-a) nu_j (1+a)_j/j!: the terms of the image tail series at box
+    width P over the order, its one home, each for an a zeta(1+a+j, q); finite at every
+    order _image_order accepts.  OrderTooLarge where P^(-1-a) overflows."""
     try:
-        scale = period ** (-1.0 - order) / specfun.gamma(-order)
+        scale = -period ** (-1.0 - order) / specfun.gamma(1.0 - order)
     except OverflowError:
         raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
                             f"at box width P = {period:g}, order {order:g}") from None
@@ -316,17 +312,17 @@ def _taylor_blocks(n):
     return _readonly(centres), _readonly(factors)
 
 
-def _image_sum(n, order, terms, scale):
-    """scale sum_j terms_j zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (see _tail_terms).
+def _image_sum(n, order, terms, e):
+    """2^e sum_j terms_j a zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (see _tail_terms).
 
     Each block uses zeta(s, q_b + h) = sum_r (-h)^r (s)_r / r! zeta(s+r, q_b),
     from d zeta(s, q)/dq = -s zeta(s+1, q) (DLMF 25.11), so zeta is evaluated
-    at the block centres only, column 0's pole term ~ 1/a at the order itself.
+    at the block centres only, the factor a inside: column 0's pole term is a/a, not 1/a.
     """
     centres, factors = _taylor_blocks(n)
     n_mom, n_taylor = len(terms), len(factors)
     s = 1.0 + order + np.arange(n_mom + n_taylor)
-    zeta = specfun._zeta_one_plus(np.hstack([order, s[1:] - 1.0]), centres[:, None])  # (B, J+R)
+    zeta = specfun._zeta_one_plus(np.hstack([order, s[1:] - 1.0]), centres[:, None], order)
     rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
                                    s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(zeta, n_taylor, axis=1)[:, :n_mom]
@@ -334,8 +330,8 @@ def _image_sum(n, order, terms, scale):
     # One product per half: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
     out = np.empty(n, dtype=complex)
-    np.multiply((taylor.real @ factors).ravel(), scale, out=out.real)
-    np.multiply((taylor.imag @ factors).ravel(), scale, out=out.imag)
+    np.ldexp((taylor.real @ factors).ravel(), e, out=out.real)
+    np.ldexp((taylor.imag @ factors).ravel(), e, out=out.imag)
     return out
 
 
@@ -397,10 +393,10 @@ def _moments(signal, order):
     top, unit = _support(signal)[:2]
     moments = _box_moments(signal)
     # the image term of moment j is bounded by |nu_j| times its term per unit
-    # moment times zeta(s, 1/2) <= 2^s + 1/(s-1)
+    # moment times a zeta(s, 1/2) <= a 2^s + a/(a+j), s = 1 + a + j (as in _image_sum)
     per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), grid.x_max - grid.x_min))
-    s = 1.0 + order + np.arange(_MAX_MOMENTS)
-    zeta_max = 2.0 ** s + 1.0 / (s - 1.0)
+    j = np.arange(_MAX_MOMENTS)
+    zeta_max = order * 2.0 ** (1.0 + order + j) + order / (order + j)
     quiet = per_moment * np.abs(moments) * zeta_max < _MOMENT_TOL * (top * unit)
     stop = np.flatnonzero(quiet[1:] & quiet[:-1])
     return moments[:stop[0] + 2 if stop.size else _MAX_MOMENTS] / unit

@@ -408,6 +408,22 @@ def test_check_suite_reports_and_exits_zero(capsys):
     assert re.search(r"^\d+/\d+ assertions passed$", out.splitlines()[-1])
 
 
+def test_check_prints_info_rows_and_counts_only_assertions(capsys):
+    # the duality suite's half-order rows are reported, not asserted
+    rc, out, _ = run_cli(capsys, "check", "duality")
+    assert rc == 0
+    info = [line for line in out.splitlines() if line.startswith("INFO ")]
+    assert len(info) == 4
+    pairs = {(pairing, branch) for pairing in ("sesquilinear", "bilinear")
+             for branch in ("e_plus_i_pi", "e_minus_i_pi")}
+    for line in info:
+        match = re.fullmatch(r"INFO half order diagnostic, (\w+), (\w+): "
+                             r"value=0\.128806064  \[reported, not asserted: .+\]", line)
+        assert match, line
+        pairs.remove(match.groups())
+    assert out.splitlines()[-1] == "4/4 assertions passed"
+
+
 def test_check_unknown_suite_is_a_usage_error(capsys):
     rc, _, _ = run_cli(capsys, "check", "nope")
     assert rc == 2
@@ -494,9 +510,6 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
         # |p|^400 overflows at the Nyquist bin; the closed form's values overflow
         [*engine, "--alpha", "400"],
         ["derive", "--alpha", "400", "--points", "64", "--domain", "-8", "8"],
-        # the image correction needs zeta(1 + a): 1 + a rounds to 1
-        *([*engine, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
-        *(["derive", "--input", data, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
         # the uncertainty report's order rule is uncertainty_check's
         ["uncertainty", "--alpha", "0.5"],
         # x^2 overflows inside the closed form: the message names one value
@@ -510,12 +523,19 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
         # 2^50 points: numpy refuses the 8 PiB at once
         ["derive", "--alpha", "0.5", "--points", str(2 ** 50)],
     ]
+    # the smallest orders return, on a sampled signal and on a file: D^a tends
+    # to the identity, and the image sum is finite at every order
+    tiny = [*([*engine, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324")),
+            *(["derive", "--input", data, "--alpha", a] for a in ("1e-20", "1e-300", "5e-324"))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for argv in cases:
             rc, out, err = run_cli(capsys, *argv)
             assert (rc, out) == (2, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        for argv in tiny:
+            rc, out, err = run_cli(capsys, *argv)
+            assert (rc, err) == (0, ""), (argv, err)
     assert run_cli(capsys, *cases[-3])[2].startswith(f"error: --input {latin}: not a UTF-8 ")
     assert "transform overflows double precision" in run_cli(capsys, *cases[-2])[2]
     assert run_cli(capsys, *cases[-1])[2].startswith("error: --points: ")

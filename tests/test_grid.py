@@ -6,7 +6,9 @@ import pytest
 from fracspectral import grid as gridmod
 from fracspectral.grid import (DegenerateInterval, EvaluationFailure, Grid,
                                GridMismatch, NonPowerOfTwo, SampledSignal, Spectrum,
-                               central_window, make_grid, require_same_grid, sample)
+                               central_gap, central_window, make_grid, require_same_grid,
+                               sample)
+from fracspectral.specfun import ArgumentOutOfRange
 
 
 def test_grid_arrays():
@@ -93,6 +95,14 @@ def test_central_window():
     assert w == slice(1024, 3072)
     x = make_grid(-16.0, 16.0, 4096).x[w]
     assert x[0] == -8.0 and x[-1] < 8.0
+    assert central_window(4) == slice(1, 3) and central_window(7) == slice(1, 3)
+    # a count with no central half, negative ones too, is refused, and so is a
+    # gap of arrays that short
+    for n in (-8, -1, 0, 1, 2, 3):
+        with pytest.raises(ArgumentOutOfRange, match=f"^n must be >= 4, got {n}$"):
+            central_window(n)
+    with pytest.raises(ArgumentOutOfRange, match="^n must be >= 4, got 3$"):
+        central_gap(np.zeros(3), np.ones(3))
 
 
 def test_sample_values_and_dtype():

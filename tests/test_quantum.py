@@ -399,9 +399,9 @@ def test_uncertainty_check_takes_one_zeta_call_per_sum(monkeypatch):
 
     body = specfun._zeta_one_plus
 
-    def counted(t, q):
+    def counted(t, q, factor):
         calls.append(t)
-        return body(t, q)
+        return body(t, q, factor)
 
     monkeypatch.setattr(specfun, "_zeta_one_plus", counted)
     for a in (a for a in np.arange(1.0, 133.5, 0.25).tolist() if a != int(a)):

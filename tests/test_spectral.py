@@ -90,27 +90,6 @@ def test_order_too_large_is_typed():
         assert np.all(np.isfinite(symbol(280.0, np.array([-4 * math.pi, 4 * math.pi]))))
 
 
-def test_order_too_small_for_the_images_is_typed(monkeypatch):
-    # 1 + a rounds to 1, so zeta(1 + a) in the image sum cannot be formed;
-    # at 5e-324 Gamma(-a) would overflow too, and this comes first
-    sig = sample(GAUSS, make_grid(-8.0, 8.0, 256))
-    monkeypatch.setattr(np.fft, "rfft", None)      # raised before any transform
-    for a in (1e-20, 5e-324):
-        for call in (lambda: fractional_derivative(sig, a),
-                     lambda: fractional_momentum(sig, a)):
-            with pytest.raises(AlphaInForbiddenRange, match="1 \\+ a rounds to 1"):
-                call()
-    monkeypatch.undo()
-    with pytest.raises(AlphaInForbiddenRange):
-        product_rule(sig, sig, 1e-20)
-    # the smallest orders whose 1 + a is not 1 return (their accuracy is
-    # checked in test_tiny_orders_match_the_closed_forms)
-    assert abs(fractional_derivative(sig, 2e-16).values[128] - 1.0) < 0.05
-    # a periodic signal has no images, so any order returns
-    wide = sample(lambda x: np.ones_like(x), make_grid(-8.0, 8.0, 256))
-    assert np.all(np.isfinite(fractional_derivative(wide, 1e-20).values))
-
-
 def test_tiny_orders_match_the_closed_forms():
     # D^a tends to the identity as a -> 0: zeta(1 + a, q) ~ 1/a in the image
     # sum takes its pole term at the order itself, so the rounding of 1 + a
@@ -132,6 +111,36 @@ def test_tiny_orders_match_the_closed_forms():
         product = product_rule(f, SampledSignal(g, np.ones(n)), 1e-14)
         error = np.max(np.abs(product.values[inner] - gaussian_deriv(1e-14, g.x[inner])))
         assert error < 1e-15, (box, "product_rule", error)
+
+
+def test_smallest_orders_return_the_signal():
+    # D^a tends to the identity: the symbol is 1 off the p = 0 bin and the
+    # images give back the mean that bin deletes, -nu_0/P, since the image sum
+    # takes the factor a into zeta(1 + a, q), whose pole term is then a/a = 1.
+    # Down to the smallest subnormal order no call raises or warns, and each
+    # result is the closed form on |x| <= 4 and f itself on the whole grid
+    orders = (1e-16, 1e-17, 1e-100, 1e-300, 1e-310, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for box, n in (((-8.0, 8.0), 256), ((-16.0, 16.0), 4096)):
+            g = make_grid(*box, n)
+            inner = np.abs(g.x) <= 4.0
+            one = SampledSignal(g, np.ones(n))
+            for fn, closed in ((GAUSS, gaussian_deriv), (X2GAUSS, x2gaussian_deriv)):
+                f = SampledSignal(g, fn(g.x))
+                bound = 1e-15 * np.max(np.abs(f.values))
+                for a in orders:
+                    want = closed(a, g.x[inner])
+                    for name, result in (("D", fractional_derivative(f, a)),
+                                         ("P", fractional_momentum(f, a)),
+                                         ("product_rule", product_rule(f, one, a))):
+                        closed_error = np.max(np.abs(result.values[inner] - want))
+                        identity_error = np.max(np.abs(result.values - f.values))
+                        assert closed_error < bound, (box, name, a, closed_error)
+                        assert identity_error < bound, (box, name, a, identity_error)
+        # a periodic signal has no images, so any order returns
+        wide = sample(lambda x: np.ones_like(x), make_grid(-8.0, 8.0, 256))
+        assert np.all(np.isfinite(fractional_derivative(wide, 5e-324).values))
 
 
 # --- transform pair --------------------------------------------------------
@@ -326,12 +335,14 @@ def test_image_record_gates_its_inputs():
         with pytest.raises(EvaluationFailure) as err:
             spectral.ImageCorrection(g, 0.5, moments)
         assert str(err.value) == message
-    # the orders _images gives no record, or refuses, the record refuses too
+    # the orders _images gives no record, the record refuses
     for order in (0, 1, 2.0, 170.5, 300.0):
         with pytest.raises(AlphaInForbiddenRange, match="leaves no image tail"):
             spectral.ImageCorrection(g, order, [1.0])
-    with pytest.raises(AlphaInForbiddenRange, match="1 \\+ a rounds to 1"):
-        spectral.ImageCorrection(g, 1e-17, [1.0])
+    # the smallest orders have a record: -nu_0/P, the limit as a -> 0
+    for order in (1e-17, 5e-324):
+        record = spectral.ImageCorrection(make_grid(-16.0, 16.0, 256), order, [1.0, 0.5])
+        np.testing.assert_allclose(record.values, -1.0 / 32.0, rtol=1e-15, atol=0)
     with pytest.raises(NegativeAlpha):
         spectral.ImageCorrection(g, -0.5, [1.0])
 
@@ -462,8 +473,8 @@ def test_image_sum_matches_direct_zeta_summation(box, n):
     # the block Taylor kernel against sum_j terms_j zeta(1+a+j, q_i) at every
     # grid point, for every decaying Gaussian and x^2-Gaussian centred at 0 to
     # 10 (up to 40 moments): its truncation stays at roundoff of max|f|.  The
-    # reference takes zeta(1+a, q)'s pole term at the order itself, as the
-    # kernel does, through the same body
+    # reference takes a zeta(1+a+j, q), its pole term a/a at the order itself,
+    # as the kernel does, through the same body
     g = make_grid(*box, n)
     q = 0.5 + np.arange(n) / n
     signals = [SampledSignal(g, np.exp(-(g.x - c) ** 2) * (g.x - c) ** k)
@@ -472,7 +483,7 @@ def test_image_sum_matches_direct_zeta_summation(box, n):
     for order in (0.02, 0.3, 0.5, 1.5, 2.5, 3.7, 5.2):
         t = (1.0 + order + np.arange(spectral._MAX_MOMENTS)) - 1.0
         t[0] = order
-        zeta = specfun._zeta_one_plus(t, q[:, None])
+        zeta = specfun._zeta_one_plus(t, q[:, None], order)
         for f in signals:
             record = spectral.ImageCorrection(g, order, spectral._moments(f, order))
             terms = spectral._tail_terms(order, record.moments, g.x_max - g.x_min)
