@@ -142,7 +142,8 @@ def commutator_ladder(f, alpha):
     term of B f = (x f - i P_a f)/sqrt(2) and A f rather than to the sums:
     x P_a f is a line value with a slow tail that the engine would treat as
     periodic, while P_a(x f) and P_a(P_a f) are each corrected for their
-    wrap-around images.  Both composed sides reuse P_a f, P_a(x f) and
+    wrap-around images; the engine takes P_a(P_a f) of a corrected P_a f from
+    f itself, as P_2a f.  Both composed sides reuse P_a f, P_a(x f) and
     P_a(P_a f).  Same return shape as commutator_dx.
     """
     alpha = _require_commutator_input(f, alpha)

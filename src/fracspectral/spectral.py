@@ -202,8 +202,8 @@ def forward(signal):
     g = signal.grid
     with _overflow_is_too_large("the forward transform overflows double precision",
                                 signal.values):
-        coeffs = (g.dx / SQRT_2PI) * np.exp(-1j * g.p * g.x_min) * np.fft.fft(signal.values)
-        return Spectrum._adopt(g, coeffs)
+        return Spectrum(g, (g.dx / SQRT_2PI) * np.exp(-1j * g.p * g.x_min)
+                        * np.fft.fft(signal.values))
 
 
 def inverse(spectrum):
@@ -246,15 +246,15 @@ class ImageCorrection:
     e^{-i*pi*a/2} D^a f, so its images carry that phase.
 
     grid    the grid of the moments: c is its box centre, P its period
-    order   total order of the multiplier chain the result represents
-    moments nu_0, nu_1, ... of the signal the chain started from, times the
-            momentum phases e^{-i*pi*b/2} along the chain, a read-only copy
+    order   the order of the multiplier the result was computed at
+    moments nu_0, nu_1, ... of the signal it was computed from, times the
+            result's phase (e^{-i*pi*a/2} for P_a), a read-only copy
     values  the image sum at the grid's samples, formed at construction, read-only
 
     Construction refuses a grid that is not a Grid (GridMismatch), moments
     that are not finite (EvaluationFailure) and an order outside _image_order's
-    limits.  A further multiplier adds the images back, applies its symbol and
-    subtracts the images of the combined order: D^b(D^a f) = D^(a+b) f.
+    limits.  The engine does not read a record again: a further order of a
+    corrected result is taken from its source signal (see _apply_multiplier).
     """
     grid: Grid
     order: float
@@ -406,39 +406,29 @@ def _images(signal, alpha, phase):
     """(images, warning) of a multiplier of order alpha and phase on signal: the one
     wrap-around decision of the engine and product_rule.
 
-    A record that the signal carries moves on to the combined order, whatever
-    the signal's own decay, and a signal that decays (_decays) gets a fresh
-    one from its moments, both within _image_order's limits.  Any other
-    signal stays periodic, with a warning at a non-integer order.
+    A signal that decays (_decays) gets a record from its moments, within
+    _image_order's limits.  Any other signal stays periodic, with a warning
+    at a non-integer order.
     """
-    source = signal.images
-    if source is None and not _decays(signal):
+    if not _decays(signal):
         if alpha == int(alpha):
             return None, None
         ratio = signal.boundary_decay / _support(signal)[0]
         return None, (f"boundary decay {ratio:.3e} of max|f| above threshold "
                       f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
-    order = _image_order(alpha if source is None else source.order + alpha)
+    order = _image_order(alpha)
     if order is None:
         return None, None
-    moments = _moments(signal, alpha) if source is None else source.moments
-    return ImageCorrection(signal.grid, order, moments * phase), None
+    return ImageCorrection(signal.grid, order, _moments(signal, order) * phase), None
 
 
 def _half_spectra(signal):
-    """The rfft of the real part of the periodic samples, and of the imaginary part
-    where it is non-zero, after the noise floor: read-only, once per signal.
-
-    The periodic samples are those of a corrected signal with its images added
-    back.  Bins of either part below the noise floor, taken against the
-    largest coefficient of both, are zeroed.
-    """
+    """The rfft of the real part of the samples, and of the imaginary part where it
+    is non-zero, with the bins of either part below the noise floor of both zeroed:
+    read-only, once per signal."""
     spectra = signal._memo.get("spectra")
     if spectra is None:
         values = signal.values
-        if signal.images is not None:
-            # back to the periodic value, which the symbol maps to the periodic result
-            values = values + signal.images.values
         parts = [values.real, values.imag] if values.imag.any() else [values.real]
         spectra = tuple(np.fft.rfft(v) for v in parts)
         zero_noise(*spectra)
@@ -459,6 +449,10 @@ def _apply_multiplier(signal, alpha, phase):
     D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
     bin.  The half-spectra, after the noise floor, are the signal's own
     (_half_spectra), so further orders on one signal take no rfft.
+    A further order b of a corrected result of order a is taken from the
+    signal that result was computed from, at order a + b with the two phases
+    multiplied: (ip)^a (ip)^b = (ip)^(a+b) on the principal branch, so
+    D^b D^a f = D^(a+b) f, its gates and moment count those of order a + b.
     Raises OrderTooLarge, before any transform, where |p|^a overflows at
     the Nyquist bin, and after, where a transform or a product overflows
     (samples near the float range).
@@ -466,6 +460,10 @@ def _apply_multiplier(signal, alpha, phase):
     alpha = require_order(alpha)
     if alpha == 0:
         return signal
+    if signal._source is not None:
+        alpha += signal.images.order
+        signal, first = signal._source
+        phase = first * phase
     g = signal.grid
     with _overflow_is_too_large(f"the engine's transform overflows double precision at "
                                 f"order {alpha:g}", signal.values):
@@ -489,7 +487,7 @@ def _apply_multiplier(signal, alpha, phase):
             np.multiply(phase, out, out=out)
         if images is not None:
             out -= images.values
-        return SampledSignal._adopt(g, out, warning=warning, images=images)
+        return SampledSignal._adopt(g, out, warning, images, (signal, phase) if images else None)
 
 
 def fractional_derivative(signal, alpha):
@@ -500,10 +498,10 @@ def fractional_derivative(signal, alpha):
     boundary_decay is 0 or below DECAY_THRESHOLD times max|f| the
     wrap-around images are subtracted and the result is the derivative on
     the line; it records them in its `images` attribute (an
-    ImageCorrection), and a further fractional_derivative or
-    fractional_momentum of it carries the correction on whatever its own
-    decay.  The periodic value is d.values + d.images.values.  On a
-    signal that does not decay the result is periodic and carries a warning.
+    ImageCorrection) and keeps its source, so a further fractional_derivative
+    or fractional_momentum of it is the source's at the combined order.  The
+    periodic value is d.values + d.images.values.  On a signal that does not
+    decay the result is periodic and carries a warning.
     """
     return _apply_multiplier(signal, alpha, 1.0)
 
@@ -603,6 +601,7 @@ def product_rule(f, g, alpha):
     product decays at the box edge the same wrap-around images are
     subtracted, from the moments of f*g, and the result matches
     fractional_derivative of the product, its wrap-around warning included.
+    A corrected result keeps f*g as its source: a further order is the engine's on f*g.
     """
     grid = require_same_grid(f, g)
     alpha = require_order(alpha)
@@ -610,7 +609,8 @@ def product_rule(f, g, alpha):
     symbol = ip_power(alpha, (np.arange(2 * n - 1) - n) * grid.dp)     # at u_m
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
-        images, warning = _images(SampledSignal._adopt(grid, f.values * g.values), alpha, 1.0)
+        fg = SampledSignal._adopt(grid, f.values * g.values)
+        images, warning = _images(fg, alpha, 1.0)
         fs, gs = (np.fft.fft(np.fft.fftshift(np.fft.fft(s.values)), 2 * n) for s in (f, g))
         # after the shift both spectra start at p = -(n/2)*dp, so index m of
         # their convolution holds the sum over s+q = u_m
@@ -623,4 +623,4 @@ def product_rule(f, g, alpha):
         values = np.fft.ifft(terms[:n]) / n
         if images is not None:
             values -= images.values
-        return SampledSignal._adopt(grid, values, warning=warning, images=images)
+        return SampledSignal._adopt(grid, values, warning, images, (fg, 1.0) if images else None)

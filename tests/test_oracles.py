@@ -5,7 +5,6 @@ import sys
 import time
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +27,7 @@ F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
 
 def test_gaussian_deriv_at_the_edge_of_the_closed_form_range():
     # x^2 = 380 and 400: the 1F1 series there runs past 500 terms
+    mpmath = pytest.importorskip("mpmath")
     for x in (19.5, 20.0):
         with mpmath.workdps(40):
             a, mx = mpmath.mpf(0.5), mpmath.mpf(x)

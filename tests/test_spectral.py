@@ -297,9 +297,9 @@ def test_images_restore_the_periodic_result():
 
 
 def test_image_record_is_read_only():
-    # a write to the moments would move every later chain step (by 4.7e-2 for
-    # D^0.5 of this D^0.5 after moments[0] *= 2), and one to the image sum
-    # would go stale
+    # the record states what the result subtracted: a write to its moments or
+    # to its image sum would leave it describing other values than the
+    # result's (d.values + d.images.values no longer the periodic value)
     g = make_grid(-16.0, 16.0, 1024)
     d = fractional_derivative(sample(GAUSS, g), 0.5)
     again = fractional_derivative(d, 0.5).values
@@ -523,6 +523,47 @@ def test_chained_result_carries_order_and_phase():
                                                    * first.images.moments)
     direct = cmath.exp(-0.4j * math.pi) * fractional_derivative(sig, 1.2).values
     assert np.max(np.abs(chained.values - direct)) < 1e-12
+
+
+def test_chains_meet_the_direct_route_and_the_closed_forms():
+    # D^b D^a f = D^(a+b) f: a further order of a corrected result is taken
+    # from its source at a + b, so a chain meets the direct call at a + b (with
+    # its phase) on the whole grid, and after a tiny first order the closed
+    # form at a + b (through the order's full moment list, not the first one's)
+    ops = {"D": (fractional_derivative, lambda a: 1.0),
+           "P": (fractional_momentum, lambda a: cmath.exp(-0.5j * math.pi * a))}
+    chains = (("D", "D"), ("D", "P"), ("P", "P"))        # (first, second) operator
+    for box, n in (((-8.0, 8.0), 256), ((-16.0, 16.0), 4096), ((-20.0, 20.0), 8192)):
+        g = make_grid(*box, n)
+        window = np.abs(g.x) <= 4.0
+        for f, closed in ((GAUSS, gaussian_deriv), (X2GAUSS, x2gaussian_deriv)):
+            sig = sample(f, g)
+            for a in (1e-17, 1e-12, 1e-8, 0.02, 0.3, 0.7):
+                for b in (0.5, 1.5, 2.5):
+                    direct = fractional_derivative(sig, a + b).values
+                    top = np.max(np.abs(direct))
+                    line = closed(a + b, g.x[window]) if a < 1e-7 else None
+                    for first, second in chains:
+                        (op_a, phase_a), (op_b, phase_b) = ops[first], ops[second]
+                        got = op_b(op_a(sig, a), b).values
+                        phase = phase_a(a) * phase_b(b)
+                        want = (fractional_momentum(sig, a + b).values if first == "P"
+                                else phase * direct)
+                        where = (box, f, a, b, first, second)
+                        assert np.max(np.abs(got - want)) <= 1e-15 * top, where
+                        if line is not None:
+                            error = np.max(np.abs(got[window] - phase * line))
+                            assert error <= 1e-13 * top, where
+                    # product_rule's result keeps the sampled f*1 as its source
+                    chained = fractional_derivative(product_rule(sig, sample(np.ones_like, g), a), b)
+                    assert _result_bits(chained) == _result_bits(
+                        fractional_derivative(sample(f, g), a + b)), (box, a, b)
+    # a chain refuses where the direct call at a + b refuses
+    sig = sample(GAUSS, make_grid(-16.0, 16.0, 4096))
+    for call in (lambda: fractional_derivative(sig, 121.0),
+                 lambda: fractional_derivative(fractional_derivative(sig, 60.5), 60.5)):
+        with pytest.raises(OrderTooLarge, match=r"\|p\|\^121 overflows"):
+            call()
 
 
 @pytest.mark.parametrize("n, second", [(1024, 0.5), (256, 169.9)],
