@@ -307,17 +307,21 @@ def suite_convergence():
         r.below(f"energy identity between domains, {label} (rel)",
                 abs(e_x - e_p) / e_x, 1e-12)
 
+    # D^b D^a f1 against the closed form at a + b, at the grid points x = -4, -3.5, ..., 4;
+    # scalar calls, once per a + b, cost less than the array route at 17 points
+    at = slice(1536, 2561, 64)
+    closed = functools.cache(lambda order: np.array(
+        [oracles.gaussian_deriv(order, x) for x in g.x[at].tolist()]))
     for a in (0.3, 0.7, 1.5):
         for b in (0.3, 0.7, 1.5):
-            two = fractional_derivative(d_f1(a), b)
-            one = d_f1(a + b)
-            scale = float(np.max(np.abs(one.values)))
+            two = fractional_derivative(d_f1(a), b).values[at]
+            ref = closed(a + b)
             r.below(f"order additivity {a:g}+{b:g} (rel sup)",
-                    float(np.max(np.abs(two.values - one.values))) / scale, 1e-10)
+                    float(np.max(np.abs(two - ref)) / np.max(np.abs(ref))), 1e-10)
 
     for alpha in (0.0, 0.5, 1.0, 2.5):
         lhs = float(np.max(np.abs(d_f1(alpha).values)))
-        rhs = float(np.sum(_abs_power(alpha, g.p) * np.abs(c1.coeffs)) * g.dp / SQRT_2PI)
+        rhs = float(np.sum(_abs_power(alpha, np.abs(g.p)) * np.abs(c1.coeffs)) * g.dp / SQRT_2PI)
         r.holds(f"sup bound by the weighted spectrum, order {alpha:g}",
                 lhs <= rhs * (1 + 1e-12), measured=rhs - lhs)
 

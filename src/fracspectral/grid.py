@@ -118,7 +118,7 @@ def central_window(n):
 def central_gap(u, v):
     """Sup |u - v| over the central half (central_window) of two sample arrays."""
     w = central_window(len(u))
-    return float(np.max(np.abs(u[w] - v[w])))
+    return float(np.abs(u[w] - v[w]).max())
 
 
 def _own_samples(values, points, name, axis):
@@ -193,7 +193,7 @@ class SampledSignal:
         self.grid = grid
         self.values = values
         m = max(1, int(round(0.5 * _BOUNDARY_FRACTION * grid.n)))
-        self.boundary_decay = float(max(np.max(np.abs(values[:m])), np.max(np.abs(values[-m:]))))
+        self.boundary_decay = float(max(np.abs(values[:m]).max(), np.abs(values[-m:]).max()))
         self.warning = warning
         self.images = images
         self._source = source

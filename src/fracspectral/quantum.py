@@ -221,7 +221,7 @@ def _momentum_moment(density, b, signed, taylor, dp):
     zeta(-b-j) overflows (where Gamma(1+b+j) does); they are far below the
     roundoff of the sum there.
     """
-    power = _abs_power(b, np.arange(density.shape[1]) * dp)     # 0^0 = 1
+    power = _abs_power(b, np.arange(density.shape[1]) * dp)     # bins >= 0; 0^0 = 1
     plus, minus = np.sum(density * power, axis=1)
     phase = complex(np.exp(-1j * np.pi * b)) if signed else 1.0
     total = plus + phase * minus

@@ -16,12 +16,15 @@ Both are 0 at the p = 0 bin for a > 0 (the limit of |p|^a), 1 for a = 0.
 The engine (fractional_derivative, fractional_momentum) applies (ip)^a
 with real-to-complex transforms: the real and the imaginary part of the
 samples are transformed on their own (the imaginary part only where it is
-non-zero), so D^a of a real signal is exactly real.  The Nyquist bin is
-split evenly between p = +-pi/dx, where the grid's frequency layout puts
-it at -pi/dx alone: D^1 of the on-grid cosine cos(pi x/dx) is 0, to
-roundoff, at the samples.  P_a is e^{-i*a*pi/2} D^a, which is exact since
-p^a = i^(-a) (ip)^a on every bin.  Coefficients below NOISE_FLOOR times
-the largest coefficient of either part are zeroed first.
+non-zero), so D^a of a real signal is exactly real.  It forms (ip)^a on the
+rfft bins p = k*dp >= 0 alone, as |p|^a from the one guarded power
+_abs_power times i^a: the bits of ip_power there, without its gates of a
+signed array of frequencies.  The Nyquist bin is split evenly between
+p = +-pi/dx, where the grid's frequency layout puts it at -pi/dx alone:
+D^1 of the on-grid cosine cos(pi x/dx) is 0, to roundoff, at the samples.
+P_a is e^{-i*a*pi/2} D^a, which is exact since p^a = i^(-a) (ip)^a on
+every bin.  Coefficients below NOISE_FLOOR times the largest coefficient
+of either part are zeroed first.
 
 With this branch D^a is the left-sided (Liouville) derivative on the real
 line.  For non-integer a, D^a f has a one-sided tail to the right of f that
@@ -34,7 +37,6 @@ that do not decay, such as on-grid plane waves, stay periodic and a
 non-integer order attaches a warning.
 """
 import cmath
-import contextlib
 import enum
 import functools
 import math
@@ -137,15 +139,14 @@ def zero_noise(*coeffs):
         c[m < floor] = 0.0
 
 
-def _abs_power(alpha, p):
-    """|p|^alpha on a float array; OrderTooLarge, before the power, where its largest overflows."""
-    modulus = np.abs(p)
-    p_max = float(np.max(modulus, initial=0.0))
+def _abs_power(alpha, modulus):
+    """|p|^alpha from a float array of |p| (>= 0, left as it is); OrderTooLarge, before
+    the power, where its largest overflows.  The one overflow guard of a power of |p|."""
+    p_max = float(modulus.max(initial=0.0))
     if alpha * math.log(max(p_max, 1.0)) > _LOG_DBL_MAX:
         raise OrderTooLarge(f"|p|^{alpha:g} overflows double precision at "
                             f"|p| = {p_max:.6g}: the order is too large for this grid")
-    modulus **= alpha
-    return modulus
+    return modulus ** alpha
 
 
 def _branch_power(alpha, p, momentum):
@@ -156,7 +157,7 @@ def _branch_power(alpha, p, momentum):
     half_turn = cmath.exp(0.5j * np.pi * alpha)
     upper, lower = ((1.0 + 0.0j, np.exp(-1j * np.pi * alpha)) if momentum
                     else (half_turn, half_turn.conjugate()))
-    modulus = _abs_power(alpha, p)          # 0^0 = 1: order 0 is 1 on every bin
+    modulus = _abs_power(alpha, np.abs(p))  # 0^0 = 1: order 0 is 1 on every bin
     symbol = np.multiply(modulus, upper, out=np.empty(p.shape, dtype=complex))
     np.multiply(modulus, lower, out=symbol, where=p < 0)
     return symbol
@@ -178,18 +179,28 @@ def _too_large(what, *sources):
     return OrderTooLarge(f"{what}: samples up to |f| = {top:.3g} are too large")
 
 
-@contextlib.contextmanager
-def _overflow_is_too_large(what, *sources):
+class _overflow_is_too_large:
     """numpy's overflow warnings off, and OrderTooLarge (see _too_large) where the
     gate of the result finds a value that is not finite (an EvaluationFailure).
 
-    The one mapping of the engine, the transforms and product_rule.
+    The one mapping of the engine, the transforms and product_rule.  A class, not
+    a generator: it is entered on every engine call.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    __slots__ = ("what", "sources", "errstate")
+
+    def __init__(self, what, *sources):
+        self.what, self.sources = what, sources
+        self.errstate = np.errstate(over="ignore", invalid="ignore")
+
+    def __enter__(self):
+        self.errstate.__enter__()
+
+    def __exit__(self, kind, error, traceback):
         try:
-            yield
-        except EvaluationFailure:
-            raise _too_large(what, *sources) from None
+            if kind is not None and issubclass(kind, EvaluationFailure):
+                raise _too_large(self.what, *self.sources) from None
+        finally:
+            self.errstate.__exit__(None, None, None)
 
 
 def forward(signal):
@@ -436,6 +447,18 @@ def _half_spectra(signal):
     return spectra
 
 
+@functools.lru_cache(maxsize=8)
+def _half_bins(n, dp):
+    """The rfft bins p = k*dp, k = 0..n/2, read-only: once per grid spacing."""
+    return _readonly(np.arange(n // 2 + 1) * dp)
+
+
+def _half_symbol(alpha, grid):
+    """(ip)^a on the grid's rfft bins: |p|^a of _abs_power times the p > 0 phase i^a,
+    the bits of ip_power there, without its gates and its p < 0 side."""
+    return _abs_power(alpha, _half_bins(grid.n, grid.dp)) * cmath.exp(0.5j * np.pi * alpha)
+
+
 def _apply_multiplier(signal, alpha, phase):
     """irfft(rfft(values) * (ip)^a) times phase, with the images handled.
 
@@ -467,7 +490,7 @@ def _apply_multiplier(signal, alpha, phase):
     g = signal.grid
     with _overflow_is_too_large(f"the engine's transform overflows double precision at "
                                 f"order {alpha:g}", signal.values):
-        symbol = ip_power(alpha, np.arange(g.n // 2 + 1) * g.dp)
+        symbol = _half_symbol(alpha, g)
         images, warning = _images(signal, alpha, phase)
         spectra = _half_spectra(signal)
         # the kept spectra stay as they are: the last product goes into the

@@ -20,6 +20,8 @@ from fracspectral.spectral import (AlphaInForbiddenRange, MinusOneBranch,
                                    p_power, pairing_continuity_gap,
                                    product_rule)
 
+from test_quantum import _counting    # the np.fft call counter
+
 GAUSS = lambda x: np.exp(-x * x)
 X2GAUSS = lambda x: x * x * np.exp(-x * x)
 
@@ -88,6 +90,39 @@ def test_order_too_large_is_typed():
             symbol(300.0, np.array([-1.0, 1e5]))
         assert symbol(0.5, np.array([])).shape == (0,)
         assert np.all(np.isfinite(symbol(280.0, np.array([-4 * math.pi, 4 * math.pi]))))
+
+
+def test_engine_symbol_has_the_bits_of_the_symbols(monkeypatch):
+    # the engine forms (ip)^a on its rfft bins p = k dp, k = 0..n/2, from _abs_power
+    # and the p > 0 phase i^a, without the gates of ip_power: the bits of ip_power on
+    # those bins, its |p|^a the bits of p_power there, or the same OrderTooLarge
+    orders = (0.0, 5e-324, 1e-12, 0.3, 1.0, 2.0, 2.5, 5.2, 60.5, 170.0)
+    for box in ((-8.0, 8.0), (-16.0, 16.0)):
+        for n in (2 ** k for k in range(3, 16)):
+            g = make_grid(*box, n)
+            bins = np.arange(n // 2 + 1) * g.dp
+            assert spectral._half_bins(n, g.dp).tobytes() == bins.tobytes()
+            for a in orders:
+                try:
+                    want = ip_power(a, bins), p_power(a, bins)
+                except OrderTooLarge as exc:
+                    with pytest.raises(OrderTooLarge) as raised:
+                        spectral._half_symbol(a, g)
+                    assert str(raised.value) == str(exc)
+                    continue
+                assert spectral._half_symbol(a, g).tobytes() == want[0].tobytes(), (box, n, a)
+                modulus = spectral._abs_power(a, spectral._half_bins(n, g.dp))
+                assert modulus.astype(complex).tobytes() == want[1].tobytes(), (box, n, a)
+    # on (-1, 1) with n = 8 the Nyquist bin 4 pi overflows |p|^281: the engine
+    # raises before any transform, with the text of the guard
+    sig = sample(GAUSS, make_grid(-1.0, 1.0, 8))
+    calls = _counting(monkeypatch)
+    for op in (fractional_derivative, fractional_momentum):
+        with pytest.raises(OrderTooLarge) as raised:
+            op(sig, 281.0)
+        assert str(raised.value) == ("|p|^281 overflows double precision at |p| = 12.5664: "
+                                     "the order is too large for this grid")
+    assert calls == []
 
 
 def test_tiny_orders_match_the_closed_forms():
