@@ -124,9 +124,10 @@ def central_gap(u, v):
 def _own_samples(values, points, name, axis):
     """values as their own read-only complex copy, one finite value per point (x or p).
 
-    The one gate of sampled data: ValueError for the wrong shape, else
-    EvaluationFailure, naming the point, for a value that is not a finite double,
-    and EvaluationFailure for text or a nested array, which a complex cast would parse.
+    The one gate of sampled data: GridMismatch, naming both shapes, for the
+    wrong shape, else EvaluationFailure, naming the point, for a value that is
+    not a finite double, and EvaluationFailure for text or a nested array,
+    which a complex cast would parse.
     """
     values = np.asarray(values)
     if values.dtype.kind not in "biufcO" or values.dtype.kind == "O" and any(
@@ -147,7 +148,7 @@ def _finite_samples(values, points, name, axis):
     no other reference to, so the gate needs no copy.
     """
     if values.shape != points.shape:
-        raise ValueError(f"{name} shape {values.shape} != {points.shape}")
+        raise GridMismatch(f"{name} shape {values.shape} != {points.shape}")
     if not np.isfinite(values.view(float)).all():
         raise EvaluationFailure(f"non-finite value at {axis}="
                                 f"{points[np.argmin(np.isfinite(values))].item()!r}")
@@ -245,7 +246,7 @@ def _evaluate(f, points, axis):
         try:
             values[j] = complex(f(point))
         except Exception as exc:
-            raise EvaluationFailure(f"evaluation failed at {axis}={point!r}: {exc}") from exc
+            raise EvaluationFailure(f"evaluation failed at {axis}={point.item()!r}: {exc}") from exc
     return values
 
 

@@ -7,6 +7,13 @@ zeta functions are implemented here (plain power series, Euler-Maclaurin
 summation), so the closed forms and the image correction they feed are
 auditable and need nothing beyond numpy and the standard library.  A value
 that overflows double precision raises OrderTooLarge (see require_finite).
+
+Over arrays, a function raises what its scalar call on the first failing
+element raises, first in C order over the broadcast shape.  kummer_1f1 and
+hurwitz_zeta gate each whole argument before anything else, as their scalar
+calls do: a value that is not real and finite (or, for hurwitz_zeta, not
+s > 1 and q > 0) raises with the scalar gate's words, naming the argument's
+first such value.
 """
 import cmath
 import functools
@@ -142,7 +149,8 @@ def require_reals(name, values, above=-math.inf):
     values = values.astype(float, copy=False)
     good = (values > above) & (values < math.inf)
     if not good.all():
-        raise ArgumentOutOfRange(f"{name} must be finite and > {above:g}, got {values[~good][0]}")
+        bound = f" and > {above:g}" if above > -math.inf else ""
+        raise ArgumentOutOfRange(f"{name} must be finite{bound}, got {values[~good][0]}")
     return values
 
 
@@ -238,9 +246,7 @@ def kummer_1f1(a, b, z):
     give R rows of n values from one series.
     A non-finite argument raises ArgumentOutOfRange; a series that overflows
     raises OrderTooLarge, and one that does not converge within
-    _SERIES_MAX_TERMS terms SeriesNotConverged.  Over arrays, the error is
-    that of the first row that fails, as if the rows were called one by one:
-    a row is one index of the axes that a and b add in front of z's.
+    _SERIES_MAX_TERMS terms SeriesNotConverged.
     """
     if isinstance(z, np.ndarray):
         return _kummer_1f1_array(a, b, z)
@@ -262,47 +268,25 @@ def _require_parameter(name, value):
 def _kummer_1f1_array(a, b, z):
     """kummer_1f1 over an array z, a and b floats or arrays: one series for all
     elements, and e^z from math.exp once per element of z, as a scalar call has
-    it (np.exp can differ in the last bit)."""
+    it (np.exp can differ in the last bit).  Past the gates, a pole at b, a |z|
+    past MAX_ABS_Z, a series that did not stop and a value that is not finite
+    mark an element, and the scalar call on the first one raises."""
     a = _require_parameter("1F1 parameter a", a)
     b = _require_parameter("1F1 parameter b", b)
     z = require_reals("1F1 argument z", z)
-    pole = (b <= 0.0) & (b == np.floor(b))
-    if pole.any():
-        raise BParameterPole(f"1F1 undefined at non-positive integer b={np.extract(pole, b)[0]}")
-    far = np.abs(z) > MAX_ABS_Z
-    if far.any():
-        raise ArgumentOutOfRange(f"|z| = {abs(z[far][0])} exceeds {MAX_ABS_Z}")
     neg = z < 0.0
     growth = np.ones(z.shape)       # e^z where z < 0; elsewhere 1, and v * 1.0 is v
     growth[neg] = np.fromiter(map(math.exp, z[neg].tolist()), float)
     series_a = np.where(neg, b - a, a)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, live = _series_array(series_a, b, np.abs(z))
         value *= growth
-    if live.any() or not np.isfinite(value).all():
-        _raise_first_failure(value, live, z.ndim, (series_a, b, np.abs(z)), (a, b, z))
+    failed = (live | ~np.isfinite(value) | (b <= 0.0) & (b == np.floor(b))
+              | (np.abs(z) > MAX_ABS_Z))
+    if failed.any():                # the scalar call on the first marked element raises
+        kummer_1f1(*(np.broadcast_to(v, failed.shape).flat[failed.argmax()].item()
+                     for v in (a, b, z)))
     return value
-
-
-def _raise_first_failure(value, live, z_ndim, series_args, args):
-    """Raise the error of the first failing row of a kummer_1f1 array call.
-
-    A row is one index of the axes that a and b add in front of z's (the
-    whole call where they add none).  In a row, a series that did not
-    converge, named by the series' own a, b and z, comes before a value
-    that overflows, named by the call's a, b and z: a call on the row alone
-    raises the same.
-    """
-    size = math.prod(value.shape[value.ndim - z_ndim:])
-    element = lambda values, i: (np.broadcast_to(v, value.shape).flat[i] for v in values)
-    for row, (unfinished, bad) in enumerate(zip(live.reshape(-1, size),
-                                                ~np.isfinite(value.reshape(-1, size)))):
-        if unfinished.any():
-            a, b, z = element(series_args, row * size + unfinished.argmax())
-            raise SeriesNotConverged(f"1F1({a:g}; {b:g}; {z:g}) power series not converged "
-                                     f"after {_SERIES_MAX_TERMS} terms")
-        if bad.any():
-            raise OrderTooLarge(_KUMMER_OVERFLOW.format(*element(args, row * size + bad.argmax())))
 
 
 def kummer_1f1_series(a, b, z):
@@ -368,13 +352,14 @@ def hurwitz_zeta(s, q):
     # from the pow of the array loop
     scalar = s.ndim == q.ndim == 0
     s, q = np.atleast_1d(s, q)
-    try:
-        with np.errstate(over="raise"):
-            total = _zeta_one_plus(s - 1.0, q, 1.0)     # s - 1 is exact for s <= 2^53
-    except FloatingPointError:
+    with np.errstate(over="ignore"):
+        total = _zeta_one_plus(s - 1.0, q, 1.0)     # s - 1 is exact for s <= 2^53
+    overflow = ~np.isfinite(total)
+    if overflow.any():
+        s, q = (np.broadcast_to(v, total.shape).flat[overflow.argmax()] for v in (s, q))
         raise OrderTooLarge(f"hurwitz_zeta overflows double precision for s in "
-                            f"[{s.min():.12g}, {s.max():.12g}], q in [{q.min():g}, {q.max():g}]: "
-                            f"the order or argument is too large") from None
+                            f"[{s:.12g}, {s:.12g}], q in [{q:g}, {q:g}]: "
+                            f"the order or argument is too large")
     return float(total[0]) if scalar else total
 
 

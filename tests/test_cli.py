@@ -579,6 +579,14 @@ def test_built_ins_where_x2_overflows_run_without_warnings(capsys):
     assert [row.split(",")[1] for row in rows[1:]] == ["0"] * 4 + ["1"] + ["0"] * 3
 
 
+def test_closed_form_where_x2_overflows_names_the_1f1_gate(capsys):
+    # z = -x^2 is -inf there, and the array gate says what the scalar one says
+    assert run_cli(capsys, "derive", "--alpha", "0.5", "--points", "8",
+                   "--domain", "-1e200", "1e200") == (
+        2, "", "error: --domain: closed-form route limited to |x| <= 20 (1F1 argument z "
+               "must be finite, got -inf); use --engine spectral or a narrower domain\n")
+
+
 def test_closed_form_at_subnormal_orders_prints_the_order_zero_curve(capsys):
     zero = run_cli(capsys, "derive", "--alpha", "0", "--points", "64", "--domain", "-8", "8")
     assert zero[0] == 0

@@ -9,6 +9,7 @@ from fracspectral.grid import (DegenerateInterval, EvaluationFailure, Grid,
                                central_gap, central_window, make_grid, require_same_grid,
                                sample)
 from fracspectral.specfun import ArgumentOutOfRange
+from fracspectral.spectral import ImageCorrection
 
 
 def test_grid_arrays():
@@ -132,7 +133,10 @@ def test_sample_failure_names_the_point():
 
     with pytest.raises(EvaluationFailure) as err:
         sample(bad, g)
-    assert str(g.x[3]) in str(err.value)
+    # the point is named as a plain number, not as numpy's np.float64(...)
+    assert str(err.value) == f"evaluation failed at x={float(g.x[3])!r}: boom"
+    with pytest.raises(EvaluationFailure, match=r"^evaluation failed at x=-8\.0: "):
+        sample(lambda x: np.ones(3), make_grid(-8.0, 8.0, 16))
 
 
 def test_sample_rejects_non_finite():
@@ -187,6 +191,19 @@ def test_signal_length_must_match_grid():
     g = make_grid(-4.0, 4.0, 64)
     with pytest.raises(ValueError):
         SampledSignal(g, np.zeros(32))
+
+
+def test_wrong_shapes_are_a_typed_error_naming_both_shapes():
+    # GridMismatch is a ValueError, so the tests above hold as they are
+    g = make_grid(-4.0, 4.0, 16)
+    for make, message in ((lambda: SampledSignal(g, [1.0, 2.0]), "values shape (2,) != (16,)"),
+                          (lambda: SampledSignal(g, 1.0), "values shape () != (16,)"),
+                          (lambda: Spectrum(g, np.ones((4, 4))), "coeffs shape (4, 4) != (16,)"),
+                          (lambda: ImageCorrection(g, 0.5, [[1.0, 0.5]]),
+                           "moments shape (1, 2) != (2,)")):
+        with pytest.raises(GridMismatch) as err:
+            make()
+        assert str(err.value) == message
 
 
 def test_spectrum_holds_coefficients():

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
-
-import mpmath
 
 from fracspectral import specfun
 from fracspectral.specfun import (ArgumentOutOfRange, BParameterPole,
                                   OrderTooLarge, PoleAtNonPositiveInteger,
                                   SeriesNotConverged, gamma, hurwitz_zeta, kummer_1f1,
                                   kummer_1f1_series, zeta_negative)
+from fracspectral.spectral import ip_power
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -30,6 +28,7 @@ def test_gamma_pinned_values():
 
 def test_gamma_against_mpmath_on_positive_axis():
     # the whole range where Gamma is finite, up to just below its overflow
+    mpmath = pytest.importorskip("mpmath")
     xs = np.concatenate([np.linspace(0.01, 171.6, 500), [142.3, 150.0, 171.5]])
     worst = 0.0
     with mpmath.workdps(40):
@@ -48,6 +47,7 @@ def test_gamma_recurrence():
 def test_gamma_reflection_negative_axis():
     assert gamma(-0.5) == pytest.approx(-2 * SQRT_PI, rel=1e-12)
     assert gamma(-1.5) == pytest.approx(4 * SQRT_PI / 3, rel=1e-12)
+    mpmath = pytest.importorskip("mpmath")
     for x in (-0.3, -2.7, -7.1):
         assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-11)
 
@@ -91,13 +91,14 @@ def test_kummer_terminating_polynomial():
 
 
 def test_kummer_against_scipy_grid():
+    scipy_special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(300):
         a = rng.uniform(-4.0, 6.0)
         b = rng.uniform(0.1, 6.0)
         z = rng.uniform(-30.0, 30.0)
-        ref = scipy.special.hyp1f1(a, b, z)
+        ref = scipy_special.hyp1f1(a, b, z)
         if not np.isfinite(ref) or abs(ref) < 1e-200:
             continue
         worst = max(worst, abs(kummer_1f1(a, b, z) - ref) / abs(ref))
@@ -107,7 +108,8 @@ def test_kummer_against_scipy_grid():
 def test_kummer_negative_argument_uses_stable_route():
     # alternating series would lose ~all digits here; the transformed
     # route keeps full precision
-    ref = scipy.special.hyp1f1(0.25, 0.5, -225.0)
+    scipy_special = pytest.importorskip("scipy.special")
+    ref = scipy_special.hyp1f1(0.25, 0.5, -225.0)
     assert kummer_1f1(0.25, 0.5, -225.0) == pytest.approx(ref, rel=1e-10)
 
 
@@ -128,10 +130,11 @@ def test_kummer_argument_cap():
 def test_series_variant_small_arguments_only():
     assert kummer_1f1_series(0.5, 1.5, 2.0) == pytest.approx(
         kummer_1f1(0.5, 1.5, 2.0), rel=1e-12)
-    assert kummer_1f1_series(0.5, 1.5, -3.0) == pytest.approx(
-        scipy.special.hyp1f1(0.5, 1.5, -3.0), rel=1e-10)
     with pytest.raises(ArgumentOutOfRange):
         kummer_1f1_series(0.5, 1.5, 8.0)
+    scipy_special = pytest.importorskip("scipy.special")
+    assert kummer_1f1_series(0.5, 1.5, -3.0) == pytest.approx(
+        scipy_special.hyp1f1(0.5, 1.5, -3.0), rel=1e-10)
 
 
 def test_kummer_non_finite_argument_and_overflow_are_typed():
@@ -150,6 +153,7 @@ def test_kummer_non_finite_argument_and_overflow_are_typed():
 
 def test_kummer_converges_up_to_the_largest_argument():
     # from |z| of about 335 on the transformed series needs more than 500 terms
+    mpmath = pytest.importorskip("mpmath")
     for z in (-330.0, -360.0, -400.0):
         with mpmath.workdps(40):
             ref = mpmath.hyp1f1(0.75, 0.5, z)
@@ -254,8 +258,8 @@ def test_kummer_over_rows_raises_the_first_failing_row_s_error(monkeypatch):
             kummer_1f1(*rows((0.5, 0.5), (0.5, -2.0)), z)
         with pytest.raises(ArgumentOutOfRange, match="finite"):
             kummer_1f1(*rows((0.5, 0.5), (math.nan, 1.5)), z)
-    # within a row a series past its cap comes before an overflow, and an
-    # earlier row's overflow before a later row's series: as called row by row
+    # the first failing element in C order decides, so a series past its cap
+    # and an overflow raise as when the rows are called one by one, in order
     monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 500)
     far = np.array([-1.0, -400.0])
     for pairs in (((0.75, 0.5), (1e300, 0.5)), ((1e300, 0.5), (0.75, 0.5))):
@@ -265,6 +269,68 @@ def test_kummer_over_rows_raises_the_first_failing_row_s_error(monkeypatch):
             for a, b in pairs:
                 kummer_1f1(a, b, far)
         assert (type(stacked.value), str(stacked.value)) == (type(first.value), str(first.value))
+
+
+def _first_scalar_error(function, *args):
+    """(type, text) of the error of the scalar call on the first element, in C
+    order over the broadcast shape, whose scalar call raises."""
+    for element in zip(*(v.flat for v in np.broadcast_arrays(*args))):
+        try:
+            function(*(v.item() for v in element))
+        except ValueError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no element fails")
+
+
+@pytest.mark.parametrize("function, args", [
+    # a |z| past the cap in row 0 comes before a pole at b in row 1
+    (kummer_1f1, (np.array([[0.5], [0.5]]), np.array([[0.5], [-2.0]]), np.array([450.0, 0.0]))),
+    (kummer_1f1, (np.array([[0.5], [0.5]]), np.array([[-2.0], [0.5]]), np.array([450.0, 0.0]))),
+    (kummer_1f1, (0.5, np.array([0.5, -2.0]), np.array([450.0, 0.0]))),
+    # an overflow before a series past its cap, and the other way round
+    (kummer_1f1, (np.array([1e300, 0.75]), 0.5, np.array([-1.0, -400.0]))),
+    (kummer_1f1, (np.array([0.75, 1e300]), 0.5, np.array([-400.0, -1.0]))),
+    # an overflow in row 0 before a |z| past the cap there, and a later row's
+    (kummer_1f1, (np.array([[1e300], [0.5]]), 0.5, np.array([0.0, -1.0, 450.0]))),
+    (kummer_1f1, (np.array([[0.5], [1e300]]), 0.5, np.array([0.0, -1.0, 450.0]))),
+    (kummer_1f1, (0.5, 1.5, np.array([1.0, -400.5, -2.0, 500.0]))),
+    # the gates name the argument's first value that is not finite
+    (kummer_1f1, (0.5, 1.5, np.array([1.0, math.nan, -math.inf]))),
+    (kummer_1f1, (np.array([[0.5], [math.inf]]), 1.5, np.array([0.0, 1.0]))),
+    # the element whose direct term overflows, not the range of the call
+    (hurwitz_zeta, (np.array([1.5, 800.0]), np.array([0.2, 0.2]))),
+    (hurwitz_zeta, (np.array([[2.0], [900.0], [2000.0]]), np.array([0.5, 0.1]))),
+    (hurwitz_zeta, (np.array([2.0, 1.0]), 0.5)),
+    (zeta_negative, (np.array([170.5, 171.5, math.nan]),)),
+], ids=["rows_z_before_pole", "rows_pole_before_z", "b_z_before_pole",
+        "overflow_before_series", "series_before_overflow", "rows_overflow_before_z",
+        "rows_z_before_overflow", "z_first_far", "z_not_finite", "rows_a_not_finite",
+        "zeta_pair", "zeta_rows", "zeta_gate", "zeta_negative"])
+def test_an_array_call_raises_the_scalar_call_s_error_on_its_first_failing_element(
+        function, args, monkeypatch):
+    # with 500 terms the series at (0.75; 0.5; 400) does not converge
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            function(*args)
+        assert (type(err.value), str(err.value)) == _first_scalar_error(function, *args)
+
+
+def test_array_gates_without_a_lower_bound_use_the_scalar_gate_s_words():
+    with pytest.raises(ArgumentOutOfRange) as err:
+        kummer_1f1(0.5, 1.5, np.array([-math.inf]))
+    assert str(err.value) == "1F1 argument z must be finite, got -inf"
+    with pytest.raises(ArgumentOutOfRange) as scalar:
+        kummer_1f1(0.5, 1.5, -math.inf)
+    assert str(scalar.value) == str(err.value)
+    with pytest.raises(ArgumentOutOfRange) as err:
+        ip_power(0.5, np.array([math.inf]))
+    assert str(err.value) == "p must be finite, got inf"
+    # a lower bound is still named
+    with pytest.raises(ArgumentOutOfRange) as err:
+        hurwitz_zeta(np.array([2.0]), np.array([0.0]))
+    assert str(err.value) == "hurwitz_zeta q must be finite and > 0, got 0.0"
 
 
 # --- Hurwitz zeta ----------------------------------------------------------
@@ -287,13 +353,14 @@ def test_hurwitz_zeta_against_scipy():
     s = np.concatenate([1.0 + np.logspace(-6, 0, 13), np.linspace(2.0, 12.0, 41)])
     q = np.linspace(0.5, 1.5, 101)
     got = hurwitz_zeta(s[:, None], q[None, :])
-    ref = scipy.special.zeta(s[:, None], q[None, :])
+    ref = pytest.importorskip("scipy.special").zeta(s[:, None], q[None, :])
     assert np.max(np.abs(got - ref) / ref) < 1e-14
 
 
 def test_hurwitz_zeta_on_the_image_kernel_columns():
     # the image sum asks for s = 1 + a + j + r up to about 63 (order 5.2, 40
     # moments, 18 Taylor terms) at block centres q in 0.5 .. 1.5
+    mpmath = pytest.importorskip("mpmath")
     s = np.linspace(12.0, 80.0, 35)
     q = np.linspace(0.5, 1.5, 11)
     got = hurwitz_zeta(s[:, None], q[None, :])
@@ -320,6 +387,7 @@ def test_hurwitz_zeta_at_large_s():
         with pytest.raises(OrderTooLarge, match="overflows"):
             hurwitz_zeta(s, q)
     # on both sides of the cap on the tail's s the values hold
+    mpmath = pytest.importorskip("mpmath")
     for s in (100.0, 225.0, 399.0, 401.0):
         for q in (0.5, 1.0, 1.5):
             with mpmath.workdps(30):
@@ -337,6 +405,7 @@ def test_hurwitz_zeta_at_large_q():
              (2.0, 1e300), (2.0, 1e200), (3.0, 1e150), (2.0, 1e154), (1.5, 1e250),
              (1.0000000001, 1e300), (2.0, 1e308), (1.5, 1e308))
     in_one_call = hurwitz_zeta(np.array(cases)[:, 0], np.array(cases)[:, 1])
+    mpmath = pytest.importorskip("mpmath")
     for (s, q), got in zip(cases, in_one_call):
         with mpmath.workdps(30):
             ref = mpmath.zeta(s, q)
@@ -354,6 +423,7 @@ def test_hurwitz_zeta_domain():
 # --- zeta at negative arguments --------------------------------------------
 
 def test_zeta_negative_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     # 2 + 1e-7: next to a trivial zero the sine keeps its relative accuracy
     for t in np.append(np.linspace(0.0, 40.0, 801), 2.0 + 1e-7):
@@ -379,6 +449,9 @@ def test_zeta_negative_next_to_zero_against_mpmath():
                          np.logspace(-323, 0, 324), 10 ** rng.uniform(-12, 0, 300)])
     got = zeta_negative(ts)
     assert got.tobytes() == np.array([zeta_negative(t) for t in ts.tolist()]).tobytes()
+    assert zeta_negative(5e-324) == -0.5
+    assert zeta_negative(1e-10) == -0.5 + 1e-10 * 0.5 * math.log(2.0 * math.pi)
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         errors = [float(abs((g - mpmath.zeta(-mpmath.mpf(t))) / mpmath.zeta(-mpmath.mpf(t))))
                   for t, g in zip(ts.tolist(), got.tolist())]
@@ -386,8 +459,6 @@ def test_zeta_negative_next_to_zero_against_mpmath():
     # off by up to 6.5e-16 next to 1), so the worst case sits just above 1e-15
     assert max(errors) < 1.5e-15
     assert np.median(errors) < 3e-16
-    assert zeta_negative(5e-324) == -0.5
-    assert zeta_negative(1e-10) == -0.5 + 1e-10 * 0.5 * math.log(2.0 * math.pi)
 
 
 def test_zeta_negative_domain():
