@@ -266,14 +266,29 @@ def _require_parameter(name, value):
 
 
 def _kummer_1f1_array(a, b, z):
-    """kummer_1f1 over an array z, a and b floats or arrays: one series for all
-    elements, and e^z from math.exp once per element of z, as a scalar call has
-    it (np.exp can differ in the last bit).  Past the gates, a pole at b, a |z|
-    past MAX_ABS_Z, a series that did not stop and a value that is not finite
-    mark an element, and the scalar call on the first one raises."""
+    """kummer_1f1 over an array z, a and b floats or arrays.  Past the gates, an element
+    with a pole at b or a |z| past MAX_ABS_Z is refused before any series: the series
+    runs on the elements before the first refused one alone, in C order, and the scalar
+    call on the first element that fails raises, the refused one where none before it does."""
     a = _require_parameter("1F1 parameter a", a)
     b = _require_parameter("1F1 parameter b", b)
     z = require_reals("1F1 argument z", z)
+    refused = np.broadcast_to((b <= 0.0) & (b == np.floor(b)) | (np.abs(z) > MAX_ABS_Z),
+                              np.broadcast_shapes(np.shape(a), np.shape(b), z.shape))
+    if refused.any():
+        stop = int(refused.argmax())
+        a, b, z = (np.broadcast_to(v, refused.shape).flat[:stop + 1] for v in (a, b, z))
+        if stop:
+            _kummer_values(a[:stop], b[:stop], z[:stop])
+        kummer_1f1(a[stop].item(), b[stop].item(), z[stop].item())
+    return _kummer_values(a, b, z)
+
+
+def _kummer_values(a, b, z):
+    """kummer_1f1 on elements that pass its gates: one series for all elements, and e^z
+    from math.exp once per element of z, as a scalar call has it (np.exp can differ in the
+    last bit).  A series that did not stop and a value that is not finite mark an element,
+    and the scalar call on the first one raises."""
     neg = z < 0.0
     growth = np.ones(z.shape)       # e^z where z < 0; elsewhere 1, and v * 1.0 is v
     growth[neg] = np.fromiter(map(math.exp, z[neg].tolist()), float)
@@ -281,8 +296,7 @@ def _kummer_1f1_array(a, b, z):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, live = _series_array(series_a, b, np.abs(z))
         value *= growth
-    failed = (live | ~np.isfinite(value) | (b <= 0.0) & (b == np.floor(b))
-              | (np.abs(z) > MAX_ABS_Z))
+    failed = live | ~np.isfinite(value)
     if failed.any():                # the scalar call on the first marked element raises
         kummer_1f1(*(np.broadcast_to(v, failed.shape).flat[failed.argmax()].item()
                      for v in (a, b, z)))

@@ -141,12 +141,17 @@ def zero_noise(*coeffs):
 
 def _abs_power(alpha, modulus):
     """|p|^alpha from a float array of |p| (>= 0, left as it is); OrderTooLarge, before
-    the power, where its largest overflows.  The one overflow guard of a power of |p|."""
-    p_max = float(modulus.max(initial=0.0))
+    the power, where its largest overflows (_require_power)."""
+    _require_power(alpha, float(modulus.max(initial=0.0)))
+    return modulus ** alpha
+
+
+def _require_power(alpha, p_max):
+    """OrderTooLarge where |p|^alpha overflows at |p| = p_max: the one overflow guard
+    of a power of |p|."""
     if alpha * math.log(max(p_max, 1.0)) > _LOG_DBL_MAX:
         raise OrderTooLarge(f"|p|^{alpha:g} overflows double precision at "
                             f"|p| = {p_max:.6g}: the order is too large for this grid")
-    return modulus ** alpha
 
 
 def _branch_power(alpha, p, momentum):
@@ -184,7 +189,8 @@ class _overflow_is_too_large:
     gate of the result finds a value that is not finite (an EvaluationFailure).
 
     The one mapping of the engine, the transforms and product_rule.  A class, not
-    a generator: it is entered on every engine call.
+    a generator: it is entered on every engine call, once, and the engine points
+    what and sources at each signal in turn.
     """
     __slots__ = ("what", "sources", "errstate")
 
@@ -251,26 +257,30 @@ class ImageCorrection:
         P^(-1-a)/Gamma(-a) * sum_j nu_j (1+a)_j/j! * zeta(1+a+j, 1 + (x-c)/P),
 
     nu_j = mu_j / P^j, zeta the Hurwitz zeta function.  By 1/Gamma(-a) = -a/Gamma(1-a),
-    _tail_terms forms the terms before a zeta(...), the one home of the series, finite
-    at every order (see _image_sum); as a -> 0 the sum tends to -nu_0/P.  Images m <= -1
-    fall to the left of f, where g decays like f itself.  A P_a result is
+    _ImageTable forms the factors of the terms before a zeta(...), the one home of the
+    series, finite at every order (see _image_sum); as a -> 0 the sum tends to -nu_0/P.
+    Images m <= -1 fall to the left of f, where g decays like f itself.  A P_a result is
     e^{-i*pi*a/2} D^a f, so its images carry that phase.
 
     grid    the grid of the moments: c is its box centre, P its period
     order   the order of the multiplier the result was computed at
     moments nu_0, nu_1, ... of the signal it was computed from, times the
             result's phase (e^{-i*pi*a/2} for P_a), a read-only copy
-    values  the image sum at the grid's samples, formed at construction, read-only
+    values  the image sum at the grid's samples, read-only: a record built here
+            forms it at construction; the engine subtracts the sum from its result
+            straight from its zeta table, and its record forms the same bits on
+            first read, from its own table
 
     Construction refuses a grid that is not a Grid (GridMismatch), moments
-    that are not finite (EvaluationFailure) and an order outside _image_order's
-    limits.  The engine does not read a record again: a further order of a
-    corrected result is taken from its source signal (see _apply_multiplier).
+    that are not finite (EvaluationFailure), an order outside _image_order's
+    limits and an image sum that is not finite (EvaluationFailure).  The engine
+    does not read a record again: a further order of a corrected result is
+    taken from its source signal (see _apply_multiplier).
     """
     grid: Grid
     order: float
     moments: np.ndarray
-    values: np.ndarray = field(init=False, repr=False)
+    _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
@@ -279,31 +289,65 @@ class ImageCorrection:
         if order is None:
             raise AlphaInForbiddenRange(f"order {self.order:g} leaves no image tail")
         moments = _own_samples(self.moments, np.arange(np.size(self.moments)), "moments", "j")
-        # the sum runs in the unit 2^e next to the largest moment, up or down (ldexp, exact)
-        e = math.frexp(float(np.abs(moments).max(initial=0.0)))[1] - 1
-        terms = _tail_terms(order, np.ldexp(moments.view(float), -e).view(complex),
-                            self.grid.x_max - self.grid.x_min)
-        values = _image_sum(self.grid.n, order, terms, e)
+        values = _image_values(self.grid, order, moments)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "values", _finite_samples(values, self.grid.x, "images", "x"))
+        object.__setattr__(self, "_values", _finite_samples(values, self.grid.x, "images", "x"))
+
+    @classmethod
+    def _of_engine(cls, grid, order, moments):
+        """The record of an engine result: its own moments (read-only here), the values
+        formed on first read.  The engine's finite gate of the result covers both."""
+        record = cls.__new__(cls)
+        for name, value in (("grid", grid), ("order", order), ("moments", _readonly(moments)),
+                            ("_values", None)):
+            object.__setattr__(record, name, value)
+        return record
+
+    @property
+    def values(self):
+        """The image sum at the grid's samples, read-only (formed here on first read)."""
+        if self._values is None:
+            object.__setattr__(self, "_values",
+                               _readonly(_image_values(self.grid, self.order, self.moments)))
+        return self._values
 
     def __reduce__(self):
         # through __init__, so a copy or an unpickled record is read-only too
         return ImageCorrection, (self.grid, self.order, self.moments)
 
 
-def _tail_terms(order, moments, period):
-    """-P^(-1-a)/Gamma(1-a) nu_j (1+a)_j/j!: the terms of the image tail series at box
-    width P over the order, its one home, each for an a zeta(1+a+j, q); finite at every
-    order _image_order accepts.  OrderTooLarge where P^(-1-a) overflows."""
-    try:
-        scale = -period ** (-1.0 - order) / specfun.gamma(1.0 - order)
-    except OverflowError:
-        raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
-                            f"at box width P = {period:g}, order {order:g}") from None
-    j = np.arange(1, len(moments))
-    return scale * moments * np.concatenate(([1.0], np.cumprod((order + j) / j)))
+class _ImageTable:
+    """What the image records of one order on one grid share: formed once per order in
+    one engine call (see _apply_multiplier) and dropped with it, never kept after it.
+
+    scale, weights  -P^(-1-a)/Gamma(1-a) and (1+a)_j/j!, j < _MAX_MOMENTS: the term of
+                    moment j is scale nu_j weights_j, each for an a zeta(1+a+j, q), finite
+                    at every order _image_order accepts (the one home of the series)
+    per_moment, zeta_max  the factors of _moments' bound on the image term of a moment
+    columns         the most zeta columns a record of the call asks for (see _images)
+    zeta, rising    the zeta table at that many columns and the rising factorials
+                    (s)_r, formed at the first _image_sum; every record slices them
+
+    Raises OrderTooLarge where P^(-1-a) overflows.
+    """
+    __slots__ = ("order", "n", "scale", "weights", "per_moment", "zeta_max", "columns",
+                 "zeta", "rising")
+
+    def __init__(self, order, grid):
+        period = grid.x_max - grid.x_min
+        try:
+            self.scale = -period ** (-1.0 - order) / specfun.gamma(1.0 - order)
+        except OverflowError:
+            raise OrderTooLarge(f"the image correction's P^(-1-a) overflows double precision "
+                                f"at box width P = {period:g}, order {order:g}") from None
+        j = np.arange(1, _MAX_MOMENTS)
+        self.weights = np.concatenate(([1.0], np.cumprod((order + j) / j)))
+        self.per_moment = np.abs(self.scale * self.weights)
+        j = np.arange(_MAX_MOMENTS)
+        self.zeta_max = order * 2.0 ** (1.0 + order + j) + order / (order + j)
+        self.order, self.n = order, grid.n
+        self.columns, self.zeta, self.rising = 0, None, None
 
 
 @functools.lru_cache(maxsize=8)
@@ -323,27 +367,54 @@ def _taylor_blocks(n):
     return _readonly(centres), _readonly(factors)
 
 
-def _image_sum(n, order, terms, e):
-    """2^e sum_j terms_j a zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1 (see _tail_terms).
+def _image_sum(table, moments):
+    """(real, imaginary) part of sum_j terms_j a zeta(1+a+j, q) at q = 1/2 + i/n, i = 0..n-1,
+    terms_j = scale nu_j weights_j of the table (see _ImageTable), in place of a complex array:
+    the engine subtracts each part from its result, a record's values take them.
 
     Each block uses zeta(s, q_b + h) = sum_r (-h)^r (s)_r / r! zeta(s+r, q_b),
     from d zeta(s, q)/dq = -s zeta(s+1, q) (DLMF 25.11), so zeta is evaluated
     at the block centres only, the factor a inside: column 0's pole term is a/a, not 1/a.
+    The first call on a table forms its one zeta table, at the largest column count of
+    its records, and every record takes the columns it needs from it: a column is the
+    same whatever the table's width.  The sum runs in the unit 2^e next to the largest
+    moment, up or down (ldexp, exact).
     """
-    centres, factors = _taylor_blocks(n)
-    n_mom, n_taylor = len(terms), len(factors)
-    s = 1.0 + order + np.arange(n_mom + n_taylor)
-    zeta = specfun._zeta_one_plus(np.hstack([order, s[1:] - 1.0]), centres[:, None], order)
-    rising = np.cumprod(np.hstack([np.ones((n_mom, 1)),
-                                   s[:n_mom, None] + np.arange(n_taylor - 1)]), axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(zeta, n_taylor, axis=1)[:, :n_mom]
-    taylor = np.einsum("jr,bjr->br", terms[:, None] * rising, windows)
-    # One product per half: the 2n-point temporary of a stacked product made
+    centres, factors = _taylor_blocks(table.n)
+    n_mom, n_taylor = len(moments), len(factors)
+    if table.zeta is None:
+        columns = max(table.columns, n_mom + n_taylor)
+        s = 1.0 + table.order + np.arange(columns)
+        t = s - 1.0
+        t[0] = table.order
+        table.zeta = specfun._zeta_one_plus(t, centres[:, None], table.order)
+        rising = np.ones((columns - n_taylor, n_taylor))
+        rising[:, 1:] = s[:len(rising), None] + np.arange(n_taylor - 1)
+        table.rising = np.cumprod(rising, axis=1, out=rising)
+    zeta = table.zeta
+    e = math.frexp(float(np.abs(moments).max(initial=0.0)))[1] - 1
+    terms = table.scale * np.ldexp(moments.view(float), -e).view(complex) * table.weights[:n_mom]
+    # the windows zeta[b, j:j + n_taylor] of moment j, a view of the table
+    windows = np.ndarray((len(centres), n_mom, n_taylor), float, zeta,
+                         strides=(zeta.strides[0], zeta.itemsize, zeta.itemsize))
+    taylor = np.einsum("jr,bjr->br", terms[:, None] * table.rising[:n_mom], windows)
+    # One product per part: the 2n-point temporary of a stacked product made
     # an engine request at n = 2^15 about 7% slower.
-    out = np.empty(n, dtype=complex)
-    np.ldexp((taylor.real @ factors).ravel(), e, out=out.real)
-    np.ldexp((taylor.imag @ factors).ravel(), e, out=out.imag)
-    return out
+    parts = [part @ factors for part in (taylor.real, taylor.imag)]
+    return [np.ldexp(part, e, out=part).ravel() for part in parts]
+
+
+def _image_values(grid, order, moments):
+    """The image sum of a record as a complex array, from a table of its own."""
+    values = np.empty(grid.n, dtype=complex)
+    values.real, values.imag = _image_sum(_ImageTable(order, grid), moments)
+    return values
+
+
+def _subtract_images(out, table, moments):
+    """out -= the image sum, in place, part by part: the IEEE operations of out - values."""
+    for part, images in zip((out.real, out.imag), _image_sum(table, moments)):
+        part -= images
 
 
 def _support(signal):
@@ -386,9 +457,12 @@ def _box_moments(signal):
         centres, factors = _taylor_blocks(grid.n)
         size = factors.shape[1]
         first, last = lo // size, -(-hi // size)
-        part = signal.values[first * size:last * size] * (grid.dx * unit)
-        part[:lo - first * size] = part[hi - first * size:] = 0.0
-        local = np.vstack([part.real, part.imag]).reshape(2, last - first, size) @ factors.T
+        values, scale = signal.values[first * size:last * size], grid.dx * unit
+        parts = np.empty((2, len(values)))      # the real and the imaginary part
+        for part, half in zip(parts, (values.real, values.imag)):
+            np.multiply(half, scale, out=part)
+        parts[:, :lo - first * size] = parts[:, hi - first * size:] = 0.0
+        local = parts.reshape(2, last - first, size) @ factors.T
         powers = np.vander(centres[first:last] - 1.0, _MAX_MOMENTS, increasing=True)
         shifted = (powers.T @ local).reshape(2, -1).take(_SHIFT_AT, axis=1)
         real, imag = np.einsum("jr,cjr->cj", _SHIFT, shifted)
@@ -396,30 +470,28 @@ def _box_moments(signal):
     return moments
 
 
-def _moments(signal, order):
-    """The moments nu_j of _box_moments, as many as order needs: the list ends at the
-    first two in a row whose image term is bounded below the limit (so c*f keeps the
-    moment count of f)."""
-    grid = signal.grid
+def _moments(signal, table):
+    """The moments nu_j of _box_moments, as many as the table's order needs: the list ends
+    at the first two in a row whose image term is bounded below the limit (so c*f keeps
+    the moment count of f)."""
     top, unit = _support(signal)[:2]
     moments = _box_moments(signal)
     # the image term of moment j is bounded by |nu_j| times its term per unit
     # moment times a zeta(s, 1/2) <= a 2^s + a/(a+j), s = 1 + a + j (as in _image_sum)
-    per_moment = np.abs(_tail_terms(order, np.ones(_MAX_MOMENTS), grid.x_max - grid.x_min))
-    j = np.arange(_MAX_MOMENTS)
-    zeta_max = order * 2.0 ** (1.0 + order + j) + order / (order + j)
-    quiet = per_moment * np.abs(moments) * zeta_max < _MOMENT_TOL * (top * unit)
+    quiet = table.per_moment * np.abs(moments) * table.zeta_max < _MOMENT_TOL * (top * unit)
     stop = np.flatnonzero(quiet[1:] & quiet[:-1])
     return moments[:stop[0] + 2 if stop.size else _MAX_MOMENTS] / unit
 
 
-def _images(signal, alpha, phase):
+def _images(signal, alpha, phase, tables):
     """(images, warning) of a multiplier of order alpha and phase on signal: the one
     wrap-around decision of the engine and product_rule.
 
     A signal that decays (_decays) gets a record from its moments, within
-    _image_order's limits.  Any other signal stays periodic, with a warning
-    at a non-integer order.
+    _image_order's limits, and the _ImageTable of its order in tables (a dict by
+    order, on the signal's grid, which the caller drops when it returns) notes its
+    column count.  Any other signal stays periodic, with a warning at a
+    non-integer order.
     """
     if not _decays(signal):
         if alpha == int(alpha):
@@ -430,7 +502,12 @@ def _images(signal, alpha, phase):
     order = _image_order(alpha)
     if order is None:
         return None, None
-    return ImageCorrection(signal.grid, order, _moments(signal, order) * phase), None
+    table = tables.get(order)
+    if table is None:
+        table = tables[order] = _ImageTable(order, signal.grid)
+    moments = _moments(signal, table) * phase
+    table.columns = max(table.columns, len(moments) + _IMAGE_TAYLOR)
+    return ImageCorrection._of_engine(signal.grid, order, moments), None
 
 
 def _half_spectra(signal):
@@ -459,8 +536,9 @@ def _half_symbol(alpha, grid):
     return _abs_power(alpha, _half_bins(grid.n, grid.dp)) * cmath.exp(0.5j * np.pi * alpha)
 
 
-def _apply_multiplier(signal, alpha, phase):
-    """irfft(rfft(values) * (ip)^a) times phase, with the images handled.
+def _apply_multiplier(signals, alpha, momentum):
+    """irfft(rfft(values) * (ip)^a) times phase for each signal of a tuple, with the images
+    handled: a tuple of results, one per signal, each bitwise the call on it alone.
 
     forward's e^{-ip x_min} and inverse's e^{+ip x_min} cancel here, as do
     their dx and sqrt(2 pi) factors.  The real and the imaginary part of
@@ -469,48 +547,70 @@ def _apply_multiplier(signal, alpha, phase):
     irfft and its derivative comes back exactly real.  Both use (ip)^a on
     the bins p = k*dp, k = 0..n/2; irfft keeps the real part of the Nyquist
     bin, which splits that bin evenly between +-pi/dx.  The phase is 1 for
-    D^a and e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a on every
-    bin.  The half-spectra, after the noise floor, are the signal's own
+    D^a and, where momentum, e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a
+    on every bin.  The half-spectra, after the noise floor, are the signal's own
     (_half_spectra), so further orders on one signal take no rfft.
     A further order b of a corrected result of order a is taken from the
     signal that result was computed from, at order a + b with the two phases
     multiplied: (ip)^a (ip)^b = (ip)^(a+b) on the principal branch, so
     D^b D^a f = D^(a+b) f, its gates and moment count those of order a + b.
-    Raises OrderTooLarge, before any transform, where |p|^a overflows at
-    the Nyquist bin, and after, where a transform or a product overflows
-    (samples near the float range).
+
+    The signals share one grid.  Each order that they resolve to takes one
+    _ImageTable, so its records share one zeta table (see _image_sum); none is
+    kept after the call.  A first pass gates each signal's symbol and makes its
+    record, a second forms the symbol, takes the transforms and subtracts the
+    image sum from the result in place, part by part; a record forms its values
+    only when they are read.  The symbol is formed per signal: one shared by
+    the signals of an order would stay alive across the first one's
+    transforms, and a 64 KB buffer more at n = 8192 cost more in page faults
+    than the symbol.  Raises OrderTooLarge, before any transform, where |p|^a
+    overflows at the Nyquist bin, and after, where a transform or a product
+    overflows (samples near the float range): on several signals, the first
+    failure of the first pass, else of the second.
     """
     alpha = require_order(alpha)
     if alpha == 0:
-        return signal
-    if signal._source is not None:
-        alpha += signal.images.order
-        signal, first = signal._source
-        phase = first * phase
-    g = signal.grid
-    with _overflow_is_too_large(f"the engine's transform overflows double precision at "
-                                f"order {alpha:g}", signal.values):
-        symbol = _half_symbol(alpha, g)
-        images, warning = _images(signal, alpha, phase)
-        spectra = _half_spectra(signal)
-        # the kept spectra stay as they are: the last product goes into the
-        # symbol's buffer, any other into a fresh one
-        products = [c * symbol for c in spectra[:-1]]
-        products.append(np.multiply(spectra[-1], symbol, out=symbol))
-        del symbol
-        # One complex buffer holds the result, and the phase and the images are
-        # applied in place: on large grids, n-point temporaries left the heap
-        # in a state that depended on the order of earlier calls.
-        out = np.empty(g.n, dtype=complex)
-        out.real = np.fft.irfft(products[0], g.n)
-        out.imag = np.fft.irfft(products[1], g.n) if len(products) == 2 else 0.0
-        del products
-        if phase != 1.0:
-            # phase first: numpy rounds phase * out and out * phase differently
-            np.multiply(phase, out, out=out)
-        if images is not None:
-            out -= images.values
-        return SampledSignal._adopt(g, out, warning, images, (signal, phase) if images else None)
+        return signals
+    grid = signals[0].grid
+    phase = cmath.exp(-0.5j * math.pi * alpha) if momentum else 1.0
+    tables, passes, results = {}, [], []
+    guard = _overflow_is_too_large(None)
+    with guard:
+        for signal in signals:
+            order, signal_phase = alpha, phase
+            if signal._source is not None:
+                order += signal.images.order
+                signal, first = signal._source
+                signal_phase = first * phase
+            guard.what = f"the engine's transform overflows double precision at order {order:g}"
+            guard.sources = (signal.values,)
+            _require_power(order, grid.n // 2 * grid.dp)     # at the Nyquist bin
+            images, warning = _images(signal, order, signal_phase, tables)
+            passes.append((signal, order, signal_phase, images, warning, guard.what))
+        for signal, order, signal_phase, images, warning, what in passes:
+            guard.what, guard.sources = what, (signal.values,)
+            symbol = _half_symbol(order, grid)
+            spectra = _half_spectra(signal)
+            # the kept spectra stay as they are: the last product goes into the
+            # symbol's buffer, any other into a fresh one
+            products = [c * symbol for c in spectra[:-1]]
+            products.append(np.multiply(spectra[-1], symbol, out=symbol))
+            del symbol
+            # One complex buffer holds the result, and the phase and the images are
+            # applied in place: on large grids, n-point temporaries left the heap
+            # in a state that depended on the order of earlier calls.
+            out = np.empty(grid.n, dtype=complex)
+            out.real = np.fft.irfft(products[0], grid.n)
+            out.imag = np.fft.irfft(products[1], grid.n) if len(products) == 2 else 0.0
+            del products
+            if signal_phase != 1.0:
+                # phase first: numpy rounds phase * out and out * phase differently
+                np.multiply(signal_phase, out, out=out)
+            if images is not None:
+                _subtract_images(out, tables[order], images.moments)
+            results.append(SampledSignal._adopt(grid, out, warning, images,
+                                                (signal, signal_phase) if images else None))
+    return tuple(results)
 
 
 def fractional_derivative(signal, alpha):
@@ -526,7 +626,7 @@ def fractional_derivative(signal, alpha):
     periodic value is d.values + d.images.values.  On a signal that does not
     decay the result is periodic and carries a warning.
     """
-    return _apply_multiplier(signal, alpha, 1.0)
+    return _apply_multiplier((signal,), alpha, False)[0]
 
 
 def fractional_momentum(signal, alpha):
@@ -535,8 +635,7 @@ def fractional_momentum(signal, alpha):
     Images, warning and chaining as in fractional_derivative; the images
     of P_a carry the phase e^{-i*a*pi/2} of p^a = (ip)^a / i^a.
     """
-    alpha = require_order(alpha)
-    return _apply_multiplier(signal, alpha, cmath.exp(-0.5j * math.pi * alpha))
+    return _apply_multiplier((signal,), alpha, True)[0]
 
 
 def order_continuity_gap(signal, n, k):
@@ -633,7 +732,8 @@ def product_rule(f, g, alpha):
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
         fg = SampledSignal._adopt(grid, f.values * g.values)
-        images, warning = _images(fg, alpha, 1.0)
+        tables = {}
+        images, warning = _images(fg, alpha, 1.0, tables)
         fs, gs = (np.fft.fft(np.fft.fftshift(np.fft.fft(s.values)), 2 * n) for s in (f, g))
         # after the shift both spectra start at p = -(n/2)*dp, so index m of
         # their convolution holds the sum over s+q = u_m
@@ -645,5 +745,5 @@ def product_rule(f, g, alpha):
         terms[:n - 1] += terms[n:]
         values = np.fft.ifft(terms[:n]) / n
         if images is not None:
-            values -= images.values
+            _subtract_images(values, tables[images.order], images.moments)
         return SampledSignal._adopt(grid, values, warning, images, (fg, 1.0) if images else None)

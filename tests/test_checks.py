@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from fracspectral import checks, spectral
+from fracspectral import checks, quantum, spectral
 from fracspectral.checks import CheckResult, SUITE_NAMES, run_suite
 
 
@@ -58,7 +58,8 @@ def test_check_all_computes_each_value_once(monkeypatch):
     # number of orders applied to it, and a further order of a corrected
     # result (the additivity chains, the order-1.5 ladder's P_a(P_a f)) is
     # taken from its source signal, which takes none.  The additivity rows compare
-    # their chain with the closed form at a + b, not with a direct D^(a+b) f
+    # their chain with the closed form at a + b, not with a direct D^(a+b) f.  A
+    # commutator applies its order to f and x f in one call
     counts = collections.Counter()
 
     def counting(module, name):
@@ -70,9 +71,10 @@ def test_check_all_computes_each_value_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(spectral, "_apply_multiplier")
+    counting(quantum, "_apply_multiplier")
     counting(checks, "uncertainty_check")
     counting(checks, "forward")
     counting(np.fft, "rfft")
     run_suite("all")
-    assert counts == {"_apply_multiplier": 131, "uncertainty_check": 4, "forward": 2,
+    assert counts == {"_apply_multiplier": 114, "uncertainty_check": 4, "forward": 2,
                       "rfft": 31}

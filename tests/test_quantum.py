@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracspectral import quantum, specfun, spectral
-from fracspectral.grid import GridMismatch, SampledSignal, make_grid, sample
+from fracspectral.grid import GridMismatch, SampledSignal, central_gap, make_grid, sample
 from fracspectral.oracles import gaussian_deriv, x2gaussian_deriv
 from fracspectral.quantum import (AlphaInForbiddenRange, InsufficientDecay,
                                   NotNormalized, OrderTooLarge,
@@ -197,6 +197,61 @@ def test_commutators_take_each_rfft_once_per_signal(monkeypatch, f):
     want = [commutator_dx(sample(f, g), a) for a in (2.5, 3.0)]
     want += [commutator_ladder(sample(f, g), a) for a in (2.5, 3.0)]
     assert pickle.dumps(got) == pickle.dumps(want)
+
+
+@pytest.mark.parametrize("commutator, order, calls", [
+    (commutator_dx, 2.5, 2), (commutator_ladder, 2.5, 2), (commutator_ladder, 3.7, 3)],
+    ids=["dx_2.5", "ladder_2.5", "ladder_3.7"])
+def test_commutators_take_one_zeta_table_per_order(monkeypatch, commutator, order, calls):
+    # D^a (or P_a) of f and of x f is one engine call: their records share one
+    # zeta table at the larger column count (x f's 36 holds f's 33).  The rest
+    # is one table per fractional order: a (P_{a-1} f) and, at 3.7, P_7.4 f.
+    # A second call forms the tables again: none is kept after a call
+    f = sample(GAUSS, high_res_grid())
+    columns = []
+    body = specfun._zeta_one_plus
+
+    def counted(t, q, factor):
+        columns.append(t.size)
+        return body(t, q, factor)
+
+    monkeypatch.setattr(specfun, "_zeta_one_plus", counted)
+    for _ in range(2):
+        columns.clear()
+        commutator(f, order)
+        assert len(columns) == calls, columns
+    if commutator is commutator_dx:
+        assert columns[0] == 36
+
+
+def _composed(commutator, f, alpha):
+    """(lhs, rhs, gap) of a commutator from one-signal engine calls, as they were written
+    before f and x f shared a call."""
+    g, xf = f.grid, SampledSignal(f.grid, f.grid.x * f.values)
+    if commutator is commutator_dx:
+        lhs = (spectral.fractional_derivative(xf, alpha).values
+               - g.x * spectral.fractional_derivative(f, alpha).values)
+        rhs = alpha * spectral.fractional_derivative(f, alpha - 1).values
+    else:
+        pf = fractional_momentum(f, alpha)
+        ppf = fractional_momentum(pf, alpha).values
+        pxf = fractional_momentum(xf, alpha).values
+        b_f, a_f = xf.values - 1j * pf.values, xf.values + 1j * pf.values
+        pb_f, pa_f = pxf - 1j * ppf, pxf + 1j * ppf
+        lhs = ((g.x * b_f + 1j * pb_f) - (g.x * a_f - 1j * pa_f)) / 2
+        rhs = alpha * fractional_momentum(f, alpha - 1).values
+    return lhs, rhs, central_gap(lhs, rhs)
+
+
+@pytest.mark.parametrize("f", [GAUSS, X2GAUSS], ids=["gaussian", "x2-gaussian"])
+@pytest.mark.parametrize("commutator", [commutator_dx, commutator_ladder])
+def test_commutators_are_bitwise_the_composed_one_signal_calls(commutator, f):
+    g = high_res_grid()
+    for alpha in (1.0, 1.5, 2.0, 2.5, 3.0, 3.7):
+        lhs, rhs, gap = commutator(sample(f, g), alpha)
+        want = _composed(commutator, sample(f, g), alpha)
+        assert (lhs.values.tobytes(), rhs.values.tobytes(), gap) == (
+            want[0].tobytes(), want[1].tobytes(), want[2]), alpha
 
 
 def test_an_overflowing_x_f_raises_on_every_call():

@@ -317,6 +317,47 @@ def test_an_array_call_raises_the_scalar_call_s_error_on_its_first_failing_eleme
         assert (type(err.value), str(err.value)) == _first_scalar_error(function, *args)
 
 
+def test_a_refused_element_ends_the_array_call_before_any_series(monkeypatch):
+    # a |z| past MAX_ABS_Z or a pole at b in the first element: the scalar
+    # call's error, with no series run at all
+    def no_series(*args):
+        raise AssertionError("_series_array ran")
+
+    monkeypatch.setattr(specfun, "_series_array", no_series)
+    for args in ((0.5, 1.5, np.array([-1600.0, 0.0, 1.0])),
+                 (0.5, 1.5, np.array([[1600.0], [1.0]])),
+                 (0.5, np.array([-2.0, 0.5]), np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError) as err:
+            kummer_1f1(*args)
+        assert (type(err.value), str(err.value)) == _first_scalar_error(kummer_1f1, *args)
+    with pytest.raises(ArgumentOutOfRange, match=r"^\|z\| = 1600.0 exceeds 400.0$"):
+        kummer_1f1(0.5, 1.5, np.array([-1600.0, 0.0]))
+
+
+def test_the_series_runs_on_the_elements_before_the_first_refused_one(monkeypatch):
+    # (5000; 0.5; -399) overflows inside the series, before the refused |z| =
+    # 1600: the scalar call on it raises, from a series over the first two elements
+    sizes = []
+    body = specfun._series_array
+
+    def counted(a, b, z):
+        sizes.append(z.size)
+        return body(a, b, z)
+
+    monkeypatch.setattr(specfun, "_series_array", counted)
+    args = (np.array([0.5, 5000.0, 0.5, 0.5]), 0.5, np.array([1.0, -399.0, -1600.0, 2.0]))
+    with pytest.raises(OrderTooLarge) as err:
+        kummer_1f1(*args)
+    assert (type(err.value), str(err.value)) == _first_scalar_error(kummer_1f1, *args)
+    assert sizes == [2]
+    # where the elements before it pass, the refused one raises
+    sizes.clear()
+    args = (np.array([0.5, 0.7, 0.5, 0.5]), 0.5, np.array([1.0, -3.0, -1600.0, 2.0]))
+    with pytest.raises(ArgumentOutOfRange, match="exceeds"):
+        kummer_1f1(*args)
+    assert sizes == [2]
+
+
 def test_array_gates_without_a_lower_bound_use_the_scalar_gate_s_words():
     with pytest.raises(ArgumentOutOfRange) as err:
         kummer_1f1(0.5, 1.5, np.array([-math.inf]))

@@ -351,6 +351,14 @@ def test_image_record_is_read_only():
     for copy in (pickle.loads(pickle.dumps(d.images)), copy_module.deepcopy(d.images)):
         assert not copy.moments.flags.writeable
         assert np.array_equal(copy.values, images)
+    # the engine subtracts the image sum straight into its result, and its record
+    # forms the values on first read: the bits of a record built directly
+    for op in (fractional_derivative, fractional_momentum):
+        for a in (0.02, 0.5, 2.5, 5.2):
+            record = op(sample(GAUSS, g), a).images
+            direct = spectral.ImageCorrection(g, record.order, record.moments)
+            assert record.values.tobytes() == direct.values.tobytes(), (op, a)
+            assert record.values is record.values and not record.values.flags.writeable
 
 
 def _result_bits(signal):
@@ -397,6 +405,13 @@ def test_image_record_and_result_survive_pickle_and_deepcopy(op):
         assert not record.values.flags.writeable
         assert np.array_equal(record.values, d.images.values)
         assert np.array_equal(record.moments, d.images.moments)
+    # a record copied before its values were read forms them on the way: the bits of
+    # the original's, read-only
+    fresh = op(sample(GAUSS, g), 0.5).images
+    for record in (pickle.loads(pickle.dumps(fresh)), copy_module.deepcopy(fresh)):
+        assert not (record.values.flags.writeable or record.moments.flags.writeable)
+        assert record.values.tobytes() == fresh.values.tobytes()
+        assert record.moments.tobytes() == fresh.moments.tobytes()
 
 
 @pytest.mark.parametrize("f", [GAUSS, lambda x: np.exp(-(x - 3) ** 2 + 0.5j * x)],
@@ -434,10 +449,10 @@ def test_block_moments_match_direct_sums(n):
             signal = sample(lambda x: scale * f(x), g)
             top, unit, lo, hi = spectral._support(signal)
             for order in (0.5, 5.2):
-                j = np.arange(len(spectral._moments(signal, order)))
+                table = spectral._ImageTable(order, g)
+                j = np.arange(len(spectral._moments(signal, table)))
                 s = 1.0 + order + j
-                bound = (np.abs(spectral._tail_terms(order, np.ones(j.size), period))
-                         * (2.0 ** s + 1.0 / (s - 1.0)))
+                bound = table.per_moment[:j.size] * (2.0 ** s + 1.0 / (s - 1.0))
                 direct = t[lo:hi] ** j[:, None] @ (signal.values[lo:hi] * unit) * g.dx
                 error = np.abs(signal._memo["moments"][:j.size] - direct) * bound
                 assert error.max() <= 1e-16 * top * unit, (f, scale, order)
@@ -519,9 +534,10 @@ def test_image_sum_matches_direct_zeta_summation(box, n):
         t = (1.0 + order + np.arange(spectral._MAX_MOMENTS)) - 1.0
         t[0] = order
         zeta = specfun._zeta_one_plus(t, q[:, None], order)
+        table = spectral._ImageTable(order, g)
         for f in signals:
-            record = spectral.ImageCorrection(g, order, spectral._moments(f, order))
-            terms = spectral._tail_terms(order, record.moments, g.x_max - g.x_min)
+            record = spectral.ImageCorrection(g, order, spectral._moments(f, table))
+            terms = table.scale * record.moments * table.weights[:len(record.moments)]
             direct = zeta[:, :len(terms)] @ terms
             error = np.max(np.abs(record.values - direct))
             assert error < 2e-16 * np.max(np.abs(f.values)), (order, len(terms), error)
@@ -535,7 +551,8 @@ def test_moment_count_does_not_depend_on_the_scale(scale):
         g = make_grid(*box, n)
         f = np.exp(-g.x * g.x).astype(complex)
         for order in (0.02, 0.5, 2.5, 5.2):
-            counts = [len(spectral._moments(SampledSignal(g, c * f), order))
+            table = spectral._ImageTable(order, g)
+            counts = [len(spectral._moments(SampledSignal(g, c * f), table))
                       for c in (1.0, scale)]
             assert counts[0] == counts[1], (box, order, counts)
 
