@@ -165,9 +165,8 @@ class SampledSignal:
 
     An engine result of non-integer order on a decaying signal holds the
     derivative on the line and records in `images` the wrap-around images
-    it subtracted (a spectral.ImageCorrection on its grid); everything else has None.
-    It also keeps, in a private slot that a copy or a pickle carries, the signal
-    it was computed from and its phase: the engine takes a further order from there.
+    it subtracted (a spectral.ImageCorrection on its grid, which also keeps the
+    signal the result was computed from); everything else has None.
 
     A signal never changes, so what depends on it alone, and not on an
     order, is computed at first use and kept in a private memo for the
@@ -176,34 +175,31 @@ class SampledSignal:
     norm and its spread (quantum).  A copy or a pickle carries no memo.
     """
 
-    __slots__ = ("grid", "values", "boundary_decay", "warning", "images", "_source", "_memo")
+    __slots__ = ("grid", "values", "boundary_decay", "warning", "images", "_memo")
 
     def __init__(self, grid, values):
         self._fill(grid, _own_samples(values, grid.x, "values", "x"))
 
     @classmethod
-    def _adopt(cls, grid, values, warning=None, images=None, source=None):
+    def _adopt(cls, grid, values, warning=None, images=None):
         """The signal of a complex array that its caller has just allocated and holds
-        no other reference to: the constructor's gate and messages, without its copy.
-        source is (signal, phase) of a corrected result, else None."""
+        no other reference to: the constructor's gate and messages, without its copy."""
         signal = cls.__new__(cls)
-        signal._fill(grid, _finite_samples(values, grid.x, "values", "x"), warning, images, source)
+        signal._fill(grid, _finite_samples(values, grid.x, "values", "x"), warning, images)
         return signal
 
-    def _fill(self, grid, values, warning=None, images=None, source=None):
+    def _fill(self, grid, values, warning=None, images=None):
         self.grid = grid
         self.values = values
         m = max(1, int(round(0.5 * _BOUNDARY_FRACTION * grid.n)))
         self.boundary_decay = float(max(np.abs(values[:m]).max(), np.abs(values[-m:]).max()))
         self.warning = warning
         self.images = images
-        self._source = source
         self._memo = {}
 
     def __reduce__(self):
         # through _adopt on a copy, so a copy or an unpickled signal starts with an empty memo
-        return SampledSignal._adopt, (self.grid, self.values.copy(), self.warning, self.images,
-                                      self._source)
+        return SampledSignal._adopt, (self.grid, self.values.copy(), self.warning, self.images)
 
     def __repr__(self):
         return (f"SampledSignal(n={self.grid.n}, "

@@ -274,7 +274,8 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
     ..., [0, h/2^_CORNER_LEVELS], so the corner of |p|^a is reached in a
     few steps instead of one step per level; any other failing panel is
     replaced by its halves.  A step that would take the integrand
-    evaluations past _QUAD_MAX_EVALS raises ToleranceNotReached instead.
+    evaluations past _QUAD_MAX_EVALS raises ToleranceNotReached instead, as
+    does an integrand value, or a panel's K15 or G7 sum, that is not finite.
     """
     total = 0.0 + 0.0j
     est = 0.0
@@ -291,15 +292,23 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         p = (mid[:, None] + half[:, None] * _NODES).ravel()
-        f = np.exp(1j * p * x) * ip_power(alpha, p) * _evaluate(f_hat, p, "p")
-        f = f.reshape(a.size, _NODES.size)
-        bad = ~np.isfinite(f)
+        phased = np.exp(1j * p * x) * ip_power(alpha, p)
+        values = _evaluate(f_hat, p, "p")
+        # a value or a sum past the float range raises below, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = (phased * values).reshape(a.size, _NODES.size)
+            bad = ~np.isfinite(f)
+            if bad.any():
+                raise ToleranceNotReached(
+                    f"integrand is not finite at p = {p.reshape(f.shape)[bad][0]:.6g}")
+            k15 = half * np.sum(_K15_WEIGHTS * f, axis=1)
+            g7 = half * np.sum(_G7_WEIGHTS * f[:, 1::2], axis=1)
+            err = np.abs(k15 - g7)
+        bad = ~(np.isfinite(k15) & np.isfinite(g7))
         if bad.any():
-            raise ToleranceNotReached(
-                f"integrand is not finite at p = {p.reshape(f.shape)[bad][0]:.6g}")
-        k15 = half * np.sum(_K15_WEIGHTS * f, axis=1)
-        g7 = half * np.sum(_G7_WEIGHTS * f[:, 1::2], axis=1)
-        err = np.abs(k15 - g7)
+            k = bad.argmax()
+            raise ToleranceNotReached(f"the K15 or G7 sum of the panel [{a[k]:.6g}, {b[k]:.6g}] "
+                                      f"is not finite")
         done = err <= tol
         total += np.sum(k15[done])
         est += np.sum(err[done])
@@ -338,7 +347,8 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     order about 193 on, before f_hat is called); ArgumentOutOfRange for an x
     or p_cutoff that require_real rejects, a p_cutoff <= 0, or root panels
     past _QUAD_MAX_EVALS; ToleranceNotReached for a non-finite integrand
-    value, a spent budget, or an error estimate above _QUAD_FAIL_EST.
+    value or panel sum (f_hat near the float range), a spent budget, or an
+    error estimate above _QUAD_FAIL_EST.
     """
     alpha = require_order(alpha)
     x = specfun.require_real("x", x)

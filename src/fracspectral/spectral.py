@@ -188,9 +188,8 @@ class _overflow_is_too_large:
     """numpy's overflow warnings off, and OrderTooLarge (see _too_large) where the
     gate of the result finds a value that is not finite (an EvaluationFailure).
 
-    The one mapping of the engine, the transforms and product_rule.  A class, not
-    a generator: it is entered on every engine call, once, and the engine points
-    what and sources at each signal in turn.
+    The one mapping of the engine, the transforms, product_rule and quantum's x f.
+    A class, not a generator: the engine enters one per signal on every call.
     """
     __slots__ = ("what", "sources", "errstate")
 
@@ -266,21 +265,24 @@ class ImageCorrection:
     order   the order of the multiplier the result was computed at
     moments nu_0, nu_1, ... of the signal it was computed from, times the
             result's phase (e^{-i*pi*a/2} for P_a), a read-only copy
-    values  the image sum at the grid's samples, read-only: a record built here
-            forms it at construction; the engine subtracts the sum from its result
-            straight from its zeta table, and its record forms the same bits on
-            first read, from its own table
+    values  the image sum at the grid's samples, read-only, formed on first read
+
+    The one record of a corrected result: it keeps the _ImageTable of its order (the
+    engine's, shared by that order's records in one call, or its own where built here),
+    and every image sum, subtracted or read, is _image_sum of that table and the moments.
+    An engine record keeps its source (signal, phase), which a copy or a pickle carries:
+    a further order of the result is taken from there (see _apply_multiplier).
 
     Construction refuses a grid that is not a Grid (GridMismatch), moments
     that are not finite (EvaluationFailure), an order outside _image_order's
-    limits and an image sum that is not finite (EvaluationFailure).  The engine
-    does not read a record again: a further order of a corrected result is
-    taken from its source signal (see _apply_multiplier).
+    limits and an image sum that is not finite (EvaluationFailure, no warning).
     """
     grid: Grid
     order: float
     moments: np.ndarray
-    _values: np.ndarray = field(init=False, repr=False)
+    _table: "_ImageTable" = field(init=False, repr=False)
+    _source: tuple = field(init=False, repr=False, default=None)
+    _values: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
@@ -289,37 +291,38 @@ class ImageCorrection:
         if order is None:
             raise AlphaInForbiddenRange(f"order {self.order:g} leaves no image tail")
         moments = _own_samples(self.moments, np.arange(np.size(self.moments)), "moments", "j")
-        values = _image_values(self.grid, order, moments)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "_values", _finite_samples(values, self.grid.x, "images", "x"))
+        # the fields of a frozen record are set through its __dict__, as an unpickled one's
+        self.__dict__.update(order=order, moments=moments, _table=_ImageTable(order, self.grid))
+        self.values     # the gate of the image sum, at construction
 
     @classmethod
-    def _of_engine(cls, grid, order, moments):
-        """The record of an engine result: its own moments (read-only here), the values
-        formed on first read.  The engine's finite gate of the result covers both."""
+    def _of_engine(cls, table, moments, source):
+        """The record of an engine result, its moments read-only here: the engine's finite
+        gate of the result covers the values."""
         record = cls.__new__(cls)
-        for name, value in (("grid", grid), ("order", order), ("moments", _readonly(moments)),
-                            ("_values", None)):
-            object.__setattr__(record, name, value)
+        record.__dict__.update(grid=source[0].grid, order=table.order, moments=_readonly(moments),
+                               _table=table, _source=source, _values=None)
         return record
 
     @property
     def values(self):
         """The image sum at the grid's samples, read-only (formed here on first read)."""
         if self._values is None:
-            object.__setattr__(self, "_values",
-                               _readonly(_image_values(self.grid, self.order, self.moments)))
+            values = np.empty(self.grid.n, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range
+                values.real, values.imag = _image_sum(self._table, self.moments)
+            self.__dict__["_values"] = _finite_samples(values, self.grid.x, "images", "x")
         return self._values
 
     def __reduce__(self):
-        # through __init__, so a copy or an unpickled record is read-only too
-        return ImageCorrection, (self.grid, self.order, self.moments)
+        # through __init__, so a copy or an unpickled record is read-only too; the state
+        # carries the source, so a copied result chains to the bits of the original
+        return ImageCorrection, (self.grid, self.order, self.moments), {"_source": self._source}
 
 
 class _ImageTable:
-    """What the image records of one order on one grid share: formed once per order in
-    one engine call (see _apply_multiplier) and dropped with it, never kept after it.
+    """What the image records of one order on one grid share and keep: formed once per
+    order in one engine call (see _apply_multiplier), or by a record built by hand.
 
     scale, weights  -P^(-1-a)/Gamma(1-a) and (1+a)_j/j!, j < _MAX_MOMENTS: the term of
                     moment j is scale nu_j weights_j, each for an a zeta(1+a+j, q), finite
@@ -404,16 +407,9 @@ def _image_sum(table, moments):
     return [np.ldexp(part, e, out=part).ravel() for part in parts]
 
 
-def _image_values(grid, order, moments):
-    """The image sum of a record as a complex array, from a table of its own."""
-    values = np.empty(grid.n, dtype=complex)
-    values.real, values.imag = _image_sum(_ImageTable(order, grid), moments)
-    return values
-
-
-def _subtract_images(out, table, moments):
-    """out -= the image sum, in place, part by part: the IEEE operations of out - values."""
-    for part, images in zip((out.real, out.imag), _image_sum(table, moments)):
+def _subtract_images(out, record):
+    """out -= the record's image sum, in place, part by part: the bits of out - record.values."""
+    for part, images in zip((out.real, out.imag), _image_sum(record._table, record.moments)):
         part -= images
 
 
@@ -488,10 +484,10 @@ def _images(signal, alpha, phase, tables):
     wrap-around decision of the engine and product_rule.
 
     A signal that decays (_decays) gets a record from its moments, within
-    _image_order's limits, and the _ImageTable of its order in tables (a dict by
-    order, on the signal's grid, which the caller drops when it returns) notes its
-    column count.  Any other signal stays periodic, with a warning at a
-    non-integer order.
+    _image_order's limits, with (signal, phase) as its source and the _ImageTable of
+    its order in tables (a dict by order, on the signal's grid, which the caller
+    drops when it returns), which notes its column count.  Any other signal stays
+    periodic, with a warning at a non-integer order.
     """
     if not _decays(signal):
         if alpha == int(alpha):
@@ -507,7 +503,7 @@ def _images(signal, alpha, phase, tables):
         table = tables[order] = _ImageTable(order, signal.grid)
     moments = _moments(signal, table) * phase
     table.columns = max(table.columns, len(moments) + _IMAGE_TAYLOR)
-    return ImageCorrection._of_engine(signal.grid, order, moments), None
+    return ImageCorrection._of_engine(table, moments, (signal, phase)), None
 
 
 def _half_spectra(signal):
@@ -550,17 +546,17 @@ def _apply_multiplier(signals, alpha, momentum):
     D^a and, where momentum, e^{-i*pi*a/2} for P_a, since p^a = i^(-a) (ip)^a
     on every bin.  The half-spectra, after the noise floor, are the signal's own
     (_half_spectra), so further orders on one signal take no rfft.
-    A further order b of a corrected result of order a is taken from the
-    signal that result was computed from, at order a + b with the two phases
+    A further order b of a corrected result of order a is taken from its record's
+    source, the signal it was computed from, at order a + b with the two phases
     multiplied: (ip)^a (ip)^b = (ip)^(a+b) on the principal branch, so
     D^b D^a f = D^(a+b) f, its gates and moment count those of order a + b.
 
     The signals share one grid.  Each order that they resolve to takes one
-    _ImageTable, so its records share one zeta table (see _image_sum); none is
-    kept after the call.  A first pass gates each signal's symbol and makes its
-    record, a second forms the symbol, takes the transforms and subtracts the
-    image sum from the result in place, part by part; a record forms its values
-    only when they are read.  The symbol is formed per signal: one shared by
+    _ImageTable, which its records keep, with one zeta table (see _image_sum).
+    A first pass gates each signal's symbol and makes its record, a second forms
+    the symbol, takes the transforms and subtracts the record's image sum from
+    the result in place; the record's values, read later, take the same table.
+    The symbol is formed per signal: one shared by
     the signals of an order would stay alive across the first one's
     transforms, and a 64 KB buffer more at n = 8192 cost more in page faults
     than the symbol.  Raises OrderTooLarge, before any transform, where |p|^a
@@ -574,21 +570,19 @@ def _apply_multiplier(signals, alpha, momentum):
     grid = signals[0].grid
     phase = cmath.exp(-0.5j * math.pi * alpha) if momentum else 1.0
     tables, passes, results = {}, [], []
-    guard = _overflow_is_too_large(None)
-    with guard:
+    with np.errstate(over="ignore", invalid="ignore"):
         for signal in signals:
             order, signal_phase = alpha, phase
-            if signal._source is not None:
+            if signal.images is not None:
                 order += signal.images.order
-                signal, first = signal._source
+                signal, first = signal.images._source
                 signal_phase = first * phase
-            guard.what = f"the engine's transform overflows double precision at order {order:g}"
-            guard.sources = (signal.values,)
             _require_power(order, grid.n // 2 * grid.dp)     # at the Nyquist bin
             images, warning = _images(signal, order, signal_phase, tables)
-            passes.append((signal, order, signal_phase, images, warning, guard.what))
-        for signal, order, signal_phase, images, warning, what in passes:
-            guard.what, guard.sources = what, (signal.values,)
+            passes.append((signal, order, signal_phase, images, warning))
+    for signal, order, signal_phase, images, warning in passes:
+        with _overflow_is_too_large(f"the engine's transform overflows double precision at "
+                                    f"order {order:g}", signal.values):
             symbol = _half_symbol(order, grid)
             spectra = _half_spectra(signal)
             # the kept spectra stay as they are: the last product goes into the
@@ -607,9 +601,8 @@ def _apply_multiplier(signals, alpha, momentum):
                 # phase first: numpy rounds phase * out and out * phase differently
                 np.multiply(signal_phase, out, out=out)
             if images is not None:
-                _subtract_images(out, tables[order], images.moments)
-            results.append(SampledSignal._adopt(grid, out, warning, images,
-                                                (signal, signal_phase) if images else None))
+                _subtract_images(out, images)
+            results.append(SampledSignal._adopt(grid, out, warning, images))
     return tuple(results)
 
 
@@ -620,11 +613,11 @@ def fractional_derivative(signal, alpha):
     ordinary derivatives.  For non-integer alpha on a signal whose
     boundary_decay is 0 or below DECAY_THRESHOLD times max|f| the
     wrap-around images are subtracted and the result is the derivative on
-    the line; it records them in its `images` attribute (an
-    ImageCorrection) and keeps its source, so a further fractional_derivative
-    or fractional_momentum of it is the source's at the combined order.  The
-    periodic value is d.values + d.images.values.  On a signal that does not
-    decay the result is periodic and carries a warning.
+    the line; it records them in its `images` attribute (an ImageCorrection,
+    which keeps the signal they were computed from), so a further
+    fractional_derivative or fractional_momentum of it is that signal's at the
+    combined order.  The periodic value is d.values + d.images.values.  On a
+    signal that does not decay the result is periodic and carries a warning.
     """
     return _apply_multiplier((signal,), alpha, False)[0]
 
@@ -723,7 +716,7 @@ def product_rule(f, g, alpha):
     product decays at the box edge the same wrap-around images are
     subtracted, from the moments of f*g, and the result matches
     fractional_derivative of the product, its wrap-around warning included.
-    A corrected result keeps f*g as its source: a further order is the engine's on f*g.
+    A corrected result's record keeps f*g as its source: a further order is f*g's.
     """
     grid = require_same_grid(f, g)
     alpha = require_order(alpha)
@@ -732,8 +725,7 @@ def product_rule(f, g, alpha):
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
         fg = SampledSignal._adopt(grid, f.values * g.values)
-        tables = {}
-        images, warning = _images(fg, alpha, 1.0, tables)
+        images, warning = _images(fg, alpha, 1.0, {})
         fs, gs = (np.fft.fft(np.fft.fftshift(np.fft.fft(s.values)), 2 * n) for s in (f, g))
         # after the shift both spectra start at p = -(n/2)*dp, so index m of
         # their convolution holds the sum over s+q = u_m
@@ -745,5 +737,5 @@ def product_rule(f, g, alpha):
         terms[:n - 1] += terms[n:]
         values = np.fft.ifft(terms[:n]) / n
         if images is not None:
-            _subtract_images(values, tables[images.order], images.moments)
-        return SampledSignal._adopt(grid, values, warning, images, (fg, 1.0) if images else None)
+            _subtract_images(values, images)
+        return SampledSignal._adopt(grid, values, warning, images)

@@ -369,6 +369,23 @@ def test_quadrature_stops_at_the_first_non_finite_value():
     assert len(calls) == 1       # all root panels fit in one batch
 
 
+def test_quadrature_stops_where_f_hat_is_near_the_float_range():
+    # every value of f_hat is finite, but a panel's K15 or G7 sum, or at order 2
+    # |p|^2 f_hat, is not: the typed error at once, naming the panel (or the node),
+    # without numpy's warning and before the budget is spent
+    message = (r"^(the K15 or G7 sum of the panel \[-?[0-9.]+, -?[0-9.]+\] is not finite"
+               r"|integrand is not finite at p = -?[0-9.]+)$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, orders in ((1.7e308, (0.0, 0.5, 2.0)), (1e308, (0.0, 2.0))):
+            for alpha in orders:
+                with pytest.raises(ToleranceNotReached, match=message):
+                    quadrature_reference(lambda p: scale * np.exp(-p * p / 4.0), alpha, 0.5)
+        with pytest.raises(ToleranceNotReached) as err:
+            quadrature_reference(lambda p: 1.7e308 * np.exp(-p * p / 4.0), 0.0, 0.5)
+        assert str(err.value) == "the K15 or G7 sum of the panel [0, 2.0944] is not finite"
+
+
 def test_quadrature_scalar_only_transform_matches_vectorised():
     def scalar_only(p):
         if np.ndim(p):

@@ -206,7 +206,8 @@ def test_commutators_take_one_zeta_table_per_order(monkeypatch, commutator, orde
     # D^a (or P_a) of f and of x f is one engine call: their records share one
     # zeta table at the larger column count (x f's 36 holds f's 33).  The rest
     # is one table per fractional order: a (P_{a-1} f) and, at 3.7, P_7.4 f.
-    # A second call forms the tables again: none is kept after a call
+    # A second call forms the tables again: its records keep them, but no later
+    # call looks one up
     f = sample(GAUSS, high_res_grid())
     columns = []
     body = specfun._zeta_one_plus

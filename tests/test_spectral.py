@@ -352,13 +352,35 @@ def test_image_record_is_read_only():
         assert not copy.moments.flags.writeable
         assert np.array_equal(copy.values, images)
     # the engine subtracts the image sum straight into its result, and its record
-    # forms the values on first read: the bits of a record built directly
+    # forms the values on first read from the same table: the bits of a record
+    # built directly, from a table of its own
     for op in (fractional_derivative, fractional_momentum):
         for a in (0.02, 0.5, 2.5, 5.2):
             record = op(sample(GAUSS, g), a).images
             direct = spectral.ImageCorrection(g, record.order, record.moments)
             assert record.values.tobytes() == direct.values.tobytes(), (op, a)
             assert record.values is record.values and not record.values.flags.writeable
+
+
+def test_an_engine_record_reads_its_values_from_the_table_of_its_call(monkeypatch):
+    # the record keeps the _ImageTable its result's image sum was subtracted with,
+    # so reading its values forms no second zeta table
+    g = make_grid(-16.0, 16.0, 1024)
+    f, h = sample(GAUSS, g), sample(lambda x: np.exp(-x * x / 3.0), g)
+    calls = []
+    body = specfun._zeta_one_plus
+
+    def counted(t, q, factor):
+        calls.append(t.size)
+        return body(t, q, factor)
+
+    monkeypatch.setattr(specfun, "_zeta_one_plus", counted)
+    for a in (0.02, 0.5, 2.5, 5.2):
+        for result in (fractional_derivative(f, a), fractional_momentum(f, a),
+                       product_rule(f, h, a)):
+            calls.clear()
+            assert np.isfinite(result.images.values).all()
+            assert calls == [], a
 
 
 def _result_bits(signal):
@@ -388,6 +410,16 @@ def test_image_record_gates_its_inputs():
         np.testing.assert_allclose(record.values, -1.0 / 32.0, rtol=1e-15, atol=0)
     with pytest.raises(NegativeAlpha):
         spectral.ImageCorrection(g, -0.5, [1.0])
+    # an image sum past the float range: the typed error alone, without numpy's
+    # overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grid, order, moments, where in ((g, 60.5, [1e300, 0.5], "-8.0"),
+                                            (make_grid(-1.0, 1.0, 256), 0.5,
+                                             [1.7e308, 1.7e308], "-1.0")):
+            with pytest.raises(EvaluationFailure) as err:
+                spectral.ImageCorrection(grid, order, moments)
+            assert str(err.value) == f"non-finite value at x={where}"
 
 
 @pytest.mark.parametrize("op", [fractional_derivative, fractional_momentum])
