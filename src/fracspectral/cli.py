@@ -261,18 +261,25 @@ def cmd_derive(args):
         builtin, oracle = _BUILTINS[args.function or "gaussian"]
         grid = _grid(args)
         signal = sample(builtin, grid) if args.engine == "spectral" else None
-    if args.format == "csv" and len(alphas) > 1 and args.output is None:
+    paths = [args.output]
+    if args.format == "csv" and len(alphas) > 1:
         # refused before any order is computed
-        raise CLIConfigError("--output is required for multiple orders in csv format "
-                             "(one file per order)")
+        if args.output is None:
+            raise CLIConfigError("--output is required for multiple orders in csv format "
+                                 "(one file per order)")
+        paths = [_per_alpha_path(args.output, a) for a in alphas]
+        for i, path in enumerate(paths):
+            first = paths.index(path)
+            if first < i:   # file names carry an order to 9 significant digits
+                raise CLIConfigError(f"--alpha: orders {alphas[first]!r} and {alphas[i]!r} "
+                                     f"both write {path}")
     curves = (_closed_form_curves(oracle, alphas, grid.x) if signal is None
               else _engine_curves(signal, alphas))
 
     if args.format == "json":
         _emit(args.output, _curves_json(curves))
         return EXIT_OK
-    for a, x, vals in curves:
-        path = args.output if len(curves) == 1 else _per_alpha_path(args.output, a)
+    for (_, x, vals), path in zip(curves, paths):
         _emit(path, _csv(CSV_HEADER, x, vals.real, vals.imag))
     return EXIT_OK
 

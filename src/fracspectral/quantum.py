@@ -91,20 +91,22 @@ def _require_normalized(state):
 
 
 def _require_commutator_input(f, alpha):
-    """The order as a float, with f checked for decay; orders in (0, 1) are refused."""
+    """The order as a float, with f and x f checked for decay (the engine takes D^a or
+    P_a of both); orders in (0, 1) are refused."""
     alpha = require_order(alpha)
     if 0 < alpha < 1:
         raise AlphaInForbiddenRange(
             f"commutator identities are only defined for alpha = 0 or alpha >= 1; "
             f"got {alpha} (the order-lowering term has no meaning below order 1)")
     _require_decay(f)
+    _require_decay(_x_times(f), "x f")
     return alpha
 
 
-def _require_decay(signal):
+def _require_decay(signal, name="f"):
     if not _decays(signal):     # the engine's test, negated
         ratio = signal.boundary_decay / _support(signal)[0]
-        raise InsufficientDecay(f"boundary decay {ratio:.3e} of max|f| is not below "
+        raise InsufficientDecay(f"boundary decay {ratio:.3e} of max|{name}| is not below "
                                 f"{DECAY_THRESHOLD:.1e}; multiplication by x would wrap around")
 
 

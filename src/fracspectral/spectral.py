@@ -17,9 +17,9 @@ The engine (fractional_derivative, fractional_momentum) applies (ip)^a
 with real-to-complex transforms: the real and the imaginary part of the
 samples are transformed on their own (the imaginary part only where it is
 non-zero), so D^a of a real signal is exactly real.  It forms (ip)^a on the
-rfft bins p = k*dp >= 0 alone, as |p|^a from the one guarded power
-_abs_power times i^a: the bits of ip_power there, without its gates of a
-signed array of frequencies.  The Nyquist bin is split evenly between
+rfft bins p = k*dp >= 0 alone, as |p|^a times i^a after one test of |p|^a
+at the largest bin, the Nyquist bin: the bits of ip_power there, without
+its gates of a signed array of frequencies.  The Nyquist bin is split evenly between
 p = +-pi/dx, where the grid's frequency layout puts it at -pi/dx alone:
 D^1 of the on-grid cosine cos(pi x/dx) is 0, to roundoff, at the samples.
 P_a is e^{-i*a*pi/2} D^a, which is exact since p^a = i^(-a) (ip)^a on
@@ -48,7 +48,7 @@ import numpy as np
 from . import specfun
 from .grid import (EvaluationFailure, Grid, GridMismatch, SampledSignal, Spectrum,
                    _finite_samples, _own_samples, _readonly, central_gap, require_same_grid)
-from .specfun import OrderTooLarge
+from .specfun import ArgumentOutOfRange, OrderTooLarge
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -86,7 +86,8 @@ _SHIFT = np.array([[(-1) ** r * math.perm(j, r) for r in range(_IMAGE_TAYLOR)]
                    for j in range(_MAX_MOMENTS)], dtype=float)
 _SHIFT_AT = (np.maximum(np.arange(_MAX_MOMENTS)[:, None] - np.arange(_IMAGE_TAYLOR), 0)
              * _IMAGE_TAYLOR + np.arange(_IMAGE_TAYLOR))
-# Beyond this order Gamma(-a) underflows (and |p|^a overflows on any grid).
+# Beyond this order Gamma(-a) underflows.  |p|^a overflows only where the Nyquist bin
+# passes e^(709.78/a), about 65 at this order: the engine tests that on its own.
 _MAX_IMAGE_ORDER = 170.0
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
@@ -155,10 +156,8 @@ def _require_power(alpha, p_max):
 
 
 def _branch_power(alpha, p, momentum):
-    """(ip)^a on an array of frequencies, or where momentum the symbol p^a: the one
-    body of both, |p|^a times the branch's phase on each side of p = 0."""
-    alpha = require_order(alpha)
-    p = specfun.require_reals("p", p)
+    """(ip)^a, or where momentum p^a, on frequencies p, both gated by the caller: the one
+    body of both, |p|^a (_abs_power, which tests it) times the phase on each side of 0."""
     half_turn = cmath.exp(0.5j * np.pi * alpha)
     upper, lower = ((1.0 + 0.0j, np.exp(-1j * np.pi * alpha)) if momentum
                     else (half_turn, half_turn.conjugate()))
@@ -170,12 +169,12 @@ def _branch_power(alpha, p, momentum):
 
 def ip_power(alpha, p):
     """Multiplier (ip)^a on an array of frequencies, branch as above."""
-    return _branch_power(alpha, p, momentum=False)
+    return _branch_power(require_order(alpha), specfun.require_reals("p", p), False)
 
 
 def p_power(alpha, p):
     """Momentum symbol p^a = (ip)^a / i^a; real on p > 0, e^{-i*a*pi} phase on p < 0."""
-    return _branch_power(alpha, p, momentum=True)
+    return _branch_power(require_order(alpha), specfun.require_reals("p", p), True)
 
 
 def _too_large(what, *sources):
@@ -235,9 +234,8 @@ def inverse(spectrum):
 
 
 def _image_order(order):
-    """The order, or None where it leaves no image tail (an integer, or past
-    _MAX_IMAGE_ORDER, where Gamma(-a) underflows): the one home of its order limits."""
-    order = require_order(order)
+    """The order, which the caller gates, or None where it leaves no image tail (an integer,
+    or past _MAX_IMAGE_ORDER, where Gamma(-a) underflows): the one home of its limits."""
     return None if order == int(order) or order > _MAX_IMAGE_ORDER else order
 
 
@@ -274,8 +272,9 @@ class ImageCorrection:
     a further order of the result is taken from there (see _apply_multiplier).
 
     Construction refuses a grid that is not a Grid (GridMismatch), moments
-    that are not finite (EvaluationFailure), an order outside _image_order's
-    limits and an image sum that is not finite (EvaluationFailure, no warning).
+    that are not finite (EvaluationFailure) or more than _MAX_MOMENTS of them
+    (ArgumentOutOfRange), an order outside _image_order's limits and an image
+    sum that is not finite (EvaluationFailure, no warning).
     """
     grid: Grid
     order: float
@@ -287,10 +286,13 @@ class ImageCorrection:
     def __post_init__(self):
         if not isinstance(self.grid, Grid):
             raise GridMismatch(f"an image record needs a Grid, got {type(self.grid).__name__}")
-        order = _image_order(self.order)
+        order = _image_order(require_order(self.order))
         if order is None:
             raise AlphaInForbiddenRange(f"order {self.order:g} leaves no image tail")
         moments = _own_samples(self.moments, np.arange(np.size(self.moments)), "moments", "j")
+        if len(moments) > _MAX_MOMENTS:     # the table holds _MAX_MOMENTS weights
+            raise ArgumentOutOfRange(f"an image record takes at most {_MAX_MOMENTS} moments, "
+                                     f"got {len(moments)}")
         # the fields of a frozen record are set through its __dict__, as an unpickled one's
         self.__dict__.update(order=order, moments=moments, _table=_ImageTable(order, self.grid))
         self.values     # the gate of the image sum, at construction
@@ -527,9 +529,9 @@ def _half_bins(n, dp):
 
 
 def _half_symbol(alpha, grid):
-    """(ip)^a on the grid's rfft bins: |p|^a of _abs_power times the p > 0 phase i^a,
-    the bits of ip_power there, without its gates and its p < 0 side."""
-    return _abs_power(alpha, _half_bins(grid.n, grid.dp)) * cmath.exp(0.5j * np.pi * alpha)
+    """(ip)^a on the grid's rfft bins, the bits of ip_power there without its gates and its
+    p < 0 side: |p|^a, which the caller tested at the Nyquist bin, times the phase i^a."""
+    return _half_bins(grid.n, grid.dp) ** alpha * cmath.exp(0.5j * np.pi * alpha)
 
 
 def _apply_multiplier(signals, alpha, momentum):
@@ -555,16 +557,14 @@ def _apply_multiplier(signals, alpha, momentum):
     _ImageTable, which its records keep, with one zeta table (see _image_sum).
     A first pass gates each signal's symbol and makes its record, a second forms
     the symbol, takes the transforms and subtracts the record's image sum from
-    the result in place; the record's values, read later, take the same table.
-    The symbol is formed per signal: one shared by
-    the signals of an order would stay alive across the first one's
-    transforms, and a 64 KB buffer more at n = 8192 cost more in page faults
-    than the symbol.  Raises OrderTooLarge, before any transform, where |p|^a
-    overflows at the Nyquist bin, and after, where a transform or a product
-    overflows (samples near the float range): on several signals, the first
-    failure of the first pass, else of the second.
+    the result in place; the record's values, read later, take the same table.  The
+    symbol is formed per signal: one shared by the signals of an order would stay alive
+    across the first one's transforms, and a 64 KB buffer more at n = 8192 cost more in
+    page faults than the symbol.  The caller gates the order.  Raises OrderTooLarge,
+    before any transform, where |p|^a overflows at the Nyquist bin (its one test), and
+    after, where a transform or a product overflows (samples near the float range): on
+    several signals, the first failure of the first pass, else of the second.
     """
-    alpha = require_order(alpha)
     if alpha == 0:
         return signals
     grid = signals[0].grid
@@ -619,7 +619,7 @@ def fractional_derivative(signal, alpha):
     combined order.  The periodic value is d.values + d.images.values.  On a
     signal that does not decay the result is periodic and carries a warning.
     """
-    return _apply_multiplier((signal,), alpha, False)[0]
+    return _apply_multiplier((signal,), require_order(alpha), False)[0]
 
 
 def fractional_momentum(signal, alpha):
@@ -628,7 +628,7 @@ def fractional_momentum(signal, alpha):
     Images, warning and chaining as in fractional_derivative; the images
     of P_a carry the phase e^{-i*a*pi/2} of p^a = (ip)^a / i^a.
     """
-    return _apply_multiplier((signal,), alpha, True)[0]
+    return _apply_multiplier((signal,), require_order(alpha), True)[0]
 
 
 def order_continuity_gap(signal, n, k):
@@ -647,13 +647,22 @@ def order_continuity_gap(signal, n, k):
     return central_gap(d_frac.values, d_int.values)
 
 
+def _require_member(name, value, kind):
+    """value, where it is a member of the enum kind: else ArgumentOutOfRange naming them."""
+    if not isinstance(value, kind):
+        members = " or ".join(f"{kind.__name__}.{m.name}" for m in kind)
+        raise ArgumentOutOfRange(f"{name} must be {members}, got {value!r}")
+    return value
+
+
 @np.errstate(over="ignore", invalid="ignore")   # a sum past the float range raises below
 def inner(u, v, dx, pairing):
     """The discrete pairing sum u_j v_j dx; SESQUILINEAR conjugates u.
 
-    Raises OrderTooLarge where the sum overflows double precision.
+    Raises ArgumentOutOfRange where pairing is not a Pairing, and OrderTooLarge
+    where the sum overflows double precision.
     """
-    if pairing is Pairing.SESQUILINEAR:
+    if _require_member("pairing", pairing, Pairing) is Pairing.SESQUILINEAR:
         u = np.conj(u)
     total = complex(np.sum(u * v) * dx)
     if not cmath.isfinite(total):
@@ -668,10 +677,13 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     (sesquilinear conjugates the first slot) and the selected continuation
     of (-1)^a.  Exact (to rounding) for integer alpha; for fractional alpha
     no branch/pairing combination vanishes -- callers treat the four
-    combinations as a diagnostic table.
+    combinations as a diagnostic table.  A pairing that is not a Pairing, or a
+    branch that is not a MinusOneBranch, raises ArgumentOutOfRange first.
     """
     dx = require_same_grid(f, g).dx
     alpha = require_order(alpha)
+    _require_member("pairing", pairing, Pairing)
+    _require_member("minus_one_branch", minus_one_branch, MinusOneBranch)
     df = fractional_derivative(f, alpha)
     dg = fractional_derivative(g, alpha)
     if minus_one_branch is MinusOneBranch.E_PLUS_I_PI:
@@ -721,7 +733,8 @@ def product_rule(f, g, alpha):
     grid = require_same_grid(f, g)
     alpha = require_order(alpha)
     n = grid.n
-    symbol = ip_power(alpha, (np.arange(2 * n - 1) - n) * grid.dp)     # at u_m
+    u = specfun.require_reals("p", (np.arange(2 * n - 1) - n) * grid.dp)  # n dp may overflow
+    symbol = _branch_power(alpha, u, False)     # at u_m
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
         fg = SampledSignal._adopt(grid, f.values * g.values)

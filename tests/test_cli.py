@@ -247,6 +247,24 @@ def test_derive_multiple_orders_csv_needs_output_file(capsys):
                        "(one file per order)\n"), argv
 
 
+def test_derive_refuses_orders_that_write_one_file(tmp_path, capsys):
+    # file names carry 9 significant digits: 0.5 and 0.5000000001 both write
+    # out_alpha0.5.csv, and the second would overwrite the first
+    for alphas, orders in (("0.5,0.5000000001", "0.5 and 0.5000000001"),
+                           ("0.5,0.5", "0.5 and 0.5"),
+                           ("1.5,0.5,0.50000000001", "0.5 and 0.50000000001")):
+        rc, out, err = run_cli(capsys, "derive", "--alpha", alphas, "--points", "8",
+                               "--domain", "-2", "2", "--output", str(tmp_path / "out.csv"))
+        assert (rc, out) == (2, ""), alphas
+        assert err == (f"error: --alpha: orders {orders} both write "
+                       f"{tmp_path / 'out_alpha0.5.csv'}\n"), alphas
+        assert list(tmp_path.iterdir()) == [], alphas
+    # one JSON document holds every order
+    rc, out, _ = run_cli(capsys, "derive", "--alpha", "0.5,0.5000000001", "--points", "8",
+                         "--domain", "-2", "2", "--format", "json")
+    assert rc == 0 and [c["alpha"] for c in json.loads(out)] == [0.5, 0.5]
+
+
 def test_derive_json_schema(capsys):
     rc, out, _ = run_cli(capsys, "derive", "--function", "gaussian", "--alpha", "0.5,1",
                          "--domain", "-8", "8", "--points", "32", "--format", "json")

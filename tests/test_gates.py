@@ -95,7 +95,9 @@ def _scan_table():
         ("ImageCorrection", lambda a, m: fs.ImageCorrection(g, a, [m, 0.5]), (0.5, 1.0), (0, 1)),
         ("pairing_continuity_gap", fs.pairing_continuity_gap, (f, f, h, 0.5, 10), (3, 4)),
         ("product_rule", fs.product_rule, (f, h, 0.5), (2,)),
-        ("duality_residual", fs.duality_residual, (f, h, 0.5, sesq, plus), (2,)),
+        # the pairing and the branch take their enums' members alone
+        ("duality_residual", fs.duality_residual, (f, h, 0.5, sesq, plus), (2, 3, 4)),
+        ("inner", fs.spectral.inner, (f.values, h.values, g.dx, sesq), (3,)),
         ("gaussian_deriv", fs.gaussian_deriv, (0.5, 1.0), (0, 1)),
         ("x2gaussian_deriv", fs.x2gaussian_deriv, (0.5, 1.0), (0, 1)),
         ("gaussian_deriv over an array",
@@ -245,6 +247,27 @@ def test_every_order_is_the_float_its_gate_returns(order):
         if got != want:
             differ.append(f"{name}: {got if isinstance(got, tuple) else 'other bits'}"[:120])
     assert not differ, "\n".join(differ)
+
+
+@pytest.mark.parametrize("bad", ["sesquilinear", "e_plus_i_pi", "SESQUILINEAR", None],
+                         ids=repr)
+def test_pairing_and_branch_are_members_of_their_enums(bad):
+    # a member's value or name, or None, is not a member: each was taken as the
+    # enum's second member (a residual of 0.0984-0.0984j, the bilinear one, for
+    # "sesquilinear"), with no error
+    g = fs.make_grid(-8.0, 8.0, 256)
+    f = fs.sample(lambda x: np.exp(-x * x + 0.5j * x), g)
+    h = fs.sample(X2GAUSS, g)
+    sesq, plus = fs.Pairing.SESQUILINEAR, fs.MinusOneBranch.E_PLUS_I_PI
+    pairing = "pairing must be Pairing.SESQUILINEAR or Pairing.BILINEAR"
+    branch = ("minus_one_branch must be MinusOneBranch.E_PLUS_I_PI or "
+              "MinusOneBranch.E_MINUS_I_PI")
+    for call, message in ((lambda: fs.duality_residual(f, h, 0.5, bad, plus), pairing),
+                          (lambda: fs.duality_residual(f, h, 0.5, sesq, bad), branch),
+                          (lambda: fs.spectral.inner(f.values, h.values, g.dx, bad), pairing)):
+        with pytest.raises(fs.ArgumentOutOfRange) as err:
+            call()
+        assert str(err.value) == f"{message}, got {bad!r}"
 
 
 def test_complex_input_is_rejected_without_warnings():

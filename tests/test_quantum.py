@@ -118,6 +118,24 @@ def test_commutator_requires_decay():
         commutator_dx(sig, 1.5)
 
 
+def test_commutators_refuse_f_whose_x_f_does_not_decay():
+    # e^{-0.0657 x^2} passes the decay test (5.0e-11 of max|f| at the edge), but x f
+    # reads 5.7e-10 of max|x f| there: the engine would take x f as periodic, and the
+    # gaps at 1.5, 2.5 and 3 read 4.3e-4, 5.0e-5 and 2.6e-6
+    g = high_res_grid()
+    sig = sample(lambda x: np.exp(-0.0657 * x * x), g)
+    assert spectral._decays(sig)
+    for a in (1.5, 2.5, 3.0):
+        for commutator in (commutator_dx, commutator_ladder):
+            with pytest.raises(InsufficientDecay, match=r"^boundary decay 5\.699e-10 of "
+                                                        r"max\|x f\| is not below 1\.0e-10"):
+                commutator(sig, a)
+    # e^{-0.08 x^2}: x f at 3.6e-12 of its max, and the gap at 2.5 is 7.4e-12
+    sig = sample(lambda x: np.exp(-0.08 * x * x), g)
+    for commutator in (commutator_dx, commutator_ladder):
+        assert commutator(sig, 2.5)[2] < 1e-11
+
+
 # --- ladder commutator -----------------------------------------------------
 
 def test_ladder_order_one_reproduces_bosonic_commutation():

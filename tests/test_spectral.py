@@ -93,10 +93,13 @@ def test_order_too_large_is_typed():
 
 
 def test_engine_symbol_has_the_bits_of_the_symbols(monkeypatch):
-    # the engine forms (ip)^a on its rfft bins p = k dp, k = 0..n/2, from _abs_power
-    # and the p > 0 phase i^a, without the gates of ip_power: the bits of ip_power on
-    # those bins, its |p|^a the bits of p_power there, or the same OrderTooLarge
+    # the engine forms (ip)^a on its rfft bins p = k dp, k = 0..n/2, as |p|^a times
+    # the p > 0 phase i^a, without the gates of ip_power: the bits of ip_power on
+    # those bins, its |p|^a the bits of p_power there; where those raise
+    # OrderTooLarge, D^a and P_a of a sample on the grid raise the same text before
+    # any transform (the engine's one test of |p|^a, at the Nyquist bin)
     orders = (0.0, 5e-324, 1e-12, 0.3, 1.0, 2.0, 2.5, 5.2, 60.5, 170.0)
+    calls = _counting(monkeypatch)
     for box in ((-8.0, 8.0), (-16.0, 16.0)):
         for n in (2 ** k for k in range(3, 16)):
             g = make_grid(*box, n)
@@ -106,9 +109,13 @@ def test_engine_symbol_has_the_bits_of_the_symbols(monkeypatch):
                 try:
                     want = ip_power(a, bins), p_power(a, bins)
                 except OrderTooLarge as exc:
-                    with pytest.raises(OrderTooLarge) as raised:
-                        spectral._half_symbol(a, g)
-                    assert str(raised.value) == str(exc)
+                    sig = sample(GAUSS, g)
+                    calls.clear()   # make_grid's fftfreq
+                    for op in (fractional_derivative, fractional_momentum):
+                        with pytest.raises(OrderTooLarge) as raised:
+                            op(sig, a)
+                        assert str(raised.value) == str(exc), (box, n, a)
+                    assert calls == [], (box, n, a)
                     continue
                 assert spectral._half_symbol(a, g).tobytes() == want[0].tobytes(), (box, n, a)
                 modulus = spectral._abs_power(a, spectral._half_bins(n, g.dp))
@@ -116,7 +123,7 @@ def test_engine_symbol_has_the_bits_of_the_symbols(monkeypatch):
     # on (-1, 1) with n = 8 the Nyquist bin 4 pi overflows |p|^281: the engine
     # raises before any transform, with the text of the guard
     sig = sample(GAUSS, make_grid(-1.0, 1.0, 8))
-    calls = _counting(monkeypatch)
+    calls.clear()
     for op in (fractional_derivative, fractional_momentum):
         with pytest.raises(OrderTooLarge) as raised:
             op(sig, 281.0)
@@ -410,6 +417,11 @@ def test_image_record_gates_its_inputs():
         np.testing.assert_allclose(record.values, -1.0 / 32.0, rtol=1e-15, atol=0)
     with pytest.raises(NegativeAlpha):
         spectral.ImageCorrection(g, -0.5, [1.0])
+    # the table holds 40 moment weights: a 41st is refused, not broadcast
+    with pytest.raises(specfun.ArgumentOutOfRange) as err:
+        spectral.ImageCorrection(g, 0.5, np.full(41, 0.5))
+    assert str(err.value) == "an image record takes at most 40 moments, got 41"
+    assert np.isfinite(spectral.ImageCorrection(g, 0.5, np.full(40, 0.5)).values).all()
     # an image sum past the float range: the typed error alone, without numpy's
     # overflow warning
     with warnings.catch_warnings():
