@@ -53,7 +53,8 @@ class Grid:
         Dual frequencies in FFT order: 2*pi*k/(n*dx) for k = 0..n/2-1,
         then the negative half; the Nyquist bin sits at -pi/dx.
     dp : float
-        Frequency spacing 2*pi/(n*dx).
+        Frequency spacing 2*pi/(n*dx), > 0 with n*dp = 2*pi/dx finite (dx >= 3.5e-308,
+        else DegenerateInterval): p and every sum (m - n)*dp, |m - n| <= n, are finite.
     """
 
     __slots__ = ("x_min", "x_max", "n", "dx", "dp", "x", "p")
@@ -70,13 +71,13 @@ class Grid:
         self.x_max = x_max
         self.n = n
         # a width past the float range gives dx = inf and dp = 0; one too
-        # narrow for n samples gives dx = 0, or a dp = 2 pi/(n dx) of inf
+        # narrow for n samples gives dx = 0, or a largest frequency sum n dp of inf
         self.dx = (x_max - x_min) / n
         self.dp = 2 * np.pi / (n * self.dx) if self.dx else math.inf
-        if not 0 < self.dp < math.inf:
+        if not 0 < n * self.dp < math.inf:
             raise DegenerateInterval(f"({x_min}, {x_max}) with n = {n} has spacing "
-                                     f"dx = {self.dx!r} and dp = {self.dp!r}: "
-                                     f"need both finite and > 0")
+                                     f"dx = {self.dx!r} and dp = {self.dp!r}: need dp > 0 and "
+                                     f"n dp = 2 pi/dx finite (dx >= 3.5e-308)")
         self.x = _readonly(x_min + self.dx * np.arange(n))
         if not (self.x[1:] > self.x[:-1]).all():
             raise DegenerateInterval(f"({x_min}, {x_max}) is too narrow for n = {n}: "

@@ -56,7 +56,8 @@ class UncertaintyReport:
     """Position/momentum spreads for one order, against the analytic bound.
 
     delta_p_alpha uses the modulus-squared symbol for the second moment
-    (<|p^a|^2>), which keeps the spread real.
+    (<|p^a|^2>), which keeps the spread real.  The order is kept as the float of
+    require_order; the spreads and bounds must be finite and >= 0, satisfied a bool.
     """
     alpha: float
     delta_x: float
@@ -66,6 +67,9 @@ class UncertaintyReport:
     satisfied: bool
 
     def __post_init__(self):
+        if not isinstance(self.satisfied, bool):
+            raise specfun.ArgumentOutOfRange(f"satisfied must be a bool, got {self.satisfied!r}")
+        object.__setattr__(self, "alpha", require_order(self.alpha))
         for name in ("delta_x", "delta_p_alpha", "product", "rhs_bound"):
             specfun.require_real(name, getattr(self, name), least=0.0)
 
@@ -189,8 +193,7 @@ def _commutator_sides(f, alpha, lhs_vals, operator):
 def expectation(op_result, state):
     """Discrete <state, op_result> = sum conj(state_j) (op result)_j dx; unit-norm state."""
     _require_normalized(state)
-    dx = require_same_grid(op_result, state).dx
-    return inner(state.values, op_result.values, dx, Pairing.SESQUILINEAR)
+    return inner(state, op_result, Pairing.SESQUILINEAR)
 
 
 def uncertainty_bound(alpha):
@@ -347,8 +350,7 @@ def symmetry_residual(f, g, alpha):
     e^{-i a pi} makes the symbol non-real and the residual is reported as a
     diagnostic.
     """
-    dx = require_same_grid(f, g).dx
+    require_same_grid(f, g)
     pg = fractional_momentum(g, alpha)
     pf = fractional_momentum(f, alpha)
-    return (inner(pg.values, f.values, dx, Pairing.SESQUILINEAR)
-            - inner(g.values, pf.values, dx, Pairing.SESQUILINEAR))
+    return inner(pg, f, Pairing.SESQUILINEAR) - inner(g, pf, Pairing.SESQUILINEAR)

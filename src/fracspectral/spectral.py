@@ -37,6 +37,7 @@ that do not decay, such as on-grid plane waves, stay periodic and a
 non-integer order attaches a warning.
 """
 import cmath
+import contextlib
 import enum
 import functools
 import math
@@ -183,28 +184,18 @@ def _too_large(what, *sources):
     return OrderTooLarge(f"{what}: samples up to |f| = {top:.3g} are too large")
 
 
-class _overflow_is_too_large:
+@contextlib.contextmanager
+def _overflow_is_too_large(what, *sources):
     """numpy's overflow warnings off, and OrderTooLarge (see _too_large) where the
     gate of the result finds a value that is not finite (an EvaluationFailure).
 
     The one mapping of the engine, the transforms, product_rule and quantum's x f.
-    A class, not a generator: the engine enters one per signal on every call.
     """
-    __slots__ = ("what", "sources", "errstate")
-
-    def __init__(self, what, *sources):
-        self.what, self.sources = what, sources
-        self.errstate = np.errstate(over="ignore", invalid="ignore")
-
-    def __enter__(self):
-        self.errstate.__enter__()
-
-    def __exit__(self, kind, error, traceback):
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if kind is not None and issubclass(kind, EvaluationFailure):
-                raise _too_large(self.what, *self.sources) from None
-        finally:
-            self.errstate.__exit__(None, None, None)
+            yield
+        except EvaluationFailure:
+            raise _too_large(what, *sources) from None
 
 
 def forward(signal):
@@ -656,12 +647,15 @@ def _require_member(name, value, kind):
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a sum past the float range raises below
-def inner(u, v, dx, pairing):
-    """The discrete pairing sum u_j v_j dx; SESQUILINEAR conjugates u.
+def inner(u, v, pairing):
+    """The discrete pairing sum u_j v_j dx of two signals on one grid, of spacing dx;
+    SESQUILINEAR conjugates u.
 
-    Raises ArgumentOutOfRange where pairing is not a Pairing, and OrderTooLarge
-    where the sum overflows double precision.
+    Raises GridMismatch where the grids differ, ArgumentOutOfRange where pairing is
+    not a Pairing, and OrderTooLarge where the sum overflows double precision.
     """
+    dx = require_same_grid(u, v).dx
+    u, v = u.values, v.values
     if _require_member("pairing", pairing, Pairing) is Pairing.SESQUILINEAR:
         u = np.conj(u)
     total = complex(np.sum(u * v) * dx)
@@ -680,7 +674,7 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     combinations as a diagnostic table.  A pairing that is not a Pairing, or a
     branch that is not a MinusOneBranch, raises ArgumentOutOfRange first.
     """
-    dx = require_same_grid(f, g).dx
+    require_same_grid(f, g)
     alpha = require_order(alpha)
     _require_member("pairing", pairing, Pairing)
     _require_member("minus_one_branch", minus_one_branch, MinusOneBranch)
@@ -690,8 +684,7 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
         phase = np.exp(1j * np.pi * alpha)
     else:
         phase = np.exp(-1j * np.pi * alpha)
-    return (inner(df.values, g.values, dx, pairing)
-            - phase * inner(f.values, dg.values, dx, pairing))
+    return inner(df, g, pairing) - phase * inner(f, dg, pairing)
 
 
 def pairing_continuity_gap(psi, f, h, alpha, n):
@@ -703,9 +696,8 @@ def pairing_continuity_gap(psi, f, h, alpha, n):
     grid = require_same_grid(psi, f, h)
     n = specfun.require_real("n", n, least=1.0)
     f_n = SampledSignal(grid, f.values + h.values / n)
-    dx = grid.dx
-    a = inner(psi.values, fractional_derivative(f_n, alpha).values, dx, Pairing.SESQUILINEAR)
-    b = inner(psi.values, fractional_derivative(f, alpha).values, dx, Pairing.SESQUILINEAR)
+    a = inner(psi, fractional_derivative(f_n, alpha), Pairing.SESQUILINEAR)
+    b = inner(psi, fractional_derivative(f, alpha), Pairing.SESQUILINEAR)
     return abs(a - b)
 
 
@@ -718,23 +710,22 @@ def product_rule(f, g, alpha):
 
     by a route of its own, not the engine's multiplier.  Grouping the terms
     by u = s+q is an exact rearrangement: the inner sums are the linear
-    convolution of the two spectra, taken through zero-padded FFTs of
-    length 2n, and the symbol is applied at each of the 2n-1 sums
-    u_m = (m-n)*dp, after the engine's noise floor.  The spectra are plain
-    FFTs (the grid-offset phases e^{-ip x_min} cancel; the scale is 1/n).
-    Since dx*dp = 2pi/n, e^{i j dx u_m} has period n in m, so the 2n-1
-    terms fold into n bins and one inverse FFT gives every sample; the cost
-    is O(n log n).  The sum is periodic in x like the engine, so where the
-    product decays at the box edge the same wrap-around images are
-    subtracted, from the moments of f*g, and the result matches
-    fractional_derivative of the product, its wrap-around warning included.
+    convolution of the two spectra, taken through zero-padded FFTs of length 2n,
+    and the symbol is applied at each of the 2n-1 sums u_m = (m-n)*dp, finite on
+    every Grid, after the engine's noise floor.  The spectra are plain FFTs (the
+    grid-offset phases e^{-ip x_min} cancel; the scale is 1/n).  Since
+    dx*dp = 2pi/n, e^{i j dx u_m} has period n in m, so the 2n-1 terms fold into
+    n bins and one inverse FFT gives every sample; the cost is O(n log n).  The sum is
+    periodic in x like the engine, so where the product decays at the box edge
+    the same wrap-around images are subtracted, from the moments of f*g, and the
+    result matches fractional_derivative of the product, its wrap-around warning
+    included.
     A corrected result's record keeps f*g as its source: a further order is f*g's.
     """
     grid = require_same_grid(f, g)
     alpha = require_order(alpha)
     n = grid.n
-    u = specfun.require_reals("p", (np.arange(2 * n - 1) - n) * grid.dp)  # n dp may overflow
-    symbol = _branch_power(alpha, u, False)     # at u_m
+    symbol = _branch_power(alpha, (np.arange(2 * n - 1) - n) * grid.dp, False)    # at u_m
     with _overflow_is_too_large(f"the product rule overflows double precision at order "
                                 f"{alpha:g}", f.values, g.values):
         fg = SampledSignal._adopt(grid, f.values * g.values)

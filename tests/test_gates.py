@@ -97,7 +97,7 @@ def _scan_table():
         ("product_rule", fs.product_rule, (f, h, 0.5), (2,)),
         # the pairing and the branch take their enums' members alone
         ("duality_residual", fs.duality_residual, (f, h, 0.5, sesq, plus), (2, 3, 4)),
-        ("inner", fs.spectral.inner, (f.values, h.values, g.dx, sesq), (3,)),
+        ("inner", fs.spectral.inner, (f, h, sesq), (2,)),
         ("gaussian_deriv", fs.gaussian_deriv, (0.5, 1.0), (0, 1)),
         ("x2gaussian_deriv", fs.x2gaussian_deriv, (0.5, 1.0), (0, 1)),
         ("gaussian_deriv over an array",
@@ -116,6 +116,8 @@ def _scan_table():
         ("symmetry_residual", fs.symmetry_residual, (f, h, 0.5), (2,)),
         ("uncertainty_bound", fs.uncertainty_bound, (1.5,), (0,)),
         ("uncertainty_check", fs.uncertainty_check, (1.5, state), (0,)),
+        ("UncertaintyReport", fs.UncertaintyReport, (1.5, 1.0, 1.0, 1.0, 0.5, True),
+         (0, 1, 2, 3, 4, 5)),
     ]
 
 
@@ -189,7 +191,7 @@ SIGNAL_SLOTS = {
     "inverse": (0,), "order_continuity_gap": (0,), "pairing_continuity_gap": (0, 1, 2),
     "product_rule": (0, 1), "duality_residual": (0, 1), "commutator_dx": (0,),
     "commutator_ladder": (0,), "expectation": (0, 1), "symmetry_residual": (0, 1),
-    "uncertainty_check": (1,),
+    "uncertainty_check": (1,), "inner": (0, 1),
 }
 
 
@@ -222,6 +224,7 @@ ORDER_SLOTS = {
     "exp_rule": 1, "monomial_deriv": 1, "quadrature_reference": 1, "EigenstateSpec": 0,
     "eigenstate_signal": 0, "commutator_dx": 1, "commutator_ladder": 1,
     "symmetry_residual": 2, "uncertainty_bound": 0, "uncertainty_check": 0,
+    "UncertaintyReport": 0,
 }
 
 
@@ -264,7 +267,7 @@ def test_pairing_and_branch_are_members_of_their_enums(bad):
               "MinusOneBranch.E_MINUS_I_PI")
     for call, message in ((lambda: fs.duality_residual(f, h, 0.5, bad, plus), pairing),
                           (lambda: fs.duality_residual(f, h, 0.5, sesq, bad), branch),
-                          (lambda: fs.spectral.inner(f.values, h.values, g.dx, bad), pairing)):
+                          (lambda: fs.spectral.inner(f, h, bad), pairing)):
         with pytest.raises(fs.ArgumentOutOfRange) as err:
             call()
         assert str(err.value) == f"{message}, got {bad!r}"
@@ -298,10 +301,11 @@ def test_array_gate_names_the_first_bad_element():
 
 
 # bounds and sizes that are each finite, but whose width, spacing dx or
-# frequency spacing dp = 2 pi/(n dx) is not finite and > 0, or whose samples
-# round to the same double
+# frequency spacing dp = 2 pi/(n dx) is not finite and > 0, whose largest
+# frequency sum n dp = 2 pi/dx is not finite (its Nyquist bin -pi/dx too at
+# 1.2e-307), or whose samples round to the same double
 DEGENERATE_GRIDS = ((-1.7e308, 1.7e308, 8), (0.0, 1e-310, 8), (0.0, 5e-324, 8),
-                    (1.0, 1.0 + 2.2e-16, 8))
+                    (1.0, 1.0 + 2.2e-16, 8), (0.0, 1.2e-307, 8), (0.0, 2.4e-307, 8))
 
 
 @pytest.mark.parametrize("bounds", DEGENERATE_GRIDS)
@@ -309,6 +313,24 @@ def test_degenerate_grids_are_typed(bounds):
     assert _outcome(fs.make_grid, bounds) is None
     with pytest.raises(fs.DegenerateInterval):
         fs.make_grid(*bounds)
+
+
+def test_the_grid_keeps_its_frequency_sums_finite():
+    # dx >= 2 pi/DBL_MAX, about 3.5e-308: on (0, 2.4e-307) with n = 8, Grid.p was
+    # finite but product_rule's sums reached n dp = inf, and it named a p that no
+    # caller passed; on (0, 1.2e-307) Grid.p itself held -inf
+    for width in (1.2e-307, 2.4e-307):
+        with pytest.raises(fs.DegenerateInterval,
+                           match=r"with n = 8 has spacing dx = \S+ and dp = \S+: need dp > 0 "
+                                 r"and n dp = 2 pi/dx finite \(dx >= 3.5e-308\)$"):
+            fs.make_grid(0.0, width, 8)
+    # dx = 4.5e-308 is accepted, and every frequency and sum of two is finite
+    g = fs.make_grid(0.0, 3.6e-307, 8)
+    assert np.isfinite(g.p).all() and g.n * g.dp < math.inf
+    f = fs.sample(GAUSS, g)
+    for function, args in ((fs.forward, (f,)), (fs.fractional_derivative, (f, 0.5)),
+                           (fs.product_rule, (f, f, 0.5))):
+        assert _outcome(function, args) is None, function.__name__
 
 
 def test_counts_must_be_whole():

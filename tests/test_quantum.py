@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -308,7 +309,9 @@ def test_expectation_requires_same_grid():
     g = make_grid(-16.0, 16.0, 4096)
     state = gaussian_state(g)
     other = sample(GAUSS, make_grid(-16.0, 16.0, 2048))
-    with pytest.raises(GridMismatch):
+    # the pairing names the state's grid first
+    with pytest.raises(GridMismatch, match=r"^Grid\(-16.0, 16.0, n=4096\) vs "
+                                           r"Grid\(-16.0, 16.0, n=2048\)$"):
         expectation(other, state)
 
 
@@ -548,6 +551,19 @@ def test_uncertainty_report_validation():
     with pytest.raises(ValueError):
         UncertaintyReport(alpha=1.0, delta_x=math.nan, delta_p_alpha=1.0,
                           product=0.5, rhs_bound=0.5, satisfied=True)
+    # the order through require_order, as EigenstateSpec's, and kept as its float
+    for alpha in (math.nan, -1.0, math.inf, "1.5"):
+        with pytest.raises(spectral.NegativeAlpha):
+            UncertaintyReport(alpha=alpha, delta_x=1.0, delta_p_alpha=1.0,
+                              product=1.0, rhs_bound=1.0, satisfied=True)
+    report = UncertaintyReport(alpha=np.float32(1.5), delta_x=1.0, delta_p_alpha=1.0,
+                               product=1.0, rhs_bound=1.0, satisfied=True)
+    assert type(report.alpha) is float and report.alpha == 1.5
+    for satisfied in ("no", 1, None, np.bool_(True)):
+        with pytest.raises(specfun.ArgumentOutOfRange,
+                           match=rf"^satisfied must be a bool, got {re.escape(repr(satisfied))}$"):
+            UncertaintyReport(alpha=1.0, delta_x=1.0, delta_p_alpha=1.0,
+                              product=1.0, rhs_bound=1.0, satisfied=satisfied)
 
 
 # --- momentum symmetry -----------------------------------------------------

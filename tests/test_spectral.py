@@ -815,6 +815,20 @@ def test_duality_requires_matching_grids():
                          MinusOneBranch.E_PLUS_I_PI)
 
 
+def test_inner_pairs_two_signals_on_one_grid():
+    # dx is the grid's: two grids that differ raise before any sum (a raw-array
+    # pairing took arrays of two lengths to numpy's broadcast error)
+    g = make_grid(-16.0, 16.0, 4096)
+    f, h = sample(GAUSS, g), sample(X2GAUSS, g)
+    assert spectral.inner(f, h, Pairing.BILINEAR) == complex(np.sum(f.values * h.values) * g.dx)
+    assert (spectral.inner(f, h, Pairing.SESQUILINEAR)
+            == complex(np.sum(np.conj(f.values) * h.values) * g.dx))
+    other = sample(X2GAUSS, make_grid(-16.0, 16.0, 2048))
+    with pytest.raises(GridMismatch, match=r"^Grid\(-16.0, 16.0, n=4096\) vs "
+                                           r"Grid\(-16.0, 16.0, n=2048\)$"):
+        spectral.inner(f, other, Pairing.SESQUILINEAR)
+
+
 def test_pairing_continuity_gap_requires_matching_grids():
     f = sample(GAUSS, make_grid(-16.0, 16.0, 1024))
     h = sample(X2GAUSS, make_grid(-16.0, 16.0, 512))
