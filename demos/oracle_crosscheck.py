@@ -10,14 +10,11 @@ x^(-1-a) tail wraps around; for a signal that decays at the box edge the
 engine subtracts those images in closed form, so the last column sits at
 roundoff as well (amplified by p_max^a at order 5.2).
 """
-import math
-
 import numpy as np
 
 from fracspectral import (fractional_derivative, gaussian_deriv, make_grid,
                           quadrature_reference, sample)
-
-f_hat = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
+from fracspectral.oracles import gaussian_hat
 
 grid = make_grid(-128.0, 128.0, 8192)
 sig = sample(lambda x: np.exp(-x * x), grid)
@@ -27,7 +24,7 @@ for a in (0.1, 0.5, 1.5, 2.5, 5.2):
     d = fractional_derivative(sig, a)
     for x in (0.0, 1.0):
         closed = gaussian_deriv(a, x)
-        quad = quadrature_reference(f_hat, a, x)
+        quad = quadrature_reference(gaussian_hat, a, x)
         j = int(np.argmin(np.abs(grid.x - x)))
         eng = d.values[j]
         print(f"{a:>6g} {x:>5g} {closed.real:>14.9f} "

@@ -112,10 +112,9 @@ def suite_integer():
 def suite_closedform():
     r = _Recorder()
 
-    f1_hat = lambda p: np.exp(-p * p / 4) / np.sqrt(2)
     xs = np.linspace(-3.0, 3.0, 25)
     for alpha in (0.0, 0.02, 0.1, 0.5, 1.0, 2.0, 4.5, 5.0, 5.5):
-        q = [oracles.quadrature_reference(f1_hat, alpha, x) for x in xs.tolist()]
+        q = [oracles.quadrature_reference(oracles.gaussian_hat, alpha, x) for x in xs.tolist()]
         gap = np.abs(np.array(q) - oracles.gaussian_deriv(alpha, xs))
         r.below(f"gaussian closed form vs quadrature, order {alpha}", gap.max(), 1e-8)
 
@@ -123,7 +122,7 @@ def suite_closedform():
     r.below("half-order gaussian at x=0: closed form vs reduction",
             abs(oracles.gaussian_deriv(0.5, 0.0) - spot), 1e-9)
     r.below("half-order gaussian at x=0: quadrature vs reduction",
-            abs(oracles.quadrature_reference(f1_hat, 0.5, 0.0) - spot), 1e-9)
+            abs(oracles.quadrature_reference(oracles.gaussian_hat, 0.5, 0.0) - spot), 1e-9)
 
     # math.exp, not np.exp, for the references: the two can differ in the last bit
     ref = np.array([x * x * math.exp(-x * x) for x in (0.5, 1.0)])
@@ -290,10 +289,10 @@ def suite_convergence():
     d_f1 = functools.cache(lambda alpha: fractional_derivative(f1, alpha))   # once per order
     c1, c2 = forward(f1), forward(f2)
     mask = np.abs(g.p) <= 8.0
-    ref = np.exp(-g.p[mask] ** 2 / 4) / np.sqrt(2)
+    ref = oracles.gaussian_hat(g.p[mask])
     r.below("forward transform of the gaussian (|p|<=8)",
             float(np.max(np.abs(c1.coeffs[mask] - ref))), 1e-10)
-    ref2 = (2 - g.p[mask] ** 2) * np.exp(-g.p[mask] ** 2 / 4) / (4 * np.sqrt(2))
+    ref2 = oracles.x2gaussian_hat(g.p[mask])
     r.below("forward transform of the x2-gaussian (|p|<=8)",
             float(np.max(np.abs(c2.coeffs[mask] - ref2))), 1e-10)
 

@@ -162,7 +162,7 @@ class SampledSignal:
     boundary_decay is the max |value| over the outer 5% of samples (split
     between the two ends), recomputed on construction.  Operations that
     assume rapid decay (fractional orders, multiplication by x) test it
-    against max|f| (spectral._decays) rather than silently wrapping around.
+    against max|f| (spectral._route) rather than silently wrapping around.
 
     An engine result of non-integer order on a decaying signal holds the
     derivative on the line and records in `images` the wrap-around images
@@ -171,8 +171,8 @@ class SampledSignal:
 
     A signal never changes, so what depends on it alone, and not on an
     order, is computed at first use and kept in a private memo for the
-    signal's lifetime: the support record, noise-floored half-spectra and
-    image moments of the engine (spectral), and x times the signal, its
+    signal's lifetime: the evidence record (spectral._evidence), noise-floored
+    half-spectra and image moments of the engine, and x times the signal, its
     norm and its spread (quantum).  A copy or a pickle carries no memo.
     """
 

@@ -2,10 +2,10 @@
 
 These are the ground-truth routes against which the FFT engine is judged:
 
-* gaussian / x2gaussian, the built-in functions of the CLI and the check
-  suites, and gaussian_deriv / x2gaussian_deriv: analytic formulas in terms of Gamma
-  and 1F1, evaluated exactly as written at a float or an array of x;
-  an order whose value overflows double precision raises OrderTooLarge.
+* gaussian / x2gaussian, the built-in functions of the CLI and the check suites,
+  their transforms gaussian_hat / x2gaussian_hat, and gaussian_deriv / x2gaussian_deriv:
+  analytic formulas in terms of Gamma and 1F1, evaluated exactly as written at a float
+  or an array of x; an order whose value overflows double precision raises OrderTooLarge.
 * exp_rule / monomial_deriv: rule objects for functions that are not
   square-integrable; they never touch the FFT path, which would silently
   periodize them.
@@ -69,6 +69,16 @@ def x2gaussian(x):
     with np.errstate(over="ignore"):
         x2 = x * x
         return np.minimum(x2, np.finfo(float).max) * np.exp(-x2)
+
+
+def gaussian_hat(p):
+    """The transform e^{-p^2/4}/sqrt(2) of gaussian, at a float or an array of p."""
+    return np.exp(-p * p / 4.0) / math.sqrt(2.0)
+
+
+def x2gaussian_hat(p):
+    """The transform (2 - p^2) e^{-p^2/4}/(4 sqrt(2)) of x2gaussian, likewise."""
+    return (2.0 - p * p) * np.exp(-p * p / 4.0) / (4.0 * math.sqrt(2.0))
 
 
 def _kummer_each(z, *rows):

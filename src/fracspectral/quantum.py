@@ -19,9 +19,9 @@ from .grid import SampledSignal, _readonly, central_gap, make_grid, require_same
 from .oracles import _SQRT_PI, gaussian
 from .specfun import OrderTooLarge
 from .spectral import (DECAY_THRESHOLD, SQRT_2PI, AlphaInForbiddenRange, Pairing, _abs_power,
-                       _apply_multiplier, _box_moments, _decays, _half_spectra,
-                       _overflow_is_too_large, _support, fractional_derivative,
-                       fractional_momentum, inner, require_order)
+                       _apply_multiplier, _box_moments, _evidence, _half_spectra,
+                       _overflow_is_too_large, fractional_derivative, fractional_momentum,
+                       inner, require_order)
 
 # Taylor terms of |phi_hat|^2 at p = 0 in the momentum-moment correction.
 # For the Gaussian state on (-20, 20) the first term left out (j = 10; odd
@@ -108,9 +108,9 @@ def _require_commutator_input(f, alpha):
 
 
 def _require_decay(signal, name="f"):
-    if not _decays(signal):     # the engine's test, negated
-        ratio = signal.boundary_decay / _support(signal)[0]
-        raise InsufficientDecay(f"boundary decay {ratio:.3e} of max|{name}| is not below "
+    evidence = _evidence(signal)
+    if not evidence.decays:     # the engine's test, negated
+        raise InsufficientDecay(f"boundary decay {evidence.ratio:.3e} of max|{name}| is not below "
                                 f"{DECAY_THRESHOLD:.1e}; multiplication by x would wrap around")
 
 
@@ -294,7 +294,7 @@ def _spread(state):
         density = _readonly(density[:, :kept])
 
         j = np.arange(_NAVOT_TERMS)
-        m = _box_moments(state)[:_NAVOT_TERMS] * (g.x_max - g.x_min) ** j / _support(state)[1]
+        m = _box_moments(state)[:_NAVOT_TERMS] * (g.x_max - g.x_min) ** j / _evidence(state).unit
         a = (-1j) ** j * m / (np.cumprod(np.maximum(j, 1)) * SQRT_2PI)
         taylor = np.convolve(np.conj(a), a)[:_NAVOT_TERMS].real
         spread = state._memo["spread"] = (delta_x, density, taylor)

@@ -43,6 +43,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -406,31 +407,51 @@ def _subtract_images(out, record):
         part -= images
 
 
-def _support(signal):
-    """(max|f|, unit, lo, hi), kept in the memo: the samples above _SUPPORT_FLOOR times max|f|
-    span lo:hi; unit = 2^-e, 2^e the power of two next to max|f| (2^-e, dx 2^-e <= 2^1000)."""
-    record = signal._memo.get("support")
-    if record is None:
-        grid = signal.grid
+class _Evidence(NamedTuple):
+    """What the engine reads of a signal's samples, in one pass over |f| (see _evidence)."""
+    top: float      # max|f|
+    unit: float     # 2^-e, 2^e the power of two next to top (2^-e, dx 2^-e <= 2^1000)
+    lo: int         # lo:hi spans the samples above _SUPPORT_FLOOR times top
+    hi: int
+    edge: float     # boundary_decay
+    ratio: float    # edge / top, 0 for a signal of zeros (edge <= top)
+
+    @property
+    def decays(self):
+        """Whether the signal decays (see DECAY_THRESHOLD): the one test of engine and quantum."""
+        return self.edge == 0.0 or self.edge < DECAY_THRESHOLD * self.top
+
+
+def _evidence(signal):
+    """The signal's _Evidence, kept in its memo."""
+    evidence = signal._memo.get("evidence")
+    if evidence is None:
+        grid, edge = signal.grid, signal.boundary_decay
         mag = np.abs(signal.values)
         top = float(mag.max())
         above = mag > _SUPPORT_FLOOR * top
-        lo = int(above.argmax())
-        hi = grid.n - int(above[::-1].argmax())
         unit = math.ldexp(1.0, -max(math.frexp(top)[1], math.frexp(grid.dx)[1] - 1000, -1000))
-        record = signal._memo["support"] = (top, unit, lo, hi)
-    return record
+        evidence = signal._memo["evidence"] = _Evidence(
+            top, unit, int(above.argmax()), grid.n - int(above[::-1].argmax()), edge,
+            edge / top if top else 0.0)
+    return evidence
 
 
-def _decays(signal):
-    """Whether the signal decays (see DECAY_THRESHOLD): the one test of the engine and quantum."""
-    edge = signal.boundary_decay
-    return edge == 0.0 or edge < DECAY_THRESHOLD * _support(signal)[0]
+def _route(evidence, order):
+    """(image order, warning) of a multiplier of this order, the one route decision of the
+    engine and product_rule: a signal that decays takes _image_order's (None where the
+    order leaves no image tail), any other stays periodic, warned at a non-integer order."""
+    if evidence.decays:
+        return _image_order(order), None
+    if order == int(order):
+        return None, None
+    return None, (f"boundary decay {evidence.ratio:.3e} of max|f| above threshold "
+                  f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {order:g}")
 
 
 def _box_moments(signal):
     """All _MAX_MOMENTS scaled moments nu_j of the samples about the box centre, in the
-    unit of _support: read-only, once per signal (its memo keeps them).
+    unit of _evidence: read-only, once per signal (its memo keeps them).
 
     One product forms them all: the blocks of _taylor_blocks(n) hold dx unit f
     over the support (0 elsewhere), its factors give their local moments
@@ -442,7 +463,7 @@ def _box_moments(signal):
     moments = signal._memo.get("moments")
     if moments is None:
         grid = signal.grid
-        _, unit, lo, hi = _support(signal)
+        _, unit, lo, hi = _evidence(signal)[:4]
         centres, factors = _taylor_blocks(grid.n)
         size = factors.shape[1]
         first, last = lo // size, -(-hi // size)
@@ -463,7 +484,7 @@ def _moments(signal, table):
     """The moments nu_j of _box_moments, as many as the table's order needs: the list ends
     at the first two in a row whose image term is bounded below the limit (so c*f keeps
     the moment count of f)."""
-    top, unit = _support(signal)[:2]
+    top, unit = _evidence(signal)[:2]
     moments = _box_moments(signal)
     # the image term of moment j is bounded by |nu_j| times its term per unit
     # moment times a zeta(s, 1/2) <= a 2^s + a/(a+j), s = 1 + a + j (as in _image_sum)
@@ -473,24 +494,13 @@ def _moments(signal, table):
 
 
 def _images(signal, alpha, phase, tables):
-    """(images, warning) of a multiplier of order alpha and phase on signal: the one
-    wrap-around decision of the engine and product_rule.
-
-    A signal that decays (_decays) gets a record from its moments, within
-    _image_order's limits, with (signal, phase) as its source and the _ImageTable of
-    its order in tables (a dict by order, on the signal's grid, which the caller
-    drops when it returns), which notes its column count.  Any other signal stays
-    periodic, with a warning at a non-integer order.
-    """
-    if not _decays(signal):
-        if alpha == int(alpha):
-            return None, None
-        ratio = signal.boundary_decay / _support(signal)[0]
-        return None, (f"boundary decay {ratio:.3e} of max|f| above threshold "
-                      f"{DECAY_THRESHOLD:.1e}; wrap-around may contaminate order {alpha:g}")
-    order = _image_order(alpha)
+    """(images, warning) of a multiplier of order alpha and phase on signal, routed by _route:
+    a record of an image order has (signal, phase) as its source and the _ImageTable of its
+    order in tables (a dict by order on the signal's grid, which the caller drops when it
+    returns), which notes its column count."""
+    order, warning = _route(_evidence(signal), alpha)
     if order is None:
-        return None, None
+        return None, warning
     table = tables.get(order)
     if table is None:
         table = tables[order] = _ImageTable(order, signal.grid)

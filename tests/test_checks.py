@@ -78,3 +78,25 @@ def test_check_all_computes_each_value_once(monkeypatch):
     run_suite("all")
     assert counts == {"_apply_multiplier": 114, "uncertainty_check": 4, "forward": 2,
                       "rfft": 31}
+
+
+@pytest.mark.parametrize("constant, value, failed", [
+    ("NOISE_FLOOR", 1e-11, ["gaussian order 1e-12: engine vs closed form (|x|<=4)",
+                            "order additivity 1.5+1.5 (rel sup)"]),
+    ("_SUPPORT_FLOOR", 1e-8, ["gaussian order 1e-12: engine vs closed form (|x|<=4)"]),
+])
+def test_check_all_fails_where_an_engine_constant_regresses(monkeypatch, constant, value, failed):
+    # a noise floor or a moment support that is too coarse moves the engine off the closed
+    # forms: `check all` names exactly the rows that show it.  The engine reads its
+    # constants when it is called (zero_noise, _evidence), not at import
+    monkeypatch.setattr(spectral, constant, value)
+    assert [r.name for r in run_suite("all") if r.passed is False] == failed
+
+
+def test_check_all_refuses_where_no_signal_decays(monkeypatch):
+    # at a decay threshold of 0 only a zero edge decays: the engine keeps every signal
+    # periodic (_route), and the commutator suite's decay gate refuses its states
+    monkeypatch.setattr(spectral, "DECAY_THRESHOLD", 0.0)
+    with pytest.raises(quantum.InsufficientDecay) as raised:
+        run_suite("all")
+    assert any(entry.name == "suite_commutator" for entry in raised.traceback)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import fracspectral as fs
+from fracspectral.oracles import gaussian_hat
 from fracspectral.specfun import zeta_negative
 
 GAUSS = lambda x: np.exp(-x * x)
 X2GAUSS = lambda x: x * x * np.exp(-x * x)
-F_HAT = lambda p: np.exp(-p * p / 4) / math.sqrt(2)
 
 BAD_NUMBERS = (10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf)
 # finite, but large enough that a power, a product or a frequency built from
@@ -106,7 +106,8 @@ def _scan_table():
          lambda a, x: fs.x2gaussian_deriv(a, np.array([-2.0, x])), (0.5, 1.0), (0, 1)),
         ("exp_rule", fs.exp_rule, (2.0, 0.5, 1.0), (0, 1, 2)),
         ("monomial_deriv", fs.monomial_deriv, (3, 1.0, 2.0), (0, 1, 2)),
-        ("quadrature_reference", fs.quadrature_reference, (F_HAT, 0.5, 0.3, 40.0), (1, 2, 3)),
+        ("quadrature_reference", fs.quadrature_reference, (gaussian_hat, 0.5, 0.3, 40.0),
+         (1, 2, 3)),
         ("EigenstateSpec", fs.EigenstateSpec, (1.0, 2.0), (0, 1)),
         # order 0.5: q = E^2 lands on bin 4
         ("eigenstate_signal", eigenstate, (0.5, math.sqrt(4 * g.dp)), (0, 1)),
@@ -368,6 +369,27 @@ def test_one_decay_test_for_engine_and_operator_layer():
     sig = fs.SampledSignal(g, values)
     assert sig.boundary_decay == 1e-10
     assert fs.fractional_derivative(sig, 1.5).warning is not None
+    with pytest.raises(fs.InsufficientDecay):
+        fs.commutator_dx(sig, 1.5)
+    # one ulp below the threshold: images and no warning; x f reads above it there
+    values[0] = np.nextafter(1e-10, 0.0)
+    sig = fs.SampledSignal(g, values)
+    d = fs.fractional_derivative(sig, 1.5)
+    assert d.images is not None and d.warning is None
+    with pytest.raises(fs.InsufficientDecay, match=r"^boundary decay 1\.867e-09 of max\|x f\| "
+                                                   r"is not below 1\.0e-10"):
+        fs.commutator_dx(sig, 1.5)
+    # a Gaussian at the box edge stays periodic
+    d = fs.fractional_derivative(fs.sample(lambda x: np.exp(-(x - 7.9) ** 2), g), 1.5)
+    assert d.warning == ("boundary decay 1.000e+00 of max|f| above threshold 1.0e-10; "
+                         "wrap-around may contaminate order 1.5")
+    # the test is edge < 1e-10 max|f|, a product: at max|f| = 1e-300 an edge of 1e-310
+    # is not below 1e-10 max|f| (which rounds to 1e-310), though edge / max|f| is
+    values = 1e-300 * GAUSS(g.x)
+    values[0] = 1e-310
+    sig = fs.SampledSignal(g, values)
+    assert fs.fractional_derivative(sig, 1.5).warning.startswith(
+        "boundary decay 1.000e-10 of max|f| above threshold 1.0e-10")
     with pytest.raises(fs.InsufficientDecay):
         fs.commutator_dx(sig, 1.5)
 

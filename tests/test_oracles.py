@@ -12,16 +12,13 @@ from fracspectral import oracles
 from fracspectral.grid import EvaluationFailure, make_grid, sample
 from fracspectral.oracles import (UNDEFINED, EigenstateSpec, FrequencyOffGrid,
                                   NonPositiveK, ToleranceNotReached,
-                                  eigenstate_signal, exp_rule, gaussian_deriv,
+                                  eigenstate_signal, exp_rule, gaussian_deriv, gaussian_hat,
                                   monomial_deriv, quadrature_reference,
-                                  x2gaussian_deriv)
+                                  x2gaussian_deriv, x2gaussian_hat)
 from fracspectral.specfun import ArgumentOutOfRange, OrderTooLarge
 from fracspectral.quantum import uncertainty_bound
 from fracspectral.spectral import (AlphaInForbiddenRange, NegativeAlpha, fractional_derivative,
                                   fractional_momentum)
-
-F1_HAT = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
-
 
 # --- Gaussian closed form --------------------------------------------------
 
@@ -76,7 +73,7 @@ def test_gaussian_deriv_agrees_with_quadrature():
     for a in (0.02, 0.5, 1.5, 2.5, 5.2):
         for x in (-2.0, 0.0, 0.7, 3.0):
             assert abs(gaussian_deriv(a, x)
-                       - quadrature_reference(F1_HAT, a, x)) < 1e-8
+                       - quadrature_reference(gaussian_hat, a, x)) < 1e-8
 
 
 def test_gaussian_deriv_domain_cap():
@@ -144,11 +141,10 @@ def test_x2gaussian_integer_orders():
 
 
 def test_x2gaussian_agrees_with_quadrature():
-    f2_hat = lambda p: (2.0 - p * p) * np.exp(-p * p / 4.0) / (4.0 * math.sqrt(2.0))
     for a in (0.1, 0.5, 1.5):
         for x in (-1.0, 0.0, 1.5):
             assert abs(x2gaussian_deriv(a, x)
-                       - quadrature_reference(f2_hat, a, x)) < 1e-8
+                       - quadrature_reference(x2gaussian_hat, a, x)) < 1e-8
 
 
 # --- closed forms over arrays ---------------------------------------------
@@ -261,14 +257,14 @@ def test_ints_past_float_range_raise_typed_errors():
     for call in (lambda: monomial_deriv(huge, 1.0, 2.0),   # falling factorial
                  lambda: monomial_deriv(huge, 1.0, 0.5),
                  lambda: gaussian_deriv(huge, 0.5),
-                 lambda: quadrature_reference(F1_HAT, huge, 0.5),
+                 lambda: quadrature_reference(gaussian_hat, huge, 0.5),
                  lambda: exp_rule(2.0, huge, 1.0),
                  lambda: fractional_derivative(sig, huge),
                  lambda: uncertainty_bound(huge)):
         with pytest.raises(OrderTooLarge):
             call()
     for call in (lambda: gaussian_deriv(0.5, huge),
-                 lambda: quadrature_reference(F1_HAT, 0.5, huge),
+                 lambda: quadrature_reference(gaussian_hat, 0.5, huge),
                  lambda: exp_rule(huge, 0.5, 1.0)):
         with pytest.raises(ArgumentOutOfRange):
             call()
@@ -304,19 +300,19 @@ def test_monomial_undefined_cases():
 # --- quadrature oracle -----------------------------------------------------
 
 def test_quadrature_identity_case():
-    got = quadrature_reference(F1_HAT, 0.0, 1.0)
+    got = quadrature_reference(gaussian_hat, 0.0, 1.0)
     assert abs(got - math.exp(-1.0)) < 1e-10
 
 
 def test_quadrature_tight_against_closed_form():
-    got = quadrature_reference(F1_HAT, 0.5, 0.0)
+    got = quadrature_reference(gaussian_hat, 0.5, 0.0)
     assert abs(got - 0.6913673390362934) < 1e-12
 
 
 def test_quadrature_cutoff_is_honored():
     # a cutoff that chops real mass changes the answer
-    full = quadrature_reference(F1_HAT, 0.0, 0.0)
-    chopped = quadrature_reference(F1_HAT, 0.0, 0.0, p_cutoff=1.0)
+    full = quadrature_reference(gaussian_hat, 0.0, 0.0)
+    chopped = quadrature_reference(gaussian_hat, 0.0, 0.0, p_cutoff=1.0)
     assert abs(full - chopped) > 1e-3
 
 
@@ -344,17 +340,17 @@ def test_quadrature_names_its_spent_budget():
     # at order 20 the integrand |p|^20 e^{-p^2/4} needs more panels than the budget
     with pytest.raises(ToleranceNotReached, match=r"no convergence within 1048576 integrand "
                                                   r"evaluations"):
-        quadrature_reference(F1_HAT, 20.0, 0.5)
+        quadrature_reference(gaussian_hat, 20.0, 0.5)
 
 
 def test_quadrature_rejects_non_finite_order_and_position():
     for alpha, x in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.inf),
                      (0.5, -math.inf), (0.5, math.nan)):
         with pytest.raises(ValueError):
-            quadrature_reference(F1_HAT, alpha, x)
+            quadrature_reference(gaussian_hat, alpha, x)
     for cutoff in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError):
-            quadrature_reference(F1_HAT, 0.5, 0.0, p_cutoff=cutoff)
+            quadrature_reference(gaussian_hat, 0.5, 0.0, p_cutoff=cutoff)
 
 
 def test_quadrature_stops_at_the_first_non_finite_value():
@@ -362,7 +358,7 @@ def test_quadrature_stops_at_the_first_non_finite_value():
 
     def f_hat(p):
         calls.append(p.size)
-        return np.where(np.abs(p - 2.5) < 0.5, np.nan, F1_HAT(p))
+        return np.where(np.abs(p - 2.5) < 0.5, np.nan, gaussian_hat(p))
 
     with pytest.raises(ToleranceNotReached):
         quadrature_reference(f_hat, 0.5, 0.0)
@@ -390,10 +386,10 @@ def test_quadrature_scalar_only_transform_matches_vectorised():
     def scalar_only(p):
         if np.ndim(p):
             raise TypeError("scalar frequencies only")
-        return F1_HAT(p)
+        return gaussian_hat(p)
 
     for a, x in ((0.5, 0.0), (1.5, 3.0)):
-        want = quadrature_reference(F1_HAT, a, x)
+        want = quadrature_reference(gaussian_hat, a, x)
         got = quadrature_reference(scalar_only, a, x)
         assert abs(got - want) <= 1e-15 * abs(want)
 
@@ -404,7 +400,7 @@ def test_quadrature_names_the_frequency_where_f_hat_fails():
             raise TypeError("scalar frequencies only")
         if p > 30.0:
             raise ZeroDivisionError("boom")
-        return F1_HAT(p)
+        return gaussian_hat(p)
 
     # the frequency is named as a plain number, not as numpy's np.float64(...)
     with pytest.raises(EvaluationFailure, match=r"evaluation failed at p=[0-9][0-9.e+-]*: boom"):
@@ -415,7 +411,7 @@ def test_quadrature_batch_size_changes_only_the_summation_order(monkeypatch):
     def counting(points):
         def f_hat(p):
             points.append(p.size)
-            return F1_HAT(p)
+            return gaussian_hat(p)
         return f_hat
 
     default_points, single_points = [], []
@@ -436,7 +432,7 @@ def test_quadrature_resolves_the_corner_at_p0_in_a_few_batches():
 
         def f_hat(p):
             calls.append(p.size)
-            return F1_HAT(p)
+            return gaussian_hat(p)
 
         got = quadrature_reference(f_hat, a, 0.3)
         assert len(calls) <= 4, (a, len(calls))
@@ -446,7 +442,7 @@ def test_quadrature_resolves_the_corner_at_p0_in_a_few_batches():
 def test_quadrature_far_from_the_origin():
     # |x| = 20 caps the root panels at a quarter period: over 1000 of them
     for a in (0.5, 2.5):
-        assert abs(quadrature_reference(F1_HAT, a, 20.0)
+        assert abs(quadrature_reference(gaussian_hat, a, 20.0)
                    - gaussian_deriv(a, 20.0)) < 1e-8
 
 
@@ -457,13 +453,13 @@ def test_quadrature_returns_or_raises_at_high_orders():
     script = """
 import math, time
 import numpy as np
-from fracspectral.oracles import ToleranceNotReached, gaussian_deriv, quadrature_reference
-f_hat = lambda p: np.exp(-p * p / 4.0) / math.sqrt(2.0)
+from fracspectral.oracles import (ToleranceNotReached, gaussian_deriv, gaussian_hat,
+                                  quadrature_reference)
 for a in (18, 20, 30, 60, 100):
     t0 = time.perf_counter()
     try:
         want = gaussian_deriv(a, 0.5)
-        ok = abs(quadrature_reference(f_hat, a, 0.5) - want) <= 1e-12 * abs(want)
+        ok = abs(quadrature_reference(gaussian_hat, a, 0.5) - want) <= 1e-12 * abs(want)
     except ToleranceNotReached:
         ok = True
     print(a, ok, time.perf_counter() - t0, flush=True)
@@ -488,7 +484,7 @@ def test_quadrature_raises_at_once_where_the_symbol_overflows():
 
     def f_hat(p):
         calls.append(p.size)
-        return F1_HAT(p)
+        return gaussian_hat(p)
 
     for a in (193.0, 200.0, 300.0):
         with pytest.raises(OrderTooLarge, match="overflows"):
@@ -500,7 +496,7 @@ def test_quadrature_refuses_a_position_past_the_root_panel_cap():
     # x = 1e8 would need ~5e9 quarter-period root panels
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="root panels"):
-        quadrature_reference(F1_HAT, 0.5, 1e8)
+        quadrature_reference(gaussian_hat, 0.5, 1e8)
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -125,7 +125,7 @@ def test_commutators_refuse_f_whose_x_f_does_not_decay():
     # gaps at 1.5, 2.5 and 3 read 4.3e-4, 5.0e-5 and 2.6e-6
     g = high_res_grid()
     sig = sample(lambda x: np.exp(-0.0657 * x * x), g)
-    assert spectral._decays(sig)
+    assert spectral._evidence(sig).decays
     for a in (1.5, 2.5, 3.0):
         for commutator in (commutator_dx, commutator_ladder):
             with pytest.raises(InsufficientDecay, match=r"^boundary decay 5\.699e-10 of "
@@ -452,7 +452,7 @@ def test_uncertainty_check_takes_one_fft_per_state(monkeypatch):
     calls = _counting(monkeypatch)
     got = [uncertainty_check(a, state) for a in orders]
     assert calls == ["rfft"]
-    assert set(state._memo) == {"norm", "support", "spectra", "moments", "spread"}
+    assert set(state._memo) == {"norm", "evidence", "spectra", "moments", "spread"}
     transformed = gaussian_state(high_res_grid())
     fractional_momentum(transformed, 1.5)
     calls.clear()

@@ -473,7 +473,7 @@ def test_a_reused_signal_gives_the_bits_of_fresh_ones(f):
             assert _result_bits(chained) == _result_bits(op(op(sample(f, g), a), 0.7)), (a, op)
         taken.append(len(kept._memo["moments"]))
     assert taken == [spectral._MAX_MOMENTS] * 4
-    assert set(kept._memo) == {"spectra", "support", "moments"}
+    assert set(kept._memo) == {"spectra", "evidence", "moments"}
     assert not any(c.flags.writeable for c in kept._memo["spectra"])
 
 
@@ -491,7 +491,7 @@ def test_block_moments_match_direct_sums(n):
               lambda x: np.exp(-(x - 10) ** 2 + 0.5j * x)):
         for scale in (1.0, 1e-300, 1e300):
             signal = sample(lambda x: scale * f(x), g)
-            top, unit, lo, hi = spectral._support(signal)
+            top, unit, lo, hi = spectral._evidence(signal)[:4]
             for order in (0.5, 5.2):
                 table = spectral._ImageTable(order, g)
                 j = np.arange(len(spectral._moments(signal, table)))
@@ -573,7 +573,7 @@ def test_image_sum_matches_direct_zeta_summation(box, n):
     q = 0.5 + np.arange(n) / n
     signals = [SampledSignal(g, np.exp(-(g.x - c) ** 2) * (g.x - c) ** k)
                for c in (0.0, 3.0, 6.0, 9.0, 10.0) for k in (0, 2)]
-    signals = [f for f in signals if spectral._decays(f)]
+    signals = [f for f in signals if spectral._evidence(f).decays]
     for order in (0.02, 0.3, 0.5, 1.5, 2.5, 3.7, 5.2):
         t = (1.0 + order + np.arange(spectral._MAX_MOMENTS)) - 1.0
         t[0] = order
