@@ -12,13 +12,15 @@ the closed-form oracle route (no grid artifacts); `--engine spectral`
 switches to the FFT path.  File input always uses the FFT path, on the
 grid its x column sets.  Every FFT route goes through _engine_curves,
 which prints the engine's wrap-around warning on stderr; every closed-form
-route through _closed_form_curves, which calls the closed form once per
-order on the whole array of points.  One 9-digit rule writes every
-number (9 significant digits, lowercase exponent, -0 as 0): fmt9_all gives
-each number's text (a JSON number is float of that text), and _csv, the
-one writer of every CSV table, formats a whole table by the same rule, so
-identical configurations produce byte-identical files.  `--input` rows are parsed by
-np.loadtxt and sized by make_grid.
+route through _closed_form_curves, which makes one closed_form_orders call
+for all its orders (one 1F1 series per command at the figures' size).  One
+9-digit rule writes every number (9 significant digits, lowercase exponent,
+-0 as 0): fmt9_all gives each number's text (a JSON number is float of that
+text, and _curves_json formats and encodes each distinct column once), and
+_csv, the one writer of every CSV table, formats a whole table by the same
+rule (an all-zero column as a literal 0), so identical configurations
+produce byte-identical files.  `--input` rows are parsed by np.loadtxt and
+sized by make_grid.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
 whose values overflow double precision, or one outside the range a command
@@ -38,7 +40,7 @@ import numpy as np
 from . import checks
 from .grid import (CSV_HEADER, DegenerateInterval, NonPowerOfTwo, SampledSignal, make_grid,
                    sample)
-from .oracles import gaussian, gaussian_deriv, x2gaussian, x2gaussian_deriv
+from .oracles import closed_form_orders, gaussian, gaussian_deriv, x2gaussian, x2gaussian_deriv
 from .quantum import gaussian_state, high_res_grid, uncertainty_bound, uncertainty_check
 from .specfun import MAX_ABS_Z, ArgumentOutOfRange, OrderTooLarge
 from .spectral import AlphaInForbiddenRange, fractional_derivative, require_order
@@ -124,11 +126,14 @@ def _emit(path, text):
 
 def _csv(header, *numbers, text=()):
     """A CSV table: the header line, then one line per row, the number columns
-    by fmt9_all's rule and then the text columns, all rows in one % operation."""
+    by fmt9_all's rule and then the text columns, all rows in one % operation.
+    An all-zero number column is a literal 0 in the row template."""
     table = _unsigned_zero(np.column_stack(numbers))
+    nonzero = table.any(axis=0)
+    line = ",".join([_NINE_DIGITS if k else "0" for k in nonzero] + ["%s"] * len(text)) + "\n"
+    table = table[:, nonzero]
     if text:
         table = np.column_stack([table.astype(object), *text])
-    line = ",".join([_NINE_DIGITS] * len(numbers) + ["%s"] * len(text)) + "\n"
     return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
@@ -136,23 +141,24 @@ def _json(payload):
     """json.dumps(payload, indent=2) + "\n", byte for byte, for lists, dicts with
     text keys, numbers, text, bools and None, at the speed of json's C encoder,
     which json.dumps leaves out under an indent."""
-    return _indented(payload, "\n") + "\n"
+    return _indented(payload, "\n", {}) + "\n"
 
 
-def _indented(value, newline):
+def _indented(value, newline, encoded):
     """value as json.dumps(value, indent=2) writes it after newline and its indent.
 
     A list of numbers (no dict or list among them) is one C-encoder call
-    whose item separator carries the line break and the indent.
+    whose item separator carries the line break and the indent; encoded keeps
+    its text by (id, indent), for a list object met again.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
-        items = [json.dumps(key) + ": " + _indented(v, inner) for key, v in value.items()]
+        items = [json.dumps(k) + ": " + _indented(v, inner, encoded) for k, v in value.items()]
     elif isinstance(value, list) and value:
-        if {dict, list}.isdisjoint(map(type, value)):
-            items = [json.dumps(value, separators=("," + inner, ": "))[1:-1]]
-        else:
-            items = [_indented(v, inner) for v in value]
+        at = (id(value), inner)
+        if at not in encoded and {dict, list}.isdisjoint(map(type, value)):
+            encoded[at] = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        items = [encoded[at]] if at in encoded else [_indented(v, inner, encoded) for v in value]
     else:
         return json.dumps(value)
     open_, close = "{}" if isinstance(value, dict) else "[]"
@@ -160,11 +166,22 @@ def _indented(value, newline):
 
 
 def _curves_json(curve_list):
+    """The curves as JSON, each number by fmt9_all's rule.  Each distinct number
+    column (the x array the curves share; all-zero ones, such as the imaginary
+    part of real values) becomes one list, formatted and encoded once."""
+    lists = {}      # each array stays here with its list, so its id stays its own
+
+    def column(values):
+        key = id(values) if values.any() else values.shape
+        if key not in lists:
+            lists[key] = values, list(map(float, fmt9_all(values)))
+        return lists[key][1]
+
     return _json([{
         "alpha": None if alpha is None else float(fmt9(alpha)),
-        "x": list(map(float, fmt9_all(x))),
-        "re": list(map(float, fmt9_all(values.real))),
-        "im": list(map(float, fmt9_all(values.imag))),
+        "x": column(x),
+        "re": column(values.real),
+        "im": column(values.imag),
     } for alpha, x, values in curve_list])
 
 
@@ -177,9 +194,10 @@ def _per_alpha_path(path, alpha):
 # --- input path ------------------------------------------------------------
 
 def _read_signal_csv(path):
-    """The signal in a CSV file: the header x,re,im, then rows on a uniform grid."""
+    """The signal in a CSV file: the header x,re,im (after a byte-order mark, if
+    any), then rows on a uniform grid."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header, *lines = fh.readlines() or [""]
     except UnicodeDecodeError as exc:
         raise CLIConfigError(f"--input {path}: not a UTF-8 text file ({exc})") from exc
@@ -203,8 +221,8 @@ def _read_signal_csv(path):
             f"--input {path}: non-finite value on line {rows[int(finite.argmin())]}")
     x = data[:, 0]
     n = len(x)
-    x0 = float(x[0])
-    dx = float(x[1] - x[0]) if n > 1 else 0.0      # one row has no step: a degenerate grid
+    # one row has no step: any interval will do, as make_grid refuses its count
+    x0, dx = (float(x[0]), float(x[1] - x[0])) if n > 1 else (0.0, 1.0)
     try:
         grid = make_grid(x0, x0 + n * dx, n)
     except NonPowerOfTwo as exc:
@@ -233,9 +251,9 @@ def _engine_curves(signal, alphas):
 
 
 def _closed_form_curves(oracle, alphas, xs):
-    """(order, x, D^a values) per order from the closed form, one array call per order."""
+    """(order, x, D^a values) per order from the closed form, all orders in one call."""
     try:
-        return [(a, xs, oracle(a, xs)) for a in alphas]
+        return [(a, xs, v) for a, v in zip(alphas, closed_form_orders(oracle, alphas, xs))]
     except ArgumentOutOfRange as exc:
         raise CLIConfigError(
             f"--domain: closed-form route limited to |x| <= {math.sqrt(MAX_ABS_Z):g} ({exc}); "

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspectral.cli import _json, fmt9, fmt9_all, main
+from fracspectral.cli import _csv, _curves_json, _json, fmt9, fmt9_all, main
 
 
 def run_cli(capsys, *args):
@@ -57,6 +57,42 @@ def test_json_writer_is_json_dumps_with_indent_2():
                {}, [], 3, -0.0, None]
     for value in (payload, [], {}, [[]], 1e16, None, "text"):
         assert _json(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_curves_json_is_json_dumps_of_fmt9_all():
+    # one x array shared by the curves, a zero imaginary part, a column of -0.0,
+    # and figure 4's single curve: each list is formatted and encoded once
+    x = np.linspace(-4.0, 4.0, 9)
+    values = np.exp(-x * x) * np.array([1, -1] * 4 + [1]) + 0j
+    cases = [
+        [(0.5, x, values), (1.5, x, 2 * values), (2.5, x, 1j * values)],
+        [(0.0, x, np.full(9, -0.0) + 1j * values.real), (1e-05, x, np.full(9, -0.0 - 0.0j))],
+        [(None, np.arange(601) / 100.0, np.cos(np.arange(601) / 100.0) + 0j)],
+    ]
+    for curves in cases:
+        payload = [{"alpha": None if a is None else float(fmt9(a)),
+                    "x": list(map(float, fmt9_all(xs))),
+                    "re": list(map(float, fmt9_all(v.real))),
+                    "im": list(map(float, fmt9_all(v.imag)))} for a, xs, v in curves]
+        assert _curves_json(curves) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_csv_is_the_nine_digit_table():
+    def plain(header, *numbers, text=()):
+        rows = zip(*numbers, *text)
+        return header + "\n" + "".join(
+            ",".join(["%.9g" % (v + 0.0) for v in row[:len(numbers)]]
+                     + list(row[len(numbers):])) + "\n" for row in rows)
+
+    x = np.linspace(-2.0, 2.0, 5)
+    zero, minus_zero = np.zeros(5), np.full(5, -0.0)
+    for columns in ((zero, x, x * x), (x, zero, x * x), (x, x * x, minus_zero),
+                    (zero, minus_zero), (zero,), (x,)):
+        assert _csv("h", *columns) == plain("h", *columns), columns
+    # uncertainty's table: number columns as lists, then a text column
+    numbers = ([1.0, 1.5], [0.5, 0.0], [-0.0, 2.0])
+    text = [["true", "false"]]
+    assert _csv("a,b,c,ok", *numbers, text=text) == plain("a,b,c,ok", *numbers, text=text)
 
 
 @pytest.mark.parametrize("argv", [
@@ -134,6 +170,8 @@ def test_file_input_edge_cases_with_warnings_as_errors(tmp_path, capsys):
                                           for row in lines[1:]]) + "\n",
         "crlf": "\r\n".join(lines) + "\r\n",
         "blank": "\n".join(lines) + "\n\n",          # a trailing blank line
+        # the UTF-8 byte-order mark that spreadsheet exports write
+        "bom": "\ufeff" + "\n".join(lines) + "\n",
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -580,6 +618,25 @@ def test_closed_form_errors_at_high_orders(alpha, gaussian, x2gaussian, capsys):
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("function, alphas, failing", [
+    ("gaussian", "270,1e6", "270"),
+    ("gaussian", "1e6,270", "1e6"),
+    ("x2gaussian", "270,1e6", "270"),
+    ("gaussian", "0.5,1e6", "1e6"),
+    ("x2gaussian", "0.5,1e6", "1e6"),
+    ("gaussian", "5e-324,1e6", "1e6"),
+    ("gaussian", "5e-324,270,0.5", "270"),
+])
+def test_several_closed_form_orders_raise_the_first_failing_orders_error(function, alphas,
+                                                                          failing, capsys):
+    # all orders' 1F1 rows run as one series, yet the error is the one the
+    # loop over the orders meets first, in that order's words
+    argv = ["derive", "--function", function, "--points", "8", "--format", "json", "--alpha"]
+    alone = run_cli(capsys, *argv, failing)
+    assert alone[:2] == (2, "") and alone[2].startswith("error: ")
+    assert run_cli(capsys, *argv, alphas) == alone
+
+
 def test_built_ins_where_x2_overflows_run_without_warnings(capsys):
     # on +-1e200 every sample but x = 0 has an x^2 past double precision:
     # e^{-x^2} and x^2 e^{-x^2} are 0 there
@@ -662,3 +719,9 @@ def test_input_error_messages_are_specific(tmp_path, capsys):
     f.write_text("x,re,im\n" + "\n".join(f"{-i * 0.5},1,0" for i in range(16)) + "\n")
     assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
     assert capsys.readouterr().err == f"error: --input {f}: x column must increase\n"
+    # one row has no step; it is refused for its count, as 2-7 rows are
+    for rows in (1, 2, 7):
+        f.write_text("x,re,im\n" + "\n".join(f"{i * 0.5},1,0" for i in range(rows)) + "\n")
+        assert main(["derive", "--alpha", "1", "--input", str(f)]) == 2
+        assert capsys.readouterr().err == (f"error: --input {f}: sample count: n must be a "
+                                           f"power of two >= 8, got {rows}\n")

@@ -187,6 +187,37 @@ def test_closed_forms_over_arrays_keep_the_shape(closed_form):
 
 
 @pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
+def test_closed_form_orders_are_the_per_order_calls_bitwise(closed_form, monkeypatch):
+    # figures 1-3's orders on their 801 points run as one series; seeded sets
+    # of 2-6 orders on the default grid and on the widest one, where two
+    # orders' rows of 4096 points pass one series' element budget, run as
+    # one series per run of orders that fits
+    series = []
+    kummer = oracles.specfun.kummer_1f1
+    monkeypatch.setattr(oracles.specfun, "kummer_1f1",
+                        lambda a, b, z: series.append(np.size(a) * z.size) or kummer(a, b, z))
+    rng = np.random.default_rng(4207)
+    cases = [(ARRAY_GRIDS["figure"][0], orders)
+             for orders in ((0.0, 0.02, 0.1, 0.5), (4.5, 4.8, 5.0, 5.2, 5.5))]
+    cases += [(make_grid(*box, 4096).x, tuple(rng.uniform(0.1, 6.0, rng.integers(2, 7))))
+              for box in ((-16.0, 16.0), (-20.0, 20.0))]
+    runs = []
+    for xs, orders in cases:
+        want = [closed_form(a, xs) for a in orders]
+        series.clear()
+        got = oracles.closed_form_orders(closed_form, orders, xs)
+        assert len(got) == len(orders)
+        for a, g, w in zip(orders, got, want):
+            np.testing.assert_array_equal(_bits(g), _bits(w), err_msg=f"order {a}")
+        # whole orders per series: 2 rows each of the Gaussian's (1 at order 0), 4 of x^2's
+        per_series = oracles._SERIES_ELEMENTS // ((2 if closed_form is gaussian_deriv else 4)
+                                                  * xs.size)
+        assert len(series) == -(-len(orders) // per_series) and max(series) <= 16384
+        runs.append(len(series))
+    assert runs[:2] == [1, 1] and max(runs) > 1
+
+
+@pytest.mark.parametrize("closed_form", [gaussian_deriv, x2gaussian_deriv])
 def test_closed_forms_over_arrays_raise_typed_errors_without_warnings(closed_form):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
