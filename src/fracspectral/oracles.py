@@ -12,7 +12,7 @@ These are the ground-truth routes against which the FFT engine is judged:
   periodize them.
 * quadrature_reference: direct adaptive integration of the defining
   inverse-transform integral, sharing with the fast transform only the
-  guarded |p|^a of spectral (through ip_power).
+  guarded |p|^a of spectral (_branch_power, the body of ip_power).
 * eigenstate_signal: sampled eigenfunctions of the fractional momentum
   operator with their frequency pinned exactly onto the discrete grid.
 """
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import specfun
 from .grid import SampledSignal, _evaluate
-from .spectral import SQRT_2PI, AlphaInForbiddenRange, ip_power, require_order
+from .spectral import SQRT_2PI, AlphaInForbiddenRange, _branch_power, require_order
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -124,10 +124,14 @@ def _closed_form(formula):
     """The closed form of formula, a generator of (alpha, x) that yields the (a, b)
     rows of its 1F1(a; b; -x^2) terms, is sent their values and yields its value.
 
-    At a float x that value is a complex, from one kummer_1f1 call per row; at a
+    At a float x that value is a complex, from one 1F1 series per row; at a
     numpy array x, a complex array of its shape whose elements are the scalar
     calls bit for bit, from closed_form_orders with one order (numpy's overflow
     warnings off: require_finite raises).
+
+    A float x gates z = -x^2 once (-inf where x^2 overflows) and runs each row past
+    kummer_1f1's gates (specfun._kummer), as a and b of the gated order and b = 1/2 or 3/2
+    pass them: a row can still refuse a |z| past MAX_ABS_Z or an overflow, in its words.
     """
     @functools.wraps(formula)
     def closed_form(alpha, x):
@@ -135,9 +139,10 @@ def _closed_form(formula):
             return closed_form_orders(closed_form, (alpha,), x)[0]
         alpha = require_order(alpha)
         x = specfun.require_real("x", x)
-        steps, z, values = formula(alpha, x), -x * x, []
-        for a, b in next(steps):    # a plain loop: 0.45 us less than a comprehension here
-            values.append(specfun.kummer_1f1(a, b, z))
+        steps, values = formula(alpha, x), []
+        rows, z = next(steps), specfun.require_real("1F1 argument z", -x * x)
+        for a, b in rows:           # a plain loop: 0.45 us less than a comprehension here
+            values.append(specfun._kummer(a, b, z))
         return complex(steps.send(values))
     return closed_form
 
@@ -153,9 +158,10 @@ def gaussian_deriv(alpha, x):
     pole, and the surviving term is e^{-x^2} itself.  At an order so small
     that Gamma(a/2) is not finite, a*Gamma(a/2) is taken as 2 Gamma(1 + a/2).
     The Gamma factors come before the 1F1 terms, so an order past the Gamma
-    limit names Gamma.
+    limit names Gamma, and before the cosine, whose a*pi overflows from order
+    DBL_MAX/pi on.
     """
-    c1 = math.cos(alpha * np.pi / 2) * specfun.gamma((1 + alpha) / 2)
+    c1 = specfun.gamma((1 + alpha) / 2) * math.cos(alpha * np.pi / 2)
     row1 = ((1 + alpha) / 2, 0.5)
     if alpha == 0:
         f1, = yield (row1,)
@@ -321,7 +327,7 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         p = (mid[:, None] + half[:, None] * _NODES).ravel()
-        phased = np.exp(1j * p * x) * ip_power(alpha, p)
+        phased = np.exp(1j * p * x) * _branch_power(alpha, p, False)     # (ip)^a
         values = _evaluate(f_hat, p, "p")
         # a value or a sum past the float range raises below, without numpy's warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -356,10 +362,10 @@ def _adaptive(f_hat, alpha, x, lo, hi, tol):
 def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     """Direct adaptive integration of (1/sqrt(2pi)) int e^{ipx} (ip)^a f_hat(p) dp.
 
-    Independent of the FFT engine but for its |p|^a, through ip_power; this
-    is the reference all derived comparison values come from.  The caller
-    guarantees f_hat is negligible beyond p_cutoff (for a Gaussian
-    transform, 40 is ample).
+    Independent of the FFT engine but for its |p|^a, ip_power's body with the
+    order gated once (_branch_power); this is the reference all derived
+    comparison values come from.  The caller guarantees f_hat is negligible
+    beyond p_cutoff (for a Gaussian transform, 40 is ample).
     The integrand oscillates at frequency |x|, so initial panels are capped
     at a quarter period; the cusp/zero of the multiplier sits on the panel
     boundary at p = 0.  Every panel is refined until its 15-point Kronrod
@@ -372,7 +378,7 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     _QUAD_MAX_EVALS times.
 
     Errors: the order's as in require_order, and OrderTooLarge where
-    ip_power's |p|^a overflows at a node (at the default p_cutoff, from
+    the |p|^a overflows at a node (at the default p_cutoff, from
     order about 193 on, before f_hat is called); ArgumentOutOfRange for an x
     or p_cutoff that require_real rejects, a p_cutoff <= 0, or root panels
     past _QUAD_MAX_EVALS; ToleranceNotReached for a non-finite integrand
@@ -384,8 +390,10 @@ def quadrature_reference(f_hat, alpha, x, p_cutoff=40.0):
     p_cutoff = specfun.require_real("p_cutoff", p_cutoff)
     if p_cutoff <= 0:
         raise specfun.ArgumentOutOfRange(f"p_cutoff must be > 0, got {p_cutoff}")
-    width = min(4.0, 2 * np.pi / (4 * (abs(x) + 0.25)))
-    m = max(1, math.ceil(p_cutoff / width))       # a subnormal p_cutoff / width rounds to 0
+    width = min(4.0, 0.5 * np.pi / (abs(x) + 0.25))     # a quarter period, never 0
+    m = p_cutoff / width                    # inf past the float range, past any budget
+    if m < math.inf:
+        m = max(1, math.ceil(m))            # a subnormal p_cutoff / width rounds to 0
     panels = 2 * m
     if panels * _NODES.size > _QUAD_MAX_EVALS:
         raise specfun.ArgumentOutOfRange(f"x={x} with p_cutoff={p_cutoff} needs {panels} root "

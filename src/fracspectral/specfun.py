@@ -183,14 +183,18 @@ def _order_gamma_half(alpha):
 
 
 def _series(a, b, z):
-    """Plain 1F1 power series; an overflow returns inf for require_finite."""
+    """Plain 1F1 power series; an overflow returns inf for require_finite.  Its float step
+    counter j takes the IEEE operations of an int one (exact below 2^53) without their int
+    to float conversions; the cap is _SERIES_MAX_TERMS as it reads at the call."""
     term = 1.0
     total = 1.0
-    for j in range(_SERIES_MAX_TERMS):
-        term *= (a + j) * z / ((b + j) * (j + 1))
+    j = 0.0
+    for _ in range(_SERIES_MAX_TERMS):
+        term *= (a + j) * z / ((b + j) * (j + 1.0))
         total += term
         if abs(term) <= _SERIES_RTOL * abs(total):
             return total
+        j += 1.0
     raise SeriesNotConverged(f"1F1({a:g}; {b:g}; {z:g}) power series not converged "
                              f"after {_SERIES_MAX_TERMS} terms")
 
@@ -243,14 +247,20 @@ def kummer_1f1(a, b, z):
     broadcast against each other like numpy arrays, and one series runs over
     all the elements, each stopping in place at its own step, bitwise the
     scalar call on it.  So a and b of shape (R, 1) against z of shape (n,)
-    give R rows of n values from one series.
+    give R rows of n values from one series.  A scalar call is the gates, then
+    _kummer, which the scalar closed forms call past gates they already passed.
     A non-finite argument raises ArgumentOutOfRange; a series that overflows
     raises OrderTooLarge, and one that does not converge within
     _SERIES_MAX_TERMS terms SeriesNotConverged.
     """
     if isinstance(z, np.ndarray):
         return _kummer_1f1_array(a, b, z)
-    a, b, z = _kummer_args(a, b, z)
+    return _kummer(*_kummer_args(a, b, z))
+
+
+def _kummer(a, b, z):
+    """kummer_1f1 at floats a, b and z that passed its gates (finite, no pole at b): the
+    scalar route past them, which refuses a |z| past MAX_ABS_Z and an overflow alone."""
     if abs(z) > MAX_ABS_Z:
         raise ArgumentOutOfRange(f"|z| = {abs(z)} exceeds {MAX_ABS_Z}")
     if z < 0.0:

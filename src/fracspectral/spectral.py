@@ -157,11 +157,17 @@ def _require_power(alpha, p_max):
                             f"|p| = {p_max:.6g}: the order is too large for this grid")
 
 
+def _phase(exp, unit, alpha):
+    """exp(unit * pi * a), i^a, (-i)^a or (-1)^a for unit 0.5j, -0.5j or +-1j; exactly 1 where
+    pi * a overflows (exp gives nan or raises): every double past 2^54 is a multiple of 4."""
+    return exp(unit * np.pi * alpha) if math.pi * alpha < math.inf else 1.0 + 0.0j
+
+
 def _branch_power(alpha, p, momentum):
     """(ip)^a, or where momentum p^a, on frequencies p, both gated by the caller: the one
     body of both, |p|^a (_abs_power, which tests it) times the phase on each side of 0."""
-    half_turn = cmath.exp(0.5j * np.pi * alpha)
-    upper, lower = ((1.0 + 0.0j, np.exp(-1j * np.pi * alpha)) if momentum
+    half_turn = _phase(cmath.exp, 0.5j, alpha)
+    upper, lower = ((1.0 + 0.0j, _phase(np.exp, -1j, alpha)) if momentum
                     else (half_turn, half_turn.conjugate()))
     modulus = _abs_power(alpha, np.abs(p))  # 0^0 = 1: order 0 is 1 on every bin
     symbol = np.multiply(modulus, upper, out=np.empty(p.shape, dtype=complex))
@@ -532,7 +538,7 @@ def _half_bins(n, dp):
 def _half_symbol(alpha, grid):
     """(ip)^a on the grid's rfft bins, the bits of ip_power there without its gates and its
     p < 0 side: |p|^a, which the caller tested at the Nyquist bin, times the phase i^a."""
-    return _half_bins(grid.n, grid.dp) ** alpha * cmath.exp(0.5j * np.pi * alpha)
+    return _half_bins(grid.n, grid.dp) ** alpha * _phase(cmath.exp, 0.5j, alpha)
 
 
 def _apply_multiplier(signals, alpha, momentum):
@@ -569,7 +575,7 @@ def _apply_multiplier(signals, alpha, momentum):
     if alpha == 0:
         return signals
     grid = signals[0].grid
-    phase = cmath.exp(-0.5j * math.pi * alpha) if momentum else 1.0
+    phase = _phase(cmath.exp, -0.5j, alpha) if momentum else 1.0
     tables, passes, results = {}, [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for signal in signals:
@@ -690,10 +696,7 @@ def duality_residual(f, g, alpha, pairing, minus_one_branch):
     _require_member("minus_one_branch", minus_one_branch, MinusOneBranch)
     df = fractional_derivative(f, alpha)
     dg = fractional_derivative(g, alpha)
-    if minus_one_branch is MinusOneBranch.E_PLUS_I_PI:
-        phase = np.exp(1j * np.pi * alpha)
-    else:
-        phase = np.exp(-1j * np.pi * alpha)
+    phase = _phase(np.exp, 1j if minus_one_branch is MinusOneBranch.E_PLUS_I_PI else -1j, alpha)
     return inner(df, g, pairing) - phase * inner(f, dg, pairing)
 
 

@@ -610,12 +610,24 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
     # the Gaussian's Gamma factors come before its 1F1 terms, the x2-Gaussian's after
     ("1e6", "gamma(500000) overflows double precision: the order or argument is too large",
      "1F1(500000; 0.5; -16) overflows double precision"),
+    # past DBL_MAX/pi the Gaussian's cos(a pi/2) saw a pi = inf before Gamma: a bare
+    # ValueError (math domain error) and a traceback
+    ("6e307", "gamma(3e+307) overflows double precision: the order or argument is too large",
+     "1F1(3e+307; 0.5; -16) overflows double precision"),
+    ("1e308", "gamma(5e+307) overflows double precision: the order or argument is too large",
+     "1F1(5e+307; 0.5; -16) overflows double precision"),
 ])
 def test_closed_form_errors_at_high_orders(alpha, gaussian, x2gaussian, capsys):
     for function, message in (("gaussian", gaussian), ("x2gaussian", x2gaussian)):
         rc, out, err = run_cli(capsys, "derive", "--function", function, "--alpha", alpha,
                                "--points", "64", "--domain", "-4", "4")
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_derive_at_the_largest_orders_exits_2(capsys):
+    assert run_cli(capsys, "derive", "--alpha", "1e308", "--points", "8") == (
+        2, "", "error: gamma(5e+307) overflows double precision: the order or argument is "
+               "too large\n")
 
 
 @pytest.mark.parametrize("function, alphas, failing", [

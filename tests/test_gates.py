@@ -22,8 +22,8 @@ X2GAUSS = lambda x: x * x * np.exp(-x * x)
 
 BAD_NUMBERS = (10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf)
 # finite, but large enough that a power, a product or a frequency built from
-# them overflows double precision
-LARGE_NUMBERS = (300.0, 1e300, -1e300)
+# them overflows double precision; pi a overflows past 5.7e307, pi a/2 past 1.1e308
+LARGE_NUMBERS = (300.0, 1e300, -1e300, 6e307, 1.5e308)
 # zero, and numbers finite but so small that 1 + a rounds to 1 or a quotient by
 # them overflows; 5e-324 is the smallest subnormal
 TINY_NUMBERS = (0.0, 1e-300, 5e-324)
@@ -66,6 +66,9 @@ def _scan_table():
     signal = lambda v: fs.SampledSignal(g, [*f.values[:7], v, *f.values[8:]])
     spectrum = lambda v: fs.Spectrum(g, [*f.values[:7], v, *f.values[8:]])
     sesq, plus = fs.Pairing.SESQUILINEAR, fs.MinusOneBranch.E_PLUS_I_PI
+    # every bin below 1 (dp = pi/1000), so |p|^a underflows to 0 at a large order
+    # and does not raise: the phase alone decides the result
+    wide = fs.sample(lambda x: np.exp(-(x / 100) ** 2), fs.make_grid(-1000.0, 1000.0, 8))
     return [
         ("make_grid", fs.make_grid, (-8.0, 8.0, 256), (0, 1, 2)),
         ("SampledSignal", signal, (0.5,), (0,)),
@@ -90,6 +93,16 @@ def _scan_table():
         ("fractional_momentum", fs.fractional_momentum, (f, 0.5), (1,)),
         ("ip_power", fs.ip_power, (0.5, p), (0, 1)),
         ("p_power", fs.p_power, (0.5, p), (0, 1)),
+        ("ip_power on bins below 1", lambda a: fs.ip_power(a, np.array([0.5, -0.5])),
+         (0.5,), (0,)),
+        ("p_power on bins below 1", lambda a: fs.p_power(a, np.array([0.5, -0.5])),
+         (0.5,), (0,)),
+        ("D^a and P_a on bins below 1",
+         lambda a: [fs.fractional_derivative(wide, a), fs.fractional_momentum(wide, a)],
+         (0.5,), (0,)),
+        ("duality_residual on bins below 1",
+         lambda a: [fs.duality_residual(wide, wide, a, fs.Pairing.BILINEAR, branch)
+                    for branch in fs.MinusOneBranch], (0.5,), (0,)),
         ("order_continuity_gap", fs.order_continuity_gap, (f, 1, 10), (1, 2)),
         # an image record of the given order and leading moment
         ("ImageCorrection", lambda a, m: fs.ImageCorrection(g, a, [m, 0.5]), (0.5, 1.0), (0, 1)),

@@ -118,6 +118,36 @@ def test_closed_form_overflow_raises_order_too_large(closed_form):
             closed_form(270.0, 0.5)
 
 
+GAMMA_LIMIT = "overflows double precision: the order or argument is too large"
+
+
+@pytest.mark.parametrize("closed_form, alpha, x, error, message", [
+    (gaussian_deriv, 0.5, 20.5, ArgumentOutOfRange, "|z| = 420.25 exceeds 400.0"),
+    (x2gaussian_deriv, 0.5, -20.5, ArgumentOutOfRange, "|z| = 420.25 exceeds 400.0"),
+    # x^2 overflows: z = -inf, refused by the 1F1 gate's words
+    (gaussian_deriv, 0.5, 1e155, ArgumentOutOfRange, "1F1 argument z must be finite, got -inf"),
+    (x2gaussian_deriv, 0.5, 1e155, ArgumentOutOfRange, "1F1 argument z must be finite, got -inf"),
+    # the Gaussian's Gamma factors come before its 1F1 rows, the x2-Gaussian's after
+    (gaussian_deriv, 400.0, 25.0, OrderTooLarge, f"gamma(200.5) {GAMMA_LIMIT}"),
+    (gaussian_deriv, 400.0, 1e155, OrderTooLarge, f"gamma(200.5) {GAMMA_LIMIT}"),
+    (x2gaussian_deriv, 400.0, 25.0, ArgumentOutOfRange, "|z| = 625.0 exceeds 400.0"),
+    (x2gaussian_deriv, 1e308, 1.0, OrderTooLarge,
+     "1F1(5e+307; 0.5; -1) overflows double precision"),
+    (gaussian_deriv, 270.0, 1.0, OrderTooLarge,
+     "gaussian_deriv at order 270 overflows double precision: the order is too large"),
+    # past DBL_MAX/pi, where a*pi overflows: Gamma names the order, on both routes
+    (gaussian_deriv, 1e308, 1.0, OrderTooLarge, f"gamma(5e+307) {GAMMA_LIMIT}"),
+    (gaussian_deriv, 6e307, 1.0, OrderTooLarge, f"gamma(3e+307) {GAMMA_LIMIT}"),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_closed_form_refusals_keep_their_words(closed_form, alpha, x, error, message):
+    # the scalar route gates z once per call and takes its 1F1 rows past kummer_1f1's
+    # gates: what it refuses, it refuses in kummer_1f1's words, as the array route does
+    for point in (x, np.array([x])):
+        with pytest.raises(error) as info:
+            closed_form(alpha, point)
+        assert str(info.value) == message
+
+
 def test_gaussian_deriv_at_subnormal_orders_is_the_order_zero_limit():
     # a/2 rounds to 0 at 5e-324, and Gamma(a/2) overflows at 1e-310; there
     # a*Gamma(a/2) is taken as 2 Gamma(1 + a/2), so D^a e^{-x^2} -> e^{-x^2}
@@ -529,6 +559,21 @@ def test_quadrature_refuses_a_position_past_the_root_panel_cap():
     with pytest.raises(ValueError, match="root panels"):
         quadrature_reference(gaussian_hat, 0.5, 1e8)
     assert time.perf_counter() - t0 < 0.5
+    # past |x| of about 4.5e307 the quarter period was 0 (ZeroDivisionError), and
+    # where p_cutoff / width overflows, math.ceil(inf) raised OverflowError
+    for x, p_cutoff in ((6e307, 40.0), (-1.7e308, 40.0), (1e10, 1e300)):
+        with pytest.raises(ArgumentOutOfRange, match=r"needs inf root panels, past 1048576 "):
+            quadrature_reference(gaussian_hat, 0.5, x, p_cutoff)
+
+
+def test_quadrature_names_the_order_where_the_symbol_overflows():
+    # (ip)^a at an order past DBL_MAX/pi: the phase i^a is 1 there, and |p|^a
+    # raises at once; at 1.5e308 forming the phase raised ValueError first
+    for a in (1e308, 1.5e308):
+        with pytest.raises(OrderTooLarge) as info:
+            quadrature_reference(gaussian_hat, a, 0.5)
+        assert str(info.value) == (f"|p|^{a:g} overflows double precision at |p| = 39.9991: "
+                                   f"the order is too large for this grid")
 
 
 # --- eigenstate construction ----------------------------------------------

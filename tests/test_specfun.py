@@ -172,6 +172,46 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+def _series_with_an_int_counter(a, b, z):
+    """The 1F1 series as it ran with an int step counter, the reference of _series's
+    bits, under the cap as it reads at the call; None where it does not stop."""
+    term = 1.0
+    total = 1.0
+    for j in range(specfun._SERIES_MAX_TERMS):
+        term *= (a + j) * z / ((b + j) * (j + 1))
+        total += term
+        if abs(term) <= specfun._SERIES_RTOL * abs(total):
+            return total
+    return None
+
+
+@pytest.mark.parametrize("cap, outcomes", [(1000, {"finite", "inf"}),
+                                            (20, {"finite", "not converged"})])
+def test_the_series_steps_bit_for_bit_as_with_an_int_counter(cap, outcomes, monkeypatch):
+    # a float counter j takes the IEEE operations of an int one, which converts
+    # exactly below 2^53; the cap is _SERIES_MAX_TERMS as patched, no other
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", cap)
+    rng = np.random.default_rng(20431)
+    n = 1500
+    a = rng.uniform(-300.0, 300.0, n)
+    b = rng.choice([0.5, 1.5, np.nan], n)
+    b[np.isnan(b)] = rng.uniform(0.01, 50.0, np.isnan(b).sum())
+    z = rng.uniform(0.0, 400.0, n)
+    seen = set()
+    for args in zip(a.tolist(), b.tolist(), z.tolist()):
+        want = _series_with_an_int_counter(*args)
+        if want is None:
+            with pytest.raises(SeriesNotConverged, match=f"after {cap} terms$"):
+                specfun._series(*args)
+            seen.add("not converged")
+        else:
+            got = specfun._series(*args)
+            assert _bits(np.array([got])) == _bits(np.array([want])), args
+            seen.add("finite" if math.isfinite(want) else "inf")
+    # the scan meets overflows to inf at the full cap, series that do not stop at 20
+    assert seen == outcomes
+
+
 # z = 0 (and -0), positive and negative z up to the cap at +-400
 KUMMER_Z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 400.0, -400.0],
                            np.linspace(-400.0, 400.0, 161), np.linspace(-4.0, 4.0, 33)])
