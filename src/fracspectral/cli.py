@@ -16,11 +16,11 @@ route through _closed_form_curves, which makes one closed_form_orders call
 for all its orders (one 1F1 series per command at the figures' size).  One
 9-digit rule writes every number (9 significant digits, lowercase exponent,
 -0 as 0): fmt9_all gives each number's text (a JSON number is float of that
-text, and _curves_json formats and encodes each distinct column once), and
-_csv, the one writer of every CSV table, formats a whole table by the same
-rule (an all-zero column as a literal 0), so identical configurations
-produce byte-identical files.  `--input` rows are parsed by np.loadtxt and
-sized by make_grid.
+text), _csv writes every CSV table by it (an all-zero column as a literal 0),
+and JSON is json.dumps(payload, indent=2)'s layout, of the uncertainty report
+by json.dumps itself and of the curves by _curves_json, which encodes each
+distinct column once.  `--input` rows are parsed by np.loadtxt and sized by
+make_grid.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error (an order
 whose values overflow double precision, or one outside the range a command
@@ -137,52 +137,29 @@ def _csv(header, *numbers, text=()):
     return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def _json(payload):
-    """json.dumps(payload, indent=2) + "\n", byte for byte, for lists, dicts with
-    text keys, numbers, text, bools and None, at the speed of json's C encoder,
-    which json.dumps leaves out under an indent."""
-    return _indented(payload, "\n", {}) + "\n"
-
-
-def _indented(value, newline, encoded):
-    """value as json.dumps(value, indent=2) writes it after newline and its indent.
-
-    A list of numbers (no dict or list among them) is one C-encoder call
-    whose item separator carries the line break and the indent; encoded keeps
-    its text by (id, indent), for a list object met again.
-    """
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        items = [json.dumps(k) + ": " + _indented(v, inner, encoded) for k, v in value.items()]
-    elif isinstance(value, list) and value:
-        at = (id(value), inner)
-        if at not in encoded and {dict, list}.isdisjoint(map(type, value)):
-            encoded[at] = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-        items = [encoded[at]] if at in encoded else [_indented(v, inner, encoded) for v in value]
-    else:
-        return json.dumps(value)
-    open_, close = "{}" if isinstance(value, dict) else "[]"
-    return open_ + inner + ("," + inner).join(items) + newline + close
+_CURVE_JSON = '  {\n    "alpha": %s,\n    "x": %s,\n    "re": %s,\n    "im": %s\n  }'
 
 
 def _curves_json(curve_list):
-    """The curves as JSON, each number by fmt9_all's rule.  Each distinct number
-    column (the x array the curves share; all-zero ones, such as the imaginary
-    part of real values) becomes one list, formatted and encoded once."""
-    lists = {}      # each array stays here with its list, so its id stays its own
+    """json.dumps(payload, indent=2) + "\n" of one or more curves of non-empty
+    columns, each number by fmt9_all's rule: one % operation over a template of
+    _CURVE_JSON, one curve's lines, per curve.  Each distinct column, found by its
+    values (the shared x; the all-zero ones), is one text: one call of json's C
+    encoder, whose item separator carries the line break and the indent."""
+    texts = {}
 
     def column(values):
-        key = id(values) if values.any() else values.shape
-        if key not in lists:
-            lists[key] = values, list(map(float, fmt9_all(values)))
-        return lists[key][1]
+        key = _unsigned_zero(values).tobytes()
+        if key not in texts:
+            numbers = json.dumps(list(map(float, fmt9_all(values))), separators=(",\n      ", ": "))
+            texts[key] = "[\n      " + numbers[1:-1] + "\n    ]"
+        return texts[key]
 
-    return _json([{
-        "alpha": None if alpha is None else float(fmt9(alpha)),
-        "x": column(x),
-        "re": column(values.real),
-        "im": column(values.imag),
-    } for alpha, x, values in curve_list])
+    fields = [(json.dumps(None if alpha is None else float(fmt9(alpha))),
+               column(x), column(values.real), column(values.imag))
+              for alpha, x, values in curve_list]
+    template = "[\n" + ",\n".join([_CURVE_JSON] * len(fields)) + "\n]\n"
+    return template % tuple(text for curve in fields for text in curve)
 
 
 def _per_alpha_path(path, alpha):
@@ -329,9 +306,9 @@ def cmd_uncertainty(args):
     reports = [uncertainty_check(a, state) for a in alphas]
     columns = [[getattr(r, f) for r in reports] for f in _UNCERTAINTY_FIELDS]
     if args.format == "json":
-        _emit(args.output, _json([
+        _emit(args.output, json.dumps([
             dict(zip(_UNCERTAINTY_FIELDS, map(float, fmt9_all(row))), satisfied=r.satisfied)
-            for row, r in zip(zip(*columns), reports)]))
+            for row, r in zip(zip(*columns), reports)], indent=2) + "\n")
     else:
         satisfied = ["true" if r.satisfied else "false" for r in reports]
         _emit(args.output, _csv(",".join(_UNCERTAINTY_FIELDS) + ",satisfied",

@@ -7,6 +7,7 @@ negative side, so the frequency set is symmetric except for that one bin.
 """
 import contextlib
 import math
+import sys
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class Grid:
             raise DegenerateInterval(f"need x_max > x_min, got ({x_min}, {x_max})")
         if n < 8 or n & (n - 1):
             raise NonPowerOfTwo(f"n must be a power of two >= 8, got {n}")
+        if n * 8 > sys.maxsize:
+            raise NonPowerOfTwo(f"n = {n} samples of 8 bytes exceed sys.maxsize bytes")
         self.x_min = x_min
         self.x_max = x_max
         self.n = n
@@ -97,7 +100,7 @@ class Grid:
 
 
 def make_grid(x_min, x_max, n):
-    """Build a uniform periodic grid; n must be a power of two, n >= 8."""
+    """Build a uniform periodic grid; n must be a power of two, 8 <= n <= sys.maxsize // 8."""
     return Grid(x_min, x_max, n)
 
 

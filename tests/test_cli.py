@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracspectral.cli import _csv, _curves_json, _json, fmt9, fmt9_all, main
+from fracspectral.cli import _csv, _curves_json, fmt9, fmt9_all, main
 
 
 def run_cli(capsys, *args):
@@ -48,26 +48,23 @@ def test_fmt9_all_is_fmt9_of_each_number():
     assert fmt9_all([]) == [] and fmt9_all(np.array([])) == []
 
 
-def test_json_writer_is_json_dumps_with_indent_2():
-    # numbers that print as 1e-05, past 1e16 (where repr switches to an
-    # exponent), -0.0, and every kind of value and container the writer meets
-    payload = [{"alpha": 1e-05, "x": [1e-05, 1e16, 1.5e17, -0.0, 0.0, 123456789.0, -1e-300, 5e-324],
-                "re": [0.5], "im": [], "none": None, "flags": [True, False], "name": "a\"b",
-                "rows": [[1.0, 2.0], [], {"k": 1}], "empty": {}},
-               {}, [], 3, -0.0, None]
-    for value in (payload, [], {}, [[]], 1e16, None, "text"):
-        assert _json(value) == json.dumps(value, indent=2) + "\n"
-
-
 def test_curves_json_is_json_dumps_of_fmt9_all():
     # one x array shared by the curves, a zero imaginary part, a column of -0.0,
-    # and figure 4's single curve: each list is formatted and encoded once
+    # and figure 4's single curve: each distinct column is formatted and encoded
+    # once, found by its values, so columns equal in value share one text
     x = np.linspace(-4.0, 4.0, 9)
     values = np.exp(-x * x) * np.array([1, -1] * 4 + [1]) + 0j
     cases = [
         [(0.5, x, values), (1.5, x, 2 * values), (2.5, x, 1j * values)],
         [(0.0, x, np.full(9, -0.0) + 1j * values.real), (1e-05, x, np.full(9, -0.0 - 0.0j))],
         [(None, np.arange(601) / 100.0, np.cos(np.arange(601) / 100.0) + 0j)],
+        # a real part equal in value to x, in another array
+        [(0.5, x, x.copy() + 1j * values.real)],
+        # two distinct all-zero arrays, and a -0.0 column beside a 0.0 one
+        [(0.5, x, np.zeros(9) + 1j * np.zeros(9)), (1.5, x, np.zeros(9, dtype=complex))],
+        [(0.5, x, np.full(9, -0.0) + 0j), (1.5, np.zeros(9), np.full(9, 0.0 - 0.0j))],
+        # columns of different lengths that hold the same numbers so far
+        [(0.5, x, values), (1.5, x[:4], values[:4])],
     ]
     for curves in cases:
         payload = [{"alpha": None if a is None else float(fmt9(a)),
@@ -75,6 +72,13 @@ def test_curves_json_is_json_dumps_of_fmt9_all():
                     "re": list(map(float, fmt9_all(v.real))),
                     "im": list(map(float, fmt9_all(v.imag)))} for a, xs, v in curves]
         assert _curves_json(curves) == json.dumps(payload, indent=2) + "\n"
+    # curves from temporaries freed between calls: an array made later may take
+    # a freed one's address, yet each call writes its own values
+    for k in range(1, 5):
+        xs = np.linspace(-k, k, 8)
+        assert json.loads(_curves_json([(0.5, xs, np.exp(-xs * xs) * k + 0j)])) == [
+            {"alpha": 0.5, "x": list(map(float, fmt9_all(xs))),
+             "re": list(map(float, fmt9_all(np.exp(-xs * xs) * k))), "im": [0.0] * 8}]
 
 
 def test_csv_is_the_nine_digit_table():
@@ -103,8 +107,9 @@ def test_csv_is_the_nine_digit_table():
     ("derive", "--engine", "spectral", "--alpha", "0.5,1.3", "--points", "256",
      "--domain", "-8", "8"),
     ("uncertainty",),
+    ("uncertainty", "--alpha", "1.5,100.5"),
 ], ids=["figure1", "figure2", "figure3", "figure4", "derive", "derive-several",
-        "derive-spectral", "uncertainty"])
+        "derive-spectral", "uncertainty", "uncertainty-two-orders"])
 def test_json_output_is_json_dumps_with_indent_2(argv, capsys):
     # every JSON number is the float of its 9-digit text, laid out as
     # json.dumps(payload, indent=2) would write it
@@ -576,8 +581,10 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
         # a file that is not UTF-8, and one whose transform overflows
         ["derive", "--input", str(latin), "--alpha", "0.5"],
         ["derive", "--input", str(huge), "--alpha", "0.5"],
-        # 2^50 points: numpy refuses the 8 PiB at once
+        # 2^50 points: numpy refuses the 8 PiB at once; 2^60 points: the grid
+        # refuses n * 8 bytes past sys.maxsize before it allocates
         ["derive", "--alpha", "0.5", "--points", str(2 ** 50)],
+        ["derive", "--alpha", "0.5", "--points", str(2 ** 60)],
     ]
     # the smallest orders return, on a sampled signal and on a file: D^a tends
     # to the identity, and the image sum is finite at every order
@@ -592,9 +599,10 @@ def test_typed_errors_print_one_line_and_exit_2(tmp_path, capsys):
         for argv in tiny:
             rc, out, err = run_cli(capsys, *argv)
             assert (rc, err) == (0, ""), (argv, err)
-    assert run_cli(capsys, *cases[-3])[2].startswith(f"error: --input {latin}: not a UTF-8 ")
-    assert "transform overflows double precision" in run_cli(capsys, *cases[-2])[2]
-    assert run_cli(capsys, *cases[-1])[2].startswith("error: --points: ")
+    assert run_cli(capsys, *cases[-4])[2].startswith(f"error: --input {latin}: not a UTF-8 ")
+    assert "transform overflows double precision" in run_cli(capsys, *cases[-3])[2]
+    assert run_cli(capsys, *cases[-2])[2].startswith("error: --points: ")
+    assert run_cli(capsys, *cases[-1])[2].startswith(f"error: --points: n = {2 ** 60} ")
     assert run_cli(capsys, "uncertainty", "--alpha", "0.5")[2] == (
         "error: --alpha: uncertainty_check requires alpha >= 1, got 0.5 "
         "(orders below 1 carry no operator meaning)\n")

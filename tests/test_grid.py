@@ -37,6 +37,10 @@ def test_grid_validation():
         make_grid(-1.0, 1.0, 4)            # below the minimum size
     with pytest.raises(NonPowerOfTwo):
         make_grid(-1.0, 1.0, 0)
+    # n * 8 bytes past sys.maxsize: refused before numpy is asked for the array
+    for n in (2 ** 60, 2 ** 63, 2 ** 65):
+        with pytest.raises(NonPowerOfTwo, match=f"n = {n} "):
+            make_grid(-1.0, 1.0, n)
     with pytest.raises(DegenerateInterval):
         make_grid(1.0, 1.0, 64)
     with pytest.raises(DegenerateInterval):
